@@ -1,28 +1,32 @@
 """Single-file JSON persistence for a built index.
 
-The file holds four sections (ontologies, relevance graph, leveled index,
-bit patterns) under one version tag. Serialization is canonical (sorted
-keys, fixed separators), so saving a loaded bundle reproduces the file
-byte for byte.
+The file holds only the inputs under one version tag: the ontologies and,
+per relevance-graph node, its url, parents and term vectors. Loading
+scores the vectors and rebuilds the leveled index and the bit patterns
+through the same code a build runs. The file also keeps the bit patterns,
+as a checksum the load compares against the ones it derives. Serialization
+is canonical (sorted keys, fixed separators), so saving a loaded bundle
+reproduces the file byte for byte.
 """
 from __future__ import annotations
 
 import json
 import logging
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 from .bitmask import PatternStore, gen_ibag_bit_patterns
 from .corpus import Corpus
-from .errors import ValidationError
+from .errors import ValidationError, json_field
 from .ibag import IBAG, build_ibag
 from .ontology import Ontology
 from .rpag import RPaG, build_rpag
 
 log = logging.getLogger(__name__)
 
-FORMAT_VERSION = "1"
+FORMAT_VERSION = "2"
 
 
 @dataclass
@@ -63,23 +67,26 @@ class IndexBundle:
             "format_version": FORMAT_VERSION,
             "ontologies": [ont.to_json_obj() for ont in self.ontologies],
             "rpag": self.rpag.to_json_obj(),
-            "ibag": self.ibag.to_json_obj(),
             "patterns": self.patterns.to_json_obj(),
         }
 
     @staticmethod
-    def from_json_obj(obj: dict) -> "IndexBundle":
+    def from_json_obj(obj: object) -> "IndexBundle":
+        if not isinstance(obj, dict):
+            raise ValidationError("index file must hold a JSON object")
         if obj.get("format_version") != FORMAT_VERSION:
             raise ValidationError(
                 f"unsupported bundle format version {obj.get('format_version')!r}"
             )
-        ontologies = tuple(Ontology.from_json_obj(raw) for raw in obj["ontologies"])
-        bundle = IndexBundle(
-            ontologies=ontologies,
-            rpag=RPaG.from_json_obj(obj["rpag"], ontologies),
-            ibag=IBAG.from_json_obj(obj["ibag"], ontologies),
-            patterns=PatternStore.from_json_obj(obj["patterns"]),
+        ontologies = tuple(
+            Ontology.from_json_obj(raw) for raw in json_field(obj, "ontologies", list, "index")
         )
+        rpag = RPaG.from_json_obj(json_field(obj, "rpag", dict, "index"), ontologies)
+        ibag = build_ibag(rpag)
+        patterns = gen_ibag_bit_patterns(ibag, ontologies)
+        if json_field(obj, "patterns", dict, "index") != patterns.to_json_obj():
+            raise ValidationError("stored bit patterns differ from those the term vectors give")
+        bundle = IndexBundle(ontologies=ontologies, rpag=rpag, ibag=ibag, patterns=patterns)
         bundle.validate()
         return bundle
 
@@ -90,14 +97,22 @@ class IndexBundle:
         return (text + "\n").encode("utf-8")
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_bytes(self.canonical_bytes())
+        """Write through a temp file in the same directory, then rename over
+        ``path``, so a failed write leaves any previous index intact."""
+        path = Path(path)
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        try:
+            tmp.write_bytes(self.canonical_bytes())
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)  # already gone after a successful rename
         log.debug("saved index bundle to %s", path)
 
     @staticmethod
     def load(path: str | Path) -> "IndexBundle":
-        raw = Path(path).read_text(encoding="utf-8")
+        raw = Path(path).read_bytes()
         try:
-            obj = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: not a valid index file: {exc.msg}") from None
+            obj = json.loads(raw.decode("utf-8"))
+        except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON, deep nesting
+            raise ValidationError(f"{path}: not a valid index file: {exc}") from None
         return IndexBundle.from_json_obj(obj)

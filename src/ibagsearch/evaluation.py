@@ -6,7 +6,6 @@ import logging
 import random
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -100,13 +99,8 @@ def evaluate_index(
     *,
     repeats: int = 5,
     use_synonyms: bool = True,
-    parallel: bool = False,
 ) -> list[QueryRun]:
-    """Run every query in both modes; elapsed is the median of ``repeats`` runs.
-
-    ``parallel`` runs queries on a thread pool; use it only for
-    correctness sweeps, the timing fields are then meaningless.
-    """
+    """Run every query in both modes; elapsed is the median of ``repeats`` runs."""
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
 
@@ -138,9 +132,6 @@ def evaluate_index(
             hr_after=harvest_rate(query, after_nodes, selected, ibag, use_synonyms).hr,
         )
 
-    if parallel:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            return list(pool.map(run_one, queries))
     return [run_one(query) for query in queries]
 
 
@@ -266,7 +257,6 @@ def run_benchmark(
     gen_config: GenerationConfig | None = None,
     repeats: int = 5,
     use_synonyms: bool = True,
-    parallel: bool = False,
 ) -> BenchReport:
     """Build a synthetic index at each size and measure every query, both modes."""
     sizes = list(corpus_sizes)
@@ -290,9 +280,7 @@ def run_benchmark(
         rpag = build_rpag(corpus, ontologies)
         ibag = build_ibag(rpag)
         patterns = gen_ibag_bit_patterns(ibag, ontologies)
-        runs = evaluate_index(
-            ibag, patterns, queries, repeats=repeats, use_synonyms=use_synonyms, parallel=parallel
-        )
+        runs = evaluate_index(ibag, patterns, queries, repeats=repeats, use_synonyms=use_synonyms)
         rows.extend(aggregate_runs(size, runs))
         if not diagnostics:
             diagnostics = [

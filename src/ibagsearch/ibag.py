@@ -21,8 +21,6 @@ from .rpag import RPaG
 
 log = logging.getLogger(__name__)
 
-FORMAT_VERSION = "1"
-
 
 @dataclass
 class IBAGNode:
@@ -203,57 +201,6 @@ class IBAG:
                     raise ValidationError(
                         f"node {p_id} ontology {ont_id} link points to {follow}, expected {want}"
                     )
-
-    def to_json_obj(self) -> dict:
-        return {
-            "version": FORMAT_VERSION,
-            "levels": [list(level) for level in self.levels],
-            "level_heads": [
-                {str(ont_id): head for ont_id, head in heads.items()}
-                for heads in self.level_heads
-            ],
-            "nodes": [
-                {
-                    "p_id": node.p_id,
-                    "url": node.url,
-                    "pp_id": node.pp_id,
-                    "mean_rel_val": node.mean_rel_val,
-                    "level": node.level,
-                    "supported": {str(k): v for k, v in node.supported.items()},
-                    "term_vectors": {str(k): list(v) for k, v in node.term_vectors.items()},
-                    "ont_link": {str(k): v for k, v in node.ont_link.items()},
-                }
-                for node in self.nodes
-            ],
-        }
-
-    @staticmethod
-    def from_json_obj(obj: dict, ontologies: Sequence[Ontology]) -> "IBAG":
-        if obj.get("version") != FORMAT_VERSION:
-            raise ValidationError(f"unsupported index format version {obj.get('version')!r}")
-        nodes = [
-            IBAGNode(
-                p_id=raw["p_id"],
-                url=raw["url"],
-                pp_id=raw["pp_id"],
-                mean_rel_val=raw["mean_rel_val"],
-                level=raw["level"],
-                supported={int(k): v for k, v in raw["supported"].items()},
-                term_vectors={int(k): tuple(v) for k, v in raw["term_vectors"].items()},
-                ont_link={int(k): v for k, v in raw["ont_link"].items()},
-            )
-            for raw in obj["nodes"]
-        ]
-        index = IBAG(
-            nodes=nodes,
-            ontologies=tuple(ontologies),
-            levels=[list(level) for level in obj["levels"]],
-            level_heads=[
-                {int(k): v for k, v in heads.items()} for heads in obj["level_heads"]
-            ],
-        )
-        index.validate()
-        return index
 
 
 def build_ibag(rpag: RPaG) -> IBAG:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, check_kind, json_field
 
 _TAG_RE = re.compile(r"<[^>]*>")
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
@@ -186,22 +186,25 @@ class Ontology:
         }
 
     @staticmethod
-    def from_json_obj(obj: dict) -> "Ontology":
+    def from_json_obj(obj: object) -> "Ontology":
         terms = tuple(
             OntologyTerm(
-                term=t["term"],
-                weight=t["weight"],
-                synonyms=tuple(t["synonyms"]),
-                term_relevance_limit=t["term_relevance_limit"],
-                bit_position=t["bit_position"],
+                term=json_field(t, "term", str, "ontology term"),
+                weight=json_field(t, "weight", float, "ontology term"),
+                synonyms=tuple(
+                    check_kind(syn, str, "ontology synonym")
+                    for syn in json_field(t, "synonyms", list, "ontology term")
+                ),
+                term_relevance_limit=json_field(t, "term_relevance_limit", float, "ontology term"),
+                bit_position=json_field(t, "bit_position", int, "ontology term"),
             )
-            for t in obj["terms"]
+            for t in json_field(obj, "terms", list, "ontology")
         )
         return Ontology(
-            ontology_id=obj["ontology_id"],
-            name=obj["name"],
+            ontology_id=json_field(obj, "ontology_id", int, "ontology"),
+            name=json_field(obj, "name", str, "ontology"),
             terms=terms,
-            relevance_limit=obj["relevance_limit"],
+            relevance_limit=json_field(obj, "relevance_limit", float, "ontology"),
         )
 
 

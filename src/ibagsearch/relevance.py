@@ -34,6 +34,23 @@ def term_relevance_value(term: OntologyTerm, tokens: Sequence[str]) -> float:
     return term.weight * occurrences
 
 
+def relevance_from_vector(ontology: Ontology, term_vector: Sequence[float]) -> PageRelevance:
+    """The page-level scoring rule: sum the term vector, compare to the cutoff.
+
+    Building a graph and loading one from an index file both score through
+    here, so a page's value and support always follow from its vector.
+    """
+    vector = tuple(term_vector)
+    value = sum(vector)
+    supported = value > ontology.relevance_limit
+    return PageRelevance(
+        ontology_id=ontology.ontology_id,
+        relevance_value=value if supported else 0.0,
+        supported=supported,
+        term_vector=vector,
+    )
+
+
 def page_relevance(ontology: Ontology, tokens: Sequence[str]) -> PageRelevance:
     """Score a tokenized page against every term of the ontology."""
     counts = count_phrase_occurrences(tokens, ontology.iter_phrases())
@@ -43,11 +60,4 @@ def page_relevance(ontology: Ontology, tokens: Sequence[str]) -> PageRelevance:
         for synonym in term.synonyms:
             occurrences += counts[synonym]
         vector.append(term.weight * occurrences)
-    value = sum(vector)
-    supported = value > ontology.relevance_limit
-    return PageRelevance(
-        ontology_id=ontology.ontology_id,
-        relevance_value=value if supported else 0.0,
-        supported=supported,
-        term_vector=tuple(vector),
-    )
+    return relevance_from_vector(ontology, vector)

@@ -16,14 +16,14 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .corpus import Corpus
-from .errors import ValidationError
+from .errors import ValidationError, check_kind, json_field
 from .ontology import Ontology, normalize_text
-from .relevance import PageRelevance, page_relevance
+from .relevance import PageRelevance, page_relevance, relevance_from_vector
 
 log = logging.getLogger(__name__)
 
 MAX_PARENTS = 4
-FORMAT_VERSION = "1"
+FORMAT_VERSION = "2"
 
 
 @dataclass(frozen=True)
@@ -71,37 +71,22 @@ class RPaG:
             if not any(rel.supported for rel in node.relevance.values()):
                 raise ValidationError(f"node {node.p_id} supports no ontology")
             for ont_id, rel in node.relevance.items():
-                ont = by_id[ont_id]
-                if len(rel.term_vector) != ont.t:
+                if len(rel.term_vector) != by_id[ont_id].t:
                     raise ValidationError(
                         f"node {node.p_id} term vector length mismatch for ontology {ont_id}"
                     )
-                if rel.supported:
-                    if not rel.relevance_value > ont.relevance_limit:
-                        raise ValidationError(
-                            f"node {node.p_id} flagged for ontology {ont_id} but value "
-                            f"{rel.relevance_value} does not exceed the limit"
-                        )
-                elif rel.relevance_value != 0.0:
-                    raise ValidationError(
-                        f"node {node.p_id} stores a nonzero value for unsupported ontology {ont_id}"
-                    )
 
     def to_json_obj(self) -> dict:
+        """Only the inputs: scores, support and every index structure derive from them."""
         return {
             "version": FORMAT_VERSION,
             "ontology_digest": self.ontology_digest(),
             "nodes": [
                 {
-                    "p_id": node.p_id,
                     "url": node.url,
                     "pp_ids": list(node.pp_ids),
-                    "relevance": {
-                        str(ont_id): {
-                            "relevance_value": rel.relevance_value,
-                            "supported": rel.supported,
-                            "term_vector": list(rel.term_vector),
-                        }
+                    "term_vectors": {
+                        str(ont_id): list(rel.term_vector)
                         for ont_id, rel in node.relevance.items()
                     },
                 }
@@ -110,29 +95,43 @@ class RPaG:
         }
 
     @staticmethod
-    def from_json_obj(obj: dict, ontologies: Sequence[Ontology]) -> "RPaG":
+    def from_json_obj(obj: object, ontologies: Sequence[Ontology]) -> "RPaG":
+        """Decode nodes (p_id is the list index) and score their term vectors."""
         ontologies = tuple(ontologies)
+        if not isinstance(obj, dict):
+            raise ValidationError("graph section must be an object")
         if obj.get("version") != FORMAT_VERSION:
             raise ValidationError(f"unsupported graph format version {obj.get('version')!r}")
         if obj.get("ontology_digest") != ontology_digest(ontologies):
             raise ValidationError("graph was built against different ontologies")
-        nodes = [
-            RPaGNode(
-                p_id=raw["p_id"],
-                url=raw["url"],
-                pp_ids=tuple(raw["pp_ids"]),
-                relevance={
-                    int(ont_id): PageRelevance(
-                        ontology_id=int(ont_id),
-                        relevance_value=rel["relevance_value"],
-                        supported=rel["supported"],
-                        term_vector=tuple(rel["term_vector"]),
+        by_key = {str(ont.ontology_id): ont for ont in ontologies}
+        nodes = []
+        for p_id, raw in enumerate(json_field(obj, "nodes", list, "graph")):
+            where = f"graph node {p_id}"
+            vectors = json_field(raw, "term_vectors", dict, where)
+            if set(vectors) != set(by_key):
+                raise ValidationError(f"{where} term vectors mismatch the ontologies")
+            relevance = {}
+            for key, ont in by_key.items():
+                vector = vectors[key]
+                # one pass per vector: NaN fails the comparison, bool is neither type
+                if not (
+                    isinstance(vector, list)
+                    and all(type(v) in (float, int) and v >= 0 for v in vector)
+                ):
+                    raise ValidationError(
+                        f"{where} term vector {key} must be a list of non-negative numbers"
                     )
-                    for ont_id, rel in raw["relevance"].items()
-                },
+                relevance[ont.ontology_id] = relevance_from_vector(ont, vector)
+            pp_ids = json_field(raw, "pp_ids", list, where)
+            nodes.append(
+                RPaGNode(
+                    p_id=p_id,
+                    url=json_field(raw, "url", str, where),
+                    pp_ids=tuple(check_kind(pp, int, f"{where} parent") for pp in pp_ids),
+                    relevance=relevance,
+                )
             )
-            for raw in obj["nodes"]
-        ]
         graph = RPaG(nodes=nodes, ontologies=ontologies)
         graph.validate()
         return graph

@@ -43,6 +43,8 @@ class Query:
 
     def __post_init__(self) -> None:
         lo, hi = self.relevance_range
+        if math.isnan(lo) or math.isnan(hi):
+            raise ValueError(f"relevance range [{lo}, {hi}] has NaN bounds")
         if lo > hi:
             raise ValueError(f"invalid relevance range [{lo}, {hi}]")
         if self.result_limit < 1:

@@ -1,10 +1,19 @@
 from __future__ import annotations
 
+import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
-from ibagsearch import IndexBundle, ValidationError, synth_corpus
+from ibagsearch import (
+    IndexBundle,
+    ValidationError,
+    search_after_masking,
+    search_before_masking,
+    synth_corpus,
+)
+from ibagsearch.bundled import default_queries
 from conftest import make_corpus, single_term_ontology
 
 
@@ -12,6 +21,11 @@ from conftest import make_corpus, single_term_ontology
 def bundle(bundled_onts):
     corpus = synth_corpus(17, 80, bundled_onts)
     return IndexBundle.build(corpus, bundled_onts)
+
+
+def saved_obj(bundle, path) -> dict:
+    bundle.save(path)
+    return json.loads(path.read_text(encoding="utf-8"))
 
 
 class TestRoundTrip:
@@ -29,8 +43,68 @@ class TestRoundTrip:
         loaded = IndexBundle.load(path)
         assert loaded.ontologies == bundle.ontologies
         assert loaded.rpag.to_json_obj() == bundle.rpag.to_json_obj()
-        assert loaded.ibag.to_json_obj() == bundle.ibag.to_json_obj()
+        assert loaded.ibag.levels == bundle.ibag.levels
+        assert loaded.ibag.level_heads == bundle.ibag.level_heads
+        assert loaded.ibag.nodes == bundle.ibag.nodes
         assert loaded.patterns.to_json_obj() == bundle.patterns.to_json_obj()
+
+    def test_file_holds_only_inputs_and_patterns(self, bundle, tmp_path):
+        obj = saved_obj(bundle, tmp_path / "index.json")
+        assert set(obj) == {"format_version", "ontologies", "rpag", "patterns"}
+        assert obj["format_version"] == "2"
+        assert len(obj["rpag"]["nodes"]) == len(bundle.rpag)
+        for raw in obj["rpag"]["nodes"]:
+            assert set(raw) == {"url", "pp_ids", "term_vectors"}
+
+    @pytest.mark.parametrize("seed", [3, 29])
+    def test_loaded_index_answers_as_fresh_build(self, seed, bundled_onts, tmp_path):
+        built = IndexBundle.build(synth_corpus(seed, 120, bundled_onts), bundled_onts)
+        built.save(tmp_path / "index.json")
+        loaded = IndexBundle.load(tmp_path / "index.json")
+        assert loaded.ibag.levels == built.ibag.levels
+        assert loaded.ibag.level_heads == built.ibag.level_heads
+        assert loaded.ibag.nodes == built.ibag.nodes
+
+        def answer(outcome):
+            return dataclasses.replace(outcome, elapsed=0.0)
+
+        for ontology in bundled_onts:
+            for query in default_queries(default_ontology_id=ontology.ontology_id):
+                assert answer(search_before_masking(query, loaded.ibag)) == answer(
+                    search_before_masking(query, built.ibag)
+                )
+                assert answer(search_after_masking(query, loaded.ibag, loaded.patterns)) == answer(
+                    search_after_masking(query, built.ibag, built.patterns)
+                )
+
+
+def _drop_url(obj: dict) -> None:
+    del obj["rpag"]["nodes"][0]["url"]
+
+
+def _string_term_vector(obj: dict) -> None:
+    obj["rpag"]["nodes"][0]["term_vectors"]["1"] = "0.9,0.0"
+
+
+def _string_entry_in_term_vector(obj: dict) -> None:
+    obj["rpag"]["nodes"][0]["term_vectors"]["1"][0] = "0.9"
+
+
+def _bool_parent(obj: dict) -> None:
+    node = next(raw for raw in obj["rpag"]["nodes"] if raw["pp_ids"])
+    node["pp_ids"][0] = True
+
+
+def _drop_ontology_terms(obj: dict) -> None:
+    del obj["ontologies"][0]["terms"]
+
+
+def _drop_patterns(obj: dict) -> None:
+    del obj["patterns"]
+
+
+def _nodes_not_a_list(obj: dict) -> None:
+    obj["rpag"]["nodes"] = {"0": obj["rpag"]["nodes"][0]}
 
 
 class TestValidation:
@@ -44,12 +118,54 @@ class TestValidation:
             IndexBundle.load(path)
 
     def test_tampered_mean_rejected(self, bundle, tmp_path):
+        """The file stores no mean: a mean changes only through a term vector,
+        and a vector edit that flips a term's bit disagrees with the stored patterns."""
         path = tmp_path / "index.json"
-        bundle.save(path)
-        obj = json.loads(path.read_text(encoding="utf-8"))
-        obj["ibag"]["nodes"][0]["mean_rel_val"] = -1.0
+        obj = saved_obj(bundle, path)
+        vector = next(
+            vec
+            for raw in obj["rpag"]["nodes"]
+            for vec in raw["term_vectors"].values()
+            if 0.0 in vec
+        )
+        vector[vector.index(0.0)] = 100.0
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        with pytest.raises(ValidationError, match="patterns"):
+            IndexBundle.load(path)
+
+    def test_negative_term_value_rejected(self, bundle, tmp_path):
+        path = tmp_path / "index.json"
+        obj = saved_obj(bundle, path)
+        obj["rpag"]["nodes"][0]["term_vectors"]["1"][0] = -0.5
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        with pytest.raises(ValidationError, match="negative"):
+            IndexBundle.load(path)
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            _drop_url,
+            _string_term_vector,
+            _string_entry_in_term_vector,
+            _bool_parent,
+            _drop_ontology_terms,
+            _drop_patterns,
+            _nodes_not_a_list,
+        ],
+    )
+    def test_malformed_shape_rejected(self, bundle, tmp_path, tamper):
+        path = tmp_path / "index.json"
+        obj = saved_obj(bundle, path)
+        tamper(obj)
         path.write_text(json.dumps(obj), encoding="utf-8")
         with pytest.raises(ValidationError):
+            IndexBundle.load(path)
+
+    @pytest.mark.parametrize("text", ["[]", "null", '"index"', "[[[[1]]]]"])
+    def test_non_object_top_level_rejected(self, tmp_path, text):
+        path = tmp_path / "index.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValidationError, match="object"):
             IndexBundle.load(path)
 
     def test_wrong_version_rejected(self, bundle, tmp_path):
@@ -66,6 +182,31 @@ class TestValidation:
         path.write_text("not json at all", encoding="utf-8")
         with pytest.raises(ValidationError):
             IndexBundle.load(path)
+
+    def test_not_utf8_rejected(self, tmp_path):
+        path = tmp_path / "index.json"
+        path.write_bytes(b'{"format_version": "\xff"}')
+        with pytest.raises(ValidationError):
+            IndexBundle.load(path)
+
+
+class TestAtomicSave:
+    def test_failed_write_keeps_previous_file(self, bundle, tmp_path, monkeypatch):
+        path = tmp_path / "index.json"
+        bundle.save(path)
+        previous = path.read_bytes()
+
+        def write_half_then_fail(self: Path, data: bytes) -> int:
+            with open(self, "wb") as fh:
+                fh.write(data[: len(data) // 2])
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(Path, "write_bytes", write_half_then_fail)
+        with pytest.raises(OSError, match="no space"):
+            bundle.save(path)
+        monkeypatch.undo()
+        assert path.read_bytes() == previous
+        assert [p.name for p in tmp_path.iterdir()] == ["index.json"]
 
 
 class TestEmptyIndex:

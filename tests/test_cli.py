@@ -49,7 +49,7 @@ def built_index(tmp_path, cricket_files, capsys):
 class TestBuild:
     def test_valid_build_writes_all_sections(self, built_index, capsys):
         obj = json.loads(built_index.read_text(encoding="utf-8"))
-        assert set(obj) == {"format_version", "ontologies", "rpag", "ibag", "patterns"}
+        assert set(obj) == {"format_version", "ontologies", "rpag", "patterns"}
         assert len(obj["rpag"]["nodes"]) == 3
 
     def test_prints_counts(self, tmp_path, cricket_files, capsys):
@@ -156,6 +156,20 @@ class TestQuery:
     def test_search_or_repl_required(self, built_index, capsys):
         code = main(["query", str(built_index)])
         assert code == 1
+
+    @pytest.mark.parametrize("tamper", ["drop_url", "top_level_list"])
+    def test_malformed_index_is_one_line_error(self, built_index, capsys, tamper):
+        obj = json.loads(built_index.read_text(encoding="utf-8"))
+        if tamper == "drop_url":
+            del obj["rpag"]["nodes"][0]["url"]
+        else:
+            obj = [obj]
+        built_index.write_text(json.dumps(obj), encoding="utf-8")
+        code = main(["query", str(built_index), "--search", "cricket"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
 
     def test_missing_index_is_io_error(self, tmp_path, capsys):
         code = main(["query", str(tmp_path / "nope.json"), "--search", "x"])

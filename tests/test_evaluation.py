@@ -166,13 +166,6 @@ class TestBenchmark:
         second = run_benchmark([50], queries, 11, repeats=1)
         assert self.strip_timing(first.to_json_obj()) == self.strip_timing(second.to_json_obj())
 
-    def test_parallel_mode_matches_sequential(self, queries):
-        sequential = run_benchmark([50], queries, 11, repeats=1)
-        parallel = run_benchmark([50], queries, 11, repeats=1, parallel=True)
-        assert self.strip_timing(sequential.to_json_obj()) == self.strip_timing(
-            parallel.to_json_obj()
-        )
-
     def test_csv_shape(self, queries):
         report = run_benchmark([40], queries, 3, repeats=1)
         lines = report.csv_text().strip().split("\n")

@@ -1,13 +1,11 @@
 from __future__ import annotations
 
-import json
 import math
 import random
 
 import pytest
 
 from ibagsearch import (
-    IBAG,
     PageRelevance,
     RPaG,
     RPaGNode,
@@ -187,35 +185,28 @@ class TestIbagInvariants:
     def test_rebuild_is_byte_identical(self, bundled_onts):
         corpus = synth_corpus(8, 70, bundled_onts)
         rpag = build_rpag(corpus, bundled_onts)
-        first = json.dumps(build_ibag(rpag).to_json_obj(), sort_keys=True)
-        second = json.dumps(build_ibag(rpag).to_json_obj(), sort_keys=True)
-        assert first == second
-
-    def test_json_round_trip_validates(self, bundled_onts):
-        corpus = synth_corpus(8, 70, bundled_onts)
-        ibag = build_ibag(build_rpag(corpus, bundled_onts))
-        restored = IBAG.from_json_obj(ibag.to_json_obj(), bundled_onts)
-        assert restored.to_json_obj() == ibag.to_json_obj()
+        first, second = build_ibag(rpag), build_ibag(rpag)
+        assert first.levels == second.levels
+        assert first.level_heads == second.level_heads
+        assert first.nodes == second.nodes
 
     def test_load_rejects_broken_sort(self, bundled_onts):
         corpus = synth_corpus(8, 70, bundled_onts)
         ibag = build_ibag(build_rpag(corpus, bundled_onts))
-        obj = ibag.to_json_obj()
-        level = next(level for level in obj["levels"] if len(level) >= 2)
+        level = next(level for level in ibag.levels if len(level) >= 2)
         level[0], level[1] = level[1], level[0]
         with pytest.raises(ValidationError):
-            IBAG.from_json_obj(obj, bundled_onts)
+            ibag.validate()
 
     def test_load_rejects_broken_chain(self, bundled_onts):
         corpus = synth_corpus(8, 70, bundled_onts)
         ibag = build_ibag(build_rpag(corpus, bundled_onts))
-        obj = ibag.to_json_obj()
         supporter = next(
-            raw for raw in obj["nodes"] if raw["supported"]["1"] and raw["ont_link"]["1"] is not None
+            node for node in ibag.nodes if node.supported[1] and node.ont_link[1] is not None
         )
-        supporter["ont_link"]["1"] = None
+        supporter.ont_link[1] = None
         with pytest.raises(ValidationError):
-            IBAG.from_json_obj(obj, bundled_onts)
+            ibag.validate()
 
     def test_empty_graph_builds_empty_index(self):
         corpus = make_corpus([("a", [], "noise")])

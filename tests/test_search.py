@@ -32,6 +32,11 @@ class TestQueryValidation:
         with pytest.raises(ValueError):
             Query("x", 1, relevance_range=(2.0, 1.0))
 
+    @pytest.mark.parametrize("bounds", [(math.nan, math.nan), (math.nan, 1.0), (0.0, math.nan)])
+    def test_nan_range_rejected(self, bounds):
+        with pytest.raises(ValueError, match="NaN"):
+            Query("x", 1, relevance_range=bounds)
+
     def test_zero_limit_rejected(self):
         with pytest.raises(ValueError):
             Query("x", 1, result_limit=0)
