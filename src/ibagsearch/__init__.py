@@ -4,9 +4,7 @@ from __future__ import annotations
 
 from .bitmask import (
     BitPattern,
-    MaskBitPattern,
     PatternStore,
-    ResultPattern,
     find_predicted_webpage_list,
     gen_ibag_bit_patterns,
     gen_mask_bit_pattern,
@@ -35,7 +33,6 @@ from .ontology import (
     Ontology,
     OntologyTerm,
     count_occurrences,
-    count_phrase_occurrences,
     load_limits,
     load_ontology,
     normalize_phrase,
@@ -67,7 +64,6 @@ __all__ = [
     "IbagSearchError",
     "IndexBundle",
     "LimitsConfig",
-    "MaskBitPattern",
     "Ontology",
     "OntologyTerm",
     "PageRelevance",
@@ -75,7 +71,6 @@ __all__ = [
     "PatternStore",
     "Query",
     "QueryRun",
-    "ResultPattern",
     "RPaG",
     "RPaGNode",
     "SearchOutcome",
@@ -83,7 +78,6 @@ __all__ = [
     "build_ibag",
     "build_rpag",
     "count_occurrences",
-    "count_phrase_occurrences",
     "evaluate_index",
     "find_predicted_webpage_list",
     "gen_ibag_bit_patterns",

@@ -3,12 +3,13 @@
 Patterns are fixed-length bit vectors with one bit per ontology term,
 packed into a single machine integer so XOR and AND run over whole words.
 Bit position 0 is the most significant bit, matching the left-to-right
-string and hex renderings.
+string and hex renderings. Page patterns, query masks and their XOR are all
+:class:`BitPattern`. A query mask comes from the ontology's phrase table,
+through the same scan (:meth:`Ontology.count_terms`) that scores pages.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import ValidationError
@@ -22,22 +23,14 @@ def _position_bit(length: int, position: int) -> int:
     return 1 << (length - 1 - position)
 
 
-def _to_string(bits: int, length: int) -> str:
-    return format(bits, f"0{length}b")
-
-
 def _to_hex(bits: int, length: int) -> str:
     return format(bits, f"0{(length + 3) // 4}x")
 
 
-def _set_positions(bits: int, length: int) -> tuple[int, ...]:
-    msb = 1 << (length - 1)
-    return tuple(p for p in range(length) if bits & (msb >> p))
-
-
 @dataclass(frozen=True)
 class BitPattern:
-    """A page's per-term bits for one ontology."""
+    """Per-term bits for one ontology: a page's pattern, a query mask, or
+    the XOR of the two. ``owner`` is the page's p_id, when there is one."""
 
     bits: int
     length: int
@@ -48,56 +41,31 @@ class BitPattern:
         return 1 if self.bits & _position_bit(self.length, position) else 0
 
     def positions(self) -> tuple[int, ...]:
-        return _set_positions(self.bits, self.length)
+        msb = 1 << (self.length - 1)
+        return tuple(p for p in range(self.length) if self.bits & (msb >> p))
+
+    def position_bits(self) -> tuple[int, ...]:
+        """Single-bit masks for every set position, ascending position."""
+        # a plain loop: every after-masking query calls this once
+        found = []
+        bit = 1 << self.length
+        while bit > 1:
+            bit >>= 1
+            if self.bits & bit:
+                found.append(bit)
+        return tuple(found)
 
     def to_string(self) -> str:
-        return _to_string(self.bits, self.length)
+        return format(self.bits, f"0{self.length}b")
 
     def to_hex(self) -> str:
         return _to_hex(self.bits, self.length)
 
 
-@dataclass(frozen=True)
-class MaskBitPattern:
-    """Per-term bits for one search string against one ontology."""
-
-    bits: int
-    length: int
-    ontology_id: int
-
-    def bit(self, position: int) -> int:
-        return 1 if self.bits & _position_bit(self.length, position) else 0
-
-    def positions(self) -> tuple[int, ...]:
-        return _set_positions(self.bits, self.length)
-
-    def position_bits(self) -> tuple[int, ...]:
-        """Single-bit masks for every set position, ascending position."""
-        msb = 1 << (self.length - 1)
-        return tuple(msb >> p for p in range(self.length) if self.bits & (msb >> p))
-
-    def to_string(self) -> str:
-        return _to_string(self.bits, self.length)
-
-
-@dataclass(frozen=True)
-class ResultPattern:
-    """XOR of a page pattern and a mask."""
-
-    bits: int
-    length: int
-
-    def bit(self, position: int) -> int:
-        return 1 if self.bits & _position_bit(self.length, position) else 0
-
-    def to_string(self) -> str:
-        return _to_string(self.bits, self.length)
-
-
-def xor_patterns(page: BitPattern, mask: MaskBitPattern) -> ResultPattern:
+def xor_patterns(page: BitPattern, mask: BitPattern) -> BitPattern:
     if page.length != mask.length:
         raise ValueError(f"pattern lengths differ: {page.length} vs {mask.length}")
-    return ResultPattern(bits=page.bits ^ mask.bits, length=page.length)
+    return BitPattern(bits=page.bits ^ mask.bits, length=page.length, ontology_id=page.ontology_id)
 
 
 def mask_match(page_bits: int, mask_bits: int, position_bits: Sequence[int]) -> bool:
@@ -131,41 +99,23 @@ def gen_webpage_bit_pattern(
     return BitPattern(bits=bits, length=ontology.t, ontology_id=ontology.ontology_id, owner=owner)
 
 
-@lru_cache(maxsize=64)
-def _mask_lookup(
-    ontology: Ontology, use_synonyms: bool
-) -> dict[str, tuple[tuple[list[str], int], ...]]:
-    """First word of each phrase -> (phrase words, the term's position bit)."""
-    lookup: dict[str, list[tuple[list[str], int]]] = {}
-    for term in ontology.terms:
-        pbit = _position_bit(ontology.t, term.bit_position)
-        for phrase in term.phrases() if use_synonyms else (term.term,):
-            words = phrase.split(" ")
-            lookup.setdefault(words[0], []).append((words, pbit))
-    return {first: tuple(entries) for first, entries in lookup.items()}
-
-
 def gen_mask_bit_pattern(
     search_string: str,
     ontology: Ontology,
     use_synonyms: bool = True,
-) -> MaskBitPattern:
+) -> BitPattern:
     """Mark every ontology term that occurs in the search string.
 
     With ``use_synonyms`` (the default) a term also counts as present when
-    one of its synonyms occurs. This runs once per query, so the phrase
-    lookup is cached per ontology and the search string is scanned once.
+    one of its synonyms occurs. The search string is scanned once through
+    the ontology's phrase table, the same scan that scores pages.
     """
-    tokens = normalize_text(search_string)
-    lookup = _mask_lookup(ontology, use_synonyms)
     bits = 0
-    for i, token in enumerate(tokens):
-        for words, pbit in lookup.get(token, ()):
-            if bits & pbit:
-                continue
-            if tokens[i : i + len(words)] == words:
-                bits |= pbit
-    return MaskBitPattern(bits=bits, length=ontology.t, ontology_id=ontology.ontology_id)
+    for n in ontology.count_terms(normalize_text(search_string), use_synonyms):
+        bits <<= 1  # position 0 ends up as the most significant bit
+        if n:
+            bits |= 1
+    return BitPattern(bits, ontology.t, ontology.ontology_id)
 
 
 class PatternStore:
@@ -225,15 +175,6 @@ class PatternStore:
             },
         }
 
-    @staticmethod
-    def from_json_obj(obj: dict) -> "PatternStore":
-        store = PatternStore()
-        for key, hex_rows in obj["patterns"].items():
-            ontology_id = int(key)
-            length = obj["t_by_ontology"][key]
-            store.add_ontology(ontology_id, length, [int(row, 16) for row in hex_rows])
-        return store
-
 
 def gen_ibag_bit_patterns(ibag: IBAG, ontologies: Sequence[Ontology]) -> PatternStore:
     """One-time pattern generation: one pattern per (page, ontology) pair."""
@@ -252,7 +193,7 @@ def gen_ibag_bit_patterns(ibag: IBAG, ontologies: Sequence[Ontology]) -> Pattern
 def find_predicted_webpage_list(
     selected: Iterable[IBAGNode],
     patterns: PatternStore,
-    mask: MaskBitPattern,
+    mask: BitPattern,
     ontology: Ontology,
     result_limit: int,
 ) -> list[IBAGNode]:

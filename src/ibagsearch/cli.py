@@ -13,7 +13,6 @@ import sys
 from typing import Sequence
 
 from . import bundled
-from .bitmask import find_predicted_webpage_list, gen_mask_bit_pattern
 from .bundle import IndexBundle
 from .corpus import load_corpus
 from .errors import IbagSearchError
@@ -22,12 +21,11 @@ from .evaluation import (
     HarvestReport,
     QueryDiagnostics,
     aggregate_runs,
+    compare_modes,
     evaluate_index,
-    harvest_rate,
     measure_bit_op_seconds,
     run_benchmark,
 )
-from .ibag import select_by_range
 from .ontology import load_limits, load_ontology
 from .search import (
     BEFORE_MASKING,
@@ -173,16 +171,10 @@ def _run_query(bundle: IndexBundle, query: Query, mode: str, use_synonyms: bool)
             f"visited={outcome.visited_count} elapsed_us={outcome.elapsed * 1e6:.1f}"
         )
     if mode == "both":
-        ontology = bundle.ibag.ontology_by_id(query.ontology_id)
-        mask = gen_mask_bit_pattern(query.search_string, ontology, use_synonyms=use_synonyms)
-        selected, _ = select_by_range(bundle.ibag, query.relevance_range, query.ontology_id)
-        before_nodes = selected[: query.result_limit]
-        after_nodes = find_predicted_webpage_list(
-            selected, bundle.patterns, mask, ontology, query.result_limit
-        )
+        modes = compare_modes(query, bundle.ibag, bundle.patterns, use_synonyms)
         print("== harvest ==")
-        _print_harvest("before", harvest_rate(query, before_nodes, selected, bundle.ibag, use_synonyms))
-        _print_harvest("after", harvest_rate(query, after_nodes, selected, bundle.ibag, use_synonyms))
+        _print_harvest("before", modes.before)
+        _print_harvest("after", modes.after)
 
 
 def cmd_query(args: argparse.Namespace) -> int:

@@ -11,6 +11,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .bitmask import (
+    BitPattern,
     PatternStore,
     find_predicted_webpage_list,
     gen_ibag_bit_patterns,
@@ -62,10 +63,16 @@ def harvest_rate(
     """
     ontology = ibag.ontology_by_id(query.ontology_id)
     mask = gen_mask_bit_pattern(query.search_string, ontology, use_synonyms=use_synonyms)
+    return _harvest_report(mask, result_pages, selected_pages)
+
+
+def _harvest_report(
+    mask: BitPattern, result_pages: Sequence[IBAGNode], selected_pages: Sequence[IBAGNode]
+) -> HarvestReport:
     positions = mask.positions()
 
     def score(node: IBAGNode) -> float:
-        vector = node.term_vectors[ontology.ontology_id]
+        vector = node.term_vectors[mask.ontology_id]
         return sum(vector[p] for p in positions)
 
     t_rel_sw = statistics.fmean(score(n) for n in selected_pages) if selected_pages else None
@@ -74,6 +81,40 @@ def harvest_rate(
     if t_rel_sr is not None and t_rel_sw is not None and t_rel_sw > 0:
         hr = t_rel_sr / t_rel_sw
     return HarvestReport(t_rel_sr=t_rel_sr, t_rel_sw=t_rel_sw, hr=hr)
+
+
+@dataclass(frozen=True)
+class ModeComparison:
+    """One query answered in both modes, with each result list's harvest report."""
+
+    term_count: int
+    selected_count: int
+    visited_count: int
+    before_count: int
+    after_count: int
+    before: HarvestReport
+    after: HarvestReport
+
+
+def compare_modes(
+    query: Query, ibag: IBAG, patterns: PatternStore, use_synonyms: bool = True
+) -> ModeComparison:
+    """Answer ``query`` before and after masking from one mask and one range
+    selection, and score both result lists against that selection."""
+    ontology = ibag.ontology_by_id(query.ontology_id)
+    mask = gen_mask_bit_pattern(query.search_string, ontology, use_synonyms=use_synonyms)
+    selected, visited = select_by_range(ibag, query.relevance_range, query.ontology_id)
+    before = selected[: query.result_limit]
+    after = find_predicted_webpage_list(selected, patterns, mask, ontology, query.result_limit)
+    return ModeComparison(
+        term_count=len(mask.positions()),
+        selected_count=len(selected),
+        visited_count=visited,
+        before_count=len(before),
+        after_count=len(after),
+        before=_harvest_report(mask, before, selected),
+        after=_harvest_report(mask, after, selected),
+    )
 
 
 @dataclass(frozen=True)
@@ -105,13 +146,7 @@ def evaluate_index(
         raise ValueError(f"repeats must be >= 1, got {repeats}")
 
     def run_one(query: Query) -> QueryRun:
-        ontology = ibag.ontology_by_id(query.ontology_id)
-        mask = gen_mask_bit_pattern(query.search_string, ontology, use_synonyms=use_synonyms)
-        selected, visited = select_by_range(ibag, query.relevance_range, query.ontology_id)
-        before_nodes = selected[: query.result_limit]
-        after_nodes = find_predicted_webpage_list(
-            selected, patterns, mask, ontology, query.result_limit
-        )
+        modes = compare_modes(query, ibag, patterns, use_synonyms)
         before_elapsed = statistics.median(
             search_before_masking(query, ibag).elapsed for _ in range(repeats)
         )
@@ -121,15 +156,15 @@ def evaluate_index(
         )
         return QueryRun(
             query=query,
-            term_count=len(mask.positions()),
-            selected_count=len(selected),
-            visited_count=visited,
-            before_count=len(before_nodes),
-            after_count=len(after_nodes),
+            term_count=modes.term_count,
+            selected_count=modes.selected_count,
+            visited_count=modes.visited_count,
+            before_count=modes.before_count,
+            after_count=modes.after_count,
             before_elapsed=before_elapsed,
             after_elapsed=after_elapsed,
-            hr_before=harvest_rate(query, before_nodes, selected, ibag, use_synonyms).hr,
-            hr_after=harvest_rate(query, after_nodes, selected, ibag, use_synonyms).hr,
+            hr_before=modes.before.hr,
+            hr_after=modes.after.hr,
         )
 
     return [run_one(query) for query in queries]
@@ -415,13 +450,9 @@ def hr_direction_experiment(
             relevance_range=bounds,
             result_limit=k,
         )
-        mask = gen_mask_bit_pattern(query.search_string, ontology)
-        selected, _ = select_by_range(ibag, query.relevance_range, query.ontology_id)
-        before_nodes = selected[:k]
-        after_nodes = find_predicted_webpage_list(selected, patterns, mask, ontology, k)
-        hr_before = harvest_rate(query, before_nodes, selected, ibag).hr
-        hr_after = harvest_rate(query, after_nodes, selected, ibag).hr
-        if not after_nodes or hr_before is None or hr_after is None:
+        modes = compare_modes(query, ibag, patterns)
+        hr_before, hr_after = modes.before.hr, modes.after.hr
+        if not modes.after_count or hr_before is None or hr_after is None:
             continue
         valid += 1
         if hr_after >= hr_before:

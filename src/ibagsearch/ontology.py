@@ -3,13 +3,19 @@
 An ontology is an ordered list of weighted domain terms. Each term may
 carry synonyms and a per-term relevance cutoff; the list order fixes the
 bit position the term occupies in page and query bit patterns.
+
+Each ontology builds one phrase table when it is created. It maps the first
+word of every term name and synonym to the phrase's words and to the bit
+positions of the terms the phrase stands for. :meth:`Ontology.count_terms`
+scans a token list through it once; page scoring and query masks both count
+through that scan. :func:`count_occurrences` is the per-phrase reference.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import ParseError, ValidationError, check_kind, json_field
 
@@ -19,7 +25,10 @@ _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 def normalize_text(raw: str) -> list[str]:
     """Tokenize free text: strip markup tags, lowercase, split on punctuation."""
-    return _TOKEN_RE.findall(_TAG_RE.sub(" ", raw.lower()))
+    text = raw.lower()
+    if "<" in text:  # most text has no markup; skip the tag pass for it
+        text = _TAG_RE.sub(" ", text)
+    return _TOKEN_RE.findall(text)
 
 
 def normalize_phrase(raw: str) -> str:
@@ -50,31 +59,6 @@ def count_occurrences(tokens: Sequence[str], phrase: str) -> int:
     return count
 
 
-def count_phrase_occurrences(tokens: Sequence[str], phrases: Iterable[str]) -> dict[str, int]:
-    """Count every phrase in a single pass over ``tokens``.
-
-    Agrees with :func:`count_occurrences` applied per phrase; phrases are
-    matched independently of each other, so overlaps between different
-    phrases are allowed.
-    """
-    toks = tokens if isinstance(tokens, list) else list(tokens)
-    counts: dict[str, int] = {p: 0 for p in phrases}
-    next_at = {p: 0 for p in counts}
-    by_first: dict[str, list[tuple[str, list[str]]]] = {}
-    for p in counts:
-        words = p.split(" ")
-        by_first.setdefault(words[0], []).append((p, words))
-    for i, tok in enumerate(toks):
-        for phrase, words in by_first.get(tok, ()):
-            if i < next_at[phrase]:
-                continue
-            w = len(words)
-            if toks[i : i + w] == words:
-                counts[phrase] += 1
-                next_at[phrase] = i + w
-    return counts
-
-
 @dataclass(frozen=True)
 class OntologyTerm:
     """One weighted domain term with its synonyms and per-term cutoff."""
@@ -101,16 +85,19 @@ class Ontology:
 
     def __post_init__(self) -> None:
         self.validate()
-        # ontologies key per-query caches; hashing the nested terms every
-        # lookup is measurable, so compute it once
-        object.__setattr__(
-            self,
-            "_hash",
-            hash((self.ontology_id, self.name, self.terms, self.relevance_limit)),
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
+        # the phrase table: first word -> (phrase, its words, positions of the
+        # terms it names or is a synonym of, positions of the terms it names);
+        # a phrase may be one term's name and another term's synonym
+        owners: dict[str, list[int]] = {}
+        for term in self.terms:
+            for phrase in term.phrases():
+                owners.setdefault(phrase, []).append(term.bit_position)
+        table: dict[str, list] = {}
+        for phrase, positions in owners.items():
+            words = phrase.split(" ")
+            names = tuple(p for p in positions if self.terms[p].term == phrase)
+            table.setdefault(words[0], []).append((phrase, words, tuple(positions), names))
+        object.__setattr__(self, "_phrases", {first: tuple(e) for first, e in table.items()})
 
     @property
     def t(self) -> int:
@@ -164,9 +151,31 @@ class Ontology:
     def term_at(self, bit_position: int) -> OntologyTerm:
         return self.terms[bit_position]
 
-    def iter_phrases(self) -> Iterator[str]:
-        for term in self.terms:
-            yield from term.phrases()
+    def count_terms(self, tokens: list[str], use_synonyms: bool = True) -> list[int]:
+        """Occurrences of each term in ``tokens``, indexed by bit position.
+
+        One scan of the tokens through the phrase table serves every phrase.
+        Each phrase matches greedily left to right and never overlaps itself,
+        as :func:`count_occurrences` counts it; different phrases may overlap.
+        A match counts for the term the phrase names and, with
+        ``use_synonyms``, for the term it is a synonym of. ``tokens`` must be
+        a list: a slice of any other sequence never equals a phrase's words.
+        """
+        counts = [0] * len(self.terms)
+        next_at: dict[str, int] = {}
+        table = self._phrases
+        for i, tok in enumerate(tokens):
+            if tok not in table:
+                continue
+            for phrase, words, positions, names in table[tok]:
+                if len(words) > 1:  # a one-word phrase cannot overlap itself
+                    end = i + len(words)
+                    if next_at.get(phrase, 0) > i or tokens[i:end] != words:
+                        continue
+                    next_at[phrase] = end
+                for position in positions if use_synonyms else names:
+                    counts[position] += 1
+        return counts
 
     def to_json_obj(self) -> dict:
         return {

@@ -4,13 +4,17 @@ A term's relevance on a page is its weight times the number of occurrences
 of the term plus all of its synonyms. A page's relevance is the sum over
 every term; the page supports the ontology only when that sum strictly
 exceeds the ontology's relevance limit.
+
+:func:`page_relevance` counts every term through the ontology's phrase
+table in one scan of the page; :func:`term_relevance_value` counts one term
+phrase by phrase and is the reference the tests compare it against.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
 
-from .ontology import Ontology, OntologyTerm, count_occurrences, count_phrase_occurrences
+from .ontology import Ontology, OntologyTerm, count_occurrences
 
 
 @dataclass(frozen=True)
@@ -53,11 +57,7 @@ def relevance_from_vector(ontology: Ontology, term_vector: Sequence[float]) -> P
 
 def page_relevance(ontology: Ontology, tokens: Sequence[str]) -> PageRelevance:
     """Score a tokenized page against every term of the ontology."""
-    counts = count_phrase_occurrences(tokens, ontology.iter_phrases())
-    vector: list[float] = []
-    for term in ontology.terms:
-        occurrences = counts[term.term]
-        for synonym in term.synonyms:
-            occurrences += counts[synonym]
-        vector.append(term.weight * occurrences)
-    return relevance_from_vector(ontology, vector)
+    counts = ontology.count_terms(tokens if isinstance(tokens, list) else list(tokens))
+    return relevance_from_vector(
+        ontology, [term.weight * n for term, n in zip(ontology.terms, counts)]
+    )

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -24,6 +25,7 @@ log = logging.getLogger(__name__)
 
 MAX_PARENTS = 4
 FORMAT_VERSION = "2"
+_MAX_FLOAT = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -114,13 +116,15 @@ class RPaG:
             relevance = {}
             for key, ont in by_key.items():
                 vector = vectors[key]
-                # one pass per vector: NaN fails the comparison, bool is neither type
+                # one pass per vector: NaN and infinity fail the comparison, an
+                # int too large for a float compares above the largest float
+                # without being converted, and bool is neither type
                 if not (
                     isinstance(vector, list)
-                    and all(type(v) in (float, int) and v >= 0 for v in vector)
+                    and all(type(v) in (float, int) and 0 <= v <= _MAX_FLOAT for v in vector)
                 ):
                     raise ValidationError(
-                        f"{where} term vector {key} must be a list of non-negative numbers"
+                        f"{where} term vector {key} must be a list of finite non-negative numbers"
                     )
                 relevance[ont.ontology_id] = relevance_from_vector(ont, vector)
             pp_ids = json_field(raw, "pp_ids", list, where)

@@ -5,8 +5,9 @@ import random
 import pytest
 
 from ibagsearch import (
-    MaskBitPattern,
+    BitPattern,
     PatternStore,
+    ValidationError,
     build_ibag,
     build_rpag,
     find_predicted_webpage_list,
@@ -82,7 +83,7 @@ class TestXor:
     def test_length_mismatch_rejected(self):
         page = gen_webpage_bit_pattern([0.0, 0.9, 0.0, 0.0, 0.7, 0.0, 0.0], SEVEN)
         with pytest.raises(ValueError):
-            xor_patterns(page, MaskBitPattern(bits=0, length=5, ontology_id=1))
+            xor_patterns(page, BitPattern(bits=0, length=5, ontology_id=1))
 
     def test_match_equivalent_to_shared_set_bit(self):
         rng = random.Random(77)
@@ -121,19 +122,9 @@ class TestPatternStore:
         assert len(store) == 0
         assert store.ontology_ids() == (1, 2, 3)
 
-    def test_json_round_trip(self, built):
-        _, store = built
-        restored = PatternStore.from_json_obj(store.to_json_obj())
-        assert restored.to_json_obj() == store.to_json_obj()
-
-    def test_oversized_pattern_rejected(self, built):
-        _, store = built
-        obj = store.to_json_obj()
-        obj["patterns"]["1"][0] = "ff"  # 8 bits do not fit t=5
-        from ibagsearch import ValidationError
-
+    def test_oversized_pattern_rejected(self):
         with pytest.raises(ValidationError, match="fit"):
-            PatternStore.from_json_obj(obj)
+            PatternStore().add_ontology(1, 5, [0xFF])  # 8 bits do not fit t=5
 
     def test_contains(self, built):
         ibag, store = built
@@ -207,5 +198,5 @@ class TestFindPredicted:
         _, store, ontology, selected = ranged
         with pytest.raises(ValueError, match="mask"):
             find_predicted_webpage_list(
-                selected, store, MaskBitPattern(bits=1, length=9, ontology_id=4), ontology, 5
+                selected, store, BitPattern(bits=1, length=9, ontology_id=4), ontology, 5
             )

@@ -107,6 +107,27 @@ def _nodes_not_a_list(obj: dict) -> None:
     obj["rpag"]["nodes"] = {"0": obj["rpag"]["nodes"][0]}
 
 
+def _int_too_large_for_float(obj: dict) -> None:
+    obj["rpag"]["nodes"][0]["term_vectors"]["1"][0] = 10**400
+
+
+def _infinite_entry_with_bit_set(obj: dict) -> None:
+    """Written as JSON ``Infinity``; the entry's pattern bit is already set,
+    so the stored patterns still agree with the edited vector."""
+    limits = {
+        str(ont["ontology_id"]): [t["term_relevance_limit"] for t in ont["terms"]]
+        for ont in obj["ontologies"]
+    }
+    vector, position = next(
+        (vec, p)
+        for raw in obj["rpag"]["nodes"]
+        for key, vec in raw["term_vectors"].items()
+        for p, value in enumerate(vec)
+        if value > limits[key][p]
+    )
+    vector[position] = float("inf")
+
+
 class TestValidation:
     def test_tampered_pattern_count_rejected(self, bundle, tmp_path):
         path = tmp_path / "index.json"
@@ -151,6 +172,8 @@ class TestValidation:
             _drop_ontology_terms,
             _drop_patterns,
             _nodes_not_a_list,
+            _int_too_large_for_float,
+            _infinite_entry_with_bit_set,
         ],
     )
     def test_malformed_shape_rejected(self, bundle, tmp_path, tamper):

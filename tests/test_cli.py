@@ -157,11 +157,17 @@ class TestQuery:
         code = main(["query", str(built_index)])
         assert code == 1
 
-    @pytest.mark.parametrize("tamper", ["drop_url", "top_level_list"])
+    @pytest.mark.parametrize(
+        "tamper", ["drop_url", "top_level_list", "int_too_large_for_float", "infinity"]
+    )
     def test_malformed_index_is_one_line_error(self, built_index, capsys, tamper):
         obj = json.loads(built_index.read_text(encoding="utf-8"))
         if tamper == "drop_url":
             del obj["rpag"]["nodes"][0]["url"]
+        elif tamper == "int_too_large_for_float":
+            obj["rpag"]["nodes"][0]["term_vectors"]["1"][0] = 10**400
+        elif tamper == "infinity":
+            obj["rpag"]["nodes"][0]["term_vectors"]["1"][0] = float("inf")
         else:
             obj = [obj]
         built_index.write_text(json.dumps(obj), encoding="utf-8")
@@ -260,13 +266,21 @@ class TestParser:
         assert excinfo.value.code == 1
 
     def test_module_entry_point(self, tmp_path):
+        import os
         import subprocess
         import sys
+        from pathlib import Path
 
+        import ibagsearch
+
+        # run the package these tests import, installed or not
+        src = str(Path(ibagsearch.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-m", "ibagsearch", "--help"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert result.returncode == 0
         assert "build" in result.stdout

@@ -12,15 +12,24 @@ from ibagsearch import (
     build_ibag,
     build_rpag,
     evaluate_index,
+    find_predicted_webpage_list,
     gen_ibag_bit_patterns,
+    gen_mask_bit_pattern,
     harvest_rate,
     hr_direction_experiment,
     run_benchmark,
     search_after_masking,
+    select_by_range,
     synth_corpus,
     traversal_cost_check,
 )
-from ibagsearch.evaluation import CSV_HEADER, aggregate_runs, measure_bit_op_seconds
+from ibagsearch.bundled import default_queries
+from ibagsearch.evaluation import (
+    CSV_HEADER,
+    aggregate_runs,
+    compare_modes,
+    measure_bit_op_seconds,
+)
 from conftest import single_term_ontology
 
 TOPIC = single_term_ontology("topic")
@@ -78,6 +87,28 @@ class TestHarvestRate:
         report = harvest_rate(Query("topic", 1), ibag.nodes[:1], ibag.nodes, ibag)
         assert report.t_rel_sw == 0.0
         assert report.hr is None
+
+    @pytest.mark.parametrize("use_synonyms", [True, False])
+    def test_compare_modes_matches_each_mode_scored_alone(self, bundled_onts, use_synonyms):
+        ibag = build_ibag(build_rpag(synth_corpus(9, 120, bundled_onts), bundled_onts))
+        patterns = gen_ibag_bit_patterns(ibag, bundled_onts)
+        for query in default_queries():
+            modes = compare_modes(query, ibag, patterns, use_synonyms)
+            ontology = ibag.ontology_by_id(query.ontology_id)
+            mask = gen_mask_bit_pattern(query.search_string, ontology, use_synonyms=use_synonyms)
+            selected, visited = select_by_range(ibag, query.relevance_range, query.ontology_id)
+            before = selected[: query.result_limit]
+            after = find_predicted_webpage_list(
+                selected, patterns, mask, ontology, query.result_limit
+            )
+            assert (modes.term_count, modes.selected_count, modes.visited_count) == (
+                len(mask.positions()),
+                len(selected),
+                visited,
+            )
+            assert (modes.before_count, modes.after_count) == (len(before), len(after))
+            assert modes.before == harvest_rate(query, before, selected, ibag, use_synonyms)
+            assert modes.after == harvest_rate(query, after, selected, ibag, use_synonyms)
 
 
 class TestTraversalCost:

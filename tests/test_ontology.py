@@ -10,13 +10,15 @@ from ibagsearch import (
     ParseError,
     ValidationError,
     count_occurrences,
-    count_phrase_occurrences,
+    gen_mask_bit_pattern,
     load_limits,
     load_ontology,
     normalize_phrase,
     normalize_text,
+    page_relevance,
+    term_relevance_value,
 )
-from oracles import oracle_count, oracle_tokens
+from oracles import oracle_count, oracle_mask_positions, oracle_tokens
 
 
 class TestNormalizeText:
@@ -81,20 +83,57 @@ class TestCountOccurrences:
             count = count_occurrences(tokens, phrase)
             assert count * len(phrase.split()) <= len(tokens)
 
-    def test_batch_counting_agrees_with_single(self):
+    def test_phrase_table_agrees_with_reference(self):
+        """Page scoring and query masks, both served by the ontology's phrase
+        table, agree with the per-phrase reference on random small ontologies."""
         rng = random.Random(17)
         vocab = ["a", "b", "c", "d"]
-        for _ in range(100):
-            tokens = [rng.choice(vocab) for _ in range(rng.randint(0, 25))]
-            phrases = list(
-                {
-                    " ".join(rng.choice(vocab) for _ in range(rng.randint(1, 3)))
-                    for _ in range(5)
-                }
+
+        def phrase() -> str:
+            return " ".join(rng.choice(vocab) for _ in range(rng.randint(1, 3)))
+
+        seen = {"shared first word": 0, "self-overlapping": 0, "synonym is a name": 0}
+        for _ in range(150):
+            names = list(dict.fromkeys(phrase() for _ in range(rng.randint(1, 4))))
+            owner: dict[str, str] = {}
+            terms = []
+            for position, name in enumerate(names):
+                synonyms: list[str] = []
+                for _ in range(rng.randint(0, 2)):
+                    syn = rng.choice(names) if rng.random() < 0.3 else phrase()
+                    if syn != name and syn not in synonyms and syn not in owner:
+                        owner[syn] = name
+                        synonyms.append(syn)
+                terms.append(
+                    OntologyTerm(
+                        term=name,
+                        weight=rng.choice([0.1, 0.3, 0.7, 1.0]),
+                        synonyms=tuple(synonyms),
+                        bit_position=position,
+                    )
+                )
+            ontology = Ontology(
+                ontology_id=1, name="random", terms=tuple(terms), relevance_limit=0.0
             )
-            batch = count_phrase_occurrences(tokens, phrases)
-            for phrase in phrases:
-                assert batch[phrase] == count_occurrences(tokens, phrase)
+            phrases = [p for term in terms for p in term.phrases()]
+            firsts = [p.split(" ")[0] for p in set(phrases)]
+            seen["shared first word"] += len(firsts) > len(set(firsts))
+            seen["self-overlapping"] += any(
+                len(set(p.split(" "))) == 1 and " " in p for p in phrases
+            )
+            seen["synonym is a name"] += bool(set(owner) & set(names))
+            for _ in range(6):
+                tokens = [rng.choice(vocab) for _ in range(rng.randint(0, 15))]
+                expected = [term_relevance_value(term, tokens) for term in terms]
+                for toks in (tokens, tuple(tokens)):
+                    assert list(page_relevance(ontology, toks).term_vector) == expected
+                search = " ".join(tokens)
+                for use_synonyms in (True, False):
+                    mask = gen_mask_bit_pattern(search, ontology, use_synonyms=use_synonyms)
+                    assert list(mask.positions()) == oracle_mask_positions(
+                        ontology, search, use_synonyms
+                    )
+        assert all(seen.values()), seen
 
 
 class TestLoadOntology:
