@@ -82,20 +82,27 @@ def mask_match(page_bits: int, mask_bits: int, position_bits: Sequence[int]) -> 
     return False
 
 
-def gen_webpage_bit_pattern(
-    term_vector: Sequence[float],
-    ontology: Ontology,
-    owner: int | None = None,
-) -> BitPattern:
+def _page_bits(term_vector: Sequence[float], ontology: Ontology) -> int:
     """Set one bit per term whose relevance value strictly exceeds its limit."""
     if len(term_vector) != ontology.t:
         raise ValueError(
             f"term vector length {len(term_vector)} does not match t={ontology.t}"
         )
     bits = 0
-    for term in ontology.terms:
-        if term_vector[term.bit_position] > term.term_relevance_limit:
-            bits |= _position_bit(ontology.t, term.bit_position)
+    for term, value in zip(ontology.terms, term_vector):
+        bits <<= 1  # terms are in bit-position order, position 0 the most significant
+        if value > term.term_relevance_limit:
+            bits |= 1
+    return bits
+
+
+def gen_webpage_bit_pattern(
+    term_vector: Sequence[float],
+    ontology: Ontology,
+    owner: int | None = None,
+) -> BitPattern:
+    """A page's pattern: one bit per term whose value strictly exceeds its limit."""
+    bits = _page_bits(term_vector, ontology)
     return BitPattern(bits=bits, length=ontology.t, ontology_id=ontology.ontology_id, owner=owner)
 
 
@@ -180,13 +187,9 @@ def gen_ibag_bit_patterns(ibag: IBAG, ontologies: Sequence[Ontology]) -> Pattern
     """One-time pattern generation: one pattern per (page, ontology) pair."""
     store = PatternStore()
     for ontology in ontologies:
-        bits_by_p_id = [
-            gen_webpage_bit_pattern(
-                node.term_vectors[ontology.ontology_id], ontology, owner=node.p_id
-            ).bits
-            for node in ibag.nodes
-        ]
-        store.add_ontology(ontology.ontology_id, ontology.t, bits_by_p_id)
+        ont_id = ontology.ontology_id
+        bits_by_p_id = [_page_bits(node.term_vectors[ont_id], ontology) for node in ibag.nodes]
+        store.add_ontology(ont_id, ontology.t, bits_by_p_id)
     return store
 
 

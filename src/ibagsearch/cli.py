@@ -19,11 +19,9 @@ from .errors import IbagSearchError
 from .evaluation import (
     BenchReport,
     HarvestReport,
-    QueryDiagnostics,
     aggregate_runs,
     compare_modes,
     evaluate_index,
-    measure_bit_op_seconds,
     run_benchmark,
 )
 from .ontology import load_limits, load_ontology
@@ -227,20 +225,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     bundle = IndexBundle.load(args.index)
     queries = bundled.load_query_file(args.queries, default_ontology_id=args.ontology)
     runs = evaluate_index(bundle.ibag, bundle.patterns, queries, repeats=args.repeats)
-    report = BenchReport(
-        rng_seed=0,
-        rows=aggregate_runs(len(bundle.ibag), runs),
-        queries=[
-            QueryDiagnostics(
-                search_string=run.query.search_string,
-                ontology_id=run.query.ontology_id,
-                result_limit=run.query.result_limit,
-                term_count=run.term_count,
-            )
-            for run in runs
-        ],
-        bit_op_seconds=measure_bit_op_seconds(),
-    )
+    report = BenchReport.from_runs(0, aggregate_runs(len(bundle.ibag), runs), runs)
     print(report.csv_text(), end="")
     comparable = [r for r in runs if r.hr_before is not None and r.hr_after is not None]
     improved = sum(1 for r in comparable if r.hr_after >= r.hr_before)

@@ -6,7 +6,7 @@ import logging
 import random
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -179,16 +179,6 @@ class BenchRow:
     avg_visited: float
     hr_mean: float | None
 
-    def to_json_obj(self) -> dict:
-        return {
-            "size": self.size,
-            "mode": self.mode,
-            "avg_count": self.avg_count,
-            "avg_elapsed_us": self.avg_elapsed_us,
-            "avg_visited": self.avg_visited,
-            "hr_mean": self.hr_mean,
-        }
-
 
 @dataclass(frozen=True)
 class QueryDiagnostics:
@@ -196,14 +186,6 @@ class QueryDiagnostics:
     ontology_id: int
     result_limit: int
     term_count: int
-
-    def to_json_obj(self) -> dict:
-        return {
-            "search_string": self.search_string,
-            "ontology_id": self.ontology_id,
-            "result_limit": self.result_limit,
-            "term_count": self.term_count,
-        }
 
 
 @dataclass
@@ -213,13 +195,24 @@ class BenchReport:
     queries: list[QueryDiagnostics]
     bit_op_seconds: float
 
+    @classmethod
+    def from_runs(
+        cls, rng_seed: int, rows: list[BenchRow], runs: Sequence[QueryRun]
+    ) -> "BenchReport":
+        """A report over ``rows``, with one diagnostics entry per query run."""
+        queries = [
+            QueryDiagnostics(
+                search_string=run.query.search_string,
+                ontology_id=run.query.ontology_id,
+                result_limit=run.query.result_limit,
+                term_count=run.term_count,
+            )
+            for run in runs
+        ]
+        return cls(rng_seed, rows, queries, bit_op_seconds=measure_bit_op_seconds())
+
     def to_json_obj(self) -> dict:
-        return {
-            "rng_seed": self.rng_seed,
-            "bit_op_seconds": self.bit_op_seconds,
-            "rows": [row.to_json_obj() for row in self.rows],
-            "queries": [diag.to_json_obj() for diag in self.queries],
-        }
+        return asdict(self)
 
     def csv_text(self) -> str:
         lines = [CSV_HEADER]
@@ -246,16 +239,13 @@ class BenchReport:
 
 def aggregate_runs(size: int, runs: Sequence[QueryRun]) -> list[BenchRow]:
     """Fold per-query runs into one row per mode."""
+    per_mode = (
+        (BEFORE_MASKING, lambda run: (run.before_count, run.before_elapsed, run.hr_before)),
+        (AFTER_MASKING, lambda run: (run.after_count, run.after_elapsed, run.hr_after)),
+    )
     rows = []
-    for mode in (BEFORE_MASKING, AFTER_MASKING):
-        if mode == BEFORE_MASKING:
-            counts = [run.before_count for run in runs]
-            elapsed = [run.before_elapsed for run in runs]
-            hrs = [run.hr_before for run in runs]
-        else:
-            counts = [run.after_count for run in runs]
-            elapsed = [run.after_elapsed for run in runs]
-            hrs = [run.hr_after for run in runs]
+    for mode, pick in per_mode:
+        counts, elapsed, hrs = zip(*map(pick, runs))
         defined = [hr for hr in hrs if hr is not None]
         rows.append(
             BenchRow(
@@ -309,7 +299,6 @@ def run_benchmark(
     ontologies = tuple(ontologies)
 
     rows: list[BenchRow] = []
-    diagnostics: list[QueryDiagnostics] = []
     for size in sizes:
         corpus = synth_corpus(rng_seed * 1_000_003 + size, size, ontologies, gen_config)
         rpag = build_rpag(corpus, ontologies)
@@ -317,23 +306,9 @@ def run_benchmark(
         patterns = gen_ibag_bit_patterns(ibag, ontologies)
         runs = evaluate_index(ibag, patterns, queries, repeats=repeats, use_synonyms=use_synonyms)
         rows.extend(aggregate_runs(size, runs))
-        if not diagnostics:
-            diagnostics = [
-                QueryDiagnostics(
-                    search_string=run.query.search_string,
-                    ontology_id=run.query.ontology_id,
-                    result_limit=run.query.result_limit,
-                    term_count=run.term_count,
-                )
-                for run in runs
-            ]
         log.info("benchmarked size %d: %d index pages", size, len(ibag))
-    return BenchReport(
-        rng_seed=rng_seed,
-        rows=rows,
-        queries=diagnostics,
-        bit_op_seconds=measure_bit_op_seconds(),
-    )
+    # a run's term count depends only on its query, so every size gives the same diagnostics
+    return BenchReport.from_runs(rng_seed, rows, runs)
 
 
 def traversal_cost_check(m_levels: int, pages_per_level: int) -> float:

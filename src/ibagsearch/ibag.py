@@ -8,11 +8,19 @@ chain threads all supporting nodes in traversal order (level by level,
 sorted within level), and every level stores the position of its first
 supporting node, so a traversal can enter a level directly and walk only
 the pages that belong to the queried domain.
+
+:meth:`IBAG.from_nodes` is the only code that lays this out, and it checks
+the node facts it is given (urls, parents, levels, a positive finite mean,
+one entry per ontology). On load, ``RPaG.from_json_obj``/``RPaG.validate``
+check node shapes and the stored patterns are compared as a checksum;
+nothing re-checks the layout just derived. :meth:`IBAG.validate` lays an
+index out again and compares, for an index edited in place.
 """
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from typing import Iterator, Sequence
 
 from .errors import ValidationError
@@ -79,19 +87,38 @@ class IBAG:
 
     @classmethod
     def from_nodes(cls, nodes: Sequence[IBAGNode], ontologies: Sequence[Ontology]) -> "IBAG":
-        """Assemble levels, sort them, and thread the per-ontology chains.
+        """Check the nodes, then assemble levels, sort them, and thread the
+        per-ontology chains: the one place that lays the index out.
 
-        ``nodes`` must be dense in p_id with consistent levels; ont_link
-        entries are overwritten here.
+        ``nodes`` must be dense in p_id; ont_link entries are overwritten here.
         """
         nodes = list(nodes)
         ontologies = tuple(ontologies)
         ids = [ont.ontology_id for ont in ontologies]
+        id_set = set(ids)
+        urls: set[str] = set()
         for i, node in enumerate(nodes):
             if node.p_id != i:
                 raise ValidationError(f"node at index {i} has p_id {node.p_id}")
-            if node.level < 0:
-                raise ValidationError(f"node {i} has negative level {node.level}")
+            if not node.url or node.url in urls:
+                raise ValidationError(f"node {i} url {node.url!r} missing or duplicated")
+            urls.add(node.url)
+            if node.pp_id is None:
+                parent_level = -1
+            elif 0 <= node.pp_id < i:
+                parent_level = nodes[node.pp_id].level
+            else:
+                raise ValidationError(f"node {i} parent {node.pp_id} must be an earlier node")
+            if node.level != parent_level + 1:
+                raise ValidationError(f"node {i} level {node.level} does not follow its parent")
+            if not 0 < node.mean_rel_val < math.inf:
+                raise ValidationError(f"node {i} mean relevance {node.mean_rel_val} not in (0, inf)")
+            if set(node.supported) != id_set or set(node.term_vectors) != id_set:
+                raise ValidationError(f"node {i} per-ontology fields mismatch the ontologies")
+            if not any(node.supported.values()):
+                raise ValidationError(f"node {i} supports no ontology")
+            if any(len(node.term_vectors[ont.ontology_id]) != ont.t for ont in ontologies):
+                raise ValidationError(f"node {i} term vector length mismatches its ontology")
 
         max_level = max((node.level for node in nodes), default=-1)
         levels: list[list[int]] = [[] for _ in range(max_level + 1)]
@@ -115,92 +142,23 @@ class IBAG:
                         previous.ont_link[ont_id] = p_id
                     previous = node
 
-        index = cls(nodes, ontologies, levels, level_heads)
-        index.validate()
         log.debug("assembled index: %d nodes in %d levels", len(nodes), len(levels))
-        return index
+        return cls(nodes, ontologies, levels, level_heads)
 
     def validate(self) -> None:
-        ids = [ont.ontology_id for ont in self.ontologies]
-        urls: set[str] = set()
-        for i, node in enumerate(self.nodes):
-            if node.p_id != i:
-                raise ValidationError(f"node at index {i} has p_id {node.p_id}")
-            if not node.url or node.url in urls:
-                raise ValidationError(f"node {i} url {node.url!r} missing or duplicated")
-            urls.add(node.url)
-            if node.pp_id is None:
-                if node.level != 0:
-                    raise ValidationError(f"parentless node {i} has level {node.level}")
-            else:
-                if not 0 <= node.pp_id < node.p_id:
-                    raise ValidationError(f"node {i} parent {node.pp_id} must be an earlier node")
-                if node.level != self.nodes[node.pp_id].level + 1:
-                    raise ValidationError(f"node {i} level does not follow its parent")
-            if not node.mean_rel_val > 0:
-                raise ValidationError(f"node {i} mean relevance {node.mean_rel_val} is not positive")
-            if set(node.supported) != set(ids) or set(node.term_vectors) != set(ids):
-                raise ValidationError(f"node {i} per-ontology fields mismatch the ontologies")
-            if not any(node.supported.values()):
-                raise ValidationError(f"node {i} supports no ontology")
-            for ont in self.ontologies:
-                if len(node.term_vectors[ont.ontology_id]) != ont.t:
-                    raise ValidationError(
-                        f"node {i} term vector length mismatch for ontology {ont.ontology_id}"
-                    )
-
-        seen: set[int] = set()
-        for level_index, level in enumerate(self.levels):
-            if not level:
-                raise ValidationError(f"level {level_index} is empty")
-            for position, p_id in enumerate(level):
-                node = self.nodes[p_id]
-                if node.level != level_index:
-                    raise ValidationError(f"node {p_id} listed in the wrong level")
-                if p_id in seen:
-                    raise ValidationError(f"node {p_id} listed twice in the level table")
-                seen.add(p_id)
-                if position > 0:
-                    prev = self.nodes[level[position - 1]]
-                    if (-prev.mean_rel_val, prev.p_id) > (-node.mean_rel_val, node.p_id):
-                        raise ValidationError(f"level {level_index} is not sorted at {position}")
-        if len(seen) != len(self.nodes):
-            raise ValidationError("level table does not cover every node")
-        if len(self.level_heads) != len(self.levels):
-            raise ValidationError("level head table length mismatch")
-
-        # Heads and chains must thread exactly the supporting nodes in order.
-        for ont_id in ids:
-            expected = [
-                p_id
-                for level in self.levels
-                for p_id in level
-                if self.nodes[p_id].supported.get(ont_id)
-            ]
-            chained: list[int] = []
-            for level_index, level in enumerate(self.levels):
-                head = self.level_heads[level_index].get(ont_id)
-                in_level = [p for p in level if self.nodes[p].supported.get(ont_id)]
-                if head is None:
-                    if in_level:
-                        raise ValidationError(
-                            f"level {level_index} missing head for ontology {ont_id}"
-                        )
-                    continue
-                if not in_level or level[head] != in_level[0]:
-                    raise ValidationError(
-                        f"level {level_index} head for ontology {ont_id} is wrong"
-                    )
-                chained.extend(node.p_id for node in self.iter_chain(level_index, ont_id))
-            if chained != expected:
-                raise ValidationError(f"ontology {ont_id} link chain is broken")
-            for position, p_id in enumerate(expected):
-                follow = self.nodes[p_id].ont_link.get(ont_id)
-                want = expected[position + 1] if position + 1 < len(expected) else None
-                if follow != want:
-                    raise ValidationError(
-                        f"node {p_id} ontology {ont_id} link points to {follow}, expected {want}"
-                    )
+        """Lay the nodes out again and compare: raise ValidationError when the
+        level table, the level heads or any node's links differ from what
+        :meth:`from_nodes` derives. The index itself is left unchanged."""
+        fresh = type(self).from_nodes(
+            [replace(node, ont_link={}) for node in self.nodes], self.ontologies
+        )
+        if self.levels != fresh.levels:
+            raise ValidationError("level table differs from the sorted levels the nodes give")
+        if self.level_heads != fresh.level_heads:
+            raise ValidationError("level heads differ from the first supporters the nodes give")
+        for node, derived in zip(self.nodes, fresh.nodes):
+            if node.ont_link != derived.ont_link:
+                raise ValidationError(f"node {node.p_id} links differ from the derived chains")
 
 
 def build_ibag(rpag: RPaG) -> IBAG:

@@ -13,6 +13,28 @@ def make_corpus(records: list[tuple[str, list[str], str]], seeds: list[str] | No
     return Corpus(docs=docs, seeds=tuple(seeds))
 
 
+def overflow_two_set_entries(index_obj: dict) -> None:
+    """Edit a saved index so one page's relevance sums past the largest float.
+
+    Two entries of the first term vector with at least two pattern bits set
+    become ``1e308``: each is finite and its bit stays set, so the stored
+    patterns still agree, but their sum is ``inf``.
+    """
+    limits = {
+        str(ont["ontology_id"]): [t["term_relevance_limit"] for t in ont["terms"]]
+        for ont in index_obj["ontologies"]
+    }
+    vector, positions = next(
+        (vec, set_positions)
+        for raw in index_obj["rpag"]["nodes"]
+        for key, vec in raw["term_vectors"].items()
+        for set_positions in [[p for p, v in enumerate(vec) if v > limits[key][p]]]
+        if len(set_positions) >= 2
+    )
+    for position in positions[:2]:
+        vector[position] = 1e308
+
+
 @pytest.fixture(scope="session")
 def bundled_onts() -> tuple[Ontology, ...]:
     return default_ontologies()

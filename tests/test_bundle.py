@@ -14,7 +14,7 @@ from ibagsearch import (
     synth_corpus,
 )
 from ibagsearch.bundled import default_queries
-from conftest import make_corpus, single_term_ontology
+from conftest import make_corpus, overflow_two_set_entries, single_term_ontology
 
 
 @pytest.fixture(scope="module")
@@ -174,6 +174,7 @@ class TestValidation:
             _nodes_not_a_list,
             _int_too_large_for_float,
             _infinite_entry_with_bit_set,
+            overflow_two_set_entries,
         ],
     )
     def test_malformed_shape_rejected(self, bundle, tmp_path, tamper):

@@ -8,6 +8,7 @@ import pytest
 from ibagsearch import IndexBundle, synth_corpus
 from ibagsearch.bundled import default_ontologies
 from ibagsearch.cli import main
+from conftest import overflow_two_set_entries
 
 
 def write_corpus(path, records):
@@ -158,7 +159,8 @@ class TestQuery:
         assert code == 1
 
     @pytest.mark.parametrize(
-        "tamper", ["drop_url", "top_level_list", "int_too_large_for_float", "infinity"]
+        "tamper",
+        ["drop_url", "top_level_list", "int_too_large_for_float", "infinity", "sum_overflows"],
     )
     def test_malformed_index_is_one_line_error(self, built_index, capsys, tamper):
         obj = json.loads(built_index.read_text(encoding="utf-8"))
@@ -168,6 +170,12 @@ class TestQuery:
             obj["rpag"]["nodes"][0]["term_vectors"]["1"][0] = 10**400
         elif tamper == "infinity":
             obj["rpag"]["nodes"][0]["term_vectors"]["1"][0] = float("inf")
+        elif tamper == "sum_overflows":
+            # the cricket pages set one term each; this corpus has pages that set two
+            onts = default_ontologies()
+            IndexBundle.build(synth_corpus(3, 60, onts), onts).save(built_index)
+            obj = json.loads(built_index.read_text(encoding="utf-8"))
+            overflow_two_set_entries(obj)
         else:
             obj = [obj]
         built_index.write_text(json.dumps(obj), encoding="utf-8")

@@ -6,6 +6,8 @@ import random
 import pytest
 
 from ibagsearch import (
+    IBAG,
+    IBAGNode,
     PageRelevance,
     RPaG,
     RPaGNode,
@@ -208,9 +210,100 @@ class TestIbagInvariants:
         with pytest.raises(ValidationError):
             ibag.validate()
 
+    def test_load_rejects_broken_heads(self, bundled_onts):
+        corpus = synth_corpus(8, 70, bundled_onts)
+        ibag = build_ibag(build_rpag(corpus, bundled_onts))
+        heads = next(heads for heads in ibag.level_heads if heads[1] is not None)
+        heads[1] += 1
+        with pytest.raises(ValidationError, match="head"):
+            ibag.validate()
+
+    def test_validate_leaves_index_unchanged(self, bundled_onts):
+        corpus = synth_corpus(8, 70, bundled_onts)
+        ibag = build_ibag(build_rpag(corpus, bundled_onts))
+        links = [node.ont_link for node in ibag.nodes]
+        snapshot = [dict(link) for link in links]
+        ibag.validate()
+        assert [node.ont_link for node in ibag.nodes] == snapshot
+        assert all(node.ont_link is link for node, link in zip(ibag.nodes, links))
+
     def test_empty_graph_builds_empty_index(self):
         corpus = make_corpus([("a", [], "noise")])
         ibag = build_ibag(build_rpag(corpus, [TOPIC]))
         assert len(ibag) == 0
         assert ibag.levels == []
         assert ibag.mean_value_bounds() is None
+
+
+TWO_ONTS = THREE_ONTS[:2]
+
+
+def chain_nodes() -> list[IBAGNode]:
+    """Three nodes in a parent chain, one per level, valid for TWO_ONTS."""
+    return [
+        IBAGNode(
+            p_id=i,
+            url=f"u{i}",
+            pp_id=None if i == 0 else i - 1,
+            mean_rel_val=1.0 + i,
+            level=i,
+            supported={1: True, 2: i > 0},
+            term_vectors={1: (1.0,), 2: (float(i),)},
+        )
+        for i in range(3)
+    ]
+
+
+def _set(p_id: int, **changes):
+    def tamper(nodes: list[IBAGNode]) -> None:
+        for name, value in changes.items():
+            setattr(nodes[p_id], name, value)
+
+    return tamper
+
+
+def _drop_ontology_key(nodes: list[IBAGNode]) -> None:
+    del nodes[1].supported[2]
+
+
+class TestFromNodesRejects:
+    def test_valid_nodes_build(self):
+        ibag = IBAG.from_nodes(chain_nodes(), TWO_ONTS)
+        assert ibag.levels == [[0], [1], [2]]
+
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            (_set(2, url="u0"), "url"),
+            (_set(1, url=""), "url"),
+            (_set(1, pp_id=2), "earlier"),
+            (_set(1, pp_id=1), "earlier"),
+            (_set(2, level=1), "level"),
+            (_set(1, pp_id=None), "level"),
+            (_set(0, mean_rel_val=0.0), "mean"),
+            (_set(0, mean_rel_val=math.nan), "mean"),
+            (_set(0, mean_rel_val=math.inf), "mean"),
+            (_drop_ontology_key, "per-ontology"),
+            (_set(0, supported={1: False, 2: False}), "supports no"),
+            (_set(0, term_vectors={1: (1.0, 1.0), 2: (0.0,)}), "length"),
+        ],
+        ids=[
+            "duplicate-url",
+            "empty-url",
+            "later-parent",
+            "self-parent",
+            "level-skips-parent",
+            "parentless-at-level-1",
+            "mean-zero",
+            "mean-nan",
+            "mean-inf",
+            "missing-ontology-key",
+            "no-supported-ontology",
+            "wrong-vector-length",
+        ],
+    )
+    def test_bad_node_rejected(self, tamper, message):
+        nodes = chain_nodes()
+        tamper(nodes)
+        with pytest.raises(ValidationError, match=message):
+            IBAG.from_nodes(nodes, TWO_ONTS)
