@@ -27,7 +27,7 @@ from .evaluation import (
     run_benchmark,
     traversal_cost_check,
 )
-from .ibag import IBAG, IBAGNode, build_ibag, select_by_range
+from .ibag import IBAG, IBAGNode, build_ibag, select_by_range, select_columns
 from .ontology import (
     LimitsConfig,
     Ontology,
@@ -98,6 +98,7 @@ __all__ = [
     "search_after_masking",
     "search_before_masking",
     "select_by_range",
+    "select_columns",
     "synth_corpus",
     "term_relevance_value",
     "traversal_cost_check",

@@ -6,11 +6,15 @@ Bit position 0 is the most significant bit, matching the left-to-right
 string and hex renderings. Page patterns, query masks and their XOR are all
 :class:`BitPattern`. A query mask comes from the ontology's phrase table,
 through the same scan (:meth:`Ontology.count_terms`) that scores pages.
+
+The XOR test (:func:`mask_match`, :func:`find_predicted_webpage_list`) is
+the paper's filter and the reference; queries test ``page & mask`` inline
+(``search.first_matching_pages``), which decides the same for a nonzero
+mask.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ValidationError
 from .ibag import IBAG, IBAGNode
@@ -27,10 +31,13 @@ def _to_hex(bits: int, length: int) -> str:
     return format(bits, f"0{(length + 3) // 4}x")
 
 
-@dataclass(frozen=True)
-class BitPattern:
+class BitPattern(NamedTuple):
     """Per-term bits for one ontology: a page's pattern, a query mask, or
-    the XOR of the two. ``owner`` is the page's p_id, when there is one."""
+    the XOR of the two. ``owner`` is the page's p_id, when there is one.
+
+    A named tuple, not a frozen dataclass: every masked query builds one,
+    and a frozen dataclass costs about three times as much to construct.
+    """
 
     bits: int
     length: int
@@ -46,7 +53,6 @@ class BitPattern:
 
     def position_bits(self) -> tuple[int, ...]:
         """Single-bit masks for every set position, ascending position."""
-        # a plain loop: every after-masking query calls this once
         found = []
         bit = 1 << self.length
         while bit > 1:
@@ -204,7 +210,8 @@ def find_predicted_webpage_list(
 
     A page is included when some search-term position of its XORed pattern
     reads zero; the scan stops as soon as the result limit is reached. An
-    all-zero mask therefore selects nothing.
+    all-zero mask therefore selects nothing. This is the paper's filter and
+    the reference for ``search.first_matching_pages``, which queries use.
     """
     if result_limit < 1:
         raise ValueError(f"result_limit must be >= 1, got {result_limit}")
@@ -214,7 +221,6 @@ def find_predicted_webpage_list(
     if not position_bits:
         return []  # no search-term positions to test, nothing can match
     predicted: list[IBAGNode] = []
-    # bound locals: this loop runs once per selected page on every query
     page_bits = patterns.bits_for_ontology(ontology.ontology_id)
     mask_bits = mask.bits
     match = mask_match

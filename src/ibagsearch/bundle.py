@@ -41,11 +41,12 @@ class IndexBundle:
         rpag = build_rpag(corpus, ontologies)
         ibag = build_ibag(rpag)
         patterns = gen_ibag_bit_patterns(ibag, rpag.ontologies)
-        bundle = cls(ontologies=rpag.ontologies, rpag=rpag, ibag=ibag, patterns=patterns)
-        bundle.validate()
-        return bundle
+        return cls(ontologies=rpag.ontologies, rpag=rpag, ibag=ibag, patterns=patterns)
 
     def validate(self) -> None:
+        """Cross-check the sections: the same ontologies, node identities,
+        and one pattern per (page, ontology). Build and load do not call
+        this, since they derive every section from one graph."""
         if self.rpag.ontologies != self.ontologies or self.ibag.ontologies != self.ontologies:
             raise ValidationError("bundle sections disagree on the ontologies")
         if len(self.ibag) != len(self.rpag):
@@ -86,9 +87,7 @@ class IndexBundle:
         patterns = gen_ibag_bit_patterns(ibag, ontologies)
         if json_field(obj, "patterns", dict, "index") != patterns.to_json_obj():
             raise ValidationError("stored bit patterns differ from those the term vectors give")
-        bundle = IndexBundle(ontologies=ontologies, rpag=rpag, ibag=ibag, patterns=patterns)
-        bundle.validate()
-        return bundle
+        return IndexBundle(ontologies=ontologies, rpag=rpag, ibag=ibag, patterns=patterns)
 
     def canonical_bytes(self) -> bytes:
         text = json.dumps(

@@ -13,18 +13,18 @@ from typing import Sequence
 from .bitmask import (
     BitPattern,
     PatternStore,
-    find_predicted_webpage_list,
     gen_ibag_bit_patterns,
     gen_mask_bit_pattern,
 )
 from .corpus import GenerationConfig, synth_corpus
-from .ibag import IBAG, IBAGNode, build_ibag, select_by_range
+from .ibag import IBAG, IBAGNode, build_ibag, select_columns
 from .ontology import Ontology, OntologyTerm
 from .rpag import build_rpag
 from .search import (
     AFTER_MASKING,
     BEFORE_MASKING,
     Query,
+    first_matching_pages,
     search_after_masking,
     search_before_masking,
 )
@@ -100,15 +100,24 @@ def compare_modes(
     query: Query, ibag: IBAG, patterns: PatternStore, use_synonyms: bool = True
 ) -> ModeComparison:
     """Answer ``query`` before and after masking from one mask and one range
-    selection, and score both result lists against that selection."""
+    selection, and score both result lists against that selection.
+
+    The selection comes from the same columns the search paths read, but all
+    of it is materialized: the harvest rate averages over every selected page.
+    """
     ontology = ibag.ontology_by_id(query.ontology_id)
     mask = gen_mask_bit_pattern(query.search_string, ontology, use_synonyms=use_synonyms)
-    selected, visited = select_by_range(ibag, query.relevance_range, query.ontology_id)
+    slices, selected_count, visited = select_columns(
+        ibag, query.relevance_range, query.ontology_id
+    )
+    nodes = ibag.nodes
+    selected = [nodes[p] for p_ids, start, stop in slices for p in p_ids[start:stop]]
     before = selected[: query.result_limit]
-    after = find_predicted_webpage_list(selected, patterns, mask, ontology, query.result_limit)
+    page_bits = patterns.bits_for_ontology(query.ontology_id)
+    after = first_matching_pages(slices, nodes, page_bits, mask.bits, query.result_limit)
     return ModeComparison(
         term_count=len(mask.positions()),
-        selected_count=len(selected),
+        selected_count=selected_count,
         visited_count=visited,
         before_count=len(before),
         after_count=len(after),

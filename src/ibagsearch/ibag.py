@@ -9,6 +9,15 @@ sorted within level), and every level stores the position of its first
 supporting node, so a traversal can enter a level directly and walk only
 the pages that belong to the queried domain.
 
+Queries do not walk the chains. Per ontology and level, the index also
+keeps two parallel columns over that level's supporters in level order:
+their p_ids and their negated means (ascending). :func:`select_columns`
+finds a relevance range in each column by bisection and counts the pages
+selected and the nodes the chain walk would visit by index arithmetic, so
+a query pays for the pages it returns, not for every supporter.
+:func:`select_by_range` and :meth:`IBAG.iter_chain`, the chain walk, are
+the reference that the tests compare it with.
+
 :meth:`IBAG.from_nodes` is the only code that lays this out, and it checks
 the node facts it is given (urls, parents, levels, a positive finite mean,
 one entry per ontology). On load, ``RPaG.from_json_obj``/``RPaG.validate``
@@ -20,6 +29,8 @@ from __future__ import annotations
 
 import logging
 import math
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Sequence
 
@@ -42,8 +53,17 @@ class IBAGNode:
     ont_link: dict[int, int | None] = field(default_factory=dict)
 
 
+# one level's supporters of one ontology, in level order: their p_ids and
+# their negated means, so the keys ascend
+Column = tuple[list[int], array]
+
+# (p_ids, start, stop) per level: the selection is p_ids[start:stop]
+RangeSlices = list[tuple[list[int], int, int]]
+
+
 class IBAG:
-    """Index nodes plus the level table and per-level domain head positions."""
+    """Index nodes plus the level table, per-level domain head positions and
+    per-(ontology, level) supporter columns."""
 
     def __init__(
         self,
@@ -51,11 +71,13 @@ class IBAG:
         ontologies: tuple[Ontology, ...],
         levels: list[list[int]],
         level_heads: list[dict[int, int | None]],
+        columns: dict[int, list[Column]],
     ) -> None:
         self.nodes = nodes
         self.ontologies = ontologies
         self.levels = levels
         self.level_heads = level_heads
+        self.columns = columns
         self._by_id = {ont.ontology_id: ont for ont in ontologies}
 
     def __len__(self) -> int:
@@ -87,8 +109,9 @@ class IBAG:
 
     @classmethod
     def from_nodes(cls, nodes: Sequence[IBAGNode], ontologies: Sequence[Ontology]) -> "IBAG":
-        """Check the nodes, then assemble levels, sort them, and thread the
-        per-ontology chains: the one place that lays the index out.
+        """Check the nodes, then assemble levels, sort them, thread the
+        per-ontology chains and fill the supporter columns: the one place
+        that lays the index out.
 
         ``nodes`` must be dense in p_id; ont_link entries are overwritten here.
         """
@@ -128,9 +151,13 @@ class IBAG:
             level.sort(key=lambda p: (-nodes[p].mean_rel_val, p))
 
         level_heads: list[dict[int, int | None]] = [dict.fromkeys(ids) for _ in levels]
+        columns: dict[int, list[Column]] = {}
         for ont_id in ids:
             previous: IBAGNode | None = None
+            columns[ont_id] = []
             for level_index, level in enumerate(levels):
+                p_ids: list[int] = []
+                keys = array("d")
                 for position, p_id in enumerate(level):
                     node = nodes[p_id]
                     node.ont_link[ont_id] = None
@@ -141,14 +168,18 @@ class IBAG:
                     if previous is not None:
                         previous.ont_link[ont_id] = p_id
                     previous = node
+                    p_ids.append(p_id)
+                    keys.append(-node.mean_rel_val)
+                columns[ont_id].append((p_ids, keys))
 
         log.debug("assembled index: %d nodes in %d levels", len(nodes), len(levels))
-        return cls(nodes, ontologies, levels, level_heads)
+        return cls(nodes, ontologies, levels, level_heads, columns)
 
     def validate(self) -> None:
         """Lay the nodes out again and compare: raise ValidationError when the
-        level table, the level heads or any node's links differ from what
-        :meth:`from_nodes` derives. The index itself is left unchanged."""
+        level table, the level heads, any node's links or the supporter
+        columns differ from what :meth:`from_nodes` derives. The index itself
+        is left unchanged."""
         fresh = type(self).from_nodes(
             [replace(node, ont_link={}) for node in self.nodes], self.ontologies
         )
@@ -159,6 +190,8 @@ class IBAG:
         for node, derived in zip(self.nodes, fresh.nodes):
             if node.ont_link != derived.ont_link:
                 raise ValidationError(f"node {node.p_id} links differ from the derived chains")
+        if self.columns != fresh.columns:
+            raise ValidationError("supporter columns differ from the sorted levels the nodes give")
 
 
 def build_ibag(rpag: RPaG) -> IBAG:
@@ -206,7 +239,8 @@ def select_by_range(
     Returns the matches in traversal order plus the number of nodes touched.
     Each level is entered at its stored head and walked along the ontology
     chain; because a level is sorted, the walk stops early once values drop
-    below the lower bound.
+    below the lower bound. This walk is the reference for
+    :func:`select_columns`, which queries use.
     """
     lo, hi = relevance_range
     if lo > hi:
@@ -223,3 +257,37 @@ def select_by_range(
                 break
             selected.append(node)
     return selected, visited
+
+
+def select_columns(
+    ibag: IBAG,
+    relevance_range: tuple[float, float],
+    ontology_id: int,
+) -> tuple[RangeSlices, int, int]:
+    """The selection of :func:`select_by_range`, found in the supporter
+    columns by bisection instead of a walk.
+
+    Returns one ``(p_ids, start, stop)`` per level that selects anything,
+    whose ``p_ids[start:stop]`` in level order make up the selection in
+    traversal order, plus the selected count and the number of nodes the
+    chain walk visits: every supporter with mean >= ``lo``, plus one per
+    level that also has a supporter below ``lo``, where the walk stops.
+    """
+    lo, hi = relevance_range
+    if lo > hi:
+        raise ValueError(f"invalid relevance range [{lo}, {hi}]")
+    try:
+        columns = ibag.columns[ontology_id]
+    except KeyError:
+        raise ValueError(f"unknown ontology id {ontology_id}") from None
+    neg_lo, neg_hi = -lo, -hi
+    slices: RangeSlices = []
+    selected = visited = 0
+    for p_ids, keys in columns:
+        stop = bisect_right(keys, neg_lo)
+        start = bisect_left(keys, neg_hi, 0, stop)
+        if start < stop:
+            slices.append((p_ids, start, stop))
+            selected += stop - start
+        visited += stop + (stop < len(keys))
+    return slices, selected, visited

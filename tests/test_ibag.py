@@ -218,6 +218,14 @@ class TestIbagInvariants:
         with pytest.raises(ValidationError, match="head"):
             ibag.validate()
 
+    def test_load_rejects_broken_columns(self, bundled_onts):
+        corpus = synth_corpus(8, 70, bundled_onts)
+        ibag = build_ibag(build_rpag(corpus, bundled_onts))
+        keys = next(keys for _, keys in ibag.columns[1] if len(keys) >= 2)
+        keys[0] -= 1.0
+        with pytest.raises(ValidationError, match="columns"):
+            ibag.validate()
+
     def test_validate_leaves_index_unchanged(self, bundled_onts):
         corpus = synth_corpus(8, 70, bundled_onts)
         ibag = build_ibag(build_rpag(corpus, bundled_onts))

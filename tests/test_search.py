@@ -1,20 +1,27 @@
 from __future__ import annotations
 
 import math
+import random
+from dataclasses import replace
 
 import pytest
 
 from ibagsearch import (
     Query,
+    SearchOutcome,
     build_ibag,
     build_rpag,
+    find_predicted_webpage_list,
     gen_ibag_bit_patterns,
+    gen_mask_bit_pattern,
     parse_relevance_range,
     search_after_masking,
     search_before_masking,
     select_by_range,
+    select_columns,
     synth_corpus,
 )
+from ibagsearch.search import AFTER_MASKING, BEFORE_MASKING
 from conftest import flat_ontology, make_corpus
 from oracles import oracle_predicted_urls
 
@@ -155,3 +162,99 @@ class TestAfterMasking:
                 after = search_after_masking(query, ibag, patterns)
                 assert len(after.results) <= len(before.results)
                 assert len(after.results) <= min(k, after.selected_count)
+
+
+def reference_outcomes(query, ibag, patterns, use_synonyms):
+    """Both modes answered through the chain walk and the XOR filter."""
+    ontology = ibag.ontology_by_id(query.ontology_id)
+    selected, visited = select_by_range(ibag, query.relevance_range, query.ontology_id)
+    mask = gen_mask_bit_pattern(query.search_string, ontology, use_synonyms=use_synonyms)
+    after = find_predicted_webpage_list(selected, patterns, mask, ontology, query.result_limit)
+    return [
+        SearchOutcome(
+            mode=mode,
+            results=tuple((node.url, node.mean_rel_val) for node in chosen),
+            selected_count=len(selected),
+            visited_count=visited,
+            elapsed=0.0,
+        )
+        for mode, chosen in ((BEFORE_MASKING, selected[: query.result_limit]), (AFTER_MASKING, after))
+    ]
+
+
+def probe_ranges(ibag, ontology_id, rng):
+    """Closed ranges that hit every bisection edge, plus random ones."""
+    means = sorted({node.mean_rel_val for node in ibag.nodes})
+    low, top = means[0], means[-1]
+    tied = [
+        ibag.nodes[a].mean_rel_val
+        for level in ibag.levels
+        for a, b in zip(level, level[1:])
+        if ibag.nodes[a].mean_rel_val == ibag.nodes[b].mean_rel_val
+        and ibag.nodes[a].supported[ontology_id]
+        and ibag.nodes[b].supported[ontology_id]
+    ]
+    ranges = [
+        (0.0, math.inf),
+        (-math.inf, math.inf),
+        (low, top),
+        (top + 1.0, top + 2.0),  # above the largest mean
+        (0.0, low / 2),  # below the smallest mean
+        (top, top),
+        (low, low),
+    ]
+    ranges += [(value, value) for value in rng.sample(means, min(4, len(means)))]
+    ranges += [(value, value) for value in tied[:3]]  # ties at both bounds
+    for _ in range(8):
+        a, b = rng.choice(means), rng.choice(means)
+        ranges.append((min(a, b), max(a, b)))
+        a, b = rng.uniform(0.0, top * 1.1), rng.uniform(0.0, top * 1.1)
+        ranges.append((min(a, b), max(a, b)))
+    return ranges, bool(tied)
+
+
+def test_column_selection_matches_the_chain_walk(bundled_onts):
+    """The column paths give the reference's outcome, elapsed aside, on
+    seeded corpora, every ontology, both mask settings and random ranges."""
+    rng = random.Random(5150)
+    fillers = ("best", "today", "zzz")
+    seen_ties = seen_empty_level = seen_k_beyond = False
+    compared = 0
+    for seed in range(10):
+        corpus = synth_corpus(seed, (30, 60, 100, 150, 220)[seed % 5], bundled_onts)
+        ibag = build_ibag(build_rpag(corpus, bundled_onts))
+        patterns = gen_ibag_bit_patterns(ibag, bundled_onts)
+        for ontology in bundled_onts:
+            ont_id = ontology.ontology_id
+            seen_empty_level |= any(
+                heads[ont_id] is None for heads in ibag.level_heads
+            ) and any(heads[ont_id] is not None for heads in ibag.level_heads)
+            ranges, tied = probe_ranges(ibag, ont_id, rng)
+            seen_ties |= tied
+            two_terms = [rng.choice(t.phrases()) for t in rng.sample(ontology.terms, 2)]
+            searches = (
+                rng.choice(rng.choice(ontology.terms).phrases()),
+                " ".join([*two_terms, rng.choice(fillers)]),
+                "zz yy xx",  # no term: an all-zero mask
+            )
+            for lo, hi in ranges:
+                selected, visited = select_by_range(ibag, (lo, hi), ont_id)
+                slices, selected_count, visited_count = select_columns(ibag, (lo, hi), ont_id)
+                assert [ibag.nodes[p] for p_ids, a, b in slices for p in p_ids[a:b]] == selected
+                assert (selected_count, visited_count) == (len(selected), visited)
+                for k in (1, 7, len(ibag) + 1):
+                    seen_k_beyond |= k > len(selected) > 0
+                    for search in searches:
+                        query = Query(search, ont_id, relevance_range=(lo, hi), result_limit=k)
+                        for use_synonyms in (True, False):
+                            fast = [
+                                search_before_masking(query, ibag),
+                                search_after_masking(query, ibag, patterns, use_synonyms),
+                            ]
+                            fast = [replace(outcome, elapsed=0.0) for outcome in fast]
+                            assert fast == reference_outcomes(query, ibag, patterns, use_synonyms), (
+                                seed, ont_id, lo, hi, k, search, use_synonyms,
+                            )
+                            compared += 1
+    assert seen_ties and seen_empty_level and seen_k_beyond
+    assert compared > 5000
