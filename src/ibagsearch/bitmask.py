@@ -91,9 +91,7 @@ def mask_match(page_bits: int, mask_bits: int, position_bits: Sequence[int]) -> 
 def _page_bits(term_vector: Sequence[float], ontology: Ontology) -> int:
     """Set one bit per term whose relevance value strictly exceeds its limit."""
     if len(term_vector) != ontology.t:
-        raise ValueError(
-            f"term vector length {len(term_vector)} does not match t={ontology.t}"
-        )
+        raise ValueError(f"{len(term_vector)} term values for a pattern of length {ontology.t}")
     bits = 0
     for term, value in zip(ontology.terms, term_vector):
         bits <<= 1  # terms are in bit-position order, position 0 the most significant
@@ -153,9 +151,6 @@ class PatternStore:
 
     def ontology_ids(self) -> tuple[int, ...]:
         return tuple(sorted(self._bits))
-
-    def length_for(self, ontology_id: int) -> int:
-        return self._lengths[ontology_id]
 
     def bits(self, p_id: int, ontology_id: int) -> int:
         return self._bits[ontology_id][p_id]

@@ -44,24 +44,20 @@ class IndexBundle:
         return cls(ontologies=rpag.ontologies, rpag=rpag, ibag=ibag, patterns=patterns)
 
     def validate(self) -> None:
-        """Cross-check the sections: the same ontologies, node identities,
-        and one pattern per (page, ontology). Build and load do not call
-        this, since they derive every section from one graph."""
+        """Derive the sections from the graph again and compare: raise
+        ValidationError when they disagree on the ontologies, or the graph,
+        the leveled index or the patterns differ from what the graph gives.
+        Build and load do not call this, since they derive every section
+        from one graph."""
         if self.rpag.ontologies != self.ontologies or self.ibag.ontologies != self.ontologies:
             raise ValidationError("bundle sections disagree on the ontologies")
-        if len(self.ibag) != len(self.rpag):
-            raise ValidationError("graph and index node counts differ")
-        for rnode, inode in zip(self.rpag.nodes, self.ibag.nodes):
-            if rnode.p_id != inode.p_id or rnode.url != inode.url:
-                raise ValidationError(f"node {rnode.p_id} identity differs between sections")
-        ids = tuple(sorted(ont.ontology_id for ont in self.ontologies))
-        if self.patterns.ontology_ids() != ids:
-            raise ValidationError("pattern store ontologies mismatch")
-        for ont in self.ontologies:
-            if self.patterns.length_for(ont.ontology_id) != ont.t:
-                raise ValidationError(f"pattern length mismatch for ontology {ont.ontology_id}")
-        if len(self.patterns) != len(self.ibag) * len(self.ontologies):
-            raise ValidationError("pattern store cardinality mismatch")
+        self.rpag.validate()
+        if build_ibag(self.rpag).nodes != self.ibag.nodes:
+            raise ValidationError("index nodes differ from those the graph gives")
+        self.ibag.validate()
+        fresh = gen_ibag_bit_patterns(self.ibag, self.ontologies)
+        if fresh.to_json_obj() != self.patterns.to_json_obj():
+            raise ValidationError("bit patterns differ from those the term vectors give")
 
     def to_json_obj(self) -> dict:
         return {

@@ -18,12 +18,12 @@ a query pays for the pages it returns, not for every supporter.
 :func:`select_by_range` and :meth:`IBAG.iter_chain`, the chain walk, are
 the reference that the tests compare it with.
 
-:meth:`IBAG.from_nodes` is the only code that lays this out, and it checks
-the node facts it is given (urls, parents, levels, a positive finite mean,
-one entry per ontology). On load, ``RPaG.from_json_obj``/``RPaG.validate``
-check node shapes and the stored patterns are compared as a checksum;
-nothing re-checks the layout just derived. :meth:`IBAG.validate` lays an
-index out again and compares, for an index edited in place.
+:meth:`IBAG.from_nodes` is the only code that lays this out, and the one
+place that checks a node's facts (dense p_ids, unique urls, parent, level,
+support, vector lengths, a positive finite mean). Before it, a load checks
+only shapes and the graph's own facts, in ``RPaG.from_json_obj``; after it,
+the stored patterns as a checksum. Nothing re-checks what it derived.
+:meth:`IBAG.validate` lays an index out again and compares.
 """
 from __future__ import annotations
 
@@ -32,11 +32,13 @@ import math
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .errors import ValidationError
 from .ontology import Ontology
-from .rpag import RPaG
+
+if TYPE_CHECKING:
+    from .rpag import RPaG
 
 log = logging.getLogger(__name__)
 
@@ -131,17 +133,17 @@ class IBAG:
             elif 0 <= node.pp_id < i:
                 parent_level = nodes[node.pp_id].level
             else:
-                raise ValidationError(f"node {i} parent {node.pp_id} must be an earlier node")
+                raise ValidationError(f"node {i} parent {node.pp_id} is not earlier in the index")
             if node.level != parent_level + 1:
                 raise ValidationError(f"node {i} level {node.level} does not follow its parent")
-            if not 0 < node.mean_rel_val < math.inf:
-                raise ValidationError(f"node {i} mean relevance {node.mean_rel_val} not in (0, inf)")
             if set(node.supported) != id_set or set(node.term_vectors) != id_set:
                 raise ValidationError(f"node {i} per-ontology fields mismatch the ontologies")
             if not any(node.supported.values()):
                 raise ValidationError(f"node {i} supports no ontology")
             if any(len(node.term_vectors[ont.ontology_id]) != ont.t for ont in ontologies):
                 raise ValidationError(f"node {i} term vector length mismatches its ontology")
+            if not 0 < node.mean_rel_val < math.inf:
+                raise ValidationError(f"node {i} mean relevance {node.mean_rel_val} not in (0, inf)")
 
         max_level = max((node.level for node in nodes), default=-1)
         levels: list[list[int]] = [[] for _ in range(max_level + 1)]
@@ -198,7 +200,8 @@ def build_ibag(rpag: RPaG) -> IBAG:
     """Derive the leveled index from a relevance page graph.
 
     The single parent is the node's first listed parent. The mean relevance
-    value averages the page's relevance over the ontologies it supports.
+    value averages the page's relevance over the ontologies it supports
+    (0.0 for none, a node :meth:`IBAG.from_nodes` rejects).
     """
     nodes: list[IBAGNode] = []
     for rnode in rpag.nodes:
@@ -214,7 +217,7 @@ def build_ibag(rpag: RPaG) -> IBAG:
                 p_id=rnode.p_id,
                 url=rnode.url,
                 pp_id=pp_id,
-                mean_rel_val=sum(supported_values) / len(supported_values),
+                mean_rel_val=sum(supported_values) / max(len(supported_values), 1),
                 level=level,
                 supported={
                     ont.ontology_id: rnode.relevance[ont.ontology_id].supported

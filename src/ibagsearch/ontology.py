@@ -148,9 +148,6 @@ class Ontology:
                     )
                 syn_owner[syn] = term.term
 
-    def term_at(self, bit_position: int) -> OntologyTerm:
-        return self.terms[bit_position]
-
     def count_terms(self, tokens: list[str], use_synonyms: bool = True) -> list[int]:
         """Occurrences of each term in ``tokens``, indexed by bit position.
 

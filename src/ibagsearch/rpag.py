@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .corpus import Corpus
-from .errors import ValidationError, check_kind, json_field
+from .errors import ValidationError, json_field
+from .ibag import build_ibag
 from .ontology import Ontology, normalize_text
 from .relevance import PageRelevance, page_relevance, relevance_from_vector
 
@@ -48,41 +49,20 @@ class RPaG:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def ontology_digest(self) -> str:
-        return ontology_digest(self.ontologies)
-
     def validate(self) -> None:
-        urls: set[str] = set()
+        """Run :func:`check_node` on every node, then lay the graph out
+        through :func:`build_ibag`, which checks every other node fact.
+        Build and load do not call this."""
         ontology_ids = {ont.ontology_id for ont in self.ontologies}
-        by_id = {ont.ontology_id: ont for ont in self.ontologies}
         for index, node in enumerate(self.nodes):
-            if node.p_id != index:
-                raise ValidationError(f"node at index {index} has p_id {node.p_id}")
-            if not node.url or node.url in urls:
-                raise ValidationError(f"node {node.p_id} url {node.url!r} missing or duplicated")
-            urls.add(node.url)
-            if len(node.pp_ids) > MAX_PARENTS:
-                raise ValidationError(f"node {node.p_id} has more than {MAX_PARENTS} parents")
-            for pp in node.pp_ids:
-                if not 0 <= pp < node.p_id:
-                    raise ValidationError(
-                        f"node {node.p_id} parent {pp} must reference an earlier node"
-                    )
-            if set(node.relevance) != ontology_ids:
-                raise ValidationError(f"node {node.p_id} relevance keys mismatch the ontologies")
-            if not any(rel.supported for rel in node.relevance.values()):
-                raise ValidationError(f"node {node.p_id} supports no ontology")
-            for ont_id, rel in node.relevance.items():
-                if len(rel.term_vector) != by_id[ont_id].t:
-                    raise ValidationError(
-                        f"node {node.p_id} term vector length mismatch for ontology {ont_id}"
-                    )
+            check_node(index, node.pp_ids, node.relevance, ontology_ids)
+        build_ibag(self)
 
     def to_json_obj(self) -> dict:
         """Only the inputs: scores, support and every index structure derive from them."""
         return {
             "version": FORMAT_VERSION,
-            "ontology_digest": self.ontology_digest(),
+            "ontology_digest": ontology_digest(self.ontologies),
             "nodes": [
                 {
                     "url": node.url,
@@ -98,7 +78,11 @@ class RPaG:
 
     @staticmethod
     def from_json_obj(obj: object, ontologies: Sequence[Ontology]) -> "RPaG":
-        """Decode nodes (p_id is the list index) and score their term vectors."""
+        """Decode nodes (p_id is the list index) and score their term vectors.
+
+        Checks shapes and :func:`check_node` only; the other node facts are
+        checked by :func:`build_ibag`, which ``IndexBundle.from_json_obj``
+        always runs on the result."""
         ontologies = tuple(ontologies)
         if not isinstance(obj, dict):
             raise ValidationError("graph section must be an object")
@@ -107,12 +91,13 @@ class RPaG:
         if obj.get("ontology_digest") != ontology_digest(ontologies):
             raise ValidationError("graph was built against different ontologies")
         by_key = {str(ont.ontology_id): ont for ont in ontologies}
+        keys = set(by_key)
         nodes = []
         for p_id, raw in enumerate(json_field(obj, "nodes", list, "graph")):
             where = f"graph node {p_id}"
             vectors = json_field(raw, "term_vectors", dict, where)
-            if set(vectors) != set(by_key):
-                raise ValidationError(f"{where} term vectors mismatch the ontologies")
+            pp_ids = json_field(raw, "pp_ids", list, where)
+            check_node(p_id, pp_ids, vectors, keys)
             relevance = {}
             for key, ont in by_key.items():
                 vector = vectors[key]
@@ -127,18 +112,28 @@ class RPaG:
                         f"{where} term vector {key} must be a list of finite non-negative numbers"
                     )
                 relevance[ont.ontology_id] = relevance_from_vector(ont, vector)
-            pp_ids = json_field(raw, "pp_ids", list, where)
             nodes.append(
                 RPaGNode(
                     p_id=p_id,
                     url=json_field(raw, "url", str, where),
-                    pp_ids=tuple(check_kind(pp, int, f"{where} parent") for pp in pp_ids),
+                    pp_ids=tuple(pp_ids),
                     relevance=relevance,
                 )
             )
-        graph = RPaG(nodes=nodes, ontologies=ontologies)
-        graph.validate()
-        return graph
+        return RPaG(nodes=nodes, ontologies=ontologies)
+
+
+def check_node(p_id: int, pp_ids: Sequence[object], relevance: dict, ontology_keys: set) -> None:
+    """The node facts only the graph holds (the index keeps one parent): at
+    most ``MAX_PARENTS`` parents, each an int below ``p_id``, and one
+    relevance entry per ontology, keyed as ``ontology_keys`` are."""
+    if len(pp_ids) > MAX_PARENTS:
+        raise ValidationError(f"node {p_id} has more than {MAX_PARENTS} parents")
+    for pp in pp_ids:
+        if type(pp) is not int or not 0 <= pp < p_id:
+            raise ValidationError(f"node {p_id} parent {pp!r:.40} must reference an earlier node")
+    if relevance.keys() != ontology_keys:
+        raise ValidationError(f"node {p_id} relevance keys mismatch the ontologies")
 
 
 def ontology_digest(ontologies: Sequence[Ontology]) -> str:
@@ -210,7 +205,5 @@ def build_rpag(corpus: Corpus, ontologies: Sequence[Ontology]) -> RPaG:
                 discovered.add(link)
                 queue.append(link)
 
-    graph = RPaG(nodes=nodes, ontologies=ontologies)
-    graph.validate()
     log.debug("built relevance graph: %d nodes from %d documents", len(nodes), len(corpus))
-    return graph
+    return RPaG(nodes=nodes, ontologies=ontologies)

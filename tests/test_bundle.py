@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -128,6 +130,48 @@ def _infinite_entry_with_bit_set(obj: dict) -> None:
     vector[position] = float("inf")
 
 
+def _duplicate_url(obj: dict) -> None:
+    nodes = obj["rpag"]["nodes"]
+    nodes[1]["url"] = nodes[0]["url"]
+
+
+def _empty_url(obj: dict) -> None:
+    obj["rpag"]["nodes"][0]["url"] = ""
+
+
+def _five_parents(obj: dict) -> None:
+    obj["rpag"]["nodes"][5]["pp_ids"] = [0, 1, 2, 3, 4]
+
+
+def _node_with_parent(obj: dict) -> tuple[int, dict]:
+    return next((i, raw) for i, raw in enumerate(obj["rpag"]["nodes"]) if raw["pp_ids"])
+
+
+def _forward_second_parent(obj: dict) -> None:
+    p_id, raw = _node_with_parent(obj)
+    raw["pp_ids"] = [raw["pp_ids"][0], p_id + 1]
+
+
+def _negative_second_parent(obj: dict) -> None:
+    _, raw = _node_with_parent(obj)
+    raw["pp_ids"] = [raw["pp_ids"][0], -1]
+
+
+def _all_zero_vectors(obj: dict) -> None:
+    """The node then supports no ontology."""
+    vectors = obj["rpag"]["nodes"][0]["term_vectors"]
+    for key, vec in vectors.items():
+        vectors[key] = [0.0] * len(vec)
+
+
+def _vector_entry_too_many(obj: dict) -> None:
+    obj["rpag"]["nodes"][0]["term_vectors"]["1"].append(0.0)
+
+
+def _vector_entry_too_few(obj: dict) -> None:
+    obj["rpag"]["nodes"][0]["term_vectors"]["1"].pop()
+
+
 class TestValidation:
     def test_tampered_pattern_count_rejected(self, bundle, tmp_path):
         path = tmp_path / "index.json"
@@ -175,6 +219,14 @@ class TestValidation:
             _int_too_large_for_float,
             _infinite_entry_with_bit_set,
             overflow_two_set_entries,
+            _duplicate_url,
+            _empty_url,
+            _five_parents,
+            _forward_second_parent,
+            _negative_second_parent,
+            _all_zero_vectors,
+            _vector_entry_too_many,
+            _vector_entry_too_few,
         ],
     )
     def test_malformed_shape_rejected(self, bundle, tmp_path, tamper):
@@ -212,6 +264,61 @@ class TestValidation:
         path.write_bytes(b'{"format_version": "\xff"}')
         with pytest.raises(ValidationError):
             IndexBundle.load(path)
+
+    def test_single_byte_mutations_load_or_raise_validation_error(self, bundled_onts):
+        """Seeded single-byte edits of a saved index: each one that still
+        parses as JSON either loads or raises ValidationError, nothing else."""
+        data = IndexBundle.build(synth_corpus(7, 40, bundled_onts), bundled_onts).canonical_bytes()
+        rng = random.Random(2012)
+        outcomes = Counter()
+        for _ in range(1500):
+            mutated = bytearray(data)
+            mutated[rng.randrange(len(mutated))] = rng.randrange(0x20, 0x7F)
+            try:
+                obj = json.loads(mutated.decode("utf-8"))
+            except ValueError:
+                outcomes["not json"] += 1
+                continue
+            try:
+                IndexBundle.from_json_obj(obj)
+                outcomes["loaded"] += 1
+            except ValidationError:
+                outcomes["rejected"] += 1
+        assert min(outcomes["not json"], outcomes["loaded"], outcomes["rejected"]) > 0
+
+
+class TestBundleValidate:
+    @pytest.fixture
+    def fresh(self, bundled_onts):
+        return IndexBundle.build(synth_corpus(5, 60, bundled_onts), bundled_onts)
+
+    @pytest.fixture(scope="class")
+    def other(self, bundled_onts):
+        return IndexBundle.build(synth_corpus(6, 60, bundled_onts), bundled_onts)
+
+    def test_fresh_bundle_passes(self, fresh):
+        fresh.validate()
+
+    def test_another_builds_patterns_rejected(self, fresh, other):
+        with pytest.raises(ValidationError, match="patterns"):
+            dataclasses.replace(fresh, patterns=other.patterns).validate()
+
+    def test_another_builds_index_rejected(self, fresh, other):
+        with pytest.raises(ValidationError, match="index nodes"):
+            dataclasses.replace(fresh, ibag=other.ibag).validate()
+
+    def test_graph_only_fact_rejected(self, fresh):
+        """The index ignores a relevance entry for an unknown ontology."""
+        fresh.rpag.nodes[0].relevance[99] = fresh.rpag.nodes[0].relevance[1]
+        with pytest.raises(ValidationError, match="relevance keys"):
+            fresh.validate()
+
+    def test_mean_edited_in_place_rejected(self, fresh):
+        """The edit keeps every level's order, so only a re-derivation from
+        the graph can tell."""
+        fresh.ibag.nodes[0].mean_rel_val *= 1.0 + 1e-9
+        with pytest.raises(ValidationError, match="index nodes"):
+            fresh.validate()
 
 
 class TestAtomicSave:

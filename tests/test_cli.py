@@ -160,7 +160,15 @@ class TestQuery:
 
     @pytest.mark.parametrize(
         "tamper",
-        ["drop_url", "top_level_list", "int_too_large_for_float", "infinity", "sum_overflows"],
+        [
+            "drop_url",
+            "top_level_list",
+            "int_too_large_for_float",
+            "infinity",
+            "sum_overflows",
+            "duplicate_url",
+            "all_zero_vectors",
+        ],
     )
     def test_malformed_index_is_one_line_error(self, built_index, capsys, tamper):
         obj = json.loads(built_index.read_text(encoding="utf-8"))
@@ -176,6 +184,12 @@ class TestQuery:
             IndexBundle.build(synth_corpus(3, 60, onts), onts).save(built_index)
             obj = json.loads(built_index.read_text(encoding="utf-8"))
             overflow_two_set_entries(obj)
+        elif tamper == "duplicate_url":
+            obj["rpag"]["nodes"][1]["url"] = obj["rpag"]["nodes"][0]["url"]
+        elif tamper == "all_zero_vectors":
+            vectors = obj["rpag"]["nodes"][0]["term_vectors"]
+            for key, vec in vectors.items():
+                vectors[key] = [0.0] * len(vec)
         else:
             obj = [obj]
         built_index.write_text(json.dumps(obj), encoding="utf-8")

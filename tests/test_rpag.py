@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from ibagsearch import RPaG, ValidationError, build_rpag, synth_corpus
+from ibagsearch.relevance import relevance_from_vector
 from ibagsearch.rpag import MAX_PARENTS
 from conftest import make_corpus, single_term_ontology
 from oracles import oracle_page_vector, oracle_tokens
@@ -153,3 +156,69 @@ class TestRpagInvariants:
         graph = build_rpag(corpus, [TOPIC])
         with pytest.raises(ValidationError, match="different ontologies"):
             RPaG.from_json_obj(graph.to_json_obj(), bundled_onts)
+
+
+def _with(p_id: int, **changes):
+    """Replace fields of the frozen node ``p_id`` in a graph."""
+
+    def tamper(graph: RPaG) -> None:
+        graph.nodes[p_id] = dataclasses.replace(graph.nodes[p_id], **changes)
+
+    return tamper
+
+
+def _later_second_parent(graph: RPaG) -> None:
+    node = next(node for node in graph.nodes if node.pp_ids)
+    graph.nodes[node.p_id] = dataclasses.replace(node, pp_ids=(node.pp_ids[0], node.p_id + 1))
+
+
+def _duplicate_url(graph: RPaG) -> None:
+    graph.nodes[1] = dataclasses.replace(graph.nodes[1], url=graph.nodes[0].url)
+
+
+def _missing_relevance_key(graph: RPaG) -> None:
+    del graph.nodes[0].relevance[2]
+
+
+def _extra_relevance_key(graph: RPaG) -> None:
+    graph.nodes[0].relevance[99] = graph.nodes[0].relevance[1]
+
+
+def _supports_nothing(graph: RPaG) -> None:
+    node = graph.nodes[0]
+    node.relevance.update(
+        (ont.ontology_id, relevance_from_vector(ont, [0.0] * ont.t)) for ont in graph.ontologies
+    )
+
+
+class TestValidate:
+    @pytest.fixture
+    def graph(self, bundled_onts):
+        return build_rpag(synth_corpus(4, 40, bundled_onts), bundled_onts)
+
+    def test_built_graph_passes(self, graph):
+        graph.validate()
+
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            (_with(5, pp_ids=(0, 1, 2, 3, 4)), "more than"),
+            (_later_second_parent, "earlier"),
+            (_duplicate_url, "duplicated"),
+            (_missing_relevance_key, "relevance keys"),
+            (_extra_relevance_key, "relevance keys"),
+            (_supports_nothing, "supports no"),
+        ],
+        ids=[
+            "five-parents",
+            "later-second-parent",
+            "duplicate-url",
+            "missing-relevance-key",
+            "extra-relevance-key",
+            "supports-nothing",
+        ],
+    )
+    def test_bad_node_rejected(self, graph, tamper, message):
+        tamper(graph)
+        with pytest.raises(ValidationError, match=message):
+            graph.validate()
