@@ -90,12 +90,13 @@ def mask_match(page_bits: int, mask_bits: int, position_bits: Sequence[int]) -> 
 
 def _page_bits(term_vector: Sequence[float], ontology: Ontology) -> int:
     """Set one bit per term whose relevance value strictly exceeds its limit."""
-    if len(term_vector) != ontology.t:
-        raise ValueError(f"{len(term_vector)} term values for a pattern of length {ontology.t}")
+    limits = ontology.term_limits
+    if len(term_vector) != len(limits):
+        raise ValueError(f"{len(term_vector)} term values for a pattern of length {len(limits)}")
     bits = 0
-    for term, value in zip(ontology.terms, term_vector):
+    for value, limit in zip(term_vector, limits):
         bits <<= 1  # terms are in bit-position order, position 0 the most significant
-        if value > term.term_relevance_limit:
+        if value > limit:
             bits |= 1
     return bits
 
@@ -148,9 +149,6 @@ class PatternStore:
                 raise ValidationError(f"pattern {bits:#x} does not fit {length} bits")
         self._bits[ontology_id] = list(bits_by_p_id)
         self._lengths[ontology_id] = length
-
-    def ontology_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(self._bits))
 
     def bits(self, p_id: int, ontology_id: int) -> int:
         return self._bits[ontology_id][p_id]

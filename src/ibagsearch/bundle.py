@@ -1,15 +1,27 @@
 """Single-file JSON persistence for a built index.
 
 The file holds only the inputs under one version tag: the ontologies and,
-per relevance-graph node, its url, parents and term vectors. Loading
-scores the vectors and rebuilds the leveled index and the bit patterns
-through the same code a build runs. The file also keeps the bit patterns,
-as a checksum the load compares against the ones it derives. Serialization
-is canonical (sorted keys, fixed separators), so saving a loaded bundle
-reproduces the file byte for byte.
+per relevance-graph node, its url, parents and term vectors. The file also
+keeps the bit patterns, as a checksum. Serialization is canonical (sorted
+keys, fixed separators), so saving a loaded bundle reproduces the file byte
+for byte.
+
+A load parses the file with the cyclic garbage collector paused, then
+rebuilds every derived structure through the code a build runs, one pass
+over the nodes per step, and checks each fact of a node once:
+
+- ``RPaG.from_json_obj`` checks the node's shape, its parents and ontology
+  keys (``rpag.check_node``) and each term vector's entries, and scores
+  each vector through ``relevance_from_vector``;
+- ``build_ibag`` averages the supported scores into the node's mean, and
+  ``IBAG.from_nodes`` checks every other node fact (urls, levels, support,
+  vector lengths, a positive finite mean) as it lays the index out;
+- ``gen_ibag_bit_patterns`` derives the patterns, which must equal the
+  stored ones.
 """
 from __future__ import annotations
 
+import gc
 import json
 import logging
 import os
@@ -105,9 +117,20 @@ class IndexBundle:
 
     @staticmethod
     def load(path: str | Path) -> "IndexBundle":
+        """Parse and decode ``path`` with the cyclic garbage collector paused.
+
+        A load allocates several containers per node and keeps them all; the
+        collector would rescan them again and again as they pile up and find
+        no garbage, since nothing a load builds forms a cycle."""
         raw = Path(path).read_bytes()
+        collecting = gc.isenabled()
+        gc.disable()
         try:
-            obj = json.loads(raw.decode("utf-8"))
-        except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON, deep nesting
-            raise ValidationError(f"{path}: not a valid index file: {exc}") from None
-        return IndexBundle.from_json_obj(obj)
+            try:
+                obj = json.loads(raw.decode("utf-8"))
+            except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON, deep nesting
+                raise ValidationError(f"{path}: not a valid index file: {exc}") from None
+            return IndexBundle.from_json_obj(obj)
+        finally:
+            if collecting:
+                gc.enable()

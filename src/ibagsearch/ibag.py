@@ -43,7 +43,7 @@ if TYPE_CHECKING:
 log = logging.getLogger(__name__)
 
 
-@dataclass
+@dataclass(slots=True)
 class IBAGNode:
     p_id: int
     url: str
@@ -115,12 +115,13 @@ class IBAG:
         per-ontology chains and fill the supporter columns: the one place
         that lays the index out.
 
-        ``nodes`` must be dense in p_id; ont_link entries are overwritten here.
+        ``nodes`` must be dense in p_id; each node's ont_link is replaced here.
         """
         nodes = list(nodes)
         ontologies = tuple(ontologies)
         ids = [ont.ontology_id for ont in ontologies]
         id_set = set(ids)
+        lengths = [(ont.ontology_id, ont.t) for ont in ontologies]
         urls: set[str] = set()
         for i, node in enumerate(nodes):
             if node.p_id != i:
@@ -136,43 +137,43 @@ class IBAG:
                 raise ValidationError(f"node {i} parent {node.pp_id} is not earlier in the index")
             if node.level != parent_level + 1:
                 raise ValidationError(f"node {i} level {node.level} does not follow its parent")
-            if set(node.supported) != id_set or set(node.term_vectors) != id_set:
+            vectors = node.term_vectors
+            if node.supported.keys() != id_set or vectors.keys() != id_set:
                 raise ValidationError(f"node {i} per-ontology fields mismatch the ontologies")
             if not any(node.supported.values()):
                 raise ValidationError(f"node {i} supports no ontology")
-            if any(len(node.term_vectors[ont.ontology_id]) != ont.t for ont in ontologies):
-                raise ValidationError(f"node {i} term vector length mismatches its ontology")
+            for ont_id, t in lengths:
+                if len(vectors[ont_id]) != t:
+                    raise ValidationError(f"node {i} term vector length mismatches its ontology")
             if not 0 < node.mean_rel_val < math.inf:
                 raise ValidationError(f"node {i} mean relevance {node.mean_rel_val} not in (0, inf)")
 
+        # the sort key and the column key of every node; a level lists its
+        # nodes by ascending p_id and the sort is stable, so ties keep that order
+        neg_means = [-node.mean_rel_val for node in nodes]
         max_level = max((node.level for node in nodes), default=-1)
         levels: list[list[int]] = [[] for _ in range(max_level + 1)]
         for node in nodes:
             levels[node.level].append(node.p_id)
+            node.ont_link = dict.fromkeys(ids)
         for level in levels:
-            level.sort(key=lambda p: (-nodes[p].mean_rel_val, p))
+            level.sort(key=neg_means.__getitem__)
 
         level_heads: list[dict[int, int | None]] = [dict.fromkeys(ids) for _ in levels]
         columns: dict[int, list[Column]] = {}
         for ont_id in ids:
-            previous: IBAGNode | None = None
+            supports = [node.supported[ont_id] for node in nodes]
+            previous: int | None = None
             columns[ont_id] = []
             for level_index, level in enumerate(levels):
-                p_ids: list[int] = []
-                keys = array("d")
-                for position, p_id in enumerate(level):
-                    node = nodes[p_id]
-                    node.ont_link[ont_id] = None
-                    if not node.supported.get(ont_id):
-                        continue
-                    if level_heads[level_index][ont_id] is None:
-                        level_heads[level_index][ont_id] = position
-                    if previous is not None:
-                        previous.ont_link[ont_id] = p_id
-                    previous = node
-                    p_ids.append(p_id)
-                    keys.append(-node.mean_rel_val)
-                columns[ont_id].append((p_ids, keys))
+                p_ids = [p_id for p_id in level if supports[p_id]]
+                if p_ids:
+                    level_heads[level_index][ont_id] = level.index(p_ids[0])
+                    for p_id in p_ids:
+                        if previous is not None:
+                            nodes[previous].ont_link[ont_id] = p_id
+                        previous = p_id
+                columns[ont_id].append((p_ids, array("d", [neg_means[p] for p in p_ids])))
 
         log.debug("assembled index: %d nodes in %d levels", len(nodes), len(levels))
         return cls(nodes, ontologies, levels, level_heads, columns)
@@ -201,33 +202,30 @@ def build_ibag(rpag: RPaG) -> IBAG:
 
     The single parent is the node's first listed parent. The mean relevance
     value averages the page's relevance over the ontologies it supports
-    (0.0 for none, a node :meth:`IBAG.from_nodes` rejects).
+    (0.0 for none, a node :meth:`IBAG.from_nodes` rejects). A mean that
+    cannot be a float, from an int sum too large for one, becomes ``inf``,
+    which :meth:`IBAG.from_nodes` rejects too.
     """
+    ids = [ont.ontology_id for ont in rpag.ontologies]
     nodes: list[IBAGNode] = []
     for rnode in rpag.nodes:
         pp_id = rnode.pp_ids[0] if rnode.pp_ids else None
         level = 0 if pp_id is None else nodes[pp_id].level + 1
-        supported_values = [
-            rnode.relevance[ont.ontology_id].relevance_value
-            for ont in rpag.ontologies
-            if rnode.relevance[ont.ontology_id].supported
-        ]
+        relevance = rnode.relevance
+        supported: dict[int, bool] = {}
+        term_vectors: dict[int, tuple[float, ...]] = {}
+        supported_values = []
+        for ont_id in ids:
+            _, value, supports, term_vectors[ont_id] = relevance[ont_id]
+            supported[ont_id] = supports
+            if supports:
+                supported_values.append(value)
+        try:
+            mean = sum(supported_values) / max(len(supported_values), 1)
+        except OverflowError:
+            mean = math.inf
         nodes.append(
-            IBAGNode(
-                p_id=rnode.p_id,
-                url=rnode.url,
-                pp_id=pp_id,
-                mean_rel_val=sum(supported_values) / max(len(supported_values), 1),
-                level=level,
-                supported={
-                    ont.ontology_id: rnode.relevance[ont.ontology_id].supported
-                    for ont in rpag.ontologies
-                },
-                term_vectors={
-                    ont.ontology_id: rnode.relevance[ont.ontology_id].term_vector
-                    for ont in rpag.ontologies
-                },
-            )
+            IBAGNode(rnode.p_id, rnode.url, pp_id, mean, level, supported, term_vectors)
         )
     return IBAG.from_nodes(nodes, rpag.ontologies)
 

@@ -76,7 +76,11 @@ class OntologyTerm:
 
 @dataclass(frozen=True)
 class Ontology:
-    """An ordered set of weighted domain terms plus the page-level cutoff."""
+    """An ordered set of weighted domain terms plus the page-level cutoff.
+
+    ``term_limits`` holds each term's cutoff in bit-position order; it is
+    derived from ``terms`` on creation, not a field.
+    """
 
     ontology_id: int
     name: str
@@ -98,6 +102,9 @@ class Ontology:
             names = tuple(p for p in positions if self.terms[p].term == phrase)
             table.setdefault(words[0], []).append((phrase, words, tuple(positions), names))
         object.__setattr__(self, "_phrases", {first: tuple(e) for first, e in table.items()})
+        object.__setattr__(
+            self, "term_limits", tuple(term.term_relevance_limit for term in self.terms)
+        )
 
     @property
     def t(self) -> int:

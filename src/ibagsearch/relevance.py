@@ -11,18 +11,18 @@ phrase by phrase and is the reference the tests compare it against.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .ontology import Ontology, OntologyTerm, count_occurrences
 
 
-@dataclass(frozen=True)
-class PageRelevance:
+class PageRelevance(NamedTuple):
     """One page scored against one ontology.
 
     ``relevance_value`` is forced to zero when the page does not clear the
     cutoff; the per-term vector is kept either way, indexed by bit position.
+    A named tuple, not a frozen dataclass: a build or a load makes one per
+    (page, ontology) pair, and a named tuple is cheaper to build and to hold.
     """
 
     ontology_id: int
@@ -47,12 +47,7 @@ def relevance_from_vector(ontology: Ontology, term_vector: Sequence[float]) -> P
     vector = tuple(term_vector)
     value = sum(vector)
     supported = value > ontology.relevance_limit
-    return PageRelevance(
-        ontology_id=ontology.ontology_id,
-        relevance_value=value if supported else 0.0,
-        supported=supported,
-        term_vector=vector,
-    )
+    return PageRelevance(ontology.ontology_id, value if supported else 0.0, supported, vector)
 
 
 def page_relevance(ontology: Ontology, tokens: Sequence[str]) -> PageRelevance:

@@ -5,6 +5,14 @@ scores every reachable document against every ontology, and keeps a node
 only for documents that support at least one ontology. Links out of
 non-supporting documents are still followed, so relevant pages reachable
 only through irrelevant ones are not lost.
+
+Loading a graph (:meth:`RPaG.from_json_obj`) is one pass over the stored
+nodes. Per node it checks the shape on a fast path of plain type tests,
+and words an error through ``json_field`` only when one fails. It checks
+the facts only the graph holds (:func:`check_node`), then each term vector
+in one loop over its entries, and scores the vector through
+``relevance_from_vector``, as a build scores a page. Every other node fact
+is checked once, later, by ``IBAG.from_nodes``.
 """
 from __future__ import annotations
 
@@ -14,7 +22,7 @@ import logging
 import sys
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 from .corpus import Corpus
 from .errors import ValidationError, json_field
@@ -27,9 +35,10 @@ log = logging.getLogger(__name__)
 MAX_PARENTS = 4
 FORMAT_VERSION = "2"
 _MAX_FLOAT = sys.float_info.max
+_NUMBER_TYPES = (float, int)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RPaGNode:
     """One relevant page: identity, up to four parents, per-ontology scores."""
 
@@ -94,33 +103,38 @@ class RPaG:
         keys = set(by_key)
         nodes = []
         for p_id, raw in enumerate(json_field(obj, "nodes", list, "graph")):
-            where = f"graph node {p_id}"
-            vectors = json_field(raw, "term_vectors", dict, where)
-            pp_ids = json_field(raw, "pp_ids", list, where)
+            # the shapes a saved file has; json_field words the error otherwise
+            if not (
+                type(raw) is dict
+                and type(vectors := raw.get("term_vectors")) is dict
+                and type(pp_ids := raw.get("pp_ids")) is list
+            ):
+                vectors = json_field(raw, "term_vectors", dict, f"graph node {p_id}")
+                pp_ids = json_field(raw, "pp_ids", list, f"graph node {p_id}")
             check_node(p_id, pp_ids, vectors, keys)
             relevance = {}
             for key, ont in by_key.items():
                 vector = vectors[key]
-                # one pass per vector: NaN and infinity fail the comparison, an
-                # int too large for a float compares above the largest float
-                # without being converted, and bool is neither type
-                if not (
-                    isinstance(vector, list)
-                    and all(type(v) in (float, int) and 0 <= v <= _MAX_FLOAT for v in vector)
-                ):
-                    raise ValidationError(
-                        f"{where} term vector {key} must be a list of finite non-negative numbers"
-                    )
+                # NaN and infinity fail the comparison, an int too large for a
+                # float compares above the largest float without being
+                # converted, and bool is neither type
+                if not isinstance(vector, list):
+                    _bad_vector(p_id, key)
+                for v in vector:
+                    if not (type(v) in _NUMBER_TYPES and 0 <= v <= _MAX_FLOAT):
+                        _bad_vector(p_id, key)
                 relevance[ont.ontology_id] = relevance_from_vector(ont, vector)
-            nodes.append(
-                RPaGNode(
-                    p_id=p_id,
-                    url=json_field(raw, "url", str, where),
-                    pp_ids=tuple(pp_ids),
-                    relevance=relevance,
-                )
-            )
+            url = raw.get("url")
+            if type(url) is not str:
+                url = json_field(raw, "url", str, f"graph node {p_id}")
+            nodes.append(RPaGNode(p_id, url, tuple(pp_ids), relevance))
         return RPaG(nodes=nodes, ontologies=ontologies)
+
+
+def _bad_vector(p_id: int, key: str) -> NoReturn:
+    raise ValidationError(
+        f"graph node {p_id} term vector {key} must be a list of finite non-negative numbers"
+    )
 
 
 def check_node(p_id: int, pp_ids: Sequence[object], relevance: dict, ontology_keys: set) -> None:

@@ -35,6 +35,28 @@ def overflow_two_set_entries(index_obj: dict) -> None:
         vector[position] = 1e308
 
 
+def int_sum_too_large_for_float(index_obj: dict) -> None:
+    """Edit a saved index so one page's relevance is an int no float can hold.
+
+    The first term vector with at least two pattern bits set becomes ints:
+    ``10**308`` where a bit is set, 0 elsewhere. Each entry is at most the
+    largest float and the set bits do not change, so the stored patterns
+    still agree, but the vector's sum is an int above the largest float.
+    """
+    limits = {
+        str(ont["ontology_id"]): [t["term_relevance_limit"] for t in ont["terms"]]
+        for ont in index_obj["ontologies"]
+    }
+    vector, positions = next(
+        (vec, set_positions)
+        for raw in index_obj["rpag"]["nodes"]
+        for key, vec in raw["term_vectors"].items()
+        for set_positions in [[p for p, v in enumerate(vec) if v > limits[key][p]]]
+        if len(set_positions) >= 2
+    )
+    vector[:] = [10**308 if p in positions else 0 for p in range(len(vector))]
+
+
 @pytest.fixture(scope="session")
 def bundled_onts() -> tuple[Ontology, ...]:
     return default_ontologies()

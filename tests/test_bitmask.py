@@ -120,7 +120,6 @@ class TestPatternStore:
         ibag = build_ibag(build_rpag(corpus, bundled_onts))
         store = gen_ibag_bit_patterns(ibag, bundled_onts)
         assert len(store) == 0
-        assert store.ontology_ids() == (1, 2, 3)
 
     def test_oversized_pattern_rejected(self):
         with pytest.raises(ValidationError, match="fit"):

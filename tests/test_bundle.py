@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import random
 from collections import Counter
@@ -16,7 +17,12 @@ from ibagsearch import (
     synth_corpus,
 )
 from ibagsearch.bundled import default_queries
-from conftest import make_corpus, overflow_two_set_entries, single_term_ontology
+from conftest import (
+    int_sum_too_large_for_float,
+    make_corpus,
+    overflow_two_set_entries,
+    single_term_ontology,
+)
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +117,24 @@ def _nodes_not_a_list(obj: dict) -> None:
 
 def _int_too_large_for_float(obj: dict) -> None:
     obj["rpag"]["nodes"][0]["term_vectors"]["1"][0] = 10**400
+
+
+def _true_entry(obj: dict) -> None:
+    obj["rpag"]["nodes"][0]["term_vectors"]["1"][0] = True
+
+
+def _null_entry(obj: dict) -> None:
+    obj["rpag"]["nodes"][0]["term_vectors"]["1"][0] = None
+
+
+def _nan_entry(obj: dict) -> None:
+    """Written as JSON ``NaN``, which the parser reads back as a float."""
+    obj["rpag"]["nodes"][0]["term_vectors"]["1"][0] = float("nan")
+
+
+def _nested_list_entry(obj: dict) -> None:
+    vector = obj["rpag"]["nodes"][0]["term_vectors"]["1"]
+    vector[0] = [vector[0]]
 
 
 def _infinite_entry_with_bit_set(obj: dict) -> None:
@@ -217,8 +241,13 @@ class TestValidation:
             _drop_patterns,
             _nodes_not_a_list,
             _int_too_large_for_float,
+            _true_entry,
+            _null_entry,
+            _nan_entry,
+            _nested_list_entry,
             _infinite_entry_with_bit_set,
             overflow_two_set_entries,
+            int_sum_too_large_for_float,
             _duplicate_url,
             _empty_url,
             _five_parents,
@@ -319,6 +348,98 @@ class TestBundleValidate:
         fresh.ibag.nodes[0].mean_rel_val *= 1.0 + 1e-9
         with pytest.raises(ValidationError, match="index nodes"):
             fresh.validate()
+
+
+def reference_layout(bundle: IndexBundle) -> tuple[list[float], list[list[int]]]:
+    """Means and sorted levels restated from the graph's term vectors.
+
+    A page's relevance is its vector's sum, kept when it beats the
+    ontology's limit; the mean averages the kept values in ontology order.
+    A level holds the nodes whose first-parent depth it is, by descending
+    mean, ties by ascending p_id.
+    """
+    means, depths = [], []
+    for node in bundle.rpag.nodes:
+        values = [
+            sum(node.relevance[ont.ontology_id].term_vector)
+            for ont in bundle.ontologies
+            if sum(node.relevance[ont.ontology_id].term_vector) > ont.relevance_limit
+        ]
+        means.append(sum(values) / len(values))
+        depths.append(depths[node.pp_ids[0]] + 1 if node.pp_ids else 0)
+    levels = [
+        sorted((p for p, d in enumerate(depths) if d == depth), key=lambda p: (-means[p], p))
+        for depth in range(max(depths, default=-1) + 1)
+    ]
+    return means, levels
+
+
+# (seed, documents): the 400-document corpus is the largest
+DIFFERENTIAL_CORPORA = [
+    (41, 30), (42, 55), (43, 80), (44, 110), (45, 150),
+    (46, 190), (47, 240), (48, 290), (49, 340), (50, 400),
+]
+
+
+class TestLoadMatchesBuild:
+    """A load runs the same per-node path as a build, from the file's
+    vectors: it must give back every structure the build made, and both
+    must lay the index out as the graph's vectors say."""
+
+    def assert_load_matches_build(self, built: IndexBundle, path: Path) -> None:
+        built.save(path)
+        loaded = IndexBundle.load(path)
+        assert loaded.ontologies == built.ontologies
+        assert len(loaded.rpag.nodes) == len(built.rpag.nodes)
+        for got, want in zip(loaded.rpag.nodes, built.rpag.nodes):
+            assert (got.p_id, got.url, got.pp_ids) == (want.p_id, want.url, want.pp_ids)
+            assert got.relevance.keys() == want.relevance.keys()
+            for ont_id, rel in want.relevance.items():
+                for field in rel._fields:
+                    assert getattr(got.relevance[ont_id], field) == getattr(rel, field), field
+                assert type(got.relevance[ont_id].term_vector) is tuple
+        assert loaded.ibag.nodes == built.ibag.nodes
+        assert loaded.ibag.levels == built.ibag.levels
+        assert loaded.ibag.level_heads == built.ibag.level_heads
+        assert loaded.ibag.columns == built.ibag.columns
+        for ont in built.ontologies:
+            assert loaded.patterns.bits_for_ontology(ont.ontology_id) == (
+                built.patterns.bits_for_ontology(ont.ontology_id)
+            )
+        assert loaded.canonical_bytes() == path.read_bytes()
+
+        means, levels = reference_layout(built)
+        assert [node.mean_rel_val for node in built.ibag.nodes] == means
+        assert built.ibag.levels == levels
+
+    @pytest.mark.parametrize("seed, docs", DIFFERENTIAL_CORPORA)
+    def test_seeded_corpus(self, bundled_onts, tmp_path, seed, docs):
+        built = IndexBundle.build(synth_corpus(seed, docs, bundled_onts), bundled_onts)
+        self.assert_load_matches_build(built, tmp_path / "index.json")
+
+    def test_empty_index(self, tmp_path):
+        corpus = make_corpus([("a", [], "nothing relevant")])
+        built = IndexBundle.build(corpus, [single_term_ontology("topic")])
+        assert len(built.rpag) == 0
+        self.assert_load_matches_build(built, tmp_path / "index.json")
+
+    def test_load_leaves_the_collector_as_it_found_it(self, bundle, tmp_path):
+        path = tmp_path / "index.json"
+        bundle.save(path)
+        assert gc.isenabled()
+        IndexBundle.load(path)
+        assert gc.isenabled()
+        path.write_text("not json", encoding="utf-8")
+        with pytest.raises(ValidationError):
+            IndexBundle.load(path)
+        assert gc.isenabled()
+        gc.disable()
+        try:
+            path.write_bytes(bundle.canonical_bytes())
+            IndexBundle.load(path)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
 
 class TestAtomicSave:

@@ -8,7 +8,7 @@ import pytest
 from ibagsearch import IndexBundle, synth_corpus
 from ibagsearch.bundled import default_ontologies
 from ibagsearch.cli import main
-from conftest import overflow_two_set_entries
+from conftest import int_sum_too_large_for_float, overflow_two_set_entries
 
 
 def write_corpus(path, records):
@@ -166,6 +166,7 @@ class TestQuery:
             "int_too_large_for_float",
             "infinity",
             "sum_overflows",
+            "int_sum_too_large_for_float",
             "duplicate_url",
             "all_zero_vectors",
         ],
@@ -184,6 +185,12 @@ class TestQuery:
             IndexBundle.build(synth_corpus(3, 60, onts), onts).save(built_index)
             obj = json.loads(built_index.read_text(encoding="utf-8"))
             overflow_two_set_entries(obj)
+        elif tamper == "int_sum_too_large_for_float":
+            # doc-00000's ontology-1 vector becomes [0, 0, 10**308, 0, 10**308]
+            onts = default_ontologies()
+            IndexBundle.build(synth_corpus(3, 60, onts), onts).save(built_index)
+            obj = json.loads(built_index.read_text(encoding="utf-8"))
+            int_sum_too_large_for_float(obj)
         elif tamper == "duplicate_url":
             obj["rpag"]["nodes"][1]["url"] = obj["rpag"]["nodes"][0]["url"]
         elif tamper == "all_zero_vectors":
