@@ -187,7 +187,7 @@ def gen_ibag_bit_patterns(ibag: IBAG, ontologies: Sequence[Ontology]) -> Pattern
     store = PatternStore()
     for ontology in ontologies:
         ont_id = ontology.ontology_id
-        bits_by_p_id = [_page_bits(node.term_vectors[ont_id], ontology) for node in ibag.nodes]
+        bits_by_p_id = [_page_bits(n.relevance[ont_id].term_vector, ontology) for n in ibag.nodes]
         store.add_ontology(ont_id, ontology.t, bits_by_p_id)
     return store
 

@@ -13,9 +13,10 @@ over the nodes per step, and checks each fact of a node once:
 - ``RPaG.from_json_obj`` checks the node's shape, its parents and ontology
   keys (``rpag.check_node``) and each term vector's entries, and scores
   each vector through ``relevance_from_vector``;
-- ``build_ibag`` averages the supported scores into the node's mean, and
-  ``IBAG.from_nodes`` checks every other node fact (urls, levels, support,
-  vector lengths, a positive finite mean) as it lays the index out;
+- ``build_ibag`` gives each index node its graph node's scores, the same
+  dict and not a copy, and averages the supported ones into the node's
+  mean; ``IBAG.from_nodes`` checks every other node fact (urls, levels,
+  support, vector lengths, a positive finite mean) as it lays the index out;
 - ``gen_ibag_bit_patterns`` derives the patterns, which must equal the
   stored ones.
 """

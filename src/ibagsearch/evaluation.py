@@ -10,16 +10,12 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .bitmask import (
-    BitPattern,
-    PatternStore,
-    gen_ibag_bit_patterns,
-    gen_mask_bit_pattern,
-)
+from .bitmask import BitPattern, PatternStore, gen_mask_bit_pattern
+from .bundle import IndexBundle
 from .corpus import GenerationConfig, synth_corpus
-from .ibag import IBAG, IBAGNode, build_ibag, select_columns
+from .ibag import IBAG, IBAGNode, select_columns
 from .ontology import Ontology, OntologyTerm
-from .rpag import build_rpag
+from .relevance import PageRelevance
 from .search import (
     AFTER_MASKING,
     BEFORE_MASKING,
@@ -72,7 +68,7 @@ def _harvest_report(
     positions = mask.positions()
 
     def score(node: IBAGNode) -> float:
-        vector = node.term_vectors[mask.ontology_id]
+        vector = node.relevance[mask.ontology_id].term_vector
         return sum(vector[p] for p in positions)
 
     t_rel_sw = statistics.fmean(score(n) for n in selected_pages) if selected_pages else None
@@ -310,12 +306,12 @@ def run_benchmark(
     rows: list[BenchRow] = []
     for size in sizes:
         corpus = synth_corpus(rng_seed * 1_000_003 + size, size, ontologies, gen_config)
-        rpag = build_rpag(corpus, ontologies)
-        ibag = build_ibag(rpag)
-        patterns = gen_ibag_bit_patterns(ibag, ontologies)
-        runs = evaluate_index(ibag, patterns, queries, repeats=repeats, use_synonyms=use_synonyms)
+        bundle = IndexBundle.build(corpus, ontologies)
+        runs = evaluate_index(
+            bundle.ibag, bundle.patterns, queries, repeats=repeats, use_synonyms=use_synonyms
+        )
         rows.extend(aggregate_runs(size, runs))
-        log.info("benchmarked size %d: %d index pages", size, len(ibag))
+        log.info("benchmarked size %d: %d index pages", size, len(bundle.ibag))
     # a run's term count depends only on its query, so every size gives the same diagnostics
     return BenchReport.from_runs(rng_seed, rows, runs)
 
@@ -350,8 +346,7 @@ def traversal_cost_check(m_levels: int, pages_per_level: int) -> float:
                     pp_id=parent,
                     mean_rel_val=float(pages_per_level - i),
                     level=level,
-                    supported={1: True},
-                    term_vectors={1: (1.0,)},
+                    relevance={1: PageRelevance(1, 1.0, True, (1.0,))},
                 )
             )
     ibag = IBAG.from_nodes(nodes, (probe,))
@@ -422,19 +417,17 @@ def hr_direction_experiment(
         k = ks[i % len(ks)]
 
         corpus = synth_corpus(corpus_seed, n_docs, ontologies, gen_config)
-        rpag = build_rpag(corpus, ontologies)
-        if not rpag.nodes:
+        bundle = IndexBundle.build(corpus, ontologies)
+        bounds = bundle.ibag.mean_value_bounds()
+        if bounds is None:
             continue
-        ibag = build_ibag(rpag)
-        patterns = gen_ibag_bit_patterns(ibag, ontologies)
-        bounds = ibag.mean_value_bounds()
         query = Query(
             search_string=search_string,
             ontology_id=ontology.ontology_id,
             relevance_range=bounds,
             result_limit=k,
         )
-        modes = compare_modes(query, ibag, patterns)
+        modes = compare_modes(query, bundle.ibag, bundle.patterns)
         hr_before, hr_after = modes.before.hr, modes.after.hr
         if not modes.after_count or hr_before is None or hr_after is None:
             continue

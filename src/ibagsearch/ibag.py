@@ -1,13 +1,14 @@
 """Leveled single-parent index generated from the relevance page graph.
 
-Every node keeps the p_id it had in the source graph and exactly one
-parent (the first of its listed parents). A node's level is its depth in
-that parent tree. Within a level, nodes are sorted by mean relevance
-value, highest first, ties broken by ascending p_id. Per ontology, a link
-chain threads all supporting nodes in traversal order (level by level,
-sorted within level), and every level stores the position of its first
-supporting node, so a traversal can enter a level directly and walk only
-the pages that belong to the queried domain.
+Every node keeps the p_id it had in the source graph, exactly one parent
+(the first of its listed parents) and its graph node's per-ontology scores:
+the same dict, not a copy. A node's level is its depth in that parent tree.
+Within a level, nodes are sorted by mean relevance value, highest first,
+ties broken by ascending p_id. Per ontology, a link chain threads all
+supporting nodes in traversal order (level by level, sorted within level),
+and every level stores the position of its first supporting node, so a
+traversal can enter a level directly and walk only the pages that belong
+to the queried domain.
 
 Queries do not walk the chains. Per ontology and level, the index also
 keeps two parallel columns over that level's supporters in level order:
@@ -36,6 +37,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .errors import ValidationError
 from .ontology import Ontology
+from .relevance import PageRelevance
 
 if TYPE_CHECKING:
     from .rpag import RPaG
@@ -50,9 +52,18 @@ class IBAGNode:
     pp_id: int | None
     mean_rel_val: float
     level: int
-    supported: dict[int, bool]
-    term_vectors: dict[int, tuple[float, ...]]
+    relevance: dict[int, PageRelevance]
     ont_link: dict[int, int | None] = field(default_factory=dict)
+
+    @property
+    def supported(self) -> dict[int, bool]:
+        """Support per ontology id, built from ``relevance`` on each read."""
+        return {ont_id: rel.supported for ont_id, rel in self.relevance.items()}
+
+    @property
+    def term_vectors(self) -> dict[int, tuple[float, ...]]:
+        """Term vector per ontology id, built from ``relevance`` on each read."""
+        return {ont_id: rel.term_vector for ont_id, rel in self.relevance.items()}
 
 
 # one level's supporters of one ontology, in level order: their p_ids and
@@ -137,13 +148,13 @@ class IBAG:
                 raise ValidationError(f"node {i} parent {node.pp_id} is not earlier in the index")
             if node.level != parent_level + 1:
                 raise ValidationError(f"node {i} level {node.level} does not follow its parent")
-            vectors = node.term_vectors
-            if node.supported.keys() != id_set or vectors.keys() != id_set:
+            relevance = node.relevance
+            if relevance.keys() != id_set:
                 raise ValidationError(f"node {i} per-ontology fields mismatch the ontologies")
-            if not any(node.supported.values()):
+            if not any(rel.supported for rel in relevance.values()):
                 raise ValidationError(f"node {i} supports no ontology")
             for ont_id, t in lengths:
-                if len(vectors[ont_id]) != t:
+                if len(relevance[ont_id].term_vector) != t:
                     raise ValidationError(f"node {i} term vector length mismatches its ontology")
             if not 0 < node.mean_rel_val < math.inf:
                 raise ValidationError(f"node {i} mean relevance {node.mean_rel_val} not in (0, inf)")
@@ -162,7 +173,7 @@ class IBAG:
         level_heads: list[dict[int, int | None]] = [dict.fromkeys(ids) for _ in levels]
         columns: dict[int, list[Column]] = {}
         for ont_id in ids:
-            supports = [node.supported[ont_id] for node in nodes]
+            supports = [node.relevance[ont_id].supported for node in nodes]
             previous: int | None = None
             columns[ont_id] = []
             for level_index, level in enumerate(levels):
@@ -212,21 +223,13 @@ def build_ibag(rpag: RPaG) -> IBAG:
         pp_id = rnode.pp_ids[0] if rnode.pp_ids else None
         level = 0 if pp_id is None else nodes[pp_id].level + 1
         relevance = rnode.relevance
-        supported: dict[int, bool] = {}
-        term_vectors: dict[int, tuple[float, ...]] = {}
-        supported_values = []
-        for ont_id in ids:
-            _, value, supports, term_vectors[ont_id] = relevance[ont_id]
-            supported[ont_id] = supports
-            if supports:
-                supported_values.append(value)
+        # in ontology order, not dict order, so the float sum is fixed
+        values = [rel.relevance_value for rel in map(relevance.__getitem__, ids) if rel.supported]
         try:
-            mean = sum(supported_values) / max(len(supported_values), 1)
+            mean = sum(values) / max(len(values), 1)
         except OverflowError:
             mean = math.inf
-        nodes.append(
-            IBAGNode(rnode.p_id, rnode.url, pp_id, mean, level, supported, term_vectors)
-        )
+        nodes.append(IBAGNode(rnode.p_id, rnode.url, pp_id, mean, level, relevance))
     return IBAG.from_nodes(nodes, rpag.ontologies)
 
 

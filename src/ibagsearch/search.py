@@ -57,6 +57,9 @@ class Query:
     result_limit: int = 20
 
     def __post_init__(self) -> None:
+        for name, value in (("ontology_id", self.ontology_id), ("result_limit", self.result_limit)):
+            if type(value) is not int:  # a float would slice wrongly, a bool is not a count
+                raise ValueError(f"{name} must be an int, got {value!r}")
         lo, hi = self.relevance_range
         if math.isnan(lo) or math.isnan(hi):
             raise ValueError(f"relevance range [{lo}, {hi}] has NaN bounds")

@@ -407,6 +407,10 @@ class TestLoadMatchesBuild:
                 built.patterns.bits_for_ontology(ont.ontology_id)
             )
         assert loaded.canonical_bytes() == path.read_bytes()
+        # an index node holds its graph node's scores, not a copy
+        for bundle in (built, loaded):
+            for inode, rnode in zip(bundle.ibag.nodes, bundle.rpag.nodes, strict=True):
+                assert inode.relevance is rnode.relevance
 
         means, levels = reference_layout(built)
         assert [node.mean_rel_val for node in built.ibag.nodes] == means

@@ -8,6 +8,7 @@ import pytest
 from ibagsearch import (
     IBAG,
     IBAGNode,
+    PageRelevance,
     Query,
     build_ibag,
     build_rpag,
@@ -45,8 +46,7 @@ def flat_index(scores: list[float], means: list[float] | None = None) -> IBAG:
             pp_id=None,
             mean_rel_val=means[i],
             level=0,
-            supported={1: True},
-            term_vectors={1: (score,)},
+            relevance={1: PageRelevance(1, score, True, (score,))},
         )
         for i, score in enumerate(scores)
     ]

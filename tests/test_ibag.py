@@ -255,8 +255,10 @@ def chain_nodes() -> list[IBAGNode]:
             pp_id=None if i == 0 else i - 1,
             mean_rel_val=1.0 + i,
             level=i,
-            supported={1: True, 2: i > 0},
-            term_vectors={1: (1.0,), 2: (float(i),)},
+            relevance={
+                1: PageRelevance(1, 1.0, True, (1.0,)),
+                2: PageRelevance(2, float(i), i > 0, (float(i),)),
+            },
         )
         for i in range(3)
     ]
@@ -271,7 +273,7 @@ def _set(p_id: int, **changes):
 
 
 def _drop_ontology_key(nodes: list[IBAGNode]) -> None:
-    del nodes[1].supported[2]
+    del nodes[1].relevance[2]
 
 
 class TestFromNodesRejects:
@@ -292,8 +294,20 @@ class TestFromNodesRejects:
             (_set(0, mean_rel_val=math.nan), "mean"),
             (_set(0, mean_rel_val=math.inf), "mean"),
             (_drop_ontology_key, "per-ontology"),
-            (_set(0, supported={1: False, 2: False}), "supports no"),
-            (_set(0, term_vectors={1: (1.0, 1.0), 2: (0.0,)}), "length"),
+            (
+                _set(0, relevance={
+                    1: PageRelevance(1, 0.0, False, (1.0,)),
+                    2: PageRelevance(2, 0.0, False, (0.0,)),
+                }),
+                "supports no",
+            ),
+            (
+                _set(0, relevance={
+                    1: PageRelevance(1, 2.0, True, (1.0, 1.0)),
+                    2: PageRelevance(2, 0.0, False, (0.0,)),
+                }),
+                "length",
+            ),
         ],
         ids=[
             "duplicate-url",

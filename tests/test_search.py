@@ -48,6 +48,23 @@ class TestQueryValidation:
         with pytest.raises(ValueError):
             Query("x", 1, result_limit=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("result_limit", 2.5),
+            ("result_limit", 3.0),
+            ("result_limit", "3"),
+            ("result_limit", True),
+            ("result_limit", None),
+            ("ontology_id", 1.0),
+            ("ontology_id", "1"),
+            ("ontology_id", True),
+        ],
+    )
+    def test_non_int_limit_or_ontology_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an int"):
+            Query("cricket", **{"ontology_id": 1, field: value})
+
     def test_defaults(self):
         query = Query("cricket", 1)
         assert query.relevance_range == (0.0, math.inf)
