@@ -5,7 +5,8 @@ packed into a single machine integer so XOR and AND run over whole words.
 Bit position 0 is the most significant bit, matching the left-to-right
 string and hex renderings. Page patterns, query masks and their XOR are all
 :class:`BitPattern`. A query mask comes from the ontology's phrase table,
-through the same scan (:meth:`Ontology.count_terms`) that scores pages.
+through the scan loop that also scores pages (:meth:`Ontology.count_terms`,
+which runs ``ontology.PhraseTable.count``).
 
 The XOR test (:func:`mask_match`, :func:`find_predicted_webpage_list`) is
 the paper's filter and the reference; queries test ``page & mask`` inline

@@ -6,9 +6,13 @@ keeps the bit patterns, as a checksum. Serialization is canonical (sorted
 keys, fixed separators), so saving a loaded bundle reproduces the file byte
 for byte.
 
-A load parses the file with the cyclic garbage collector paused, then
-rebuilds every derived structure through the code a build runs, one pass
-over the nodes per step, and checks each fact of a node once:
+A build, the serialization inside a save and a load each run with the
+cyclic garbage collector paused (``collector.collector_paused``): they make
+many objects and no reference cycles.
+
+A load parses the file, then rebuilds every derived structure through the
+code a build runs, one pass over the nodes per step, and checks each fact
+of a node once:
 
 - ``RPaG.from_json_obj`` checks the node's shape, its parents and ontology
   keys (``rpag.check_node``) and each term vector's entries, and scores
@@ -22,7 +26,6 @@ over the nodes per step, and checks each fact of a node once:
 """
 from __future__ import annotations
 
-import gc
 import json
 import logging
 import os
@@ -31,6 +34,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .bitmask import PatternStore, gen_ibag_bit_patterns
+from .collector import collector_paused
 from .corpus import Corpus
 from .errors import ValidationError, json_field
 from .ibag import IBAG, build_ibag
@@ -51,9 +55,11 @@ class IndexBundle:
 
     @classmethod
     def build(cls, corpus: Corpus, ontologies: Sequence[Ontology]) -> "IndexBundle":
-        rpag = build_rpag(corpus, ontologies)
-        ibag = build_ibag(rpag)
-        patterns = gen_ibag_bit_patterns(ibag, rpag.ontologies)
+        """Crawl, lay out and derive the patterns, with the collector paused."""
+        with collector_paused():
+            rpag = build_rpag(corpus, ontologies)
+            ibag = build_ibag(rpag)
+            patterns = gen_ibag_bit_patterns(ibag, rpag.ontologies)
         return cls(ontologies=rpag.ontologies, rpag=rpag, ibag=ibag, patterns=patterns)
 
     def validate(self) -> None:
@@ -105,12 +111,15 @@ class IndexBundle:
         return (text + "\n").encode("utf-8")
 
     def save(self, path: str | Path) -> None:
-        """Write through a temp file in the same directory, then rename over
-        ``path``, so a failed write leaves any previous index intact."""
+        """Serialize with the collector paused, then write through a temp
+        file in the same directory and rename it over ``path``, so a failed
+        write leaves any previous index intact."""
         path = Path(path)
+        with collector_paused():
+            data = self.canonical_bytes()
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         try:
-            tmp.write_bytes(self.canonical_bytes())
+            tmp.write_bytes(data)
             os.replace(tmp, path)
         finally:
             tmp.unlink(missing_ok=True)  # already gone after a successful rename
@@ -118,20 +127,15 @@ class IndexBundle:
 
     @staticmethod
     def load(path: str | Path) -> "IndexBundle":
-        """Parse and decode ``path`` with the cyclic garbage collector paused.
-
-        A load allocates several containers per node and keeps them all; the
-        collector would rescan them again and again as they pile up and find
-        no garbage, since nothing a load builds forms a cycle."""
+        """Parse and decode ``path`` with the cyclic garbage collector paused."""
         raw = Path(path).read_bytes()
-        collecting = gc.isenabled()
-        gc.disable()
-        try:
+        with collector_paused():
             try:
                 obj = json.loads(raw.decode("utf-8"))
             except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON, deep nesting
                 raise ValidationError(f"{path}: not a valid index file: {exc}") from None
-            return IndexBundle.from_json_obj(obj)
-        finally:
-            if collecting:
-                gc.enable()
+            bundle = IndexBundle.from_json_obj(obj)
+            # free the parsed file before the collector resumes, or its first
+            # pass, which any allocation may start, scans every object of it
+            del obj
+        return bundle

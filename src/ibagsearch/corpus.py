@@ -1,4 +1,9 @@
-"""Local document corpus with an explicit link graph, plus a synthetic generator."""
+"""Local document corpus with an explicit link graph, plus a synthetic generator.
+
+:func:`load_corpus` reads the file with the cyclic garbage collector paused
+(``collector.collector_paused``): it keeps every record it decodes and
+makes no reference cycles.
+"""
 from __future__ import annotations
 
 import json
@@ -7,6 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
+from .collector import collector_paused
 from .errors import ParseError, ValidationError
 from .ontology import Ontology
 
@@ -41,7 +47,7 @@ def load_corpus(path: str | Path, seeds: Sequence[str] | None = None) -> Corpus:
     """
     path = Path(path)
     docs: dict[str, CorpusDoc] = {}
-    with path.open("r", encoding="utf-8") as fh:
+    with path.open("r", encoding="utf-8") as fh, collector_paused():
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

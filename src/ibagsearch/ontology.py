@@ -4,30 +4,51 @@ An ontology is an ordered list of weighted domain terms. Each term may
 carry synonyms and a per-term relevance cutoff; the list order fixes the
 bit position the term occupies in page and query bit patterns.
 
-Each ontology builds one phrase table when it is created. It maps the first
-word of every term name and synonym to the phrase's words and to the bit
-positions of the terms the phrase stands for. :meth:`Ontology.count_terms`
-scans a token list through it once; page scoring and query masks both count
-through that scan. :func:`count_occurrences` is the per-phrase reference.
+:func:`normalize_text` lowercases a text and strips its tags, then splits
+an ASCII text through a 256-byte table that turns every byte outside
+``[0-9a-z]`` into a space; other text goes through a regular expression,
+the reference for both.
+
+Each ontology builds one phrase table (:class:`PhraseTable`) when it is
+created. It maps the first word of every term name and synonym to the
+phrase's words and to the bit positions of the terms the phrase stands for.
+:meth:`PhraseTable.merge` derives one table for several ontologies from
+their tables, each ontology's positions after those of the ones before it.
+:meth:`PhraseTable.count` is the one scan loop: through an ontology's own
+table it serves :meth:`Ontology.count_terms` (query masks, and
+``relevance.page_relevance``), and through a merged table it counts the
+terms of every ontology in one scan of a crawled page.
+:func:`count_occurrences` is the per-phrase reference.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ParseError, ValidationError, check_kind, json_field
 
 _TAG_RE = re.compile(r"<[^>]*>")
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
+# maps every byte outside [0-9a-z] to a space, so that splitting an ASCII
+# text on spaces gives the tokens _TOKEN_RE finds in it
+_TOKEN_BYTES = bytes(b if 48 <= b <= 57 or 97 <= b <= 122 else 32 for b in range(256))
 
 
 def normalize_text(raw: str) -> list[str]:
-    """Tokenize free text: strip markup tags, lowercase, split on punctuation."""
+    """Tokenize free text: strip markup tags, lowercase, split on punctuation.
+
+    The tokens are the runs of ``[a-z0-9]`` in the lowercased, tag-stripped
+    text. An ASCII text is split through a byte table, in C; any other text
+    through ``_TOKEN_RE``, the reference for both.
+    """
     text = raw.lower()
     if "<" in text:  # most text has no markup; skip the tag pass for it
         text = _TAG_RE.sub(" ", text)
+    if text.isascii():
+        return text.encode().translate(_TOKEN_BYTES).decode().split()
     return _TOKEN_RE.findall(text)
 
 
@@ -59,6 +80,86 @@ def count_occurrences(tokens: Sequence[str], phrase: str) -> int:
     return count
 
 
+class PhraseTable:
+    """Every phrase of one or more ontologies, keyed by its first word.
+
+    An entry holds the phrase, its words, the positions of the terms the
+    phrase names or is a synonym of, and the positions of the terms it
+    names; a phrase may be one term's name and another term's synonym. A
+    table merged from several ontologies (:meth:`merge`) numbers the
+    positions of each ontology after those of the ones before it, and holds
+    one entry for a phrase that several of them share.
+    """
+
+    __slots__ = ("entries", "width")
+
+    def __init__(self, rows: Iterable[tuple[str, Sequence[int], Sequence[int]]], width: int):
+        """``rows`` are (phrase, positions, name positions); a phrase may repeat."""
+        owners: dict[str, tuple[list[int], list[int]]] = {}
+        for phrase, positions, names in rows:
+            merged_positions, merged_names = owners.setdefault(phrase, ([], []))
+            merged_positions += positions
+            merged_names += names
+        entries: dict[str, list] = {}
+        for phrase, (positions, names) in owners.items():
+            words = phrase.split(" ")
+            entries.setdefault(words[0], []).append(
+                (phrase, words, len(words), tuple(positions), tuple(names))
+            )
+        self.entries = {first: tuple(e) for first, e in entries.items()}
+        self.width = width
+
+    @classmethod
+    def of_terms(cls, terms: Sequence["OntologyTerm"]) -> "PhraseTable":
+        return cls(
+            (
+                (phrase, (term.bit_position,), (term.bit_position,) if phrase == term.term else ())
+                for term in terms
+                for phrase in term.phrases()
+            ),
+            len(terms),
+        )
+
+    @classmethod
+    def merge(cls, tables: Sequence["PhraseTable"]) -> "PhraseTable":
+        offsets = list(accumulate((table.width for table in tables), initial=0))
+        return cls(
+            (
+                (phrase, [p + offset for p in positions], [p + offset for p in names])
+                for table, offset in zip(tables, offsets)
+                for entries in table.entries.values()
+                for phrase, _, _, positions, names in entries
+            ),
+            offsets[-1],
+        )
+
+    def count(self, tokens: list[str], use_synonyms: bool = True) -> list[int]:
+        """Occurrences of each term in ``tokens``, indexed by position.
+
+        One scan of the tokens serves every phrase. Each phrase matches
+        greedily left to right and never overlaps itself, as
+        :func:`count_occurrences` counts it; different phrases may overlap.
+        A match counts for the term the phrase names and, with
+        ``use_synonyms``, for the term it is a synonym of. ``tokens`` must be
+        a list: a slice of any other sequence never equals a phrase's words.
+        """
+        counts = [0] * self.width
+        entries = self.entries
+        next_at: dict[str, int] = {}
+        for i, tok in enumerate(tokens):
+            if tok not in entries:
+                continue
+            for phrase, words, size, positions, names in entries[tok]:
+                if size > 1:  # a one-word phrase cannot overlap itself
+                    end = i + size
+                    if next_at.get(phrase, 0) > i or tokens[i:end] != words:
+                        continue
+                    next_at[phrase] = end
+                for position in positions if use_synonyms else names:
+                    counts[position] += 1
+        return counts
+
+
 @dataclass(frozen=True)
 class OntologyTerm:
     """One weighted domain term with its synonyms and per-term cutoff."""
@@ -78,8 +179,9 @@ class OntologyTerm:
 class Ontology:
     """An ordered set of weighted domain terms plus the page-level cutoff.
 
-    ``term_limits`` holds each term's cutoff in bit-position order; it is
-    derived from ``terms`` on creation, not a field.
+    ``phrase_table`` (:class:`PhraseTable`) and ``term_limits``, each term's
+    cutoff in bit-position order, are derived from ``terms`` on creation;
+    they are not fields.
     """
 
     ontology_id: int
@@ -89,19 +191,7 @@ class Ontology:
 
     def __post_init__(self) -> None:
         self.validate()
-        # the phrase table: first word -> (phrase, its words, positions of the
-        # terms it names or is a synonym of, positions of the terms it names);
-        # a phrase may be one term's name and another term's synonym
-        owners: dict[str, list[int]] = {}
-        for term in self.terms:
-            for phrase in term.phrases():
-                owners.setdefault(phrase, []).append(term.bit_position)
-        table: dict[str, list] = {}
-        for phrase, positions in owners.items():
-            words = phrase.split(" ")
-            names = tuple(p for p in positions if self.terms[p].term == phrase)
-            table.setdefault(words[0], []).append((phrase, words, tuple(positions), names))
-        object.__setattr__(self, "_phrases", {first: tuple(e) for first, e in table.items()})
+        object.__setattr__(self, "phrase_table", PhraseTable.of_terms(self.terms))
         object.__setattr__(
             self, "term_limits", tuple(term.term_relevance_limit for term in self.terms)
         )
@@ -156,30 +246,9 @@ class Ontology:
                 syn_owner[syn] = term.term
 
     def count_terms(self, tokens: list[str], use_synonyms: bool = True) -> list[int]:
-        """Occurrences of each term in ``tokens``, indexed by bit position.
-
-        One scan of the tokens through the phrase table serves every phrase.
-        Each phrase matches greedily left to right and never overlaps itself,
-        as :func:`count_occurrences` counts it; different phrases may overlap.
-        A match counts for the term the phrase names and, with
-        ``use_synonyms``, for the term it is a synonym of. ``tokens`` must be
-        a list: a slice of any other sequence never equals a phrase's words.
-        """
-        counts = [0] * len(self.terms)
-        next_at: dict[str, int] = {}
-        table = self._phrases
-        for i, tok in enumerate(tokens):
-            if tok not in table:
-                continue
-            for phrase, words, positions, names in table[tok]:
-                if len(words) > 1:  # a one-word phrase cannot overlap itself
-                    end = i + len(words)
-                    if next_at.get(phrase, 0) > i or tokens[i:end] != words:
-                        continue
-                    next_at[phrase] = end
-                for position in positions if use_synonyms else names:
-                    counts[position] += 1
-        return counts
+        """Occurrences of each term in ``tokens``, indexed by bit position:
+        one scan of the tokens through the phrase table (:meth:`PhraseTable.count`)."""
+        return self.phrase_table.count(tokens, use_synonyms)
 
     def to_json_obj(self) -> dict:
         return {

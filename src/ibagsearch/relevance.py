@@ -6,7 +6,11 @@ every term; the page supports the ontology only when that sum strictly
 exceeds the ontology's relevance limit.
 
 :func:`page_relevance` counts every term through the ontology's phrase
-table in one scan of the page; :func:`term_relevance_value` counts one term
+table in one scan of the page, or takes the counts from a scan the caller
+has made already: a crawl counts the terms of all its ontologies in one
+scan of the page, through their tables merged into one. Either way each
+term's value is its weight times its count, and the page is scored through
+:func:`relevance_from_vector`. :func:`term_relevance_value` counts one term
 phrase by phrase and is the reference the tests compare it against.
 """
 from __future__ import annotations
@@ -50,9 +54,16 @@ def relevance_from_vector(ontology: Ontology, term_vector: Sequence[float]) -> P
     return PageRelevance(ontology.ontology_id, value if supported else 0.0, supported, vector)
 
 
-def page_relevance(ontology: Ontology, tokens: Sequence[str]) -> PageRelevance:
-    """Score a tokenized page against every term of the ontology."""
-    counts = ontology.count_terms(tokens if isinstance(tokens, list) else list(tokens))
+def page_relevance(
+    ontology: Ontology, tokens: Sequence[str], counts: Sequence[int] | None = None
+) -> PageRelevance:
+    """Score a tokenized page against every term of the ontology.
+
+    ``counts``, when given, are the occurrences of each term in ``tokens``,
+    indexed by bit position, as :meth:`Ontology.count_terms` gives them.
+    """
+    if counts is None:
+        counts = ontology.count_terms(tokens if isinstance(tokens, list) else list(tokens))
     return relevance_from_vector(
         ontology, [term.weight * n for term, n in zip(ontology.terms, counts)]
     )

@@ -1,10 +1,13 @@
 """Relevance page graph: the crawl-order repository of relevant pages.
 
 The builder walks the corpus link graph breadth-first from the seeds,
-scores every reachable document against every ontology, and keeps a node
-only for documents that support at least one ontology. Links out of
-non-supporting documents are still followed, so relevant pages reachable
-only through irrelevant ones are not lost.
+tokenizes every reachable document once, counts the terms of every
+ontology in one scan of it through their phrase tables merged into one
+(``PhraseTable.merge``), scores each ontology's slice of the counts through
+``page_relevance``, and keeps a node only for documents that support at
+least one ontology. Links out of non-supporting documents are still
+followed, so relevant pages reachable only through irrelevant ones are not
+lost.
 
 Loading a graph (:meth:`RPaG.from_json_obj`) is one pass over the stored
 nodes. Per node it checks the shape on a fast path of plain type tests,
@@ -22,12 +25,13 @@ import logging
 import sys
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import NoReturn, Sequence
 
 from .corpus import Corpus
 from .errors import ValidationError, json_field
 from .ibag import build_ibag
-from .ontology import Ontology, normalize_text
+from .ontology import Ontology, PhraseTable, normalize_text
 from .relevance import PageRelevance, page_relevance, relevance_from_vector
 
 log = logging.getLogger(__name__)
@@ -185,6 +189,11 @@ def build_rpag(corpus: Corpus, ontologies: Sequence[Ontology]) -> RPaG:
             discovered.add(seed)
             queue.append(seed)
     processed: set[str] = set()
+    # one scan of a page counts the terms of every ontology; each ontology
+    # scores its own slice of the counts
+    count_terms = PhraseTable.merge([ont.phrase_table for ont in ontologies]).count
+    ends = accumulate(ont.t for ont in ontologies)
+    slices = [(ont, end - ont.t, end) for ont, end in zip(ontologies, ends)]
     pending_parents: dict[str, list[int]] = {}
     nodes: list[RPaGNode] = []
 
@@ -193,7 +202,10 @@ def build_rpag(corpus: Corpus, ontologies: Sequence[Ontology]) -> RPaG:
         processed.add(url)
         doc = corpus.docs[url]
         tokens = normalize_text(doc.text)
-        relevance = {ont.ontology_id: page_relevance(ont, tokens) for ont in ontologies}
+        counts = count_terms(tokens)
+        relevance = {
+            ont.ontology_id: page_relevance(ont, tokens, counts[lo:hi]) for ont, lo, hi in slices
+        }
         p_id: int | None = None
         if any(rel.supported for rel in relevance.values()):
             p_id = len(nodes)

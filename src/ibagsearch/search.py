@@ -14,6 +14,7 @@ import math
 import time
 from dataclasses import dataclass
 from itertools import islice
+from numbers import Real
 
 from .bitmask import PatternStore, gen_mask_bit_pattern
 from .ibag import IBAG, IBAGNode, RangeSlices, select_columns
@@ -57,10 +58,15 @@ class Query:
     result_limit: int = 20
 
     def __post_init__(self) -> None:
+        if not isinstance(self.search_string, str):
+            raise ValueError(f"search_string must be a str, got {self.search_string!r}")
         for name, value in (("ontology_id", self.ontology_id), ("result_limit", self.result_limit)):
             if type(value) is not int:  # a float would slice wrongly, a bool is not a count
                 raise ValueError(f"{name} must be an int, got {value!r}")
         lo, hi = self.relevance_range
+        for bound in (lo, hi):
+            if not isinstance(bound, Real) or isinstance(bound, bool):
+                raise ValueError(f"relevance range bound {bound!r} is not a real number")
         if math.isnan(lo) or math.isnan(hi):
             raise ValueError(f"relevance range [{lo}, {hi}] has NaN bounds")
         if lo > hi:

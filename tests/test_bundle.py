@@ -16,6 +16,7 @@ from ibagsearch import (
     search_before_masking,
     synth_corpus,
 )
+from ibagsearch import bundle as bundle_module
 from ibagsearch.bundled import default_queries
 from conftest import (
     int_sum_too_large_for_float,
@@ -444,6 +445,65 @@ class TestLoadMatchesBuild:
             assert not gc.isenabled()
         finally:
             gc.enable()
+
+
+class TestCollectorPaused:
+    """Build and save, like load, pause the cyclic garbage collector while
+    they work, and leave it as they found it, on success and on failure."""
+
+    @staticmethod
+    def spy(monkeypatch, owner, name: str) -> list[bool]:
+        """Record whether the collector is enabled each time ``owner.name`` is called."""
+        states: list[bool] = []
+        real = getattr(owner, name)
+
+        def recording(*args, **kwargs):
+            states.append(gc.isenabled())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, recording)
+        return states
+
+    def test_build_leaves_the_collector_as_it_found_it(self, bundled_onts, monkeypatch):
+        corpus = synth_corpus(5, 40, bundled_onts)
+        states = self.spy(monkeypatch, bundle_module, "gen_ibag_bit_patterns")
+        assert gc.isenabled()
+        IndexBundle.build(corpus, bundled_onts)
+        assert gc.isenabled()
+        assert states == [False]
+        with pytest.raises(ValidationError, match="at least one ontology"):
+            IndexBundle.build(corpus, [])
+        assert gc.isenabled()
+        gc.disable()
+        try:
+            IndexBundle.build(corpus, bundled_onts)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_save_leaves_the_collector_as_it_found_it(self, bundle, tmp_path, monkeypatch):
+        path = tmp_path / "index.json"
+        states = self.spy(monkeypatch, IndexBundle, "to_json_obj")
+        assert gc.isenabled()
+        bundle.save(path)
+        assert gc.isenabled()
+        assert states == [False]
+
+        def fail(self):
+            raise RuntimeError("serializer failed")
+
+        monkeypatch.setattr(IndexBundle, "to_json_obj", fail)
+        with pytest.raises(RuntimeError, match="serializer failed"):
+            bundle.save(path)
+        assert gc.isenabled()
+        monkeypatch.undo()
+        gc.disable()
+        try:
+            bundle.save(path)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+        assert IndexBundle.load(path).canonical_bytes() == bundle.canonical_bytes()
 
 
 class TestAtomicSave:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 
 import pytest
@@ -84,6 +85,39 @@ class TestLoadCorpus:
         path = tmp_path / "corpus.jsonl"
         save_corpus(corpus, path)
         assert load_corpus(path, corpus.seeds) == corpus
+
+
+class TestLoadCorpusCollector:
+    def test_load_leaves_the_collector_as_it_found_it(self, tmp_path, monkeypatch):
+        path = tmp_path / "corpus.jsonl"
+        write_jsonl(
+            path,
+            [{"url": "a", "links": ["b"], "text": "x"}, {"url": "b", "links": [], "text": "y"}],
+        )
+        states: list[bool] = []
+        real_loads = json.loads
+
+        def recording_loads(*args, **kwargs):
+            states.append(gc.isenabled())
+            return real_loads(*args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", recording_loads)
+        assert gc.isenabled()
+        assert len(load_corpus(path)) == 2
+        assert gc.isenabled()
+        assert states == [False, False]
+        monkeypatch.undo()
+        path.write_text('{"url": "a", "links": [], "text": "x"}\nnot json\n', encoding="utf-8")
+        with pytest.raises(ParseError, match=":2:"):
+            load_corpus(path)
+        assert gc.isenabled()
+        gc.disable()
+        try:
+            with pytest.raises(ParseError):
+                load_corpus(path)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
 
 class TestSynthCorpus:

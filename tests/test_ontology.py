@@ -267,3 +267,28 @@ class TestOntologyValidation:
                 for _ in range(rng.randint(0, 8))
             )
             assert normalize_text(raw) == oracle_tokens(raw)
+
+
+# pieces of text that pull the two tokenizers apart if either mishandles one:
+# markup, digits, "_" (a word character that is not a token character),
+# control characters, and letters whose lowercase form is longer ("İ"),
+# outside ASCII ("ß", "é") or inside it (U+212A KELVIN SIGN lowercases to "k")
+FUZZ_PIECES = [
+    "a", "Z", "k", "K", "0", "7", "_", " ", "-", ".", "<", ">", "<b>", "</i>", "<a href='x'>",
+    "\t", "\n", "\x00", "\x1f", "\x7f", "\x85", "\xa0", "İ", "ß", "é", "\u212a", "ǅ",
+    "Cricket", "WICKET", "2011",
+]
+
+
+class TestTokenizerFuzz:
+    def test_normalize_text_agrees_with_oracle_on_seeded_strings(self):
+        rng = random.Random(31)
+        ascii_seen = other_seen = 0
+        for _ in range(50_000):
+            raw = "".join(rng.choice(FUZZ_PIECES) for _ in range(rng.randint(0, 12)))
+            assert normalize_text(raw) == oracle_tokens(raw), repr(raw)
+            if raw.lower().isascii():
+                ascii_seen += 1
+            else:
+                other_seen += 1
+        assert ascii_seen > 1000 and other_seen > 1000

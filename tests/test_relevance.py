@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -7,11 +8,16 @@ import pytest
 from ibagsearch import (
     Ontology,
     OntologyTerm,
+    build_rpag,
+    count_occurrences,
     normalize_text,
     page_relevance,
+    synth_corpus,
     term_relevance_value,
 )
+from ibagsearch.ontology import PhraseTable
 from conftest import single_term_ontology
+from oracles import oracle_count
 
 
 @pytest.fixture
@@ -132,3 +138,129 @@ class TestPageRelevance:
         for b, s in zip(base_result.term_vector, scaled_result.term_vector):
             assert s == pytest.approx(b * scale)
         assert base_result.supported == scaled_result.supported
+
+
+VOCAB = ["a", "b", "c", "d"]
+
+
+def random_phrase(rng: random.Random) -> str:
+    return " ".join(rng.choice(VOCAB) for _ in range(rng.randint(1, 3)))
+
+
+def overlapping_ontologies(rng: random.Random) -> list[Ontology]:
+    """Two to four ontologies over one small vocabulary that draw term names
+    and synonyms from one shared pool of phrases, so that they share first
+    words and whole phrases, and a phrase is often one ontology's term and
+    another's synonym."""
+    pool = list(dict.fromkeys(random_phrase(rng) for _ in range(6)))
+
+    def pick() -> str:
+        return rng.choice(pool) if rng.random() < 0.6 else random_phrase(rng)
+
+    ontologies = []
+    for ontology_id in range(1, rng.randint(2, 4) + 1):
+        names = list(dict.fromkeys(pick() for _ in range(rng.randint(1, 4))))
+        owner: dict[str, str] = {}
+        terms = []
+        for position, name in enumerate(names):
+            synonyms: list[str] = []
+            for _ in range(rng.randint(0, 2)):
+                syn = pick()
+                if syn != name and syn not in synonyms and syn not in owner:
+                    owner[syn] = name
+                    synonyms.append(syn)
+            terms.append(
+                OntologyTerm(
+                    term=name,
+                    weight=rng.choice([0.1, 0.3, 0.7, 1.0]),
+                    synonyms=tuple(synonyms),
+                    bit_position=position,
+                )
+            )
+        ontologies.append(
+            Ontology(
+                ontology_id=ontology_id,
+                name=f"random-{ontology_id}",
+                terms=tuple(terms),
+                relevance_limit=rng.choice([0.0, 0.5, 1.5]),
+            )
+        )
+    return ontologies
+
+
+def reference_counts(ontology: Ontology, tokens: list[str], use_synonyms: bool) -> list[int]:
+    """Per term, the per-phrase reference count of the term and its synonyms."""
+    return [
+        sum(
+            count_occurrences(tokens, phrase)
+            for phrase in (term.phrases() if use_synonyms else (term.term,))
+        )
+        for term in ontology.terms
+    ]
+
+
+def alignments(tokens: list[str], phrase: str) -> int:
+    """Every place the phrase occurs, overlapping occurrences included."""
+    words = phrase.split(" ")
+    return sum(tokens[i : i + len(words)] == words for i in range(len(tokens)))
+
+
+class TestMergedScan:
+    def test_merged_counts_agree_with_each_ontology(self):
+        """One scan through the merged table, sliced per ontology, counts as
+        ``Ontology.count_terms`` and the per-phrase reference do, and a page
+        scored from a slice scores as ``page_relevance`` does from the tokens,
+        float for float."""
+        rng = random.Random(29)
+        seen = {
+            "first word in two ontologies": 0,
+            "phrase in two ontologies": 0,
+            "term in one, synonym in another": 0,
+            "overlapping occurrences": 0,
+        }
+        for _ in range(200):
+            ontologies = overlapping_ontologies(rng)
+            firsts = [{p.split(" ")[0] for t in o.terms for p in t.phrases()} for o in ontologies]
+            phrases = [{p for t in o.terms for p in t.phrases()} for o in ontologies]
+            names = [{t.term for t in o.terms} for o in ontologies]
+            synonyms = [{s for t in o.terms for s in t.synonyms} for o in ontologies]
+            pairs = list(itertools.permutations(range(len(ontologies)), 2))
+            seen["first word in two ontologies"] += any(firsts[i] & firsts[j] for i, j in pairs)
+            seen["phrase in two ontologies"] += any(phrases[i] & phrases[j] for i, j in pairs)
+            seen["term in one, synonym in another"] += any(
+                names[i] & synonyms[j] for i, j in pairs
+            )
+            merged = PhraseTable.merge([o.phrase_table for o in ontologies])
+            assert merged.width == sum(o.t for o in ontologies)
+            for _ in range(6):
+                tokens = [rng.choice(VOCAB) for _ in range(rng.randint(0, 20))]
+                seen["overlapping occurrences"] += any(
+                    oracle_count(tokens, p) < alignments(tokens, p) for p in set().union(*phrases)
+                )
+                for use_synonyms in (True, False):
+                    counts = merged.count(tokens, use_synonyms)
+                    start = 0
+                    for ontology in ontologies:
+                        piece = counts[start : start + ontology.t]
+                        start += ontology.t
+                        assert piece == ontology.count_terms(tokens, use_synonyms)
+                        assert piece == reference_counts(ontology, tokens, use_synonyms)
+                        if use_synonyms:
+                            assert page_relevance(ontology, tokens, piece) == (
+                                page_relevance(ontology, tokens)
+                            )
+        assert all(seen.values()), seen
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_crawl_scores_each_page_as_page_relevance_does(self, seed, bundled_onts):
+        """Every node a crawl keeps holds, per ontology, what
+        ``page_relevance`` gives for the page's tokens."""
+        rng = random.Random(seed)
+        ontologies = bundled_onts if seed % 2 else overlapping_ontologies(rng)
+        corpus = synth_corpus(seed, 120, ontologies)
+        graph = build_rpag(corpus, ontologies)
+        assert len(graph) > 0
+        for node in graph.nodes:
+            tokens = normalize_text(corpus.docs[node.url].text)
+            for ontology in ontologies:
+                assert node.relevance[ontology.ontology_id] == page_relevance(ontology, tokens)

@@ -65,6 +65,18 @@ class TestQueryValidation:
         with pytest.raises(ValueError, match=f"{field} must be an int"):
             Query("cricket", **{"ontology_id": 1, field: value})
 
+    @pytest.mark.parametrize("search_string", [None, 5, b"cricket", ["cricket"]])
+    def test_non_str_search_string_rejected(self, search_string):
+        with pytest.raises(ValueError, match="search_string must be a str"):
+            Query(search_string, 1)
+
+    @pytest.mark.parametrize(
+        "bounds", [(None, 1.0), (0, "1"), (True, 2), (0.0, False), (0, 1j), ("0", "1")]
+    )
+    def test_non_real_range_bound_rejected(self, bounds):
+        with pytest.raises(ValueError, match="not a real number"):
+            Query("cricket", 1, relevance_range=bounds)
+
     def test_defaults(self):
         query = Query("cricket", 1)
         assert query.relevance_range == (0.0, math.inf)
