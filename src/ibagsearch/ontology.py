@@ -5,15 +5,16 @@ carry synonyms and a per-term relevance cutoff; the list order fixes the
 bit position the term occupies in page and query bit patterns.
 
 :func:`normalize_text` lowercases a text and strips its tags, then splits
-an ASCII text through a 256-byte table that turns every byte outside
-``[0-9a-z]`` into a space; other text goes through a regular expression,
-the reference for both.
+its UTF-8 bytes through a 256-byte table that turns every byte outside
+``[0-9a-z]`` into a space.
 
 Each ontology builds one phrase table (:class:`PhraseTable`) when it is
 created. It maps the first word of every term name and synonym to the
 phrase's words and to the bit positions of the terms the phrase stands for.
 :meth:`PhraseTable.merge` derives one table for several ontologies from
-their tables, each ontology's positions after those of the ones before it.
+their tables, each ontology's positions after those of the ones before it;
+:meth:`PhraseTable.split` cuts the counts of a merged table into one list
+per ontology, so no caller needs to know that layout.
 :meth:`PhraseTable.count` is the one scan loop: through an ontology's own
 table it serves :meth:`Ontology.count_terms` (query masks, and
 ``relevance.page_relevance``), and through a merged table it counts the
@@ -31,9 +32,9 @@ from typing import Iterable, Iterator, Sequence
 from .errors import ParseError, ValidationError, check_kind, json_field
 
 _TAG_RE = re.compile(r"<[^>]*>")
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
-# maps every byte outside [0-9a-z] to a space, so that splitting an ASCII
-# text on spaces gives the tokens _TOKEN_RE finds in it
+# maps every byte outside [0-9a-z] to a space. Every byte of a non-ASCII
+# character's UTF-8 form is 0x80 or above, so splitting the mapped bytes on
+# spaces gives exactly the runs of [a-z0-9] in the text
 _TOKEN_BYTES = bytes(b if 48 <= b <= 57 or 97 <= b <= 122 else 32 for b in range(256))
 
 
@@ -41,15 +42,13 @@ def normalize_text(raw: str) -> list[str]:
     """Tokenize free text: strip markup tags, lowercase, split on punctuation.
 
     The tokens are the runs of ``[a-z0-9]`` in the lowercased, tag-stripped
-    text. An ASCII text is split through a byte table, in C; any other text
-    through ``_TOKEN_RE``, the reference for both.
+    text, split out through a byte table, in C. ``surrogatepass`` lets a
+    lone surrogate through as bytes that the table turns into spaces.
     """
     text = raw.lower()
     if "<" in text:  # most text has no markup; skip the tag pass for it
         text = _TAG_RE.sub(" ", text)
-    if text.isascii():
-        return text.encode().translate(_TOKEN_BYTES).decode().split()
-    return _TOKEN_RE.findall(text)
+    return text.encode("utf-8", "surrogatepass").translate(_TOKEN_BYTES).decode().split()
 
 
 def normalize_phrase(raw: str) -> str:
@@ -88,13 +87,19 @@ class PhraseTable:
     names; a phrase may be one term's name and another term's synonym. A
     table merged from several ontologies (:meth:`merge`) numbers the
     positions of each ontology after those of the ones before it, and holds
-    one entry for a phrase that several of them share.
+    one entry for a phrase that several of them share. ``spans`` holds the
+    (start, end) positions of each ontology the table covers, in order.
     """
 
-    __slots__ = ("entries", "width")
+    __slots__ = ("entries", "spans", "width")
 
-    def __init__(self, rows: Iterable[tuple[str, Sequence[int], Sequence[int]]], width: int):
-        """``rows`` are (phrase, positions, name positions); a phrase may repeat."""
+    def __init__(
+        self,
+        rows: Iterable[tuple[str, Sequence[int], Sequence[int]]],
+        spans: Sequence[tuple[int, int]],
+    ):
+        """``rows`` are (phrase, positions, name positions); a phrase may repeat.
+        ``spans`` are the (start, end) positions of each ontology covered."""
         owners: dict[str, tuple[list[int], list[int]]] = {}
         for phrase, positions, names in rows:
             merged_positions, merged_names = owners.setdefault(phrase, ([], []))
@@ -107,7 +112,8 @@ class PhraseTable:
                 (phrase, words, len(words), tuple(positions), tuple(names))
             )
         self.entries = {first: tuple(e) for first, e in entries.items()}
-        self.width = width
+        self.spans = tuple(spans)
+        self.width = self.spans[-1][1]
 
     @classmethod
     def of_terms(cls, terms: Sequence["OntologyTerm"]) -> "PhraseTable":
@@ -117,11 +123,12 @@ class PhraseTable:
                 for term in terms
                 for phrase in term.phrases()
             ),
-            len(terms),
+            [(0, len(terms))],
         )
 
     @classmethod
     def merge(cls, tables: Sequence["PhraseTable"]) -> "PhraseTable":
+        """One table for the ontologies of ``tables``, in that order."""
         offsets = list(accumulate((table.width for table in tables), initial=0))
         return cls(
             (
@@ -130,8 +137,12 @@ class PhraseTable:
                 for entries in table.entries.values()
                 for phrase, _, _, positions, names in entries
             ),
-            offsets[-1],
+            list(zip(offsets, offsets[1:])),
         )
+
+    def split(self, counts: list[int]) -> list[list[int]]:
+        """The counts :meth:`count` gave, one list per ontology covered."""
+        return [counts[start:end] for start, end in self.spans]
 
     def count(self, tokens: list[str], use_synonyms: bool = True) -> list[int]:
         """Occurrences of each term in ``tokens``, indexed by position.

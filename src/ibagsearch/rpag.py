@@ -3,11 +3,11 @@
 The builder walks the corpus link graph breadth-first from the seeds,
 tokenizes every reachable document once, counts the terms of every
 ontology in one scan of it through their phrase tables merged into one
-(``PhraseTable.merge``), scores each ontology's slice of the counts through
-``page_relevance``, and keeps a node only for documents that support at
-least one ontology. Links out of non-supporting documents are still
-followed, so relevant pages reachable only through irrelevant ones are not
-lost.
+(``PhraseTable.merge``), scores each ontology's slice of the counts
+(``PhraseTable.split``) through ``page_relevance``, and keeps a node only
+for documents that support at least one ontology. Links out of
+non-supporting documents are still followed, so relevant pages reachable
+only through irrelevant ones are not lost.
 
 Loading a graph (:meth:`RPaG.from_json_obj`) is one pass over the stored
 nodes. Per node it checks the shape on a fast path of plain type tests,
@@ -25,7 +25,6 @@ import logging
 import sys
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import accumulate
 from typing import NoReturn, Sequence
 
 from .corpus import Corpus
@@ -191,9 +190,8 @@ def build_rpag(corpus: Corpus, ontologies: Sequence[Ontology]) -> RPaG:
     processed: set[str] = set()
     # one scan of a page counts the terms of every ontology; each ontology
     # scores its own slice of the counts
-    count_terms = PhraseTable.merge([ont.phrase_table for ont in ontologies]).count
-    ends = accumulate(ont.t for ont in ontologies)
-    slices = [(ont, end - ont.t, end) for ont, end in zip(ontologies, ends)]
+    table = PhraseTable.merge([ont.phrase_table for ont in ontologies])
+    count_terms, split = table.count, table.split
     pending_parents: dict[str, list[int]] = {}
     nodes: list[RPaGNode] = []
 
@@ -202,9 +200,9 @@ def build_rpag(corpus: Corpus, ontologies: Sequence[Ontology]) -> RPaG:
         processed.add(url)
         doc = corpus.docs[url]
         tokens = normalize_text(doc.text)
-        counts = count_terms(tokens)
         relevance = {
-            ont.ontology_id: page_relevance(ont, tokens, counts[lo:hi]) for ont, lo, hi in slices
+            ont.ontology_id: page_relevance(ont, tokens, counts)
+            for ont, counts in zip(ontologies, split(count_terms(tokens)))
         }
         p_id: int | None = None
         if any(rel.supported for rel in relevance.values()):

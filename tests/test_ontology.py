@@ -272,11 +272,12 @@ class TestOntologyValidation:
 # pieces of text that pull the two tokenizers apart if either mishandles one:
 # markup, digits, "_" (a word character that is not a token character),
 # control characters, and letters whose lowercase form is longer ("İ"),
-# outside ASCII ("ß", "é") or inside it (U+212A KELVIN SIGN lowercases to "k")
+# outside ASCII ("ß", "é") or inside it (U+212A KELVIN SIGN lowercases to "k"),
+# and lone surrogates, which have no UTF-8 form
 FUZZ_PIECES = [
     "a", "Z", "k", "K", "0", "7", "_", " ", "-", ".", "<", ">", "<b>", "</i>", "<a href='x'>",
     "\t", "\n", "\x00", "\x1f", "\x7f", "\x85", "\xa0", "İ", "ß", "é", "\u212a", "ǅ",
-    "Cricket", "WICKET", "2011",
+    "Cricket", "WICKET", "2011", "\ud800", "\udfff",
 ]
 
 

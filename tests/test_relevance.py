@@ -239,9 +239,11 @@ class TestMergedScan:
                 )
                 for use_synonyms in (True, False):
                     counts = merged.count(tokens, use_synonyms)
+                    pieces = merged.split(counts)
+                    assert len(pieces) == len(ontologies)
                     start = 0
-                    for ontology in ontologies:
-                        piece = counts[start : start + ontology.t]
+                    for ontology, piece in zip(ontologies, pieces):
+                        assert piece == counts[start : start + ontology.t]
                         start += ontology.t
                         assert piece == ontology.count_terms(tokens, use_synonyms)
                         assert piece == reference_counts(ontology, tokens, use_synonyms)
