@@ -12,6 +12,13 @@ The XOR test (:func:`mask_match`, :func:`find_predicted_webpage_list`) is
 the paper's filter and the reference; queries test ``page & mask`` inline
 (``search.first_matching_pages``), which decides the same for a nonzero
 mask.
+
+A page's pattern depends only on its term vector, and a build or a load
+shares one ``PageRelevance`` among the pages of an ontology with equal
+vectors. :func:`gen_ibag_bit_patterns` therefore derives the bits once per
+shared value, and :meth:`PatternStore.to_json_obj` renders each distinct
+pattern of an ontology in hex once. :func:`gen_webpage_bit_pattern` is the
+per-page reference.
 """
 from __future__ import annotations
 
@@ -174,21 +181,35 @@ class PatternStore:
         return ontology_id in self._bits and 0 <= p_id < len(self._bits[ontology_id])
 
     def to_json_obj(self) -> dict:
+        """Lengths and hex patterns per ontology; each distinct pattern of an
+        ontology is rendered once and its string shared."""
+        patterns = {}
+        for k, column in self._bits.items():
+            hexes = {bits: _to_hex(bits, self._lengths[k]) for bits in set(column)}
+            patterns[str(k)] = list(map(hexes.__getitem__, column))
         return {
             "t_by_ontology": {str(k): self._lengths[k] for k in self._bits},
-            "patterns": {
-                str(k): [_to_hex(bits, self._lengths[k]) for bits in self._bits[k]]
-                for k in self._bits
-            },
+            "patterns": patterns,
         }
 
 
 def gen_ibag_bit_patterns(ibag: IBAG, ontologies: Sequence[Ontology]) -> PatternStore:
-    """One-time pattern generation: one pattern per (page, ontology) pair."""
+    """One-time pattern generation: one pattern per (page, ontology) pair.
+
+    A build and a load share one ``PageRelevance`` among the pages with
+    equal term vectors, so the bits are derived once per distinct object.
+    """
     store = PatternStore()
     for ontology in ontologies:
         ont_id = ontology.ontology_id
-        bits_by_p_id = [_page_bits(n.relevance[ont_id].term_vector, ontology) for n in ibag.nodes]
+        bits_of: dict[int, int] = {}  # by id() of a PageRelevance the nodes keep alive
+        bits_by_p_id = []
+        for node in ibag.nodes:
+            rel = node.relevance[ont_id]
+            bits = bits_of.get(id(rel))
+            if bits is None:
+                bits = bits_of[id(rel)] = _page_bits(rel.term_vector, ontology)
+            bits_by_p_id.append(bits)
         store.add_ontology(ont_id, ontology.t, bits_by_p_id)
     return store
 

@@ -16,13 +16,22 @@ of a node once:
 
 - ``RPaG.from_json_obj`` checks the node's shape, its parents and ontology
   keys (``rpag.check_node``) and each term vector's entries, and scores
-  each vector through ``relevance_from_vector``;
+  each distinct vector of an ontology once through
+  ``relevance_from_vector``; the nodes with that vector share the score
+  (only vectors written as floats other than -0.0 are shared, so the file
+  saves back byte for byte);
 - ``build_ibag`` gives each index node its graph node's scores, the same
   dict and not a copy, and averages the supported ones into the node's
   mean; ``IBAG.from_nodes`` checks every other node fact (urls, levels,
-  support, vector lengths, a positive finite mean) as it lays the index out;
-- ``gen_ibag_bit_patterns`` derives the patterns, which must equal the
-  stored ones.
+  support, vector lengths, a positive finite mean) as it lays the index
+  out, and leaves the paper's chains to be threaded on first read;
+- ``gen_ibag_bit_patterns`` derives the patterns once per shared score, and
+  they must equal the stored ones; each distinct pattern is rendered in
+  hex once for that comparison.
+
+A load never calls ``gc.freeze()``: a freeze holds for the whole process.
+The ``query`` and ``eval`` commands, which own their process, freeze the
+index they load (``cli._load_for_process``).
 """
 from __future__ import annotations
 

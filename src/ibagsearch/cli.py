@@ -7,6 +7,7 @@ log verbosity.
 from __future__ import annotations
 
 import argparse
+import gc
 import logging
 import os
 import sys
@@ -14,6 +15,7 @@ from typing import Sequence
 
 from . import bundled
 from .bundle import IndexBundle
+from .collector import collector_paused
 from .corpus import load_corpus
 from .errors import IbagSearchError
 from .evaluation import (
@@ -143,6 +145,20 @@ def cmd_build(args: argparse.Namespace) -> int:
     return 0
 
 
+def _load_for_process(path: str) -> IndexBundle:
+    """Load an index that this process keeps to its end, then freeze it.
+
+    Freezing moves every object the process has into a generation that the
+    collector never scans, so its passes skip the index, the first one
+    included. The freeze is process-wide, so only a command, which owns
+    its process, makes it; ``IndexBundle.load`` never does.
+    """
+    with collector_paused():
+        bundle = IndexBundle.load(path)
+        gc.freeze()
+    return bundle
+
+
 def _print_harvest(mode: str, report: HarvestReport) -> None:
     def fmt(value: float | None) -> str:
         return "n/a" if value is None else f"{value:.6f}"
@@ -178,7 +194,7 @@ def _run_query(bundle: IndexBundle, query: Query, mode: str, use_synonyms: bool)
 def cmd_query(args: argparse.Namespace) -> int:
     if not args.repl and args.search is None:
         raise ValueError("either --search or --repl is required")
-    bundle = IndexBundle.load(args.index)
+    bundle = _load_for_process(args.index)
     use_synonyms = not args.no_mask_synonyms
 
     def make_query(search_string: str) -> Query:
@@ -222,7 +238,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    bundle = IndexBundle.load(args.index)
+    bundle = _load_for_process(args.index)
     queries = bundled.load_query_file(args.queries, default_ontology_id=args.ontology)
     runs = evaluate_index(bundle.ibag, bundle.patterns, queries, repeats=args.repeats)
     report = BenchReport.from_runs(0, aggregate_runs(len(bundle.ibag), runs), runs)

@@ -8,7 +8,10 @@ ties broken by ascending p_id. Per ontology, a link chain threads all
 supporting nodes in traversal order (level by level, sorted within level),
 and every level stores the position of its first supporting node, so a
 traversal can enter a level directly and walk only the pages that belong
-to the queried domain.
+to the queried domain. No query reads the chains, so they are threaded on
+first read, once, from the level table and the support flags: through
+``IBAG.level_heads``, :meth:`IBAG.iter_chain` or a node's ``ont_link``,
+a read-only view. A build or a load makes no per-node link dict.
 
 Queries do not walk the chains. Per ontology and level, the index also
 keeps two parallel columns over that level's supporters in level order:
@@ -24,7 +27,8 @@ place that checks a node's facts (dense p_ids, unique urls, parent, level,
 support, vector lengths, a positive finite mean). Before it, a load checks
 only shapes and the graph's own facts, in ``RPaG.from_json_obj``; after it,
 the stored patterns as a checksum. Nothing re-checks what it derived.
-:meth:`IBAG.validate` lays an index out again and compares.
+:meth:`IBAG.validate` lays copies of the nodes out again and compares,
+chains included.
 """
 from __future__ import annotations
 
@@ -33,7 +37,9 @@ import math
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Iterator, Sequence
+from functools import cached_property
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from .errors import ValidationError
 from .ontology import Ontology
@@ -53,7 +59,16 @@ class IBAGNode:
     mean_rel_val: float
     level: int
     relevance: dict[int, PageRelevance]
-    ont_link: dict[int, int | None] = field(default_factory=dict)
+    # the chains of the index that laid this node out (IBAG.from_nodes)
+    _chains: _Chains | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def ont_link(self) -> Mapping[int, int | None]:
+        """The next supporter's p_id per ontology id, None at the chain's
+        end: a read-only mapping built on each read from the index's chains."""
+        return MappingProxyType(
+            {ont_id: links[self.p_id] for ont_id, links in self._chains.threaded[1].items()}
+        )
 
     @property
     def supported(self) -> dict[int, bool]:
@@ -73,25 +88,69 @@ Column = tuple[list[int], array]
 # (p_ids, start, stop) per level: the selection is p_ids[start:stop]
 RangeSlices = list[tuple[list[int], int, int]]
 
+# per level, the position of its first supporter of each ontology id
+Heads = list[dict[int, int | None]]
+# per ontology id, each node's next supporter, indexed by p_id
+Links = dict[int, list[int | None]]
+
+
+class _Chains:
+    """The paper's traversal structures, threaded on first read from the
+    level table and the support flags, not from the supporter columns: per
+    level, the position of its first supporter of each ontology, and per
+    ontology, each node's next supporter in traversal order (level by
+    level, sorted within level, crossing into the next level).
+
+    It holds no node, so the nodes that refer to it form no cycle."""
+
+    def __init__(self, levels: list[list[int]], supports: dict[int, list[bool]]) -> None:
+        self.levels = levels
+        self.supports = supports  # per ontology id, indexed by p_id
+
+    @cached_property
+    def threaded(self) -> tuple[Heads, Links]:
+        heads: Heads = [dict.fromkeys(self.supports) for _ in self.levels]
+        links: Links = {}
+        for ont_id, supports in self.supports.items():
+            next_ids: list[int | None] = [None] * len(supports)
+            previous: int | None = None
+            for level_index, level in enumerate(self.levels):
+                p_ids = [p_id for p_id in level if supports[p_id]]
+                if p_ids:
+                    heads[level_index][ont_id] = level.index(p_ids[0])
+                    for p_id in p_ids:
+                        if previous is not None:
+                            next_ids[previous] = p_id
+                        previous = p_id
+            links[ont_id] = next_ids
+        return heads, links
+
 
 class IBAG:
-    """Index nodes plus the level table, per-level domain head positions and
-    per-(ontology, level) supporter columns."""
+    """Index nodes plus the level table, per-(ontology, level) supporter
+    columns and the chains: per-level domain head positions and per-node
+    links, threaded on first read."""
 
     def __init__(
         self,
         nodes: list[IBAGNode],
         ontologies: tuple[Ontology, ...],
         levels: list[list[int]],
-        level_heads: list[dict[int, int | None]],
         columns: dict[int, list[Column]],
+        chains: _Chains,
     ) -> None:
         self.nodes = nodes
         self.ontologies = ontologies
         self.levels = levels
-        self.level_heads = level_heads
         self.columns = columns
+        self._chains = chains
         self._by_id = {ont.ontology_id: ont for ont in ontologies}
+
+    @property
+    def level_heads(self) -> Heads:
+        """Per level, the position of its first supporter of each ontology
+        id, None when it has none; threaded with the chains on first read."""
+        return self._chains.threaded[0]
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -111,22 +170,25 @@ class IBAG:
 
     def iter_chain(self, level_index: int, ontology_id: int) -> Iterator[IBAGNode]:
         """Walk one level's supporting nodes, entering at the stored head."""
-        head = self.level_heads[level_index].get(ontology_id)
+        heads, links = self._chains.threaded
+        head = heads[level_index].get(ontology_id)
         if head is None:
             return
-        node: IBAGNode | None = self.nodes[self.levels[level_index][head]]
-        while node is not None and node.level == level_index:
-            yield node
-            next_id = node.ont_link.get(ontology_id)
-            node = self.nodes[next_id] if next_id is not None else None
+        next_ids = links[ontology_id]
+        p_id: int | None = self.levels[level_index][head]
+        while p_id is not None and self.nodes[p_id].level == level_index:
+            yield self.nodes[p_id]
+            p_id = next_ids[p_id]
 
     @classmethod
     def from_nodes(cls, nodes: Sequence[IBAGNode], ontologies: Sequence[Ontology]) -> "IBAG":
-        """Check the nodes, then assemble levels, sort them, thread the
-        per-ontology chains and fill the supporter columns: the one place
-        that lays the index out.
+        """Check the nodes, then assemble levels, sort them and fill the
+        supporter columns: the one place that lays the index out. The
+        per-ontology chains are threaded from the levels and the support
+        flags when first read.
 
-        ``nodes`` must be dense in p_id; each node's ont_link is replaced here.
+        ``nodes`` must be dense in p_id; each node is attached to the new
+        index's chains here.
         """
         nodes = list(nodes)
         ontologies = tuple(ontologies)
@@ -166,44 +228,38 @@ class IBAG:
         levels: list[list[int]] = [[] for _ in range(max_level + 1)]
         for node in nodes:
             levels[node.level].append(node.p_id)
-            node.ont_link = dict.fromkeys(ids)
         for level in levels:
             level.sort(key=neg_means.__getitem__)
 
-        level_heads: list[dict[int, int | None]] = [dict.fromkeys(ids) for _ in levels]
+        supports: dict[int, list[bool]] = {}
         columns: dict[int, list[Column]] = {}
         for ont_id in ids:
-            supports = [node.relevance[ont_id].supported for node in nodes]
-            previous: int | None = None
+            supported = supports[ont_id] = [node.relevance[ont_id].supported for node in nodes]
             columns[ont_id] = []
-            for level_index, level in enumerate(levels):
-                p_ids = [p_id for p_id in level if supports[p_id]]
-                if p_ids:
-                    level_heads[level_index][ont_id] = level.index(p_ids[0])
-                    for p_id in p_ids:
-                        if previous is not None:
-                            nodes[previous].ont_link[ont_id] = p_id
-                        previous = p_id
+            for level in levels:
+                p_ids = [p_id for p_id in level if supported[p_id]]
                 columns[ont_id].append((p_ids, array("d", [neg_means[p] for p in p_ids])))
+        chains = _Chains(levels, supports)
+        for node in nodes:
+            node._chains = chains
 
         log.debug("assembled index: %d nodes in %d levels", len(nodes), len(levels))
-        return cls(nodes, ontologies, levels, level_heads, columns)
+        return cls(nodes, ontologies, levels, columns, chains)
 
     def validate(self) -> None:
-        """Lay the nodes out again and compare: raise ValidationError when the
-        level table, the level heads, any node's links or the supporter
-        columns differ from what :meth:`from_nodes` derives. The index itself
-        is left unchanged."""
-        fresh = type(self).from_nodes(
-            [replace(node, ont_link={}) for node in self.nodes], self.ontologies
-        )
+        """Lay copies of the nodes out again and compare: raise
+        ValidationError when the level table, the level heads, the chain
+        links or the supporter columns differ from what :meth:`from_nodes`
+        derives. The index itself is left unchanged, though its chains are
+        threaded if nothing has read them yet."""
+        fresh = type(self).from_nodes([replace(node) for node in self.nodes], self.ontologies)
         if self.levels != fresh.levels:
             raise ValidationError("level table differs from the sorted levels the nodes give")
-        if self.level_heads != fresh.level_heads:
+        heads, links = self._chains.threaded
+        if heads != fresh.level_heads:
             raise ValidationError("level heads differ from the first supporters the nodes give")
-        for node, derived in zip(self.nodes, fresh.nodes):
-            if node.ont_link != derived.ont_link:
-                raise ValidationError(f"node {node.p_id} links differ from the derived chains")
+        if links != fresh._chains.threaded[1]:
+            raise ValidationError("chain links differ from those the nodes give")
         if self.columns != fresh.columns:
             raise ValidationError("supporter columns differ from the sorted levels the nodes give")
 

@@ -12,6 +12,12 @@ scan of the page, through their tables merged into one. Either way each
 term's value is its weight times its count, and the page is scored through
 :func:`relevance_from_vector`. :func:`term_relevance_value` counts one term
 phrase by phrase and is the reference the tests compare it against.
+
+A :class:`PageRelevance` is immutable, so one value can serve many pages: a
+crawl (``rpag.build_rpag``) calls :func:`page_relevance` once per distinct
+count vector of an ontology, and a load (``RPaG.from_json_obj``) calls
+:func:`relevance_from_vector` once per distinct stored vector; the pages
+with that vector share the result.
 """
 from __future__ import annotations
 

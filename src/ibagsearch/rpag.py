@@ -9,13 +9,22 @@ for documents that support at least one ontology. Links out of
 non-supporting documents are still followed, so relevant pages reachable
 only through irrelevant ones are not lost.
 
+Term vectors barely vary between pages, so one crawl scores each distinct
+count vector of an ontology once, keyed by the counts: every page with
+those counts shares the one immutable ``PageRelevance``, and its term
+vector tuple with it. The memo is local to the call.
+
 Loading a graph (:meth:`RPaG.from_json_obj`) is one pass over the stored
 nodes. Per node it checks the shape on a fast path of plain type tests,
 and words an error through ``json_field`` only when one fails. It checks
 the facts only the graph holds (:func:`check_node`), then each term vector
 in one loop over its entries, and scores the vector through
-``relevance_from_vector``, as a build scores a page. Every other node fact
-is checked once, later, by ``IBAG.from_nodes``.
+``relevance_from_vector``, as a build scores a page: once per distinct
+vector of an ontology, keyed by the vector, and shared like a crawl's.
+Only a vector whose entries are all floats other than -0.0 is shared, since
+an int 0 or a -0.0 equals 0.0 and hashes alike but saves differently; any
+other vector is scored on its own. Every other node fact is checked once,
+later, by ``IBAG.from_nodes``.
 """
 from __future__ import annotations
 
@@ -24,6 +33,7 @@ import json
 import logging
 import sys
 from collections import deque
+from math import copysign
 from dataclasses import dataclass, field
 from typing import NoReturn, Sequence
 
@@ -38,7 +48,6 @@ log = logging.getLogger(__name__)
 MAX_PARENTS = 4
 FORMAT_VERSION = "2"
 _MAX_FLOAT = sys.float_info.max
-_NUMBER_TYPES = (float, int)
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,8 +111,9 @@ class RPaG:
             raise ValidationError(f"unsupported graph format version {obj.get('version')!r}")
         if obj.get("ontology_digest") != ontology_digest(ontologies):
             raise ValidationError("graph was built against different ontologies")
-        by_key = {str(ont.ontology_id): ont for ont in ontologies}
-        keys = set(by_key)
+        # per ontology, each distinct vector's score, made once and shared
+        scorings = [(str(ont.ontology_id), ont, {}) for ont in ontologies]
+        keys = {key for key, _, _ in scorings}
         nodes = []
         for p_id, raw in enumerate(json_field(obj, "nodes", list, "graph")):
             # the shapes a saved file has; json_field words the error otherwise
@@ -116,17 +126,35 @@ class RPaG:
                 pp_ids = json_field(raw, "pp_ids", list, f"graph node {p_id}")
             check_node(p_id, pp_ids, vectors, keys)
             relevance = {}
-            for key, ont in by_key.items():
+            for key, ont, scored in scorings:
                 vector = vectors[key]
-                # NaN and infinity fail the comparison, an int too large for a
-                # float compares above the largest float without being
-                # converted, and bool is neither type
                 if not isinstance(vector, list):
                     _bad_vector(p_id, key)
+                # NaN and infinity fail the comparisons, an int too large for
+                # a float compares above the largest float without being
+                # converted, and bool is neither type. A vector is shared only
+                # when each entry is a float other than -0.0: an int 0 or a
+                # -0.0 equals 0.0 and hashes alike, but saves differently.
+                shared = True
                 for v in vector:
-                    if not (type(v) in _NUMBER_TYPES and 0 <= v <= _MAX_FLOAT):
+                    if type(v) is float:
+                        if 0.0 < v <= _MAX_FLOAT or (v == 0.0 and copysign(1.0, v) > 0.0):
+                            continue
+                        if v != 0.0:
+                            _bad_vector(p_id, key)
+                        shared = False
+                    elif type(v) is int and 0 <= v <= _MAX_FLOAT:
+                        shared = False
+                    else:
                         _bad_vector(p_id, key)
-                relevance[ont.ontology_id] = relevance_from_vector(ont, vector)
+                if shared:
+                    vector = tuple(vector)
+                    rel = scored.get(vector)
+                    if rel is None:
+                        rel = scored[vector] = relevance_from_vector(ont, vector)
+                else:
+                    rel = relevance_from_vector(ont, vector)
+                relevance[ont.ontology_id] = rel
             url = raw.get("url")
             if type(url) is not str:
                 url = json_field(raw, "url", str, f"graph node {p_id}")
@@ -192,6 +220,9 @@ def build_rpag(corpus: Corpus, ontologies: Sequence[Ontology]) -> RPaG:
     # scores its own slice of the counts
     table = PhraseTable.merge([ont.phrase_table for ont in ontologies])
     count_terms, split = table.count, table.split
+    # per ontology, the score of each distinct count vector, made once and
+    # shared by every page that has those counts
+    scorings = [(ont, {}) for ont in ontologies]
     pending_parents: dict[str, list[int]] = {}
     nodes: list[RPaGNode] = []
 
@@ -200,10 +231,13 @@ def build_rpag(corpus: Corpus, ontologies: Sequence[Ontology]) -> RPaG:
         processed.add(url)
         doc = corpus.docs[url]
         tokens = normalize_text(doc.text)
-        relevance = {
-            ont.ontology_id: page_relevance(ont, tokens, counts)
-            for ont, counts in zip(ontologies, split(count_terms(tokens)))
-        }
+        relevance = {}
+        for (ont, scored), counts in zip(scorings, split(count_terms(tokens))):
+            counts = tuple(counts)
+            rel = scored.get(counts)
+            if rel is None:
+                rel = scored[counts] = page_relevance(ont, tokens, counts)
+            relevance[ont.ontology_id] = rel
         p_id: int | None = None
         if any(rel.supported for rel in relevance.values()):
             p_id = len(nodes)

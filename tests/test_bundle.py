@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import gc
 import json
+import math
 import random
 from collections import Counter
 from pathlib import Path
@@ -17,8 +18,12 @@ from ibagsearch import (
     synth_corpus,
 )
 from ibagsearch import bundle as bundle_module
+from ibagsearch.bitmask import _to_hex, gen_webpage_bit_pattern
 from ibagsearch.bundled import default_queries
+from ibagsearch.ontology import normalize_text
+from ibagsearch.relevance import page_relevance, relevance_from_vector
 from conftest import (
+    flat_ontology,
     int_sum_too_large_for_float,
     make_corpus,
     overflow_two_set_entries,
@@ -35,6 +40,12 @@ def bundle(bundled_onts):
 def saved_obj(bundle, path) -> dict:
     bundle.save(path)
     return json.loads(path.read_text(encoding="utf-8"))
+
+
+def canonical(obj: dict) -> bytes:
+    """``obj`` in the canonical form a save writes."""
+    text = json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+    return (text + "\n").encode("utf-8")
 
 
 class TestRoundTrip:
@@ -295,6 +306,46 @@ class TestValidation:
         with pytest.raises(ValidationError):
             IndexBundle.load(path)
 
+    @pytest.mark.parametrize("zero", [0, -0.0], ids=["int-zero", "negative-zero"])
+    @pytest.mark.parametrize("edited", [0, 1], ids=["first-copy", "second-copy"])
+    def test_zero_written_apart_loads_and_saves_as_written(self, bundle, tmp_path, zero, edited):
+        """A load shares the score of equal vectors only when they are
+        written alike: an int 0 or a -0.0 equals 0.0, but saves otherwise."""
+        obj = saved_obj(bundle, tmp_path / "built.json")
+        first_seen: dict[tuple, int] = {}
+        for p_id, raw in enumerate(obj["rpag"]["nodes"]):
+            vector = tuple(raw["term_vectors"]["1"])
+            if 0.0 in vector and first_seen.setdefault(vector, p_id) != p_id:
+                copies = (first_seen[vector], p_id)
+                break
+        else:
+            pytest.fail("the fixture index repeats no vector that holds a 0.0")
+        position = list(vector).index(0.0)
+        obj["rpag"]["nodes"][copies[edited]]["term_vectors"]["1"][position] = zero
+        path = tmp_path / "index.json"
+        path.write_bytes(canonical(obj))
+        loaded = IndexBundle.load(path)
+        entries = [loaded.rpag.nodes[p].relevance[1].term_vector[position] for p in copies]
+        assert [(type(e), math.copysign(1.0, e)) for e in entries] == [
+            (type(zero), math.copysign(1.0, zero)) if i == edited else (float, 1.0)
+            for i in range(2)
+        ]
+        assert loaded.canonical_bytes() == path.read_bytes()
+
+    def test_true_entry_equal_to_an_earlier_vector_rejected(self, tmp_path):
+        """``true`` equals 1.0 and hashes alike; it is checked before any lookup."""
+        ontology = flat_ontology(["alpha", "beta", "gamma"])
+        corpus = make_corpus([("a", ["b"], "alpha beta"), ("b", [], "beta alpha")])
+        built = IndexBundle.build(corpus, [ontology])
+        path = tmp_path / "index.json"
+        obj = saved_obj(built, path)
+        vectors = [raw["term_vectors"]["1"] for raw in obj["rpag"]["nodes"]]
+        assert vectors == [[1.0, 1.0, 0.0]] * 2
+        vectors[1][0] = True
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        with pytest.raises(ValidationError, match="graph node 1 term vector 1"):
+            IndexBundle.load(path)
+
     def test_single_byte_mutations_load_or_raise_validation_error(self, bundled_onts):
         """Seeded single-byte edits of a saved index: each one that still
         parses as JSON either loads or raises ValidationError, nothing else."""
@@ -445,6 +496,57 @@ class TestLoadMatchesBuild:
             assert not gc.isenabled()
         finally:
             gc.enable()
+
+    def test_load_freezes_nothing(self, bundle, tmp_path):
+        """A freeze is process-wide, so only the CLI's commands make one."""
+        path = tmp_path / "index.json"
+        bundle.save(path)
+        frozen = gc.get_freeze_count()
+        IndexBundle.load(path)
+        assert gc.get_freeze_count() == frozen
+
+
+class TestSharedScores:
+    """A build scores each distinct count vector of an ontology once, and a
+    load each distinct stored vector; the nodes that have it share the
+    result, and the patterns and their hex come from it. Each shared value
+    must equal what the reference computes for the node alone."""
+
+    @staticmethod
+    def assert_each_node_exact(bundle: IndexBundle, reference) -> None:
+        stored = bundle.patterns.to_json_obj()["patterns"]
+        repeats = 0
+        for ont in bundle.ontologies:
+            ont_id = ont.ontology_id
+            bits = bundle.patterns.bits_for_ontology(ont_id)
+            first: dict[tuple, object] = {}
+            for node in bundle.rpag.nodes:
+                rel = node.relevance[ont_id]
+                assert rel == reference(node, ont)
+                pattern = gen_webpage_bit_pattern(rel.term_vector, ont)
+                assert bits[node.p_id] == pattern.bits
+                assert stored[str(ont_id)][node.p_id] == _to_hex(pattern.bits, ont.t)
+                assert first.setdefault(rel.term_vector, rel) is rel
+            repeats += len(bundle.rpag.nodes) - len(first)
+        assert repeats, "no vector repeats, so nothing was shared"
+
+    @pytest.mark.parametrize("seed, docs", DIFFERENTIAL_CORPORA)
+    def test_build_and_load_share_exact_scores(self, bundled_onts, tmp_path, seed, docs):
+        corpus = synth_corpus(seed, docs, bundled_onts)
+        built = IndexBundle.build(corpus, bundled_onts)
+        self.assert_each_node_exact(
+            built,
+            lambda node, ont: page_relevance(ont, normalize_text(corpus.docs[node.url].text)),
+        )
+        path = tmp_path / "index.json"
+        obj = saved_obj(built, path)
+        loaded = IndexBundle.load(path)
+        self.assert_each_node_exact(
+            loaded,
+            lambda node, ont: relevance_from_vector(
+                ont, obj["rpag"]["nodes"][node.p_id]["term_vectors"][str(ont.ontology_id)]
+            ),
+        )
 
 
 class TestCollectorPaused:

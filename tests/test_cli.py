@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import io
 import json
 
@@ -281,6 +282,48 @@ class TestEval:
         out = capsys.readouterr().out
         assert "hr direction" in out
         assert (tmp_path / "evalout" / "report.csv").exists()
+
+
+class TestCollectorFreeze:
+    """``query`` and ``eval`` own their process and keep the index to its
+    end: they freeze it, loaded with the collector off, then turn it on."""
+
+    @staticmethod
+    def record(monkeypatch) -> list:
+        events: list = []
+        real_load = IndexBundle.load
+
+        def load(path):
+            events.append(("load", gc.isenabled()))
+            return real_load(path)
+
+        # a real freeze would exempt the test process's objects for good
+        monkeypatch.setattr(IndexBundle, "load", staticmethod(load))
+        monkeypatch.setattr(gc, "freeze", lambda: events.append(("freeze", gc.isenabled())))
+        return events
+
+    def test_query_freezes_after_the_load(self, built_index, capsys, monkeypatch):
+        events = self.record(monkeypatch)
+        assert main(["query", str(built_index), "--search", "cricket"]) == 0
+        assert events == [("load", False), ("freeze", False)]
+        assert gc.isenabled()
+
+    def test_eval_freezes_after_the_load(self, built_index, tmp_path, capsys, monkeypatch):
+        queries = tmp_path / "queries.tsv"
+        queries.write_text("cricket\n", encoding="utf-8")
+        events = self.record(monkeypatch)
+        assert main(["eval", "--index", str(built_index), "--queries", str(queries),
+                     "--repeats", "1"]) == 0
+        assert events == [("load", False), ("freeze", False)]
+        assert gc.isenabled()
+
+    def test_failed_load_freezes_nothing(self, tmp_path, capsys, monkeypatch):
+        events = self.record(monkeypatch)
+        path = tmp_path / "index.json"
+        path.write_text("not json", encoding="utf-8")
+        assert main(["query", str(path), "--search", "cricket"]) == 1
+        assert events == [("load", False)]
+        assert gc.isenabled()
 
 
 class TestParser:

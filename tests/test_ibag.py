@@ -206,9 +206,12 @@ class TestIbagInvariants:
         supporter = next(
             node for node in ibag.nodes if node.supported[1] and node.ont_link[1] is not None
         )
-        supporter.ont_link[1] = None
-        with pytest.raises(ValidationError):
-            ibag.validate()
+        successor = supporter.ont_link[1]
+        # links are threaded from the level table, and a node only reads them
+        with pytest.raises(TypeError):
+            supporter.ont_link[1] = None
+        assert supporter.ont_link[1] == successor
+        ibag.validate()
 
     def test_load_rejects_broken_heads(self, bundled_onts):
         corpus = synth_corpus(8, 70, bundled_onts)
@@ -229,11 +232,13 @@ class TestIbagInvariants:
     def test_validate_leaves_index_unchanged(self, bundled_onts):
         corpus = synth_corpus(8, 70, bundled_onts)
         ibag = build_ibag(build_rpag(corpus, bundled_onts))
-        links = [node.ont_link for node in ibag.nodes]
-        snapshot = [dict(link) for link in links]
+        heads = ibag.level_heads
+        snapshot = [dict(node.ont_link) for node in ibag.nodes]
         ibag.validate()
-        assert [node.ont_link for node in ibag.nodes] == snapshot
-        assert all(node.ont_link is link for node, link in zip(ibag.nodes, links))
+        assert [dict(node.ont_link) for node in ibag.nodes] == snapshot
+        # validate lays out copies: the nodes keep reading this index's chains
+        assert ibag.level_heads is heads
+        assert all(node._chains is ibag._chains for node in ibag.nodes)
 
     def test_empty_graph_builds_empty_index(self):
         corpus = make_corpus([("a", [], "noise")])
