@@ -497,6 +497,17 @@ class TestLoadMatchesBuild:
         finally:
             gc.enable()
 
+    def test_build_and_load_leave_the_chains_unthreaded(self, bundled_onts, tmp_path):
+        """No query reads the paper's chains: they are threaded on first read."""
+        built = IndexBundle.build(synth_corpus(23, 90, bundled_onts), bundled_onts)
+        path = tmp_path / "index.json"
+        built.save(path)
+        loaded = IndexBundle.load(path)
+        for bundle in (built, loaded):
+            assert "threaded" not in vars(bundle.ibag._chains)
+        assert loaded.ibag.level_heads == built.ibag.level_heads
+        assert "threaded" in vars(loaded.ibag._chains)
+
     def test_load_freezes_nothing(self, bundle, tmp_path):
         """A freeze is process-wide, so only the CLI's commands make one."""
         path = tmp_path / "index.json"
