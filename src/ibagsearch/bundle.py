@@ -1,10 +1,18 @@
 """Single-file JSON persistence for a built index.
 
-The file holds only the inputs under one version tag: the ontologies and,
-per relevance-graph node, its url, parents and term vectors. The file also
-keeps the bit patterns, as a checksum. Serialization is canonical (sorted
-keys, fixed separators), so saving a loaded bundle reproduces the file byte
-for byte.
+The file holds only the inputs under one version tag: the ontologies and
+the relevance graph in columns (each node's url and parents, and per
+ontology each distinct term-count vector once, with each node's row
+index). The file also keeps the bit patterns, as a checksum.
+Serialization is canonical (sorted keys, fixed separators), so saving a
+loaded bundle reproduces the file byte for byte.
+
+A top-level ``digest`` holds the SHA-256 of the canonical bytes of the
+file without that member; with sorted keys it comes first. A load hashes
+the raw bytes after it and never re-serializes; ``from_json_obj`` has no
+raw bytes, so it re-serializes what it decoded. The digest guards against
+corruption and hand edits. It is not authentication: anyone who can write
+the file can write a matching digest.
 
 A build, the serialization inside a save and a load each run with the
 cyclic garbage collector paused (``collector.collector_paused``): they make
@@ -12,14 +20,14 @@ many objects and no reference cycles.
 
 A load parses the file, then rebuilds every derived structure through the
 code a build runs, one pass over the nodes per step, and checks each fact
-of a node once:
+once:
 
-- ``RPaG.from_json_obj`` checks the node's shape, its parents and ontology
-  keys (``rpag.check_node``) and each term vector's entries, and scores
-  each distinct vector of an ontology once through
-  ``relevance_from_vector``; the nodes with that vector share the score
-  (only vectors written as floats other than -0.0 are shared, so the file
-  saves back byte for byte);
+- the version tag, then the shapes and facts of each section below, so a
+  bad file is named by the check it fails; the digest last;
+- ``RPaG.from_json_obj`` checks each row of counts once and scores it
+  through ``relevance_from_counts``, the function a crawl scores through;
+  the nodes that use the row share the score. It checks the row indexes
+  and the columns, and each node's parents (``rpag.check_parents``);
 - ``build_ibag`` gives each index node its graph node's scores, the same
   dict and not a copy, and averages the supported ones into the node's
   mean; ``IBAG.from_nodes`` checks every other node fact (urls, levels,
@@ -35,6 +43,7 @@ index they load (``cli._load_for_process``).
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import os
@@ -52,7 +61,15 @@ from .rpag import RPaG, build_rpag
 
 log = logging.getLogger(__name__)
 
-FORMAT_VERSION = "2"
+FORMAT_VERSION = "3"
+# a saved file begins with its digest member: '{"digest":"<64 hex>",'
+_DIGEST_OPEN = b'{"digest":"'
+_BODY_START = len(_DIGEST_OPEN) + 64 + len(b'",')
+
+
+def _canonical(obj: dict) -> bytes:
+    text = json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+    return (text + "\n").encode("utf-8")
 
 
 @dataclass
@@ -88,20 +105,39 @@ class IndexBundle:
             raise ValidationError("bit patterns differ from those the term vectors give")
 
     def to_json_obj(self) -> dict:
-        return {
+        """The file's object: the sections, and the digest of their
+        canonical bytes."""
+        content = {
             "format_version": FORMAT_VERSION,
             "ontologies": [ont.to_json_obj() for ont in self.ontologies],
             "rpag": self.rpag.to_json_obj(),
             "patterns": self.patterns.to_json_obj(),
         }
+        return {"digest": hashlib.sha256(_canonical(content)).hexdigest(), **content}
 
     @staticmethod
     def from_json_obj(obj: object) -> "IndexBundle":
+        """Decode a parsed index file and check its digest.
+
+        Having no raw bytes to hash, this re-serializes the decoded bundle
+        to check the digest, which takes about as long as a save;
+        :meth:`load` hashes the file's bytes instead."""
+        bundle = IndexBundle._decode(obj)
+        if obj.get("digest") != bundle.to_json_obj()["digest"]:
+            raise ValidationError("index digest does not match its contents")
+        return bundle
+
+    @staticmethod
+    def _decode(obj: object) -> "IndexBundle":
+        """Check the version and every section and derive the bundle; the
+        caller checks the digest."""
         if not isinstance(obj, dict):
             raise ValidationError("index file must hold a JSON object")
-        if obj.get("format_version") != FORMAT_VERSION:
+        version = obj.get("format_version")
+        if version != FORMAT_VERSION:
             raise ValidationError(
-                f"unsupported bundle format version {obj.get('format_version')!r}"
+                f"unsupported index format version {version!r:.40} (this program reads "
+                f"version {FORMAT_VERSION!r}); rebuild the index with `ibag-search build`"
             )
         ontologies = tuple(
             Ontology.from_json_obj(raw) for raw in json_field(obj, "ontologies", list, "index")
@@ -114,10 +150,7 @@ class IndexBundle:
         return IndexBundle(ontologies=ontologies, rpag=rpag, ibag=ibag, patterns=patterns)
 
     def canonical_bytes(self) -> bytes:
-        text = json.dumps(
-            self.to_json_obj(), sort_keys=True, ensure_ascii=False, separators=(",", ":")
-        )
-        return (text + "\n").encode("utf-8")
+        return _canonical(self.to_json_obj())
 
     def save(self, path: str | Path) -> None:
         """Serialize with the collector paused, then write through a temp
@@ -136,15 +169,20 @@ class IndexBundle:
 
     @staticmethod
     def load(path: str | Path) -> "IndexBundle":
-        """Parse and decode ``path`` with the cyclic garbage collector paused."""
+        """Parse and decode ``path`` with the cyclic garbage collector
+        paused, then check the digest against the file's bytes."""
         raw = Path(path).read_bytes()
         with collector_paused():
             try:
                 obj = json.loads(raw.decode("utf-8"))
             except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON, deep nesting
                 raise ValidationError(f"{path}: not a valid index file: {exc}") from None
-            bundle = IndexBundle.from_json_obj(obj)
+            bundle = IndexBundle._decode(obj)
             # free the parsed file before the collector resumes, or its first
             # pass, which any allocation may start, scans every object of it
             del obj
+        content = hashlib.sha256(b"{")
+        content.update(memoryview(raw)[_BODY_START:])
+        if raw[:_BODY_START] != _DIGEST_OPEN + content.hexdigest().encode() + b'",':
+            raise ValidationError(f"{path}: index digest does not match its contents")
         return bundle

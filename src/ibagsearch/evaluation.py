@@ -346,7 +346,7 @@ def traversal_cost_check(m_levels: int, pages_per_level: int) -> float:
                     pp_id=parent,
                     mean_rel_val=float(pages_per_level - i),
                     level=level,
-                    relevance={1: PageRelevance(1, 1.0, True, (1.0,))},
+                    relevance={1: PageRelevance(1, 1.0, True, (1.0,), (1,))},
                 )
             )
     ibag = IBAG.from_nodes(nodes, (probe,))

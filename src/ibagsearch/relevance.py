@@ -8,16 +8,18 @@ exceeds the ontology's relevance limit.
 :func:`page_relevance` counts every term through the ontology's phrase
 table in one scan of the page, or takes the counts from a scan the caller
 has made already: a crawl counts the terms of all its ontologies in one
-scan of the page, through their tables merged into one. Either way each
-term's value is its weight times its count, and the page is scored through
-:func:`relevance_from_vector`. :func:`term_relevance_value` counts one term
-phrase by phrase and is the reference the tests compare it against.
+scan of the page, through their tables merged into one. Either way the page
+is scored from its counts through :func:`relevance_from_counts`, the one
+scoring rule: each term's value is its weight times its count, the same
+float product whether a build or a load computes it.
+:func:`term_relevance_value` counts one term phrase by phrase and is the
+reference the tests compare it against.
 
-A :class:`PageRelevance` is immutable, so one value can serve many pages: a
-crawl (``rpag.build_rpag``) calls :func:`page_relevance` once per distinct
-count vector of an ontology, and a load (``RPaG.from_json_obj``) calls
-:func:`relevance_from_vector` once per distinct stored vector; the pages
-with that vector share the result.
+A :class:`PageRelevance` is immutable and keeps the counts it was scored
+from, so one value can serve many pages: a crawl (``rpag.build_rpag``)
+calls :func:`page_relevance` once per distinct count vector of an ontology,
+and a load (``RPaG.from_json_obj``) calls :func:`relevance_from_counts` once
+per stored row of counts; the pages with those counts share the result.
 """
 from __future__ import annotations
 
@@ -30,7 +32,9 @@ class PageRelevance(NamedTuple):
     """One page scored against one ontology.
 
     ``relevance_value`` is forced to zero when the page does not clear the
-    cutoff; the per-term vector is kept either way, indexed by bit position.
+    cutoff; the per-term vector is kept either way, indexed by bit position,
+    and so are the term counts it was derived from, which an index file
+    stores.
     A named tuple, not a frozen dataclass: a build or a load makes one per
     (page, ontology) pair, and a named tuple is cheaper to build and to hold.
     """
@@ -39,6 +43,7 @@ class PageRelevance(NamedTuple):
     relevance_value: float
     supported: bool
     term_vector: tuple[float, ...]
+    counts: tuple[int, ...]
 
 
 def term_relevance_value(term: OntologyTerm, tokens: Sequence[str]) -> float:
@@ -48,16 +53,20 @@ def term_relevance_value(term: OntologyTerm, tokens: Sequence[str]) -> float:
     return term.weight * occurrences
 
 
-def relevance_from_vector(ontology: Ontology, term_vector: Sequence[float]) -> PageRelevance:
-    """The page-level scoring rule: sum the term vector, compare to the cutoff.
+def relevance_from_counts(ontology: Ontology, counts: Sequence[int]) -> PageRelevance:
+    """The page-level scoring rule: each term's value is its weight times its
+    count; the page's value is their sum, compared to the cutoff.
 
     Building a graph and loading one from an index file both score through
-    here, so a page's value and support always follow from its vector.
+    here, so a page's values and support always follow from its counts.
     """
-    vector = tuple(term_vector)
+    counts = tuple(counts)
+    vector = tuple([term.weight * n for term, n in zip(ontology.terms, counts)])
     value = sum(vector)
     supported = value > ontology.relevance_limit
-    return PageRelevance(ontology.ontology_id, value if supported else 0.0, supported, vector)
+    return PageRelevance(
+        ontology.ontology_id, value if supported else 0.0, supported, vector, counts
+    )
 
 
 def page_relevance(
@@ -70,6 +79,4 @@ def page_relevance(
     """
     if counts is None:
         counts = ontology.count_terms(tokens if isinstance(tokens, list) else list(tokens))
-    return relevance_from_vector(
-        ontology, [term.weight * n for term, n in zip(ontology.terms, counts)]
-    )
+    return relevance_from_counts(ontology, counts)

@@ -14,43 +14,39 @@ count vector of an ontology once, keyed by the counts: every page with
 those counts shares the one immutable ``PageRelevance``, and its term
 vector tuple with it. The memo is local to the call.
 
-Loading a graph (:meth:`RPaG.from_json_obj`) is one pass over the stored
-nodes. Per node it checks the shape on a fast path of plain type tests,
-and words an error through ``json_field`` only when one fails. It checks
-the facts only the graph holds (:func:`check_node`), then each term vector
-in one loop over its entries, and scores the vector through
-``relevance_from_vector``, as a build scores a page: once per distinct
-vector of an ontology, keyed by the vector, and shared like a crawl's.
-Only a vector whose entries are all floats other than -0.0 is shared, since
-an int 0 or a -0.0 equals 0.0 and hashes alike but saves differently; any
-other vector is scored on its own. Every other node fact is checked once,
-later, by ``IBAG.from_nodes``.
+A graph is stored in columns (:meth:`RPaG.to_json_obj`): the nodes' urls,
+their parent lists, and per ontology a ``rows`` table holding each distinct
+count vector once, in order of first use by p_id, with an ``of_node`` list
+of each node's row index. Loading it (:meth:`RPaG.from_json_obj`) checks
+each row once: a list of one non-negative int count per term, each
+convertible to a float, and unlike every other row. It scores the row
+through ``relevance_from_counts``, and every node with that row shares the
+one score, as in a crawl. Then it checks that the row indexes use every
+row, first in row order, and that the columns are equal in length, so a
+graph it accepts is the one graph that saves back to those bytes. Per
+node it checks the facts only the graph holds (:func:`check_parents`).
+Every other node fact is checked once, later, by ``IBAG.from_nodes``,
+among them a relevance sum that overflows to infinity.
 """
 from __future__ import annotations
 
-import hashlib
-import json
 import logging
-import sys
 from collections import deque
-from math import copysign
 from dataclasses import dataclass, field
-from typing import NoReturn, Sequence
+from typing import Sequence
 
 from .corpus import Corpus
 from .errors import ValidationError, json_field
 from .ibag import build_ibag
 from .ontology import Ontology, PhraseTable, normalize_text
-from .relevance import PageRelevance, page_relevance, relevance_from_vector
+from .relevance import PageRelevance, page_relevance, relevance_from_counts
 
 log = logging.getLogger(__name__)
 
 MAX_PARENTS = 4
-FORMAT_VERSION = "2"
-_MAX_FLOAT = sys.float_info.max
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class RPaGNode:
     """One relevant page: identity, up to four parents, per-ontology scores."""
 
@@ -80,116 +76,111 @@ class RPaG:
         build_ibag(self)
 
     def to_json_obj(self) -> dict:
-        """Only the inputs: scores, support and every index structure derive from them."""
+        """Only the inputs, in columns: scores, support and every index
+        structure derive from them. Each distinct count vector of an
+        ontology is one row, numbered in order of first use by p_id."""
+        counts = {}
+        for ont in self.ontologies:
+            ont_id = ont.ontology_id
+            rows: dict[tuple[int, ...], int] = {}
+            of_node = [
+                rows.setdefault(node.relevance[ont_id].counts, len(rows)) for node in self.nodes
+            ]
+            counts[str(ont_id)] = {"of_node": of_node, "rows": [list(row) for row in rows]}
         return {
-            "version": FORMAT_VERSION,
-            "ontology_digest": ontology_digest(self.ontologies),
-            "nodes": [
-                {
-                    "url": node.url,
-                    "pp_ids": list(node.pp_ids),
-                    "term_vectors": {
-                        str(ont_id): list(rel.term_vector)
-                        for ont_id, rel in node.relevance.items()
-                    },
-                }
-                for node in self.nodes
-            ],
+            "counts": counts,
+            "pp_ids": [list(node.pp_ids) for node in self.nodes],
+            "urls": [node.url for node in self.nodes],
         }
 
     @staticmethod
     def from_json_obj(obj: object, ontologies: Sequence[Ontology]) -> "RPaG":
-        """Decode nodes (p_id is the list index) and score their term vectors.
+        """Decode the columns (p_id is the list index) and score each row of
+        counts once.
 
-        Checks shapes and :func:`check_node` only; the other node facts are
-        checked by :func:`build_ibag`, which ``IndexBundle.from_json_obj``
-        always runs on the result."""
+        Checks shapes, rows, row indexes and :func:`check_parents` only; the
+        other node facts are checked by :func:`build_ibag`, which a bundle
+        load always runs on the result."""
         ontologies = tuple(ontologies)
         if not isinstance(obj, dict):
             raise ValidationError("graph section must be an object")
-        if obj.get("version") != FORMAT_VERSION:
-            raise ValidationError(f"unsupported graph format version {obj.get('version')!r}")
-        if obj.get("ontology_digest") != ontology_digest(ontologies):
-            raise ValidationError("graph was built against different ontologies")
-        # per ontology, each distinct vector's score, made once and shared
-        scorings = [(str(ont.ontology_id), ont, {}) for ont in ontologies]
-        keys = {key for key, _, _ in scorings}
+        urls = json_field(obj, "urls", list, "graph")
+        pp_ids = json_field(obj, "pp_ids", list, "graph")
+        tables = json_field(obj, "counts", dict, "graph")
+        if tables.keys() != {str(ont.ontology_id) for ont in ontologies}:
+            raise ValidationError("graph counts keys mismatch the ontologies")
+        if len(pp_ids) != len(urls):
+            raise ValidationError(f"graph has {len(urls)} urls but {len(pp_ids)} parent lists")
+        scores = [_node_scores(ont, tables[str(ont.ontology_id)], len(urls)) for ont in ontologies]
+        ids = [ont.ontology_id for ont in ontologies]
         nodes = []
-        for p_id, raw in enumerate(json_field(obj, "nodes", list, "graph")):
-            # the shapes a saved file has; json_field words the error otherwise
-            if not (
-                type(raw) is dict
-                and type(vectors := raw.get("term_vectors")) is dict
-                and type(pp_ids := raw.get("pp_ids")) is list
-            ):
-                vectors = json_field(raw, "term_vectors", dict, f"graph node {p_id}")
-                pp_ids = json_field(raw, "pp_ids", list, f"graph node {p_id}")
-            check_node(p_id, pp_ids, vectors, keys)
-            relevance = {}
-            for key, ont, scored in scorings:
-                vector = vectors[key]
-                if not isinstance(vector, list):
-                    _bad_vector(p_id, key)
-                # NaN and infinity fail the comparisons, an int too large for
-                # a float compares above the largest float without being
-                # converted, and bool is neither type. A vector is shared only
-                # when each entry is a float other than -0.0: an int 0 or a
-                # -0.0 equals 0.0 and hashes alike, but saves differently.
-                shared = True
-                for v in vector:
-                    if type(v) is float:
-                        if 0.0 < v <= _MAX_FLOAT or (v == 0.0 and copysign(1.0, v) > 0.0):
-                            continue
-                        if v != 0.0:
-                            _bad_vector(p_id, key)
-                        shared = False
-                    elif type(v) is int and 0 <= v <= _MAX_FLOAT:
-                        shared = False
-                    else:
-                        _bad_vector(p_id, key)
-                if shared:
-                    vector = tuple(vector)
-                    rel = scored.get(vector)
-                    if rel is None:
-                        rel = scored[vector] = relevance_from_vector(ont, vector)
-                else:
-                    rel = relevance_from_vector(ont, vector)
-                relevance[ont.ontology_id] = rel
-            url = raw.get("url")
+        for p_id, (url, parents, *rels) in enumerate(zip(urls, pp_ids, *scores)):
             if type(url) is not str:
-                url = json_field(raw, "url", str, f"graph node {p_id}")
-            nodes.append(RPaGNode(p_id, url, tuple(pp_ids), relevance))
+                raise ValidationError(f"graph url {p_id} must be a string, got {url!r:.40}")
+            if type(parents) is not list:
+                raise ValidationError(f"graph pp_ids {p_id} must be a list, got {parents!r:.40}")
+            check_parents(p_id, parents)
+            nodes.append(RPaGNode(p_id, url, tuple(parents), dict(zip(ids, rels))))
         return RPaG(nodes=nodes, ontologies=ontologies)
 
 
-def _bad_vector(p_id: int, key: str) -> NoReturn:
-    raise ValidationError(
-        f"graph node {p_id} term vector {key} must be a list of finite non-negative numbers"
-    )
+def _node_scores(ont: Ontology, table: object, node_count: int) -> list[PageRelevance]:
+    """Each node's score from one ontology's ``rows`` and ``of_node``: every
+    row checked and scored once, its score shared by the nodes that use it."""
+    where = f"graph counts {ont.ontology_id}"
+    rows = json_field(table, "rows", list, where)
+    of_node = json_field(table, "of_node", list, where)
+    if len(of_node) != node_count:
+        raise ValidationError(f"{where} has {len(of_node)} row indexes for {node_count} nodes")
+    scored: dict[tuple[int, ...], PageRelevance] = {}
+    for i, row in enumerate(rows):
+        # bool is not int here, so the key holds only ints and is exact by value
+        if not (
+            type(row) is list
+            and len(row) == ont.t
+            and all(type(n) is int for n in row)
+            and min(row) >= 0
+        ):
+            raise ValidationError(f"{where} row {i} must be {ont.t} non-negative integer counts")
+        key = tuple(row)
+        if key in scored:
+            raise ValidationError(f"{where} row {i} repeats an earlier row")
+        try:
+            scored[key] = relevance_from_counts(ont, key)
+        except OverflowError:
+            raise ValidationError(f"{where} row {i} holds a count too large for a float") from None
+    if set(map(type, of_node)) - {int}:
+        raise ValidationError(f"{where} row indexes must be integers")
+    # each row is first used after the rows before it, and every row is used
+    first_use = list(dict.fromkeys(of_node))
+    if first_use != list(range(len(rows))):
+        bad = next((i for i in of_node if not 0 <= i < len(rows)), None)
+        if bad is not None:
+            raise ValidationError(f"{where} row index {bad} is out of range")
+        if len(first_use) < len(rows):
+            unused = min(set(range(len(rows))).difference(first_use))
+            raise ValidationError(f"{where} row {unused} is used by no node")
+        raise ValidationError(f"{where} rows are not in order of first use")
+    shared = list(scored.values())
+    return [shared[i] for i in of_node]
 
 
-def check_node(p_id: int, pp_ids: Sequence[object], relevance: dict, ontology_keys: set) -> None:
-    """The node facts only the graph holds (the index keeps one parent): at
-    most ``MAX_PARENTS`` parents, each an int below ``p_id``, and one
-    relevance entry per ontology, keyed as ``ontology_keys`` are."""
+def check_parents(p_id: int, pp_ids: Sequence[object]) -> None:
+    """At most ``MAX_PARENTS`` parents, each an int below ``p_id``: a fact
+    only the graph holds (the index keeps one parent)."""
     if len(pp_ids) > MAX_PARENTS:
         raise ValidationError(f"node {p_id} has more than {MAX_PARENTS} parents")
     for pp in pp_ids:
         if type(pp) is not int or not 0 <= pp < p_id:
             raise ValidationError(f"node {p_id} parent {pp!r:.40} must reference an earlier node")
-    if relevance.keys() != ontology_keys:
+
+
+def check_node(p_id: int, pp_ids: Sequence[object], relevance: dict, ontology_ids: set) -> None:
+    """The node facts only the graph holds: :func:`check_parents`, and one
+    relevance entry per ontology id."""
+    check_parents(p_id, pp_ids)
+    if relevance.keys() != ontology_ids:
         raise ValidationError(f"node {p_id} relevance keys mismatch the ontologies")
-
-
-def ontology_digest(ontologies: Sequence[Ontology]) -> str:
-    """Stable fingerprint of an ontology list, for cross-checking indexes."""
-    payload = json.dumps(
-        [ont.to_json_obj() for ont in ontologies],
-        sort_keys=True,
-        ensure_ascii=False,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def build_rpag(corpus: Corpus, ontologies: Sequence[Ontology]) -> RPaG:

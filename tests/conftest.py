@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import hashlib
+import json
+import sys
+
 import pytest
 
 from ibagsearch import Corpus, CorpusDoc, LimitsConfig, Ontology, OntologyTerm, load_ontology
@@ -13,48 +17,66 @@ def make_corpus(records: list[tuple[str, list[str], str]], seeds: list[str] | No
     return Corpus(docs=docs, seeds=tuple(seeds))
 
 
-def overflow_two_set_entries(index_obj: dict) -> None:
-    """Edit a saved index so one page's relevance sums past the largest float.
+def sealed(index_obj: dict) -> bytes:
+    """``index_obj`` in the canonical form a save writes, under a fresh
+    digest: the SHA-256 of the canonical bytes without the digest member."""
 
-    Two entries of the first term vector with at least two pattern bits set
-    become ``1e308``: each is finite and its bit stays set, so the stored
-    patterns still agree, but their sum is ``inf``.
+    def canonical(obj: dict) -> bytes:
+        text = json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+        return (text + "\n").encode("utf-8")
+
+    content = {key: value for key, value in index_obj.items() if key != "digest"}
+    return canonical({"digest": hashlib.sha256(canonical(content)).hexdigest(), **content})
+
+
+def node_counts(index_obj: dict, key: str) -> list[list[int]]:
+    """Each node's term counts for ontology ``key`` of a saved index."""
+    table = index_obj["rpag"]["counts"][key]
+    return [list(table["rows"][i]) for i in table["of_node"]]
+
+
+def set_node_counts(index_obj: dict, key: str, counts: list[list[int]]) -> None:
+    """Store each node's term counts for ontology ``key`` as a save would:
+    each distinct vector one row, rows in order of first use."""
+    rows: dict[tuple[int, ...], int] = {}
+    of_node = [rows.setdefault(tuple(c), len(rows)) for c in counts]
+    index_obj["rpag"]["counts"][key] = {"of_node": of_node, "rows": [list(r) for r in rows]}
+
+
+LARGEST_FLOAT_AS_INT = int(sys.float_info.max)
+
+
+def _weighted_row(index_obj: dict) -> tuple[list[float], list[int]]:
+    """The first ontology whose term weights sum above 1, and its row 0."""
+    for ont in index_obj["ontologies"]:
+        weights = [t["weight"] for t in ont["terms"]]
+        if sum(sorted(weights)[-2:]) > 1:
+            return weights, index_obj["rpag"]["counts"][str(ont["ontology_id"])]["rows"][0]
+    raise AssertionError("no ontology has two weights that sum above 1")
+
+
+def overflow_two_set_entries(index_obj: dict) -> None:
+    """Edit a saved index so one row of counts scores past the largest float.
+
+    The counts of the two heaviest terms of the row become the largest float
+    as an int: each converts to a float and each product with a weight of
+    at most 1 is finite, but the two weights sum above 1, so their sum is
+    ``inf``.
     """
-    limits = {
-        str(ont["ontology_id"]): [t["term_relevance_limit"] for t in ont["terms"]]
-        for ont in index_obj["ontologies"]
-    }
-    vector, positions = next(
-        (vec, set_positions)
-        for raw in index_obj["rpag"]["nodes"]
-        for key, vec in raw["term_vectors"].items()
-        for set_positions in [[p for p, v in enumerate(vec) if v > limits[key][p]]]
-        if len(set_positions) >= 2
-    )
-    for position in positions[:2]:
-        vector[position] = 1e308
+    weights, row = _weighted_row(index_obj)
+    for position in sorted(range(len(weights)), key=weights.__getitem__)[-2:]:
+        row[position] = LARGEST_FLOAT_AS_INT
 
 
 def int_sum_too_large_for_float(index_obj: dict) -> None:
-    """Edit a saved index so one page's relevance is an int no float can hold.
+    """Edit a saved index so one row's relevance is a sum no float can hold.
 
-    The first term vector with at least two pattern bits set becomes ints:
-    ``10**308`` where a bit is set, 0 elsewhere. Each entry is at most the
-    largest float and the set bits do not change, so the stored patterns
-    still agree, but the vector's sum is an int above the largest float.
+    Every count of the row becomes the largest float as an int: each
+    converts to a float and each product is finite, but the weights sum
+    above 1, so the row's relevance overflows.
     """
-    limits = {
-        str(ont["ontology_id"]): [t["term_relevance_limit"] for t in ont["terms"]]
-        for ont in index_obj["ontologies"]
-    }
-    vector, positions = next(
-        (vec, set_positions)
-        for raw in index_obj["rpag"]["nodes"]
-        for key, vec in raw["term_vectors"].items()
-        for set_positions in [[p for p, v in enumerate(vec) if v > limits[key][p]]]
-        if len(set_positions) >= 2
-    )
-    vector[:] = [10**308 if p in positions else 0 for p in range(len(vector))]
+    _, row = _weighted_row(index_obj)
+    row[:] = [LARGEST_FLOAT_AS_INT] * len(row)
 
 
 @pytest.fixture(scope="session")

@@ -12,6 +12,8 @@ import pytest
 
 from ibagsearch import (
     IndexBundle,
+    Ontology,
+    OntologyTerm,
     ValidationError,
     search_after_masking,
     search_before_masking,
@@ -21,12 +23,15 @@ from ibagsearch import bundle as bundle_module
 from ibagsearch.bitmask import _to_hex, gen_webpage_bit_pattern
 from ibagsearch.bundled import default_queries
 from ibagsearch.ontology import normalize_text
-from ibagsearch.relevance import page_relevance, relevance_from_vector
+from ibagsearch.relevance import page_relevance, relevance_from_counts
 from conftest import (
     flat_ontology,
     int_sum_too_large_for_float,
     make_corpus,
+    node_counts,
     overflow_two_set_entries,
+    sealed,
+    set_node_counts,
     single_term_ontology,
 )
 
@@ -40,12 +45,6 @@ def bundle(bundled_onts):
 def saved_obj(bundle, path) -> dict:
     bundle.save(path)
     return json.loads(path.read_text(encoding="utf-8"))
-
-
-def canonical(obj: dict) -> bytes:
-    """``obj`` in the canonical form a save writes."""
-    text = json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
-    return (text + "\n").encode("utf-8")
 
 
 class TestRoundTrip:
@@ -70,11 +69,21 @@ class TestRoundTrip:
 
     def test_file_holds_only_inputs_and_patterns(self, bundle, tmp_path):
         obj = saved_obj(bundle, tmp_path / "index.json")
-        assert set(obj) == {"format_version", "ontologies", "rpag", "patterns"}
-        assert obj["format_version"] == "2"
-        assert len(obj["rpag"]["nodes"]) == len(bundle.rpag)
-        for raw in obj["rpag"]["nodes"]:
-            assert set(raw) == {"url", "pp_ids", "term_vectors"}
+        assert set(obj) == {"digest", "format_version", "ontologies", "rpag", "patterns"}
+        assert obj["format_version"] == "3"
+        graph = obj["rpag"]
+        assert set(graph) == {"urls", "pp_ids", "counts"}
+        assert len(graph["urls"]) == len(graph["pp_ids"]) == len(bundle.rpag)
+        assert set(graph["counts"]) == {str(ont.ontology_id) for ont in bundle.ontologies}
+        for table in graph["counts"].values():
+            assert set(table) == {"rows", "of_node"}
+            assert len(table["of_node"]) == len(bundle.rpag)
+            # each distinct count vector once: fewer rows than nodes
+            assert len(table["rows"]) == len({tuple(row) for row in table["rows"]})
+            assert len(table["rows"]) < len(bundle.rpag)
+        assert (tmp_path / "index.json").read_bytes().startswith(
+            b'{"digest":"' + obj["digest"].encode() + b'","format_version":"3",'
+        )
 
     @pytest.mark.parametrize("seed", [3, 29])
     def test_loaded_index_answers_as_fresh_build(self, seed, bundled_onts, tmp_path):
@@ -98,21 +107,25 @@ class TestRoundTrip:
                 )
 
 
+def _rows(obj: dict, key: str = "1") -> list:
+    return obj["rpag"]["counts"][key]["rows"]
+
+
 def _drop_url(obj: dict) -> None:
-    del obj["rpag"]["nodes"][0]["url"]
+    del obj["rpag"]["urls"]
 
 
 def _string_term_vector(obj: dict) -> None:
-    obj["rpag"]["nodes"][0]["term_vectors"]["1"] = "0.9,0.0"
+    _rows(obj)[0] = ",".join(map(str, _rows(obj)[0]))
 
 
 def _string_entry_in_term_vector(obj: dict) -> None:
-    obj["rpag"]["nodes"][0]["term_vectors"]["1"][0] = "0.9"
+    _rows(obj)[0][0] = str(_rows(obj)[0][0])
 
 
 def _bool_parent(obj: dict) -> None:
-    node = next(raw for raw in obj["rpag"]["nodes"] if raw["pp_ids"])
-    node["pp_ids"][0] = True
+    parents = next(pp for pp in obj["rpag"]["pp_ids"] if pp)
+    parents[0] = True
 
 
 def _drop_ontology_terms(obj: dict) -> None:
@@ -124,88 +137,144 @@ def _drop_patterns(obj: dict) -> None:
 
 
 def _nodes_not_a_list(obj: dict) -> None:
-    obj["rpag"]["nodes"] = {"0": obj["rpag"]["nodes"][0]}
+    obj["rpag"]["urls"] = {"0": obj["rpag"]["urls"][0]}
 
 
 def _int_too_large_for_float(obj: dict) -> None:
-    obj["rpag"]["nodes"][0]["term_vectors"]["1"][0] = 10**400
+    _rows(obj)[0][0] = 10**400
 
 
 def _true_entry(obj: dict) -> None:
-    obj["rpag"]["nodes"][0]["term_vectors"]["1"][0] = True
+    _rows(obj)[0][0] = True
 
 
 def _null_entry(obj: dict) -> None:
-    obj["rpag"]["nodes"][0]["term_vectors"]["1"][0] = None
+    _rows(obj)[0][0] = None
 
 
 def _nan_entry(obj: dict) -> None:
     """Written as JSON ``NaN``, which the parser reads back as a float."""
-    obj["rpag"]["nodes"][0]["term_vectors"]["1"][0] = float("nan")
+    _rows(obj)[0][0] = float("nan")
 
 
 def _nested_list_entry(obj: dict) -> None:
-    vector = obj["rpag"]["nodes"][0]["term_vectors"]["1"]
-    vector[0] = [vector[0]]
+    row = _rows(obj)[0]
+    row[0] = [row[0]]
 
 
 def _infinite_entry_with_bit_set(obj: dict) -> None:
-    """Written as JSON ``Infinity``; the entry's pattern bit is already set,
-    so the stored patterns still agree with the edited vector."""
-    limits = {
-        str(ont["ontology_id"]): [t["term_relevance_limit"] for t in ont["terms"]]
-        for ont in obj["ontologies"]
-    }
-    vector, position = next(
-        (vec, p)
-        for raw in obj["rpag"]["nodes"]
-        for key, vec in raw["term_vectors"].items()
-        for p, value in enumerate(vec)
-        if value > limits[key][p]
-    )
-    vector[position] = float("inf")
+    """Written as JSON ``Infinity``, in place of a count that sets its
+    pattern bit, so the pattern the row gives would not change."""
+    row = next(row for row in _rows(obj) if row[0] > 0)
+    row[0] = float("inf")
 
 
 def _duplicate_url(obj: dict) -> None:
-    nodes = obj["rpag"]["nodes"]
-    nodes[1]["url"] = nodes[0]["url"]
+    urls = obj["rpag"]["urls"]
+    urls[1] = urls[0]
 
 
 def _empty_url(obj: dict) -> None:
-    obj["rpag"]["nodes"][0]["url"] = ""
+    obj["rpag"]["urls"][0] = ""
 
 
 def _five_parents(obj: dict) -> None:
-    obj["rpag"]["nodes"][5]["pp_ids"] = [0, 1, 2, 3, 4]
+    obj["rpag"]["pp_ids"][5] = [0, 1, 2, 3, 4]
 
 
-def _node_with_parent(obj: dict) -> tuple[int, dict]:
-    return next((i, raw) for i, raw in enumerate(obj["rpag"]["nodes"]) if raw["pp_ids"])
+def _node_with_parent(obj: dict) -> tuple[int, list]:
+    return next((i, pp) for i, pp in enumerate(obj["rpag"]["pp_ids"]) if pp)
 
 
 def _forward_second_parent(obj: dict) -> None:
-    p_id, raw = _node_with_parent(obj)
-    raw["pp_ids"] = [raw["pp_ids"][0], p_id + 1]
+    p_id, parents = _node_with_parent(obj)
+    parents[1:] = [p_id + 1]
 
 
 def _negative_second_parent(obj: dict) -> None:
-    _, raw = _node_with_parent(obj)
-    raw["pp_ids"] = [raw["pp_ids"][0], -1]
+    _, parents = _node_with_parent(obj)
+    parents[1:] = [-1]
 
 
 def _all_zero_vectors(obj: dict) -> None:
     """The node then supports no ontology."""
-    vectors = obj["rpag"]["nodes"][0]["term_vectors"]
-    for key, vec in vectors.items():
-        vectors[key] = [0.0] * len(vec)
+    for key in obj["rpag"]["counts"]:
+        counts = node_counts(obj, key)
+        counts[0] = [0] * len(counts[0])
+        set_node_counts(obj, key, counts)
 
 
 def _vector_entry_too_many(obj: dict) -> None:
-    obj["rpag"]["nodes"][0]["term_vectors"]["1"].append(0.0)
+    _rows(obj)[0].append(0)
 
 
 def _vector_entry_too_few(obj: dict) -> None:
-    obj["rpag"]["nodes"][0]["term_vectors"]["1"].pop()
+    _rows(obj)[0].pop()
+
+
+def canonical(obj: dict) -> bytes:
+    """``obj`` in the canonical form a save writes, its digest left as it is."""
+    text = json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+    return (text + "\n").encode("utf-8")
+
+
+def four_page_index(tmp_path) -> dict:
+    """A saved flat-ontology index whose four pages share two count rows:
+    rows ``[[1, 1, 0], [1, 0, 1]]``, row indexes ``[0, 0, 1, 1]``."""
+    ontology = flat_ontology(["alpha", "beta", "gamma"])
+    corpus = make_corpus(
+        [
+            ("a", ["b"], "alpha beta"),
+            ("b", ["c"], "beta alpha"),
+            ("c", ["d"], "alpha gamma"),
+            ("d", [], "gamma alpha"),
+        ]
+    )
+    obj = saved_obj(IndexBundle.build(corpus, [ontology]), tmp_path / "built.json")
+    assert obj["rpag"]["counts"]["1"] == {
+        "of_node": [0, 0, 1, 1],
+        "rows": [[1, 1, 0], [1, 0, 1]],
+    }
+    return obj
+
+
+def _row_index_out_of_range(graph: dict) -> None:
+    graph["counts"]["1"]["of_node"][3] = 2
+
+
+def _negative_row_index(graph: dict) -> None:
+    graph["counts"]["1"]["of_node"][1] = -1
+
+
+def _float_row_index(graph: dict) -> None:
+    graph["counts"]["1"]["of_node"][1] = 0.0
+
+
+def _bool_row_index(graph: dict) -> None:
+    graph["counts"]["1"]["of_node"][1] = False
+
+
+def _duplicate_row(graph: dict) -> None:
+    """Row 2 repeats row 1; every row is used, first in row order."""
+    graph["counts"]["1"]["rows"].append([1, 0, 1])
+    graph["counts"]["1"]["of_node"][3] = 2
+
+
+def _unused_row(graph: dict) -> None:
+    graph["counts"]["1"]["rows"].append([2, 0, 0])
+
+
+def _rows_out_of_first_use_order(graph: dict) -> None:
+    graph["counts"]["1"]["rows"].reverse()
+    graph["counts"]["1"]["of_node"][:] = [1, 1, 0, 0]
+
+
+def _row_indexes_too_few(graph: dict) -> None:
+    graph["counts"]["1"]["of_node"].pop()
+
+
+def _urls_too_few(graph: dict) -> None:
+    graph["urls"].pop()
 
 
 class TestValidation:
@@ -219,26 +288,22 @@ class TestValidation:
             IndexBundle.load(path)
 
     def test_tampered_mean_rejected(self, bundle, tmp_path):
-        """The file stores no mean: a mean changes only through a term vector,
-        and a vector edit that flips a term's bit disagrees with the stored patterns."""
+        """The file stores no mean: a mean changes only through the counts,
+        and a count edit that flips a term's bit disagrees with the stored
+        patterns, even under a fresh digest."""
         path = tmp_path / "index.json"
         obj = saved_obj(bundle, path)
-        vector = next(
-            vec
-            for raw in obj["rpag"]["nodes"]
-            for vec in raw["term_vectors"].values()
-            if 0.0 in vec
-        )
-        vector[vector.index(0.0)] = 100.0
-        path.write_text(json.dumps(obj), encoding="utf-8")
+        row = next(row for row in obj["rpag"]["counts"]["1"]["rows"] if row[0] == 0)
+        row[0] = 100
+        path.write_bytes(sealed(obj))
         with pytest.raises(ValidationError, match="patterns"):
             IndexBundle.load(path)
 
     def test_negative_term_value_rejected(self, bundle, tmp_path):
         path = tmp_path / "index.json"
         obj = saved_obj(bundle, path)
-        obj["rpag"]["nodes"][0]["term_vectors"]["1"][0] = -0.5
-        path.write_text(json.dumps(obj), encoding="utf-8")
+        obj["rpag"]["counts"]["1"]["rows"][0][0] = -1
+        path.write_bytes(sealed(obj))
         with pytest.raises(ValidationError, match="negative"):
             IndexBundle.load(path)
 
@@ -271,11 +336,47 @@ class TestValidation:
         ],
     )
     def test_malformed_shape_rejected(self, bundle, tmp_path, tamper):
+        """Each edit is written under a fresh digest, so the check that
+        rejects it is the one for that fact, not the digest."""
         path = tmp_path / "index.json"
         obj = saved_obj(bundle, path)
         tamper(obj)
-        path.write_text(json.dumps(obj), encoding="utf-8")
-        with pytest.raises(ValidationError):
+        path.write_bytes(sealed(obj))
+        with pytest.raises(ValidationError) as info:
+            IndexBundle.load(path)
+        assert "digest" not in str(info.value)
+
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            (_row_index_out_of_range, "row index 2 is out of range"),
+            (_negative_row_index, "row index -1 is out of range"),
+            (_float_row_index, "row indexes must be integers"),
+            (_bool_row_index, "row indexes must be integers"),
+            (_duplicate_row, "row 2 repeats an earlier row"),
+            (_unused_row, "row 2 is used by no node"),
+            (_rows_out_of_first_use_order, "not in order of first use"),
+            (_row_indexes_too_few, "3 row indexes for 4 nodes"),
+            (_urls_too_few, "3 urls but 4 parent lists"),
+        ],
+    )
+    def test_malformed_columns_rejected(self, tmp_path, tamper, message):
+        obj = four_page_index(tmp_path)
+        tamper(obj["rpag"])
+        path = tmp_path / "index.json"
+        path.write_bytes(sealed(obj))
+        with pytest.raises(ValidationError, match=message):
+            IndexBundle.load(path)
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0], ids=["zero", "negative-zero"])
+    def test_float_count_rejected(self, tmp_path, zero):
+        """A count is an int: ``0.0`` and ``-0.0`` equal ``0`` and hash
+        alike, but would save otherwise, so the row is rejected."""
+        obj = four_page_index(tmp_path)
+        obj["rpag"]["counts"]["1"]["rows"][0][2] = zero
+        path = tmp_path / "index.json"
+        path.write_bytes(sealed(obj))
+        with pytest.raises(ValidationError, match="row 0 must be 3 non-negative integer counts"):
             IndexBundle.load(path)
 
     @pytest.mark.parametrize("text", ["[]", "null", '"index"', "[[[[1]]]]"])
@@ -306,66 +407,130 @@ class TestValidation:
         with pytest.raises(ValidationError):
             IndexBundle.load(path)
 
-    @pytest.mark.parametrize("zero", [0, -0.0], ids=["int-zero", "negative-zero"])
-    @pytest.mark.parametrize("edited", [0, 1], ids=["first-copy", "second-copy"])
-    def test_zero_written_apart_loads_and_saves_as_written(self, bundle, tmp_path, zero, edited):
-        """A load shares the score of equal vectors only when they are
-        written alike: an int 0 or a -0.0 equals 0.0, but saves otherwise."""
-        obj = saved_obj(bundle, tmp_path / "built.json")
-        first_seen: dict[tuple, int] = {}
-        for p_id, raw in enumerate(obj["rpag"]["nodes"]):
-            vector = tuple(raw["term_vectors"]["1"])
-            if 0.0 in vector and first_seen.setdefault(vector, p_id) != p_id:
-                copies = (first_seen[vector], p_id)
-                break
-        else:
-            pytest.fail("the fixture index repeats no vector that holds a 0.0")
-        position = list(vector).index(0.0)
-        obj["rpag"]["nodes"][copies[edited]]["term_vectors"]["1"][position] = zero
+    def test_zero_weight_term_counts_round_trip(self, tmp_path):
+        """Counts are stored as counted, also for a term of weight 0: two
+        pages whose term vectors are equal but whose counts differ keep
+        two rows, and the file re-saves byte for byte."""
+        ontology = Ontology(
+            ontology_id=1,
+            name="mixed",
+            terms=(
+                OntologyTerm("alpha", 1.0, term_relevance_limit=0.5, bit_position=0),
+                OntologyTerm("beta", 0.0, bit_position=1),
+            ),
+            relevance_limit=0.5,
+        )
+        corpus = make_corpus([("a", ["b"], "alpha beta beta"), ("b", [], "alpha")])
+        built = IndexBundle.build(corpus, [ontology])
         path = tmp_path / "index.json"
-        path.write_bytes(canonical(obj))
+        obj = saved_obj(built, path)
+        assert obj["rpag"]["counts"]["1"] == {"of_node": [0, 1], "rows": [[1, 2], [1, 0]]}
         loaded = IndexBundle.load(path)
-        entries = [loaded.rpag.nodes[p].relevance[1].term_vector[position] for p in copies]
-        assert [(type(e), math.copysign(1.0, e)) for e in entries] == [
-            (type(zero), math.copysign(1.0, zero)) if i == edited else (float, 1.0)
-            for i in range(2)
-        ]
         assert loaded.canonical_bytes() == path.read_bytes()
+        scores = [node.relevance[1] for node in loaded.rpag.nodes]
+        assert [rel.counts for rel in scores] == [(1, 2), (1, 0)]
+        assert scores[0].term_vector == scores[1].term_vector == (1.0, 0.0)
 
     def test_true_entry_equal_to_an_earlier_vector_rejected(self, tmp_path):
-        """``true`` equals 1.0 and hashes alike; it is checked before any lookup."""
+        """``true`` equals 1 and hashes alike; it is checked before any lookup."""
         ontology = flat_ontology(["alpha", "beta", "gamma"])
         corpus = make_corpus([("a", ["b"], "alpha beta"), ("b", [], "beta alpha")])
         built = IndexBundle.build(corpus, [ontology])
         path = tmp_path / "index.json"
         obj = saved_obj(built, path)
-        vectors = [raw["term_vectors"]["1"] for raw in obj["rpag"]["nodes"]]
-        assert vectors == [[1.0, 1.0, 0.0]] * 2
-        vectors[1][0] = True
-        path.write_text(json.dumps(obj), encoding="utf-8")
-        with pytest.raises(ValidationError, match="graph node 1 term vector 1"):
+        table = obj["rpag"]["counts"]["1"]
+        assert table == {"of_node": [0, 0], "rows": [[1, 1, 0]]}
+        table["rows"].append([True, 1, 0])
+        table["of_node"][1] = 1
+        path.write_bytes(sealed(obj))
+        with pytest.raises(ValidationError, match="graph counts 1 row 1 must be"):
             IndexBundle.load(path)
 
-    def test_single_byte_mutations_load_or_raise_validation_error(self, bundled_onts):
-        """Seeded single-byte edits of a saved index: each one that still
-        parses as JSON either loads or raises ValidationError, nothing else."""
+    def test_single_byte_mutations_load_or_raise_validation_error(self, bundled_onts, tmp_path):
+        """Seeded single-byte edits of a saved index: a load either raises
+        ValidationError or gives back the same bytes. A decode of the parsed
+        file, which has only the object to check, either raises or gives
+        back the saved bytes: the edit changed how a value is written (``0.0``
+        as ``0E0``), not the value."""
         data = IndexBundle.build(synth_corpus(7, 40, bundled_onts), bundled_onts).canonical_bytes()
         rng = random.Random(2012)
+        path = tmp_path / "index.json"
         outcomes = Counter()
         for _ in range(1500):
             mutated = bytearray(data)
             mutated[rng.randrange(len(mutated))] = rng.randrange(0x20, 0x7F)
+            path.write_bytes(mutated)
+            try:
+                assert IndexBundle.load(path).canonical_bytes() == mutated
+                outcomes["loaded"] += 1
+                continue
+            except ValidationError:
+                outcomes["rejected"] += 1
             try:
                 obj = json.loads(mutated.decode("utf-8"))
             except ValueError:
-                outcomes["not json"] += 1
                 continue
             try:
-                IndexBundle.from_json_obj(obj)
-                outcomes["loaded"] += 1
+                assert IndexBundle.from_json_obj(obj).canonical_bytes() == data
+                outcomes["decoded as saved"] += 1
             except ValidationError:
-                outcomes["rejected"] += 1
-        assert min(outcomes["not json"], outcomes["loaded"], outcomes["rejected"]) > 0
+                outcomes["parsed, then rejected"] += 1
+        assert min(outcomes["rejected"], outcomes["parsed, then rejected"]) > 0
+
+
+class TestDigest:
+    """The first member holds the SHA-256 of the canonical bytes of the rest;
+    an edit that every other check lets through still fails it."""
+
+    def test_digest_is_the_first_member_and_covers_the_rest(self, bundle, tmp_path):
+        path = tmp_path / "index.json"
+        obj = saved_obj(bundle, path)
+        assert path.read_bytes() == sealed(obj)
+        assert next(iter(obj)) == "digest"
+
+    @staticmethod
+    def _edit_url(obj: dict) -> None:
+        obj["rpag"]["urls"][0] += "-moved"
+
+    @staticmethod
+    def _edit_count(obj: dict) -> None:
+        """One more occurrence of a term the row has already: the bit stays set."""
+        rows = obj["rpag"]["counts"]["1"]["rows"]
+        row = next(
+            row for row in rows if row[0] and [row[0] + 1, *row[1:]] not in rows
+        )
+        row[0] += 1
+
+    @staticmethod
+    def _edit_ontology_weight(obj: dict) -> None:
+        """0.9 to 0.95: every count sets the same bits as before."""
+        term = obj["ontologies"][0]["terms"][0]
+        assert term["weight"] == 0.9 and term["term_relevance_limit"] < 0.9
+        term["weight"] = 0.95
+
+    @pytest.mark.parametrize("edit", ["_edit_url", "_edit_count", "_edit_ontology_weight"])
+    def test_edit_under_a_stale_digest_rejected(self, bundle, tmp_path, edit):
+        path = tmp_path / "index.json"
+        obj = saved_obj(bundle, path)
+        getattr(self, edit)(obj)
+        # every other check passes: under a fresh digest the edit loads
+        path.write_bytes(sealed(obj))
+        IndexBundle.load(path)
+        path.write_bytes(canonical(obj))
+        with pytest.raises(ValidationError, match="digest"):
+            IndexBundle.load(path)
+        with pytest.raises(ValidationError, match="digest"):
+            IndexBundle.from_json_obj(obj)
+
+    def test_file_not_in_canonical_form_rejected(self, bundle, tmp_path):
+        """The same object written with spaces: the digest member is not
+        where a save puts it."""
+        path = tmp_path / "index.json"
+        obj = saved_obj(bundle, path)
+        path.write_text(json.dumps(obj, sort_keys=True), encoding="utf-8")
+        with pytest.raises(ValidationError, match="digest"):
+            IndexBundle.load(path)
+        IndexBundle.from_json_obj(obj)
 
 
 class TestBundleValidate:
@@ -434,9 +599,9 @@ DIFFERENTIAL_CORPORA = [
 
 
 class TestLoadMatchesBuild:
-    """A load runs the same per-node path as a build, from the file's
-    vectors: it must give back every structure the build made, and both
-    must lay the index out as the graph's vectors say."""
+    """A load scores the file's counts through the function a build scores
+    a page's counts through: it must give back every structure the build
+    made, and both must lay the index out as the graph's vectors say."""
 
     def assert_load_matches_build(self, built: IndexBundle, path: Path) -> None:
         built.save(path)
@@ -519,7 +684,7 @@ class TestLoadMatchesBuild:
 
 class TestSharedScores:
     """A build scores each distinct count vector of an ontology once, and a
-    load each distinct stored vector; the nodes that have it share the
+    load each stored row of counts; the nodes that have it share the
     result, and the patterns and their hex come from it. Each shared value
     must equal what the reference computes for the node alone."""
 
@@ -537,7 +702,7 @@ class TestSharedScores:
                 pattern = gen_webpage_bit_pattern(rel.term_vector, ont)
                 assert bits[node.p_id] == pattern.bits
                 assert stored[str(ont_id)][node.p_id] == _to_hex(pattern.bits, ont.t)
-                assert first.setdefault(rel.term_vector, rel) is rel
+                assert first.setdefault(rel.counts, rel) is rel
             repeats += len(bundle.rpag.nodes) - len(first)
         assert repeats, "no vector repeats, so nothing was shared"
 
@@ -552,11 +717,10 @@ class TestSharedScores:
         path = tmp_path / "index.json"
         obj = saved_obj(built, path)
         loaded = IndexBundle.load(path)
+        stored = {ont.ontology_id: node_counts(obj, str(ont.ontology_id)) for ont in bundled_onts}
         self.assert_each_node_exact(
             loaded,
-            lambda node, ont: relevance_from_vector(
-                ont, obj["rpag"]["nodes"][node.p_id]["term_vectors"][str(ont.ontology_id)]
-            ),
+            lambda node, ont: relevance_from_counts(ont, stored[ont.ontology_id][node.p_id]),
         )
 
 

@@ -9,7 +9,13 @@ import pytest
 from ibagsearch import IndexBundle, synth_corpus
 from ibagsearch.bundled import default_ontologies
 from ibagsearch.cli import main
-from conftest import int_sum_too_large_for_float, overflow_two_set_entries
+from conftest import (
+    int_sum_too_large_for_float,
+    node_counts,
+    overflow_two_set_entries,
+    sealed,
+    set_node_counts,
+)
 
 
 def write_corpus(path, records):
@@ -51,8 +57,8 @@ def built_index(tmp_path, cricket_files, capsys):
 class TestBuild:
     def test_valid_build_writes_all_sections(self, built_index, capsys):
         obj = json.loads(built_index.read_text(encoding="utf-8"))
-        assert set(obj) == {"format_version", "ontologies", "rpag", "patterns"}
-        assert len(obj["rpag"]["nodes"]) == 3
+        assert set(obj) == {"digest", "format_version", "ontologies", "rpag", "patterns"}
+        assert len(obj["rpag"]["urls"]) == 3
 
     def test_prints_counts(self, tmp_path, cricket_files, capsys):
         weights, syntable, limits = cricket_files
@@ -115,7 +121,7 @@ class TestBuild:
         )
         assert code == 0
         obj = json.loads(out.read_text(encoding="utf-8"))
-        assert [n["url"] for n in obj["rpag"]["nodes"]] == ["mainland"]
+        assert obj["rpag"]["urls"] == ["mainland"]
 
 
 class TestQuery:
@@ -175,11 +181,11 @@ class TestQuery:
     def test_malformed_index_is_one_line_error(self, built_index, capsys, tamper):
         obj = json.loads(built_index.read_text(encoding="utf-8"))
         if tamper == "drop_url":
-            del obj["rpag"]["nodes"][0]["url"]
+            del obj["rpag"]["urls"]
         elif tamper == "int_too_large_for_float":
-            obj["rpag"]["nodes"][0]["term_vectors"]["1"][0] = 10**400
+            obj["rpag"]["counts"]["1"]["rows"][0][0] = 10**400
         elif tamper == "infinity":
-            obj["rpag"]["nodes"][0]["term_vectors"]["1"][0] = float("inf")
+            obj["rpag"]["counts"]["1"]["rows"][0][0] = float("inf")
         elif tamper == "sum_overflows":
             # the cricket pages set one term each; this corpus has pages that set two
             onts = default_ontologies()
@@ -187,24 +193,40 @@ class TestQuery:
             obj = json.loads(built_index.read_text(encoding="utf-8"))
             overflow_two_set_entries(obj)
         elif tamper == "int_sum_too_large_for_float":
-            # doc-00000's ontology-1 vector becomes [0, 0, 10**308, 0, 10**308]
             onts = default_ontologies()
             IndexBundle.build(synth_corpus(3, 60, onts), onts).save(built_index)
             obj = json.loads(built_index.read_text(encoding="utf-8"))
             int_sum_too_large_for_float(obj)
         elif tamper == "duplicate_url":
-            obj["rpag"]["nodes"][1]["url"] = obj["rpag"]["nodes"][0]["url"]
+            obj["rpag"]["urls"][1] = obj["rpag"]["urls"][0]
         elif tamper == "all_zero_vectors":
-            vectors = obj["rpag"]["nodes"][0]["term_vectors"]
-            for key, vec in vectors.items():
-                vectors[key] = [0.0] * len(vec)
+            counts = node_counts(obj, "1")
+            counts[0] = [0] * len(counts[0])
+            set_node_counts(obj, "1", counts)
+        if tamper == "top_level_list":
+            built_index.write_text(json.dumps([obj]), encoding="utf-8")
         else:
-            obj = [obj]
-        built_index.write_text(json.dumps(obj), encoding="utf-8")
+            # under a fresh digest, so the check for the edited fact rejects it
+            built_index.write_bytes(sealed(obj))
         code = main(["query", str(built_index), "--search", "cricket"])
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert "digest" not in err
+
+    def test_format_2_index_names_version_and_rebuild(self, built_index, capsys):
+        """An index written before format 3 fails with one line that says
+        how to get a readable one."""
+        obj = json.loads(built_index.read_text(encoding="utf-8"))
+        del obj["digest"]
+        obj["format_version"] = "2"
+        built_index.write_text(json.dumps(obj), encoding="utf-8")
+        code = main(["query", str(built_index), "--search", "cricket"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unsupported index format version '2'")
+        assert "rebuild the index with `ibag-search build`" in err
         assert err.count("\n") == 1
 
     def test_missing_index_is_io_error(self, tmp_path, capsys):

@@ -46,7 +46,7 @@ def flat_index(scores: list[float], means: list[float] | None = None) -> IBAG:
             pp_id=None,
             mean_rel_val=means[i],
             level=0,
-            relevance={1: PageRelevance(1, score, True, (score,))},
+            relevance={1: PageRelevance(1, score, True, (score,), ())},
         )
         for i, score in enumerate(scores)
     ]

@@ -27,7 +27,9 @@ def rpag_from_values(values_per_node: list[dict[int, float]], ontologies) -> RPa
     """Hand-build a parentless graph whose nodes carry the given values.
 
     A value above the ontology's relevance limit marks support; anything
-    else is stored as unsupported with a zero relevance value.
+    else is stored as unsupported with a zero relevance value. The values
+    come from no term counts, so ``counts`` is empty: such a graph is laid
+    out, never saved.
     """
     by_id = {ont.ontology_id: ont for ont in ontologies}
     nodes = []
@@ -41,6 +43,7 @@ def rpag_from_values(values_per_node: list[dict[int, float]], ontologies) -> RPa
                 relevance_value=value if supported else 0.0,
                 supported=supported,
                 term_vector=(value,),
+                counts=(),
             )
         nodes.append(RPaGNode(p_id=p_id, url=f"u{p_id}", pp_ids=(), relevance=relevance))
     return RPaG(nodes=nodes, ontologies=tuple(ontologies))
@@ -261,8 +264,8 @@ def chain_nodes() -> list[IBAGNode]:
             mean_rel_val=1.0 + i,
             level=i,
             relevance={
-                1: PageRelevance(1, 1.0, True, (1.0,)),
-                2: PageRelevance(2, float(i), i > 0, (float(i),)),
+                1: PageRelevance(1, 1.0, True, (1.0,), (1,)),
+                2: PageRelevance(2, float(i), i > 0, (float(i),), (i,)),
             },
         )
         for i in range(3)
@@ -301,15 +304,15 @@ class TestFromNodesRejects:
             (_drop_ontology_key, "per-ontology"),
             (
                 _set(0, relevance={
-                    1: PageRelevance(1, 0.0, False, (1.0,)),
-                    2: PageRelevance(2, 0.0, False, (0.0,)),
+                    1: PageRelevance(1, 0.0, False, (1.0,), (1,)),
+                    2: PageRelevance(2, 0.0, False, (0.0,), (0,)),
                 }),
                 "supports no",
             ),
             (
                 _set(0, relevance={
-                    1: PageRelevance(1, 2.0, True, (1.0, 1.0)),
-                    2: PageRelevance(2, 0.0, False, (0.0,)),
+                    1: PageRelevance(1, 2.0, True, (1.0, 1.0), (1, 1)),
+                    2: PageRelevance(2, 0.0, False, (0.0,), (0,)),
                 }),
                 "length",
             ),

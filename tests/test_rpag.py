@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import pytest
 
-from ibagsearch import RPaG, ValidationError, build_rpag, synth_corpus
-from ibagsearch.relevance import relevance_from_vector
+from ibagsearch import IndexBundle, RPaG, ValidationError, build_rpag, synth_corpus
+from ibagsearch.relevance import relevance_from_counts
 from ibagsearch.rpag import MAX_PARENTS
 from conftest import make_corpus, single_term_ontology
 from oracles import oracle_page_vector, oracle_tokens
@@ -151,15 +152,21 @@ class TestRpagInvariants:
         restored = RPaG.from_json_obj(graph.to_json_obj(), bundled_onts)
         assert restored.to_json_obj() == graph.to_json_obj()
 
-    def test_digest_guards_against_wrong_ontologies(self, bundled_onts):
-        corpus = make_corpus([("a", [], "topic")])
-        graph = build_rpag(corpus, [TOPIC])
-        with pytest.raises(ValidationError, match="different ontologies"):
-            RPaG.from_json_obj(graph.to_json_obj(), bundled_onts)
+    def test_digest_guards_against_wrong_ontologies(self, tmp_path):
+        """The file's digest covers its ontologies: a weight edit that sets
+        the same bits and leaves the graph valid is still rejected."""
+        corpus = make_corpus([("a", ["b"], "topic"), ("b", [], "topic topic")])
+        path = tmp_path / "index.json"
+        IndexBundle.build(corpus, [TOPIC]).save(path)
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        obj["ontologies"][0]["terms"][0]["weight"] = 0.5
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        with pytest.raises(ValidationError, match="digest"):
+            IndexBundle.load(path)
 
 
 def _with(p_id: int, **changes):
-    """Replace fields of the frozen node ``p_id`` in a graph."""
+    """Replace fields of node ``p_id`` in a graph."""
 
     def tamper(graph: RPaG) -> None:
         graph.nodes[p_id] = dataclasses.replace(graph.nodes[p_id], **changes)
@@ -187,7 +194,7 @@ def _extra_relevance_key(graph: RPaG) -> None:
 def _supports_nothing(graph: RPaG) -> None:
     node = graph.nodes[0]
     node.relevance.update(
-        (ont.ontology_id, relevance_from_vector(ont, [0.0] * ont.t)) for ont in graph.ontologies
+        (ont.ontology_id, relevance_from_counts(ont, [0] * ont.t)) for ont in graph.ontologies
     )
 
 
