@@ -187,15 +187,8 @@ class TestQuery:
         elif tamper == "infinity":
             obj["rpag"]["counts"]["1"]["rows"][0][0] = float("inf")
         elif tamper == "sum_overflows":
-            # the cricket pages set one term each; this corpus has pages that set two
-            onts = default_ontologies()
-            IndexBundle.build(synth_corpus(3, 60, onts), onts).save(built_index)
-            obj = json.loads(built_index.read_text(encoding="utf-8"))
             overflow_two_set_entries(obj)
         elif tamper == "int_sum_too_large_for_float":
-            onts = default_ontologies()
-            IndexBundle.build(synth_corpus(3, 60, onts), onts).save(built_index)
-            obj = json.loads(built_index.read_text(encoding="utf-8"))
             int_sum_too_large_for_float(obj)
         elif tamper == "duplicate_url":
             obj["rpag"]["urls"][1] = obj["rpag"]["urls"][0]
