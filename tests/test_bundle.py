@@ -379,6 +379,26 @@ class TestValidation:
         with pytest.raises(ValidationError, match="row 0 must be 3 non-negative integer counts"):
             IndexBundle.load(path)
 
+    @pytest.mark.parametrize("zero", [0, -0.0], ids=["int-zero", "negative-zero"])
+    @pytest.mark.parametrize("edited", [0, 1], ids=["first-copy", "second-copy"])
+    def test_zero_written_apart_rejected(self, tmp_path, zero, edited):
+        """Pages 2 and 3 share the row ``[1, 0, 1]``. One copy given a row
+        of its own, its 0 written as ``zero``, does not load: an int 0 makes
+        the two rows equal, a ``-0.0`` is not an integer count."""
+        obj = four_page_index(tmp_path)
+        table = obj["rpag"]["counts"]["1"]
+        table["rows"].append([1, 0, 1])
+        table["rows"][1 + edited][1] = zero
+        table["of_node"][:] = [0, 0, 1, 2]
+        path = tmp_path / "index.json"
+        path.write_bytes(sealed(obj))
+        if type(zero) is int:
+            message = "row 2 repeats an earlier row"
+        else:
+            message = f"row {1 + edited} must be 3 non-negative integer counts"
+        with pytest.raises(ValidationError, match=message):
+            IndexBundle.load(path)
+
     @pytest.mark.parametrize("text", ["[]", "null", '"index"', "[[[[1]]]]"])
     def test_non_object_top_level_rejected(self, tmp_path, text):
         path = tmp_path / "index.json"
