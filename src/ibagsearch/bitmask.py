@@ -16,9 +16,12 @@ mask.
 A page's pattern depends only on its term vector, and a build or a load
 shares one ``PageRelevance`` among the pages of an ontology with equal
 vectors. :func:`gen_ibag_bit_patterns` therefore derives the bits once per
-shared value, and :meth:`PatternStore.to_json_obj` renders each distinct
-pattern of an ontology in hex once. :func:`gen_webpage_bit_pattern` is the
-per-page reference.
+shared value, keyed by its ``id()``, and reuses them for every page that
+shares it; :meth:`PatternStore.add_ontology` checks a whole column of
+patterns with one ``min`` and one ``max``, and
+:meth:`PatternStore.to_json_obj` renders each distinct pattern of an
+ontology in hex once. :func:`gen_webpage_bit_pattern` is the per-page
+reference.
 """
 from __future__ import annotations
 
@@ -152,10 +155,11 @@ class PatternStore:
     def add_ontology(self, ontology_id: int, length: int, bits_by_p_id: list[int]) -> None:
         if ontology_id in self._bits:
             raise ValidationError(f"patterns for ontology {ontology_id} already present")
-        for bits in bits_by_p_id:
-            if not 0 <= bits < (1 << length):
-                raise ValidationError(f"pattern {bits:#x} does not fit {length} bits")
-        self._bits[ontology_id] = list(bits_by_p_id)
+        bits_by_p_id = list(bits_by_p_id)
+        if bits_by_p_id and not 0 <= min(bits_by_p_id) <= max(bits_by_p_id) < (1 << length):
+            bad = next(bits for bits in bits_by_p_id if not 0 <= bits < (1 << length))
+            raise ValidationError(f"pattern {bad:#x} does not fit {length} bits")
+        self._bits[ontology_id] = bits_by_p_id
         self._lengths[ontology_id] = length
 
     def bits(self, p_id: int, ontology_id: int) -> int:

@@ -8,9 +8,11 @@ Serialization is canonical (sorted keys, fixed separators), so saving a
 loaded bundle reproduces the file byte for byte.
 
 A top-level ``digest`` holds the SHA-256 of the canonical bytes of the
-file without that member; with sorted keys it comes first. A load hashes
-the raw bytes after it and never re-serializes; ``from_json_obj`` has no
-raw bytes, so it re-serializes what it decoded. The digest guards against
+file without that member; with sorted keys it comes first. A save
+serializes the sections once, hashes those bytes and splices the digest
+member in front of them (``canonical_bytes``). A load hashes the raw bytes
+after it and never re-serializes; ``from_json_obj`` has no raw bytes, so it
+re-serializes what it decoded. The digest guards against
 corruption and hand edits. It is not authentication: anyone who can write
 the file can write a matching digest.
 
@@ -19,19 +21,22 @@ cyclic garbage collector paused (``collector.collector_paused``): they make
 many objects and no reference cycles.
 
 A load parses the file, then rebuilds every derived structure through the
-code a build runs, one pass over the nodes per step, and checks each fact
-once:
+code a build runs and checks each fact once. The graph and the layout
+steps make one pass per column, not one per node, and walk the nodes one
+by one only to name the first bad one when a column check fails:
 
 - the version tag, then the shapes and facts of each section below, so a
   bad file is named by the check it fails; the digest last;
-- ``RPaG.from_json_obj`` checks each row of counts once and scores it
+- ``RPaG.from_json_obj`` checks the rows of counts and scores each once
   through ``relevance_from_counts``, the function a crawl scores through;
   the nodes that use the row share the score. It checks the row indexes
-  and the columns, and each node's parents (``rpag.check_parents``);
+  and the columns, and the nodes' parents (as ``rpag.check_parents``
+  does), and builds the graph's nodes from the columns;
 - ``build_ibag`` gives each index node its graph node's scores, the same
   dict and not a copy, and averages the supported ones into the node's
-  mean; ``IBAG.from_nodes`` checks every other node fact (urls, levels,
-  support, vector lengths, a positive finite mean) as it lays the index
+  mean, a column at a time; the layout step it ends in, which
+  ``IBAG.from_nodes`` also runs, checks every other node fact (urls,
+  levels, support, vector lengths, a positive finite mean), lays the index
   out, and leaves the paper's chains to be threaded on first read;
 - ``gen_ibag_bit_patterns`` derives the patterns once per shared score, and
   they must equal the stored ones; each distinct pattern is rendered in
@@ -67,9 +72,17 @@ _DIGEST_OPEN = b'{"digest":"'
 _BODY_START = len(_DIGEST_OPEN) + 64 + len(b'",')
 
 
-def _canonical(obj: dict) -> bytes:
-    text = json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
-    return (text + "\n").encode("utf-8")
+def _dump(obj: dict) -> bytes:
+    """``obj`` in canonical form (sorted keys, fixed separators), without
+    the newline that ends a file."""
+    return json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":")).encode()
+
+
+def _digest(body: bytes) -> str:
+    """The SHA-256 of ``body`` and the newline after it."""
+    digest = hashlib.sha256(body)
+    digest.update(b"\n")
+    return digest.hexdigest()
 
 
 @dataclass
@@ -104,16 +117,20 @@ class IndexBundle:
         if fresh.to_json_obj() != self.patterns.to_json_obj():
             raise ValidationError("bit patterns differ from those the term vectors give")
 
-    def to_json_obj(self) -> dict:
-        """The file's object: the sections, and the digest of their
-        canonical bytes."""
-        content = {
+    def _content(self) -> dict:
+        """The file's object without its digest: the sections."""
+        return {
             "format_version": FORMAT_VERSION,
             "ontologies": [ont.to_json_obj() for ont in self.ontologies],
             "rpag": self.rpag.to_json_obj(),
             "patterns": self.patterns.to_json_obj(),
         }
-        return {"digest": hashlib.sha256(_canonical(content)).hexdigest(), **content}
+
+    def to_json_obj(self) -> dict:
+        """The file's object: the sections, and the digest of their
+        canonical bytes."""
+        content = self._content()
+        return {"digest": _digest(_dump(content)), **content}
 
     @staticmethod
     def from_json_obj(obj: object) -> "IndexBundle":
@@ -150,7 +167,11 @@ class IndexBundle:
         return IndexBundle(ontologies=ontologies, rpag=rpag, ibag=ibag, patterns=patterns)
 
     def canonical_bytes(self) -> bytes:
-        return _canonical(self.to_json_obj())
+        """The bytes of :meth:`to_json_obj` in canonical form, from one dump
+        of the sections: their digest is spliced in as the first member."""
+        body = _dump(self._content())
+        digest = _digest(body).encode()
+        return b"".join((_DIGEST_OPEN, digest, b'",', memoryview(body)[1:], b"\n"))
 
     def save(self, path: str | Path) -> None:
         """Serialize with the collector paused, then write through a temp

@@ -22,13 +22,20 @@ a query pays for the pages it returns, not for every supporter.
 :func:`select_by_range` and :meth:`IBAG.iter_chain`, the chain walk, are
 the reference that the tests compare it with.
 
-:meth:`IBAG.from_nodes` is the only code that lays this out, and the one
-place that checks a node's facts (dense p_ids, unique urls, parent, level,
-support, vector lengths, a positive finite mean). Before it, a load checks
-only shapes and the graph's own facts, in ``RPaG.from_json_obj``; after it,
-the stored patterns as a checksum. Nothing re-checks what it derived.
-:meth:`IBAG.validate` lays copies of the nodes out again and compares,
-chains included.
+One private layout step, which :meth:`IBAG.from_nodes` and
+:func:`build_ibag` both end in, lays this out, and it is the one place
+that checks a node's facts (dense p_ids, unique urls, parent, level,
+support, vector lengths, a positive finite mean). It checks each fact with
+one pass over a column of all nodes; only when a column check fails does
+it walk the nodes one by one, to name the first bad node with the message
+a per-node check gives. :func:`build_ibag` derives the first parents, the
+levels and the means column by column and hands the step those columns
+with the nodes it built from them, so no column is read back out of the
+nodes; :meth:`IBAG.from_nodes` reads its columns out of the nodes it is
+given. Before the step, a load checks only shapes and the graph's own
+facts, in ``RPaG.from_json_obj``; after it, the stored patterns as a
+checksum. Nothing re-checks what it derived. :meth:`IBAG.validate` lays
+copies of the nodes out again and compares, chains included.
 """
 from __future__ import annotations
 
@@ -38,8 +45,10 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import compress, count, repeat
+from operator import add, attrgetter, eq, is_not, itemgetter, le, lt, neg, not_, truediv
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, NoReturn, Sequence
 
 from .errors import ValidationError
 from .ontology import Ontology
@@ -183,68 +192,58 @@ class IBAG:
     @classmethod
     def from_nodes(cls, nodes: Sequence[IBAGNode], ontologies: Sequence[Ontology]) -> "IBAG":
         """Check the nodes, then assemble levels, sort them and fill the
-        supporter columns: the one place that lays the index out. The
-        per-ontology chains are threaded from the levels and the support
-        flags when first read.
+        supporter columns, through the one layout step :func:`build_ibag`
+        also takes. The per-ontology chains are threaded from the levels and
+        the support flags when first read.
 
         ``nodes`` must be dense in p_id; each node is attached to the new
         index's chains here.
         """
         nodes = list(nodes)
-        ontologies = tuple(ontologies)
-        ids = [ont.ontology_id for ont in ontologies]
-        id_set = set(ids)
-        lengths = [(ont.ontology_id, ont.t) for ont in ontologies]
-        urls: set[str] = set()
-        for i, node in enumerate(nodes):
-            if node.p_id != i:
-                raise ValidationError(f"node at index {i} has p_id {node.p_id}")
-            if not node.url or node.url in urls:
-                raise ValidationError(f"node {i} url {node.url!r} missing or duplicated")
-            urls.add(node.url)
-            if node.pp_id is None:
-                parent_level = -1
-            elif 0 <= node.pp_id < i:
-                parent_level = nodes[node.pp_id].level
-            else:
-                raise ValidationError(f"node {i} parent {node.pp_id} is not earlier in the index")
-            if node.level != parent_level + 1:
-                raise ValidationError(f"node {i} level {node.level} does not follow its parent")
-            relevance = node.relevance
-            if relevance.keys() != id_set:
-                raise ValidationError(f"node {i} per-ontology fields mismatch the ontologies")
-            if not any(rel.supported for rel in relevance.values()):
-                raise ValidationError(f"node {i} supports no ontology")
-            for ont_id, t in lengths:
-                if len(relevance[ont_id].term_vector) != t:
-                    raise ValidationError(f"node {i} term vector length mismatches its ontology")
-            if not 0 < node.mean_rel_val < math.inf:
-                raise ValidationError(f"node {i} mean relevance {node.mean_rel_val} not in (0, inf)")
+        columns = _NodeColumns(*(list(map(attrgetter(f), nodes)) for f in _NodeColumns._fields))
+        return cls._lay_out(nodes, tuple(ontologies), columns)
 
-        # the sort key and the column key of every node; a level lists its
-        # nodes by ascending p_id and the sort is stable, so ties keep that order
-        neg_means = [-node.mean_rel_val for node in nodes]
-        max_level = max((node.level for node in nodes), default=-1)
-        levels: list[list[int]] = [[] for _ in range(max_level + 1)]
-        for node in nodes:
-            levels[node.level].append(node.p_id)
+    @classmethod
+    def _lay_out(
+        cls,
+        nodes: list[IBAGNode],
+        ontologies: tuple[Ontology, ...],
+        columns: _NodeColumns,
+        scores: list[list[PageRelevance]] | None = None,
+        supports: dict[int, list[bool]] | None = None,
+    ) -> "IBAG":
+        """The one layout step: check every node fact a column at a time,
+        naming the first bad node when one fails, then sort the levels and
+        fill the supporter columns. ``columns`` holds the fields of
+        ``nodes``; ``scores`` and ``supports``, when given, hold each
+        ontology's scores of the nodes and their support flags."""
+        supports = _checked_supports(columns, ontologies, scores, supports)
+        if supports is None:
+            _raise_for_first_bad_node(nodes, ontologies)
+
+        # a level lists its nodes by ascending p_id, and a sort, reversed or
+        # not, is stable, so ties keep that order
+        means = columns.mean_rel_val
+        levels: list[list[int]] = [[] for _ in range(max(columns.level, default=-1) + 1)]
+        for p_id, level in zip(columns.p_id, columns.level):
+            levels[level].append(p_id)
         for level in levels:
-            level.sort(key=neg_means.__getitem__)
+            level.sort(key=means.__getitem__, reverse=True)
 
-        supports: dict[int, list[bool]] = {}
-        columns: dict[int, list[Column]] = {}
-        for ont_id in ids:
-            supported = supports[ont_id] = [node.relevance[ont_id].supported for node in nodes]
-            columns[ont_id] = []
-            for level in levels:
-                p_ids = [p_id for p_id in level if supported[p_id]]
-                columns[ont_id].append((p_ids, array("d", [neg_means[p] for p in p_ids])))
+        columns_by_ontology: dict[int, list[Column]] = {}
+        for ont_id, supported in supports.items():
+            columns_by_ontology[ont_id] = [
+                (p_ids, array("d", map(neg, map(means.__getitem__, p_ids))))
+                for p_ids in (
+                    list(compress(level, map(supported.__getitem__, level))) for level in levels
+                )
+            ]
         chains = _Chains(levels, supports)
         for node in nodes:
             node._chains = chains
 
         log.debug("assembled index: %d nodes in %d levels", len(nodes), len(levels))
-        return cls(nodes, ontologies, levels, columns, chains)
+        return cls(nodes, ontologies, levels, columns_by_ontology, chains)
 
     def validate(self) -> None:
         """Lay copies of the nodes out again and compare: raise
@@ -264,6 +263,108 @@ class IBAG:
             raise ValidationError("supporter columns differ from the sorted levels the nodes give")
 
 
+class _NodeColumns(NamedTuple):
+    """The fields of a list of :class:`IBAGNode`, one list each, by p_id."""
+
+    p_id: list
+    url: list
+    pp_id: list
+    mean_rel_val: list
+    level: list
+    relevance: list
+
+
+def _checked_supports(
+    columns: _NodeColumns,
+    ontologies: tuple[Ontology, ...],
+    scores: list[list[PageRelevance]] | None,
+    supports: dict[int, list[bool]] | None,
+) -> dict[int, list[bool]] | None:
+    """Each ontology's support flags by p_id, or None when a node fact that
+    :func:`_raise_for_first_bad_node` checks fails: the same checks, each
+    a pass over one column."""
+    ids = [ont.ontology_id for ont in ontologies]
+    p_ids, urls, pp_ids, means, levels, relevances = columns
+    try:
+        if not (
+            all(map(eq, p_ids, count()))
+            and all(urls)
+            and len(set(urls)) == len(urls)
+            and _parents_and_levels_ok(pp_ids, levels)
+            # with every id present (a KeyError below if not), no other key
+            and not set(map(len, relevances)) - {len(set(ids))}
+        ):
+            return None
+        if scores is None:
+            scores = [list(map(itemgetter(ont_id), relevances)) for ont_id in ids]
+            supports = _support_flags(ids, scores)
+        if not (
+            (all(map(any, zip(*supports.values()))) if ids else not relevances)
+            and all(
+                not set(map(len, map(attrgetter("term_vector"), column))) - {ont.t}
+                for ont, column in zip(ontologies, scores)
+            )
+            and all(map(lt, repeat(0), means))
+            and all(map(lt, means, repeat(math.inf)))
+        ):
+            return None
+    except (AttributeError, KeyError, TypeError):  # a missing id, or a value of another kind
+        return None
+    return supports
+
+
+def _parents_and_levels_ok(pp_ids: list, levels: list) -> bool:
+    """Whether each parent is None or an earlier node, and each level is its
+    parent's plus one (0 without a parent)."""
+    has_parent = list(map(is_not, pp_ids, repeat(None)))
+    parents = list(compress(pp_ids, has_parent))
+    return (
+        all(map(le, repeat(0), parents))
+        and all(map(lt, parents, compress(count(), has_parent)))
+        and all(map(eq, compress(levels, map(not_, has_parent)), repeat(0)))
+        and all(
+            map(
+                eq,
+                compress(levels, has_parent),
+                map(add, map(levels.__getitem__, parents), repeat(1)),
+            )
+        )
+    )
+
+
+def _raise_for_first_bad_node(nodes: list[IBAGNode], ontologies: tuple[Ontology, ...]) -> NoReturn:
+    """Node by node, raise ValidationError for the first bad node: its p_id,
+    url, parent, level, per-ontology keys, support, vector lengths or mean."""
+    id_set = {ont.ontology_id for ont in ontologies}
+    lengths = [(ont.ontology_id, ont.t) for ont in ontologies]
+    urls: set[str] = set()
+    for i, node in enumerate(nodes):
+        if node.p_id != i:
+            raise ValidationError(f"node at index {i} has p_id {node.p_id}")
+        if not node.url or node.url in urls:
+            raise ValidationError(f"node {i} url {node.url!r} missing or duplicated")
+        urls.add(node.url)
+        if node.pp_id is None:
+            parent_level = -1
+        elif 0 <= node.pp_id < i:
+            parent_level = nodes[node.pp_id].level
+        else:
+            raise ValidationError(f"node {i} parent {node.pp_id} is not earlier in the index")
+        if node.level != parent_level + 1:
+            raise ValidationError(f"node {i} level {node.level} does not follow its parent")
+        relevance = node.relevance
+        if relevance.keys() != id_set:
+            raise ValidationError(f"node {i} per-ontology fields mismatch the ontologies")
+        if not any(rel.supported for rel in relevance.values()):
+            raise ValidationError(f"node {i} supports no ontology")
+        for ont_id, t in lengths:
+            if len(relevance[ont_id].term_vector) != t:
+                raise ValidationError(f"node {i} term vector length mismatches its ontology")
+        if not 0 < node.mean_rel_val < math.inf:
+            raise ValidationError(f"node {i} mean relevance {node.mean_rel_val} not in (0, inf)")
+    raise ValidationError("index nodes fail a check that names no node")
+
+
 def build_ibag(rpag: RPaG) -> IBAG:
     """Derive the leveled index from a relevance page graph.
 
@@ -271,22 +372,61 @@ def build_ibag(rpag: RPaG) -> IBAG:
     value averages the page's relevance over the ontologies it supports
     (0.0 for none, a node :meth:`IBAG.from_nodes` rejects). A mean that
     cannot be a float, from an int sum too large for one, becomes ``inf``,
-    which :meth:`IBAG.from_nodes` rejects too.
+    which :meth:`IBAG.from_nodes` rejects too. Each step is a pass over one
+    column of the graph's nodes.
     """
+    rnodes = rpag.nodes
+    pp_ids = list(map(next, map(iter, map(attrgetter("pp_ids"), rnodes)), repeat(None)))
+    levels: list[int] = []
+    append = levels.append
+    for pp_id in pp_ids:  # a parent comes before its child
+        append(0 if pp_id is None else levels[pp_id] + 1)
+    relevances = list(map(attrgetter("relevance"), rnodes))
+    # in ontology order, not dict order, so the float sum is fixed
     ids = [ont.ontology_id for ont in rpag.ontologies]
-    nodes: list[IBAGNode] = []
-    for rnode in rpag.nodes:
-        pp_id = rnode.pp_ids[0] if rnode.pp_ids else None
-        level = 0 if pp_id is None else nodes[pp_id].level + 1
-        relevance = rnode.relevance
-        # in ontology order, not dict order, so the float sum is fixed
-        values = [rel.relevance_value for rel in map(relevance.__getitem__, ids) if rel.supported]
-        try:
-            mean = sum(values) / max(len(values), 1)
-        except OverflowError:
-            mean = math.inf
-        nodes.append(IBAGNode(rnode.p_id, rnode.url, pp_id, mean, level, relevance))
-    return IBAG.from_nodes(nodes, rpag.ontologies)
+    scores = [list(map(itemgetter(ont_id), relevances)) for ont_id in ids]
+    supports = _support_flags(ids, scores)
+    means = _means(scores, list(supports.values()), len(rnodes))
+    columns = _NodeColumns(
+        list(map(attrgetter("p_id"), rnodes)),
+        list(map(attrgetter("url"), rnodes)),
+        pp_ids,
+        means,
+        levels,
+        relevances,
+    )
+    nodes = list(map(IBAGNode, *columns))
+    return IBAG._lay_out(nodes, rpag.ontologies, columns, scores, supports)
+
+
+def _support_flags(ids: list[int], scores: list[list[PageRelevance]]) -> dict[int, list[bool]]:
+    """Per ontology id, each node's support flag, read from its scores."""
+    return {ont_id: list(map(attrgetter("supported"), col)) for ont_id, col in zip(ids, scores)}
+
+
+def _means(
+    scores: list[list[PageRelevance]], supported: list[list[bool]], node_count: int
+) -> list[float]:
+    """Each node's mean: its supported values' sum, added in ontology order,
+    over their count (0.0 for none); ``inf`` when the sum cannot be a float."""
+    if not scores:
+        return [0.0] * node_count
+    try:
+        values = zip(*(map(attrgetter("relevance_value"), column) for column in scores))
+        sums = map(sum, map(compress, values, zip(*supported)))
+        return list(map(truediv, sums, map(max, map(sum, zip(*supported)), repeat(1))))
+    except OverflowError:
+        values = zip(*(map(attrgetter("relevance_value"), column) for column in scores))
+        return list(map(_mean, values, zip(*supported)))
+
+
+def _mean(values: tuple, supported: tuple) -> float:
+    """One node's mean, as :func:`_means` gives it."""
+    kept = list(compress(values, supported))
+    try:
+        return sum(kept) / max(len(kept), 1)
+    except OverflowError:
+        return math.inf
 
 
 def select_by_range(

@@ -190,9 +190,9 @@ class OntologyTerm:
 class Ontology:
     """An ordered set of weighted domain terms plus the page-level cutoff.
 
-    ``phrase_table`` (:class:`PhraseTable`) and ``term_limits``, each term's
-    cutoff in bit-position order, are derived from ``terms`` on creation;
-    they are not fields.
+    ``phrase_table`` (:class:`PhraseTable`), ``weights`` and
+    ``term_limits``, each term's weight and cutoff in bit-position order,
+    are derived from ``terms`` on creation; they are not fields.
     """
 
     ontology_id: int
@@ -203,6 +203,7 @@ class Ontology:
     def __post_init__(self) -> None:
         self.validate()
         object.__setattr__(self, "phrase_table", PhraseTable.of_terms(self.terms))
+        object.__setattr__(self, "weights", tuple(term.weight for term in self.terms))
         object.__setattr__(
             self, "term_limits", tuple(term.term_relevance_limit for term in self.terms)
         )

@@ -23,6 +23,7 @@ per stored row of counts; the pages with those counts share the result.
 """
 from __future__ import annotations
 
+from operator import mul
 from typing import NamedTuple, Sequence
 
 from .ontology import Ontology, OntologyTerm, count_occurrences
@@ -61,7 +62,7 @@ def relevance_from_counts(ontology: Ontology, counts: Sequence[int]) -> PageRele
     here, so a page's values and support always follow from its counts.
     """
     counts = tuple(counts)
-    vector = tuple([term.weight * n for term, n in zip(ontology.terms, counts)])
+    vector = tuple(map(mul, ontology.weights, counts))
     value = sum(vector)
     supported = value > ontology.relevance_limit
     return PageRelevance(

@@ -18,22 +18,28 @@ A graph is stored in columns (:meth:`RPaG.to_json_obj`): the nodes' urls,
 their parent lists, and per ontology a ``rows`` table holding each distinct
 count vector once, in order of first use by p_id, with an ``of_node`` list
 of each node's row index. Loading it (:meth:`RPaG.from_json_obj`) checks
-each row once: a list of one non-negative int count per term, each
-convertible to a float, and unlike every other row. It scores the row
-through ``relevance_from_counts``, and every node with that row shares the
-one score, as in a crawl. Then it checks that the row indexes use every
-row, first in row order, and that the columns are equal in length, so a
-graph it accepts is the one graph that saves back to those bytes. Per
-node it checks the facts only the graph holds (:func:`check_parents`).
-Every other node fact is checked once, later, by ``IBAG.from_nodes``,
-among them a relevance sum that overflows to infinity.
+every row: a list of one non-negative int count per term, each convertible
+to a float, and unlike every other row. It scores each row once through
+``relevance_from_counts``, and every node with that row shares the one
+score, as in a crawl. Then it checks that the row indexes use every row,
+first in row order, and that the columns are equal in length, so a graph
+it accepts is the one graph that saves back to those bytes, and it checks
+the facts only the graph holds (:func:`check_parents`). Each of these
+checks is a pass over a whole column (the rows' entries, the urls, the
+parent lists); only when one fails does the decoder walk the rows or the
+nodes one by one, to name the first one at fault as :func:`check_parents`
+would. The nodes are then built with one ``map`` over the columns. Every
+other node fact is checked once, later, by the layout ``build_ibag`` ends
+in, among them a relevance sum that overflows to infinity.
 """
 from __future__ import annotations
 
 import logging
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Sequence
+from itertools import chain, compress, count, repeat
+from operator import lt
+from typing import NoReturn, Sequence
 
 from .corpus import Corpus
 from .errors import ValidationError, json_field
@@ -112,16 +118,47 @@ class RPaG:
         if len(pp_ids) != len(urls):
             raise ValidationError(f"graph has {len(urls)} urls but {len(pp_ids)} parent lists")
         scores = [_node_scores(ont, tables[str(ont.ontology_id)], len(urls)) for ont in ontologies]
+        if not _graph_columns_ok(urls, pp_ids):
+            _raise_for_first_bad_node(urls, pp_ids)
         ids = [ont.ontology_id for ont in ontologies]
-        nodes = []
-        for p_id, (url, parents, *rels) in enumerate(zip(urls, pp_ids, *scores)):
-            if type(url) is not str:
-                raise ValidationError(f"graph url {p_id} must be a string, got {url!r:.40}")
-            if type(parents) is not list:
-                raise ValidationError(f"graph pp_ids {p_id} must be a list, got {parents!r:.40}")
-            check_parents(p_id, parents)
-            nodes.append(RPaGNode(p_id, url, tuple(parents), dict(zip(ids, rels))))
+        rels = zip(*scores) if scores else repeat((), len(urls))
+        nodes = list(
+            map(
+                RPaGNode,
+                range(len(urls)),
+                urls,
+                map(tuple, pp_ids),
+                map(dict, map(zip, repeat(ids), rels)),
+            )
+        )
         return RPaG(nodes=nodes, ontologies=ontologies)
+
+
+def _graph_columns_ok(urls: list, pp_ids: list) -> bool:
+    """Whether every url is a string and every parent list holds at most
+    ``MAX_PARENTS`` ints, each below its node's p_id: one pass per column."""
+    if set(map(type, urls)) - {str} or set(map(type, pp_ids)) - {list}:
+        return False
+    if max(map(len, pp_ids), default=0) > MAX_PARENTS:
+        return False
+    flat = chain.from_iterable  # every parent of every node
+    return (
+        not set(map(type, flat(pp_ids))) - {int}
+        and min(flat(pp_ids), default=0) >= 0
+        # each non-empty list's largest parent against its node's p_id
+        and all(map(lt, map(max, filter(None, pp_ids)), compress(count(), pp_ids)))
+    )
+
+
+def _raise_for_first_bad_node(urls: list, pp_ids: list) -> NoReturn:
+    """Node by node, raise for the first node whose url or parents are bad."""
+    for p_id, (url, parents) in enumerate(zip(urls, pp_ids)):
+        if type(url) is not str:
+            raise ValidationError(f"graph url {p_id} must be a string, got {url!r:.40}")
+        if type(parents) is not list:
+            raise ValidationError(f"graph pp_ids {p_id} must be a list, got {parents!r:.40}")
+        check_parents(p_id, parents)
+    raise ValidationError("graph urls or parent lists fail a check that names no node")
 
 
 def _node_scores(ont: Ontology, table: object, node_count: int) -> list[PageRelevance]:
@@ -132,23 +169,9 @@ def _node_scores(ont: Ontology, table: object, node_count: int) -> list[PageRele
     of_node = json_field(table, "of_node", list, where)
     if len(of_node) != node_count:
         raise ValidationError(f"{where} has {len(of_node)} row indexes for {node_count} nodes")
-    scored: dict[tuple[int, ...], PageRelevance] = {}
-    for i, row in enumerate(rows):
-        # bool is not int here, so the key holds only ints and is exact by value
-        if not (
-            type(row) is list
-            and len(row) == ont.t
-            and all(type(n) is int for n in row)
-            and min(row) >= 0
-        ):
-            raise ValidationError(f"{where} row {i} must be {ont.t} non-negative integer counts")
-        key = tuple(row)
-        if key in scored:
-            raise ValidationError(f"{where} row {i} repeats an earlier row")
-        try:
-            scored[key] = relevance_from_counts(ont, key)
-        except OverflowError:
-            raise ValidationError(f"{where} row {i} holds a count too large for a float") from None
+    shared = _scored_rows(ont, rows) if _rows_ok(ont, rows) else None
+    if shared is None:
+        _raise_for_first_bad_row(ont, rows, where)
     if set(map(type, of_node)) - {int}:
         raise ValidationError(f"{where} row indexes must be integers")
     # each row is first used after the rows before it, and every row is used
@@ -161,8 +184,54 @@ def _node_scores(ont: Ontology, table: object, node_count: int) -> list[PageRele
             unused = min(set(range(len(rows))).difference(first_use))
             raise ValidationError(f"{where} row {unused} is used by no node")
         raise ValidationError(f"{where} rows are not in order of first use")
-    shared = list(scored.values())
-    return [shared[i] for i in of_node]
+    return list(map(shared.__getitem__, of_node))
+
+
+def _rows_ok(ont: Ontology, rows: list) -> bool:
+    """Whether every row is a list of ``ont.t`` non-negative int counts, each
+    check one pass over all rows or all their entries. bool is not int
+    here, so a row holds only ints."""
+    return (
+        not set(map(type, rows)) - {list}
+        and not set(map(len, rows)) - {ont.t}
+        and not set(map(type, chain.from_iterable(rows))) - {int}
+        and min(chain.from_iterable(rows), default=0) >= 0
+    )
+
+
+def _scored_rows(ont: Ontology, rows: list) -> list[PageRelevance] | None:
+    """Each row's score, or None when a row repeats an earlier one or holds
+    a count too large for a float."""
+    keys = list(map(tuple, rows))
+    if len(set(keys)) < len(keys):
+        return None
+    try:
+        return list(map(relevance_from_counts, repeat(ont), keys))
+    except OverflowError:
+        return None
+
+
+def _raise_for_first_bad_row(ont: Ontology, rows: list, where: str) -> NoReturn:
+    """Row by row, raise for the first row that is malformed, repeats an
+    earlier row or holds a count too large for a float."""
+    seen: set[tuple[int, ...]] = set()
+    for i, row in enumerate(rows):
+        if not (
+            type(row) is list
+            and len(row) == ont.t
+            and not set(map(type, row)) - {int}
+            and min(row) >= 0
+        ):
+            raise ValidationError(f"{where} row {i} must be {ont.t} non-negative integer counts")
+        key = tuple(row)
+        if key in seen:
+            raise ValidationError(f"{where} row {i} repeats an earlier row")
+        seen.add(key)
+        try:
+            relevance_from_counts(ont, key)
+        except OverflowError:
+            raise ValidationError(f"{where} row {i} holds a count too large for a float") from None
+    raise ValidationError(f"{where} rows fail a check that names no row")
 
 
 def check_parents(p_id: int, pp_ids: Sequence[object]) -> None:

@@ -7,11 +7,14 @@ import math
 import random
 from collections import Counter
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
 from ibagsearch import (
     IndexBundle,
+    build_ibag,
+    gen_ibag_bit_patterns,
     Ontology,
     OntologyTerm,
     ValidationError,
@@ -34,6 +37,7 @@ from conftest import (
     set_node_counts,
     single_term_ontology,
 )
+from test_ibag import rpag_from_values
 
 
 @pytest.fixture(scope="module")
@@ -347,6 +351,41 @@ class TestValidation:
         assert "digest" not in str(info.value)
 
     @pytest.mark.parametrize(
+        "faults, message",
+        [
+            ({"urls": {3: ""}, "pp_ids": {1: [0] * 5}}, "node 1 has more than 4 parents"),
+            ({"urls": {3: 5}, "pp_ids": {1: [0] * 5}}, "node 1 has more than 4 parents"),
+        ],
+        ids=["empty-url-after", "int-url-after"],
+    )
+    def test_first_bad_node_named(self, bundle, tmp_path, faults, message):
+        """Two faults in different nodes: the columns are checked one at a
+        time, yet the message names the first node with a fault."""
+        path = tmp_path / "index.json"
+        obj = saved_obj(bundle, path)
+        for column, edits in faults.items():
+            for p_id, value in edits.items():
+                obj["rpag"][column][p_id] = value
+        path.write_bytes(sealed(obj))
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            IndexBundle.load(path)
+
+    def test_first_bad_node_named_by_the_layout(self, bundle, tmp_path):
+        """Node 3 repeats node 0's url and node 1 supports no ontology: both
+        are facts the layout checks, and the message names node 1."""
+        path = tmp_path / "index.json"
+        obj = saved_obj(bundle, path)
+        urls = obj["rpag"]["urls"]
+        urls[3] = urls[0]
+        for key in obj["rpag"]["counts"]:
+            counts = node_counts(obj, key)
+            counts[1] = [0] * len(counts[1])
+            set_node_counts(obj, key, counts)
+        path.write_bytes(sealed(obj))
+        with pytest.raises(ValidationError, match="^node 1 supports no ontology$"):
+            IndexBundle.load(path)
+
+    @pytest.mark.parametrize(
         "tamper, message",
         [
             (_row_index_out_of_range, "row index 2 is out of range"),
@@ -542,6 +581,10 @@ class TestDigest:
         with pytest.raises(ValidationError, match="digest"):
             IndexBundle.from_json_obj(obj)
 
+    def test_one_dump_gives_the_objects_canonical_bytes(self, bundle):
+        """A save dumps the sections once and splices their digest in."""
+        assert bundle.canonical_bytes() == canonical(bundle.to_json_obj())
+
     def test_file_not_in_canonical_form_rejected(self, bundle, tmp_path):
         """The same object written with spaces: the digest member is not
         where a save puts it."""
@@ -587,13 +630,27 @@ class TestBundleValidate:
             fresh.validate()
 
 
-def reference_layout(bundle: IndexBundle) -> tuple[list[float], list[list[int]]]:
-    """Means and sorted levels restated from the graph's term vectors.
+class Layout(NamedTuple):
+    """What a layout derives: each node's mean, the sorted levels, per
+    ontology each level's supporter column (p_ids and negated means), and
+    per ontology each page's bit pattern."""
+
+    means: list[float]
+    levels: list[list[int]]
+    columns: dict[int, list[tuple[list[int], list[float]]]]
+    patterns: dict[int, list[int]]
+
+
+def reference_layout(bundle: IndexBundle) -> Layout:
+    """The layout restated node by node from the graph's term vectors.
 
     A page's relevance is its vector's sum, kept when it beats the
     ontology's limit; the mean averages the kept values in ontology order.
     A level holds the nodes whose first-parent depth it is, by descending
-    mean, ties by ascending p_id.
+    mean, ties by ascending p_id. An ontology's column for a level lists
+    the level's supporters in that order. A page's pattern has one bit per
+    term, the first term's the most significant, set when the term's value
+    beats the term's limit.
     """
     means, depths = [], []
     for node in bundle.rpag.nodes:
@@ -608,7 +665,43 @@ def reference_layout(bundle: IndexBundle) -> tuple[list[float], list[list[int]]]
         sorted((p for p, d in enumerate(depths) if d == depth), key=lambda p: (-means[p], p))
         for depth in range(max(depths, default=-1) + 1)
     ]
-    return means, levels
+    columns, patterns = {}, {}
+    for ont in bundle.ontologies:
+        vectors = [node.relevance[ont.ontology_id].term_vector for node in bundle.rpag.nodes]
+        supports = [sum(vector) > ont.relevance_limit for vector in vectors]
+        columns[ont.ontology_id] = [
+            ([p for p in level if supports[p]], [-means[p] for p in level if supports[p]])
+            for level in levels
+        ]
+        patterns[ont.ontology_id] = [
+            sum(
+                1 << (ont.t - 1 - position)
+                for position, term in enumerate(ont.terms)
+                if vector[position] > term.term_relevance_limit
+            )
+            for vector in vectors
+        ]
+    return Layout(means, levels, columns, patterns)
+
+
+def layout_of(bundle: IndexBundle) -> Layout:
+    """The layout a bundle holds, in the form of :func:`reference_layout`."""
+    return Layout(
+        [node.mean_rel_val for node in bundle.ibag.nodes],
+        bundle.ibag.levels,
+        {
+            ont_id: [(p_ids, list(keys)) for p_ids, keys in columns]
+            for ont_id, columns in bundle.ibag.columns.items()
+        },
+        {ont_id: bundle.patterns.bits_for_ontology(ont_id) for ont_id in bundle.ibag.columns},
+    )
+
+
+def hand_made(values_per_node: list[dict[int, float]], ontologies) -> IndexBundle:
+    """A bundle laid out from a parentless graph with the given values."""
+    rpag = rpag_from_values(values_per_node, ontologies)
+    ibag = build_ibag(rpag)
+    return IndexBundle(rpag.ontologies, rpag, ibag, gen_ibag_bit_patterns(ibag, rpag.ontologies))
 
 
 # (seed, documents): the 400-document corpus is the largest
@@ -616,6 +709,13 @@ DIFFERENTIAL_CORPORA = [
     (41, 30), (42, 55), (43, 80), (44, 110), (45, 150),
     (46, 190), (47, 240), (48, 290), (49, 340), (50, 400),
 ]
+
+
+# weight 1 as an int, as an ontology read from JSON may hold it
+INT_WEIGHT_ONTS = tuple(
+    single_term_ontology(term, weight=1, relevance_limit=0.1, ontology_id=ont_id)
+    for ont_id, term in enumerate(("alpha", "beta", "gamma"), start=1)
+)
 
 
 class TestLoadMatchesBuild:
@@ -649,9 +749,9 @@ class TestLoadMatchesBuild:
             for inode, rnode in zip(bundle.ibag.nodes, bundle.rpag.nodes, strict=True):
                 assert inode.relevance is rnode.relevance
 
-        means, levels = reference_layout(built)
-        assert [node.mean_rel_val for node in built.ibag.nodes] == means
-        assert built.ibag.levels == levels
+        reference = reference_layout(built)
+        assert layout_of(built) == reference
+        assert layout_of(loaded) == reference
 
     @pytest.mark.parametrize("seed, docs", DIFFERENTIAL_CORPORA)
     def test_seeded_corpus(self, bundled_onts, tmp_path, seed, docs):
@@ -663,6 +763,46 @@ class TestLoadMatchesBuild:
         built = IndexBundle.build(corpus, [single_term_ontology("topic")])
         assert len(built.rpag) == 0
         self.assert_load_matches_build(built, tmp_path / "index.json")
+
+    @pytest.mark.parametrize(
+        "values_per_node, means",
+        [
+            (
+                [
+                    {1: 1e16, 2: 1.0, 3: 1.0},
+                    {1: 1.0, 2: 1.0, 3: 1e16},
+                    {2: 0.5},
+                    {1: 2**53 + 1, 2: 2**53 + 1, 3: 2**53 + 1},
+                ],
+                [1e16 / 3, (2.0 + 1e16) / 3, 0.5, float(2**53)],
+            ),
+            ([{1: 10**308, 2: 10**308, 3: 10**308}, {1: 0.25}], [1e308, 0.25]),
+        ],
+        ids=["sum-order", "int-sum-past-the-largest-float"],
+    )
+    def test_hand_made_graph_where_order_matters(self, values_per_node, means):
+        """Supported values summed left to right in ontology order: ``1e16
+        + 1.0`` rounds back to ``1e16``, so the first two pages' means differ
+        in their last bits. A page may support one ontology of three. Int
+        values are summed as ints and divided once: ``3 * (2**53 + 1)`` as
+        a float would round up, and ``3 * 10**308`` is past the largest
+        float, yet its mean is one."""
+        bundle = hand_made(values_per_node, INT_WEIGHT_ONTS)
+        assert layout_of(bundle) == reference_layout(bundle)
+        assert layout_of(bundle).means == means
+        assert len(set(means)) == len(means)
+        bundle.validate()
+
+    @pytest.mark.parametrize(
+        "values",
+        [{1: 2 * 10**308}, {1: 10**308, 2: 10**308, 3: 10**309}, {1: 10**400, 2: 1.0}],
+        ids=["one-int", "int-sum", "int-plus-float"],
+    )
+    def test_int_sum_past_the_largest_float_rejected(self, values):
+        """Node 0 is valid; node 1's mean cannot be a float, so it is
+        ``inf``, which the layout rejects, naming node 1."""
+        with pytest.raises(ValidationError, match="node 1 mean relevance inf not in"):
+            hand_made([{2: 0.5}, values], INT_WEIGHT_ONTS)
 
     def test_load_leaves_the_collector_as_it_found_it(self, bundle, tmp_path):
         path = tmp_path / "index.json"
@@ -780,7 +920,7 @@ class TestCollectorPaused:
 
     def test_save_leaves_the_collector_as_it_found_it(self, bundle, tmp_path, monkeypatch):
         path = tmp_path / "index.json"
-        states = self.spy(monkeypatch, IndexBundle, "to_json_obj")
+        states = self.spy(monkeypatch, IndexBundle, "canonical_bytes")
         assert gc.isenabled()
         bundle.save(path)
         assert gc.isenabled()
@@ -789,7 +929,7 @@ class TestCollectorPaused:
         def fail(self):
             raise RuntimeError("serializer failed")
 
-        monkeypatch.setattr(IndexBundle, "to_json_obj", fail)
+        monkeypatch.setattr(IndexBundle, "canonical_bytes", fail)
         with pytest.raises(RuntimeError, match="serializer failed"):
             bundle.save(path)
         assert gc.isenabled()

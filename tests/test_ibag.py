@@ -337,3 +337,12 @@ class TestFromNodesRejects:
         tamper(nodes)
         with pytest.raises(ValidationError, match=message):
             IBAG.from_nodes(nodes, TWO_ONTS)
+
+    def test_first_bad_node_named(self):
+        """Node 2 repeats a url and node 1 has a zero mean: the facts are
+        checked a column at a time, yet the message names node 1."""
+        nodes = chain_nodes()
+        _set(2, url="u0")(nodes)
+        _set(1, mean_rel_val=0.0)(nodes)
+        with pytest.raises(ValidationError, match="^node 1 mean relevance 0.0 not in"):
+            IBAG.from_nodes(nodes, TWO_ONTS)
