@@ -8,11 +8,11 @@ Serialization is canonical (sorted keys, fixed separators), so saving a
 loaded bundle reproduces the file byte for byte.
 
 A top-level ``digest`` holds the SHA-256 of the canonical bytes of the
-file without that member; with sorted keys it comes first. A save
-serializes the sections once, hashes those bytes and splices the digest
-member in front of them (``canonical_bytes``). A load hashes the raw bytes
-after it and never re-serializes; ``from_json_obj`` has no raw bytes, so it
-re-serializes what it decoded. The digest guards against
+file without that member; with sorted keys it comes first. A save dumps
+each section once, one section at a time, hashes the pieces and joins the
+digest member in front of them (``canonical_bytes``). A load hashes the
+raw bytes after it and never re-serializes; ``from_json_obj`` has no raw
+bytes, so it re-serializes what it decoded. The digest guards against
 corruption and hand edits. It is not authentication: anyone who can write
 the file can write a matching digest.
 
@@ -54,7 +54,7 @@ import logging
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .bitmask import PatternStore, gen_ibag_bit_patterns
 from .collector import collector_paused
@@ -72,16 +72,17 @@ _DIGEST_OPEN = b'{"digest":"'
 _BODY_START = len(_DIGEST_OPEN) + 64 + len(b'",')
 
 
-def _dump(obj: dict) -> bytes:
-    """``obj`` in canonical form (sorted keys, fixed separators), without
-    the newline that ends a file."""
+def _dump(obj: object) -> bytes:
+    """``obj`` in canonical JSON: sorted keys, fixed separators."""
     return json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":")).encode()
 
 
-def _digest(body: bytes) -> str:
-    """The SHA-256 of ``body`` and the newline after it."""
-    digest = hashlib.sha256(body)
-    digest.update(b"\n")
+def _digest(pieces: list[bytes]) -> str:
+    """The SHA-256 of the file without its digest member, from the pieces
+    :meth:`IndexBundle._pieces` gives."""
+    digest = hashlib.sha256(b"{")
+    for piece in pieces:
+        digest.update(piece)
     return digest.hexdigest()
 
 
@@ -117,20 +118,31 @@ class IndexBundle:
         if fresh.to_json_obj() != self.patterns.to_json_obj():
             raise ValidationError("bit patterns differ from those the term vectors give")
 
-    def _content(self) -> dict:
-        """The file's object without its digest: the sections."""
+    def _sections(self) -> dict[str, Callable[[], object]]:
+        """How to make each section of the file's object, by its key."""
         return {
-            "format_version": FORMAT_VERSION,
-            "ontologies": [ont.to_json_obj() for ont in self.ontologies],
-            "rpag": self.rpag.to_json_obj(),
-            "patterns": self.patterns.to_json_obj(),
+            "format_version": lambda: FORMAT_VERSION,
+            "ontologies": lambda: [ont.to_json_obj() for ont in self.ontologies],
+            "rpag": self.rpag.to_json_obj,
+            "patterns": self.patterns.to_json_obj,
         }
+
+    def _pieces(self) -> list[bytes]:
+        """The canonical bytes of the file after its opening brace, without
+        the digest member, in pieces. The sections are made and dumped one
+        at a time, in key order, so only one section's object is alive at
+        once."""
+        pieces: list[bytes] = []
+        for key, make in sorted(self._sections().items()):
+            pieces += (b'"', key.encode(), b'":', _dump(make()), b",")
+        pieces[-1] = b"}\n"
+        return pieces
 
     def to_json_obj(self) -> dict:
         """The file's object: the sections, and the digest of their
         canonical bytes."""
-        content = self._content()
-        return {"digest": _digest(_dump(content)), **content}
+        sections = {key: make() for key, make in self._sections().items()}
+        return {"digest": _digest(self._pieces()), **sections}
 
     @staticmethod
     def from_json_obj(obj: object) -> "IndexBundle":
@@ -140,7 +152,7 @@ class IndexBundle:
         to check the digest, which takes about as long as a save;
         :meth:`load` hashes the file's bytes instead."""
         bundle = IndexBundle._decode(obj)
-        if obj.get("digest") != bundle.to_json_obj()["digest"]:
+        if obj.get("digest") != _digest(bundle._pieces()):
             raise ValidationError("index digest does not match its contents")
         return bundle
 
@@ -168,10 +180,9 @@ class IndexBundle:
 
     def canonical_bytes(self) -> bytes:
         """The bytes of :meth:`to_json_obj` in canonical form, from one dump
-        of the sections: their digest is spliced in as the first member."""
-        body = _dump(self._content())
-        digest = _digest(body).encode()
-        return b"".join((_DIGEST_OPEN, digest, b'",', memoryview(body)[1:], b"\n"))
+        of each section: their digest is joined in as the first member."""
+        pieces = self._pieces()
+        return b"".join([_DIGEST_OPEN, _digest(pieces).encode(), b'",', *pieces])
 
     def save(self, path: str | Path) -> None:
         """Serialize with the collector paused, then write through a temp
