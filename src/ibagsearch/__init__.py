@@ -2,51 +2,81 @@
 Boolean bit-mask query filtering, with a harvest-rate evaluation harness."""
 from __future__ import annotations
 
-from .bitmask import (
-    BitPattern,
-    PatternStore,
-    find_predicted_webpage_list,
-    gen_ibag_bit_patterns,
-    gen_mask_bit_pattern,
-    gen_webpage_bit_pattern,
-    mask_match,
-    xor_patterns,
-)
-from .bundle import IndexBundle
-from .corpus import Corpus, CorpusDoc, GenerationConfig, load_corpus, save_corpus, synth_corpus
-from .errors import IbagSearchError, ParseError, ValidationError
-from .evaluation import (
-    BenchReport,
-    BenchRow,
-    HarvestReport,
-    HRDirectionResult,
-    QueryRun,
-    evaluate_index,
-    harvest_rate,
-    hr_direction_experiment,
-    run_benchmark,
-    traversal_cost_check,
-)
-from .ibag import IBAG, IBAGNode, build_ibag, select_by_range, select_columns
-from .ontology import (
-    LimitsConfig,
-    Ontology,
-    OntologyTerm,
-    count_occurrences,
-    load_limits,
-    load_ontology,
-    normalize_phrase,
-    normalize_text,
-)
-from .relevance import PageRelevance, page_relevance, term_relevance_value
-from .rpag import RPaG, RPaGNode, build_rpag
-from .search import (
-    Query,
-    SearchOutcome,
-    parse_relevance_range,
-    search_after_masking,
-    search_before_masking,
-)
+from importlib import import_module
+
+# each public name and the module that defines it; a name's module is
+# imported on first access (PEP 562), so importing one module of the
+# package, such as ``ibagsearch.cli``, does not import the others
+_HOMES = {
+    "bitmask": (
+        "BitPattern",
+        "PatternStore",
+        "find_predicted_webpage_list",
+        "gen_ibag_bit_patterns",
+        "gen_mask_bit_pattern",
+        "gen_webpage_bit_pattern",
+        "mask_match",
+        "xor_patterns",
+    ),
+    "bundle": ("IndexBundle",),
+    "corpus": (
+        "Corpus",
+        "CorpusDoc",
+        "GenerationConfig",
+        "load_corpus",
+        "save_corpus",
+        "synth_corpus",
+    ),
+    "errors": ("IbagSearchError", "ParseError", "ValidationError"),
+    "evaluation": (
+        "BenchReport",
+        "BenchRow",
+        "HarvestReport",
+        "HRDirectionResult",
+        "QueryRun",
+        "evaluate_index",
+        "harvest_rate",
+        "hr_direction_experiment",
+        "run_benchmark",
+        "traversal_cost_check",
+    ),
+    "ibag": ("IBAG", "IBAGNode", "build_ibag", "select_by_range", "select_columns"),
+    "ontology": (
+        "LimitsConfig",
+        "Ontology",
+        "OntologyTerm",
+        "count_occurrences",
+        "load_limits",
+        "load_ontology",
+        "normalize_phrase",
+        "normalize_text",
+    ),
+    "relevance": ("PageRelevance", "page_relevance", "term_relevance_value"),
+    "rpag": ("RPaG", "RPaGNode", "build_rpag"),
+    "search": (
+        "Query",
+        "SearchOutcome",
+        "parse_relevance_range",
+        "search_after_masking",
+        "search_before_masking",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _HOMES.items() for name in names}
+
+
+def __getattr__(name: str) -> object:
+    try:
+        module = _MODULE_OF[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later reads skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted([*globals(), *_MODULE_OF])
+
 
 __version__ = "0.1.0"
 

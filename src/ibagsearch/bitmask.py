@@ -133,11 +133,7 @@ def gen_mask_bit_pattern(
     one of its synonyms occurs. The search string is scanned once through
     the ontology's phrase table, the same scan that scores pages.
     """
-    bits = 0
-    for n in ontology.count_terms(normalize_text(search_string), use_synonyms):
-        bits <<= 1  # position 0 ends up as the most significant bit
-        if n:
-            bits |= 1
+    bits = ontology.phrase_table.mask(normalize_text(search_string), use_synonyms)
     return BitPattern(bits, ontology.t, ontology.ontology_id)
 
 
@@ -152,7 +148,7 @@ class PatternStore:
         self._bits: dict[int, list[int]] = {}
         self._lengths: dict[int, int] = {}
 
-    def add_ontology(self, ontology_id: int, length: int, bits_by_p_id: list[int]) -> None:
+    def add_ontology(self, ontology_id: int, length: int, bits_by_p_id: Iterable[int]) -> None:
         if ontology_id in self._bits:
             raise ValidationError(f"patterns for ontology {ontology_id} already present")
         bits_by_p_id = list(bits_by_p_id)
@@ -200,21 +196,15 @@ class PatternStore:
 def gen_ibag_bit_patterns(ibag: IBAG, ontologies: Sequence[Ontology]) -> PatternStore:
     """One-time pattern generation: one pattern per (page, ontology) pair.
 
-    A build and a load share one ``PageRelevance`` among the pages with
-    equal term vectors, so the bits are derived once per distinct object.
+    The bits are derived once per row of the index's score table, each
+    distinct score once, and mapped to the pages through ``of_node``.
     """
     store = PatternStore()
+    tables = ibag.node_columns.scores.tables
     for ontology in ontologies:
-        ont_id = ontology.ontology_id
-        bits_of: dict[int, int] = {}  # by id() of a PageRelevance the nodes keep alive
-        bits_by_p_id = []
-        for node in ibag.nodes:
-            rel = node.relevance[ont_id]
-            bits = bits_of.get(id(rel))
-            if bits is None:
-                bits = bits_of[id(rel)] = _page_bits(rel.term_vector, ontology)
-            bits_by_p_id.append(bits)
-        store.add_ontology(ont_id, ontology.t, bits_by_p_id)
+        rows, of_node = tables[ontology.ontology_id]
+        row_bits = [_page_bits(rel.term_vector, ontology) for rel in rows]
+        store.add_ontology(ontology.ontology_id, ontology.t, map(row_bits.__getitem__, of_node))
     return store
 
 

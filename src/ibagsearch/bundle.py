@@ -53,7 +53,9 @@ import json
 import logging
 import os
 from dataclasses import dataclass
+from operator import sub
 from pathlib import Path
+from time import perf_counter
 from typing import Callable, Sequence
 
 from .bitmask import PatternStore, gen_ibag_bit_patterns
@@ -151,15 +153,17 @@ class IndexBundle:
         Having no raw bytes to hash, this re-serializes the decoded bundle
         to check the digest, which takes about as long as a save;
         :meth:`load` hashes the file's bytes instead."""
-        bundle = IndexBundle._decode(obj)
+        bundle = IndexBundle._decode(obj, [])
         if obj.get("digest") != _digest(bundle._pieces()):
             raise ValidationError("index digest does not match its contents")
         return bundle
 
     @staticmethod
-    def _decode(obj: object) -> "IndexBundle":
+    def _decode(obj: object, stamps: list[float]) -> "IndexBundle":
         """Check the version and every section and derive the bundle; the
-        caller checks the digest."""
+        caller checks the digest. Appends a ``perf_counter()`` reading to
+        ``stamps`` after each of the graph decode, the layout and the
+        patterns."""
         if not isinstance(obj, dict):
             raise ValidationError("index file must hold a JSON object")
         version = obj.get("format_version")
@@ -172,10 +176,13 @@ class IndexBundle:
             Ontology.from_json_obj(raw) for raw in json_field(obj, "ontologies", list, "index")
         )
         rpag = RPaG.from_json_obj(json_field(obj, "rpag", dict, "index"), ontologies)
+        stamps.append(perf_counter())
         ibag = build_ibag(rpag)
+        stamps.append(perf_counter())
         patterns = gen_ibag_bit_patterns(ibag, ontologies)
         if json_field(obj, "patterns", dict, "index") != patterns.to_json_obj():
             raise ValidationError("stored bit patterns differ from those the term vectors give")
+        stamps.append(perf_counter())
         return IndexBundle(ontologies=ontologies, rpag=rpag, ibag=ibag, patterns=patterns)
 
     def canonical_bytes(self) -> bytes:
@@ -202,14 +209,21 @@ class IndexBundle:
     @staticmethod
     def load(path: str | Path) -> "IndexBundle":
         """Parse and decode ``path`` with the cyclic garbage collector
-        paused, then check the digest against the file's bytes."""
+        paused, then check the digest against the file's bytes.
+
+        At debug level it logs one key=value event: the milliseconds of the
+        parse, the graph decode, the layout and the patterns (derived and
+        compared with the stored ones), the node count and each ontology's
+        rows of distinct scores."""
         raw = Path(path).read_bytes()
         with collector_paused():
+            stamps = [perf_counter()]
             try:
                 obj = json.loads(raw.decode("utf-8"))
             except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON, deep nesting
                 raise ValidationError(f"{path}: not a valid index file: {exc}") from None
-            bundle = IndexBundle._decode(obj)
+            stamps.append(perf_counter())
+            bundle = IndexBundle._decode(obj, stamps)
             # free the parsed file before the collector resumes, or its first
             # pass, which any allocation may start, scans every object of it
             del obj
@@ -217,4 +231,17 @@ class IndexBundle:
         content.update(memoryview(raw)[_BODY_START:])
         if raw[:_BODY_START] != _DIGEST_OPEN + content.hexdigest().encode() + b'",':
             raise ValidationError(f"{path}: index digest does not match its contents")
+        if log.isEnabledFor(logging.DEBUG):
+            parse, graph, layout, patterns = map(sub, stamps[1:], stamps)
+            tables = bundle.ibag.node_columns.scores.tables
+            log.debug(
+                "event=load parse_ms=%.3f graph_ms=%.3f layout_ms=%.3f patterns_ms=%.3f "
+                "nodes=%d rows=%s",
+                parse * 1e3,
+                graph * 1e3,
+                layout * 1e3,
+                patterns * 1e3,
+                len(bundle.ibag),
+                ",".join(f"{ont_id}:{len(table.rows)}" for ont_id, table in tables.items()),
+            )
         return bundle

@@ -11,21 +11,13 @@ import gc
 import logging
 import os
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from . import bundled
 from .bundle import IndexBundle
 from .collector import collector_paused
 from .corpus import load_corpus
 from .errors import IbagSearchError
-from .evaluation import (
-    BenchReport,
-    HarvestReport,
-    aggregate_runs,
-    compare_modes,
-    evaluate_index,
-    run_benchmark,
-)
 from .ontology import load_limits, load_ontology
 from .search import (
     BEFORE_MASKING,
@@ -34,6 +26,13 @@ from .search import (
     search_after_masking,
     search_before_masking,
 )
+
+if TYPE_CHECKING:
+    from .evaluation import HarvestReport
+
+# ``evaluation`` is imported by the commands that use it (``bench``,
+# ``eval`` and ``query --mode both``), so ``build`` and ``query`` start
+# without it
 
 log = logging.getLogger(__name__)
 
@@ -140,7 +139,7 @@ def cmd_build(args: argparse.Namespace) -> int:
         f"nodes={len(bundle.rpag)} levels={len(bundle.ibag.levels)} "
         f"patterns={len(bundle.patterns)}"
     )
-    if not bundle.rpag.nodes:
+    if not len(bundle.rpag):
         print("warning: empty index (no page supports any ontology)", file=sys.stderr)
     return 0
 
@@ -185,6 +184,8 @@ def _run_query(bundle: IndexBundle, query: Query, mode: str, use_synonyms: bool)
             f"visited={outcome.visited_count} elapsed_us={outcome.elapsed * 1e6:.1f}"
         )
     if mode == "both":
+        from .evaluation import compare_modes
+
         modes = compare_modes(query, bundle.ibag, bundle.patterns, use_synonyms)
         print("== harvest ==")
         _print_harvest("before", modes.before)
@@ -225,6 +226,8 @@ def _parse_sizes(text: str) -> list[int]:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    from .evaluation import run_benchmark
+
     sizes = _parse_sizes(args.sizes)
     if args.queries is None:
         queries = bundled.default_queries(default_ontology_id=args.ontology)
@@ -238,6 +241,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    from .evaluation import BenchReport, aggregate_runs, evaluate_index
+
     bundle = _load_for_process(args.index)
     queries = bundled.load_query_file(args.queries, default_ontology_id=args.ontology)
     runs = evaluate_index(bundle.ibag, bundle.patterns, queries, repeats=args.repeats)

@@ -59,20 +59,24 @@ def harvest_rate(
     """
     ontology = ibag.ontology_by_id(query.ontology_id)
     mask = gen_mask_bit_pattern(query.search_string, ontology, use_synonyms=use_synonyms)
-    return _harvest_report(mask, result_pages, selected_pages)
+    vectors = [node.relevance[mask.ontology_id].term_vector for node in result_pages]
+    selected = [node.relevance[mask.ontology_id].term_vector for node in selected_pages]
+    return _harvest_report(mask, vectors, selected)
 
 
 def _harvest_report(
-    mask: BitPattern, result_pages: Sequence[IBAGNode], selected_pages: Sequence[IBAGNode]
+    mask: BitPattern,
+    result_vectors: Sequence[Sequence[float]],
+    selected_vectors: Sequence[Sequence[float]],
 ) -> HarvestReport:
+    """The report from the term vectors of the result and selected pages."""
     positions = mask.positions()
 
-    def score(node: IBAGNode) -> float:
-        vector = node.relevance[mask.ontology_id].term_vector
+    def score(vector: Sequence[float]) -> float:
         return sum(vector[p] for p in positions)
 
-    t_rel_sw = statistics.fmean(score(n) for n in selected_pages) if selected_pages else None
-    t_rel_sr = statistics.fmean(score(n) for n in result_pages) if result_pages else None
+    t_rel_sw = statistics.fmean(map(score, selected_vectors)) if selected_vectors else None
+    t_rel_sr = statistics.fmean(map(score, result_vectors)) if result_vectors else None
     hr = None
     if t_rel_sr is not None and t_rel_sw is not None and t_rel_sw > 0:
         hr = t_rel_sr / t_rel_sw
@@ -106,19 +110,24 @@ def compare_modes(
     slices, selected_count, visited = select_columns(
         ibag, query.relevance_range, query.ontology_id
     )
-    nodes = ibag.nodes
-    selected = [nodes[p] for p_ids, start, stop in slices for p in p_ids[start:stop]]
+    selected = [p for p_ids, start, stop in slices for p in p_ids[start:stop]]
     before = selected[: query.result_limit]
     page_bits = patterns.bits_for_ontology(query.ontology_id)
-    after = first_matching_pages(slices, nodes, page_bits, mask.bits, query.result_limit)
+    after = first_matching_pages(slices, page_bits, mask.bits, query.result_limit)
+    rows, of_node = ibag.node_columns.scores.tables[query.ontology_id]
+
+    def vectors(p_ids: list[int]) -> list[tuple[float, ...]]:
+        return [rows[of_node[p]].term_vector for p in p_ids]
+
+    selected_vectors = vectors(selected)
     return ModeComparison(
         term_count=len(mask.positions()),
         selected_count=selected_count,
         visited_count=visited,
         before_count=len(before),
         after_count=len(after),
-        before=_harvest_report(mask, before, selected),
-        after=_harvest_report(mask, after, selected),
+        before=_harvest_report(mask, vectors(before), selected_vectors),
+        after=_harvest_report(mask, vectors(after), selected_vectors),
     )
 
 

@@ -39,7 +39,6 @@ copies of the nodes out again and compares, chains included.
 """
 from __future__ import annotations
 
-import logging
 import math
 from array import array
 from bisect import bisect_left, bisect_right
@@ -52,12 +51,10 @@ from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, NoReturn, Seque
 
 from .errors import ValidationError
 from .ontology import Ontology
-from .relevance import PageRelevance
+from .relevance import GraphScores, PageRelevance, ScoreTable
 
 if TYPE_CHECKING:
     from .rpag import RPaG
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(slots=True)
@@ -135,25 +132,49 @@ class _Chains:
         return heads, links
 
 
+class IndexColumns(NamedTuple):
+    """The index's node facts, one column each, by p_id: what a query reads
+    (urls and means) and what the nodes are made from."""
+
+    url: list[str]
+    pp_id: list[int | None]
+    level: list[int]
+    mean_rel_val: list[float]
+    scores: GraphScores
+
+
 class IBAG:
-    """Index nodes plus the level table, per-(ontology, level) supporter
-    columns and the chains: per-level domain head positions and per-node
-    links, threaded on first read."""
+    """The index in columns (:class:`IndexColumns`), plus the level table,
+    per-(ontology, level) supporter columns and the chains: per-level domain
+    head positions and per-node links, threaded on first read. The nodes are
+    made from the columns on first read and kept."""
 
     def __init__(
         self,
-        nodes: list[IBAGNode],
         ontologies: tuple[Ontology, ...],
+        node_columns: IndexColumns,
         levels: list[list[int]],
         columns: dict[int, list[Column]],
         chains: _Chains,
     ) -> None:
-        self.nodes = nodes
         self.ontologies = ontologies
+        self.node_columns = node_columns
         self.levels = levels
         self.columns = columns
         self._chains = chains
         self._by_id = {ont.ontology_id: ont for ont in ontologies}
+        self._nodes: list[IBAGNode] | None = None
+
+    @property
+    def nodes(self) -> list[IBAGNode]:
+        """One node per page, by p_id, each holding its graph node's
+        ``relevance`` dict and reading this index's chains."""
+        if self._nodes is None:
+            nodes = _nodes_of(self.node_columns)
+            for node in nodes:
+                node._chains = self._chains
+            self._nodes = nodes
+        return self._nodes
 
     @property
     def level_heads(self) -> Heads:
@@ -162,7 +183,7 @@ class IBAG:
         return self._chains.threaded[0]
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self.node_columns.url)
 
     def ontology_by_id(self, ontology_id: int) -> Ontology:
         try:
@@ -172,10 +193,8 @@ class IBAG:
 
     def mean_value_bounds(self) -> tuple[float, float] | None:
         """(min, max) of mean relevance over all nodes, or None when empty."""
-        if not self.nodes:
-            return None
-        values = [node.mean_rel_val for node in self.nodes]
-        return min(values), max(values)
+        means = self.node_columns.mean_rel_val
+        return (min(means), max(means)) if means else None
 
     def iter_chain(self, level_index: int, ontology_id: int) -> Iterator[IBAGNode]:
         """Walk one level's supporting nodes, entering at the stored head."""
@@ -184,48 +203,69 @@ class IBAG:
         if head is None:
             return
         next_ids = links[ontology_id]
+        nodes, levels = self.nodes, self.node_columns.level
         p_id: int | None = self.levels[level_index][head]
-        while p_id is not None and self.nodes[p_id].level == level_index:
-            yield self.nodes[p_id]
+        while p_id is not None and levels[p_id] == level_index:
+            yield nodes[p_id]
             p_id = next_ids[p_id]
 
     @classmethod
     def from_nodes(cls, nodes: Sequence[IBAGNode], ontologies: Sequence[Ontology]) -> "IBAG":
         """Check the nodes, then assemble levels, sort them and fill the
         supporter columns, through the one layout step :func:`build_ibag`
-        also takes. The per-ontology chains are threaded from the levels and
-        the support flags when first read.
+        also takes. The columns are read out of the nodes, each node's
+        score its own row; the per-ontology chains are threaded from the
+        levels and the support flags when first read.
 
-        ``nodes`` must be dense in p_id; each node is attached to the new
-        index's chains here.
+        ``nodes`` must be dense in p_id; the index keeps them as its nodes,
+        and each is attached to the new index's chains here.
         """
         nodes = list(nodes)
-        columns = _NodeColumns(*(list(map(attrgetter(f), nodes)) for f in _NodeColumns._fields))
-        return cls._lay_out(nodes, tuple(ontologies), columns)
+        ontologies = tuple(ontologies)
+        ids = [ont.ontology_id for ont in ontologies]
+        relevances = [node.relevance for node in nodes]
+        own_rows = list(range(len(nodes)))
+        try:
+            tables = {
+                ont_id: ScoreTable(list(map(itemgetter(ont_id), relevances)), own_rows)
+                for ont_id in ids
+            }
+            # with every id present, no other key
+            ok = not set(map(len, relevances)) - {len(ids)}
+        except (KeyError, TypeError):  # a missing id, or no dict
+            ok = False
+        if not (ok and all(map(eq, map(attrgetter("p_id"), nodes), count()))):
+            _raise_for_first_bad_node(nodes, ontologies)
+        columns = IndexColumns(
+            *(list(map(attrgetter(f), nodes)) for f in ("url", "pp_id", "level", "mean_rel_val")),
+            GraphScores(tables, len(nodes), relevances),
+        )
+        ibag = cls._lay_out(columns, ontologies)
+        for node in nodes:
+            node._chains = ibag._chains
+        ibag._nodes = nodes
+        return ibag
 
     @classmethod
     def _lay_out(
         cls,
-        nodes: list[IBAGNode],
+        node_columns: IndexColumns,
         ontologies: tuple[Ontology, ...],
-        columns: _NodeColumns,
-        scores: list[list[PageRelevance]] | None = None,
         supports: dict[int, list[bool]] | None = None,
     ) -> "IBAG":
         """The one layout step: check every node fact a column at a time,
         naming the first bad node when one fails, then sort the levels and
-        fill the supporter columns. ``columns`` holds the fields of
-        ``nodes``; ``scores`` and ``supports``, when given, hold each
-        ontology's scores of the nodes and their support flags."""
-        supports = _checked_supports(columns, ontologies, scores, supports)
+        fill the supporter columns. ``supports``, when given, holds each
+        ontology's support flags by p_id."""
+        supports = _checked_supports(node_columns, ontologies, supports)
         if supports is None:
-            _raise_for_first_bad_node(nodes, ontologies)
+            _raise_for_first_bad_node(_nodes_of(node_columns), ontologies)
 
         # a level lists its nodes by ascending p_id, and a sort, reversed or
         # not, is stable, so ties keep that order
-        means = columns.mean_rel_val
-        levels: list[list[int]] = [[] for _ in range(max(columns.level, default=-1) + 1)]
-        for p_id, level in zip(columns.p_id, columns.level):
+        means = node_columns.mean_rel_val
+        levels: list[list[int]] = [[] for _ in range(max(node_columns.level, default=-1) + 1)]
+        for p_id, level in enumerate(node_columns.level):
             levels[level].append(p_id)
         for level in levels:
             level.sort(key=means.__getitem__, reverse=True)
@@ -239,18 +279,15 @@ class IBAG:
                 )
             ]
         chains = _Chains(levels, supports)
-        for node in nodes:
-            node._chains = chains
-
-        log.debug("assembled index: %d nodes in %d levels", len(nodes), len(levels))
-        return cls(nodes, ontologies, levels, columns_by_ontology, chains)
+        return cls(ontologies, node_columns, levels, columns_by_ontology, chains)
 
     def validate(self) -> None:
         """Lay copies of the nodes out again and compare: raise
         ValidationError when the level table, the level heads, the chain
-        links or the supporter columns differ from what :meth:`from_nodes`
-        derives. The index itself is left unchanged, though its chains are
-        threaded if nothing has read them yet."""
+        links, the supporter columns or the index's columns differ from
+        what :meth:`from_nodes` derives. The index itself is left
+        unchanged, though its nodes are made and its chains threaded if
+        nothing has read them yet."""
         fresh = type(self).from_nodes([replace(node) for node in self.nodes], self.ontologies)
         if self.levels != fresh.levels:
             raise ValidationError("level table differs from the sorted levels the nodes give")
@@ -261,49 +298,47 @@ class IBAG:
             raise ValidationError("chain links differ from those the nodes give")
         if self.columns != fresh.columns:
             raise ValidationError("supporter columns differ from the sorted levels the nodes give")
+        mine, theirs = self.node_columns, fresh.node_columns
+        if mine[:-1] != theirs[:-1] or any(
+            table.per_node() != theirs.scores.tables[ont_id].per_node()
+            for ont_id, table in mine.scores.tables.items()
+        ):
+            raise ValidationError("index columns differ from the nodes")
 
 
-class _NodeColumns(NamedTuple):
-    """The fields of a list of :class:`IBAGNode`, one list each, by p_id."""
-
-    p_id: list
-    url: list
-    pp_id: list
-    mean_rel_val: list
-    level: list
-    relevance: list
+def _nodes_of(columns: IndexColumns) -> list[IBAGNode]:
+    """One node per page, made from the columns."""
+    urls, pp_ids, levels, means, scores = columns
+    return list(map(IBAGNode, range(len(urls)), urls, pp_ids, means, levels, scores.dicts()))
 
 
 def _checked_supports(
-    columns: _NodeColumns,
+    columns: IndexColumns,
     ontologies: tuple[Ontology, ...],
-    scores: list[list[PageRelevance]] | None,
     supports: dict[int, list[bool]] | None,
 ) -> dict[int, list[bool]] | None:
     """Each ontology's support flags by p_id, or None when a node fact that
     :func:`_raise_for_first_bad_node` checks fails: the same checks, each
-    a pass over one column."""
+    a pass over one column, or over a score table's rows."""
+    urls, pp_ids, levels, means, scores = columns
     ids = [ont.ontology_id for ont in ontologies]
-    p_ids, urls, pp_ids, means, levels, relevances = columns
     try:
         if not (
-            all(map(eq, p_ids, count()))
-            and all(urls)
+            all(urls)
             and len(set(urls)) == len(urls)
             and _parents_and_levels_ok(pp_ids, levels)
-            # with every id present (a KeyError below if not), no other key
-            and not set(map(len, relevances)) - {len(set(ids))}
+            and scores.tables.keys() == set(ids)
+            # a vector's length, once per row
+            and all(
+                not set(map(len, map(attrgetter("term_vector"), table.rows))) - {ont.t}
+                for ont, table in zip(ontologies, map(scores.tables.get, ids))
+            )
         ):
             return None
-        if scores is None:
-            scores = [list(map(itemgetter(ont_id), relevances)) for ont_id in ids]
-            supports = _support_flags(ids, scores)
+        if supports is None:
+            supports = _support_flags(ontologies, scores)
         if not (
-            (all(map(any, zip(*supports.values()))) if ids else not relevances)
-            and all(
-                not set(map(len, map(attrgetter("term_vector"), column))) - {ont.t}
-                for ont, column in zip(ontologies, scores)
-            )
+            (all(map(any, zip(*supports.values()))) if ontologies else not urls)
             and all(map(lt, repeat(0), means))
             and all(map(lt, means, repeat(math.inf)))
         ):
@@ -373,51 +408,49 @@ def build_ibag(rpag: RPaG) -> IBAG:
     (0.0 for none, a node :meth:`IBAG.from_nodes` rejects). A mean that
     cannot be a float, from an int sum too large for one, becomes ``inf``,
     which :meth:`IBAG.from_nodes` rejects too. Each step is a pass over one
-    column of the graph's nodes.
+    of the graph's columns; a score's value and support are read once per
+    row of its table, then mapped to the nodes through ``of_node``. The
+    index shares the graph's urls and score tables.
     """
-    rnodes = rpag.nodes
-    pp_ids = list(map(next, map(iter, map(attrgetter("pp_ids"), rnodes)), repeat(None)))
+    urls, parent_lists, scores = rpag.columns
+    pp_ids = list(map(next, map(iter, parent_lists), repeat(None)))
     levels: list[int] = []
     append = levels.append
     for pp_id in pp_ids:  # a parent comes before its child
         append(0 if pp_id is None else levels[pp_id] + 1)
-    relevances = list(map(attrgetter("relevance"), rnodes))
+    supports = _support_flags(rpag.ontologies, scores)
     # in ontology order, not dict order, so the float sum is fixed
-    ids = [ont.ontology_id for ont in rpag.ontologies]
-    scores = [list(map(itemgetter(ont_id), relevances)) for ont_id in ids]
-    supports = _support_flags(ids, scores)
-    means = _means(scores, list(supports.values()), len(rnodes))
-    columns = _NodeColumns(
-        list(map(attrgetter("p_id"), rnodes)),
-        list(map(attrgetter("url"), rnodes)),
-        pp_ids,
-        means,
-        levels,
-        relevances,
-    )
-    nodes = list(map(IBAGNode, *columns))
-    return IBAG._lay_out(nodes, rpag.ontologies, columns, scores, supports)
+    values = [
+        _per_node(scores.tables[ont.ontology_id], "relevance_value") for ont in rpag.ontologies
+    ]
+    means = _means(values, list(supports.values()), len(urls))
+    columns = IndexColumns(urls, pp_ids, levels, means, scores)
+    return IBAG._lay_out(columns, rpag.ontologies, supports)
 
 
-def _support_flags(ids: list[int], scores: list[list[PageRelevance]]) -> dict[int, list[bool]]:
+def _per_node(table: ScoreTable, field: str) -> list:
+    """One field of each node's score, read once per row."""
+    return list(map(list(map(attrgetter(field), table.rows)).__getitem__, table.of_node))
+
+
+def _support_flags(ontologies: Sequence[Ontology], scores: GraphScores) -> dict[int, list[bool]]:
     """Per ontology id, each node's support flag, read from its scores."""
-    return {ont_id: list(map(attrgetter("supported"), col)) for ont_id, col in zip(ids, scores)}
+    return {
+        ont.ontology_id: _per_node(scores.tables[ont.ontology_id], "supported")
+        for ont in ontologies
+    }
 
 
-def _means(
-    scores: list[list[PageRelevance]], supported: list[list[bool]], node_count: int
-) -> list[float]:
+def _means(values: list[list], supported: list[list[bool]], node_count: int) -> list[float]:
     """Each node's mean: its supported values' sum, added in ontology order,
     over their count (0.0 for none); ``inf`` when the sum cannot be a float."""
-    if not scores:
+    if not values:
         return [0.0] * node_count
     try:
-        values = zip(*(map(attrgetter("relevance_value"), column) for column in scores))
-        sums = map(sum, map(compress, values, zip(*supported)))
+        sums = map(sum, map(compress, zip(*values), zip(*supported)))
         return list(map(truediv, sums, map(max, map(sum, zip(*supported)), repeat(1))))
     except OverflowError:
-        values = zip(*(map(attrgetter("relevance_value"), column) for column in scores))
-        return list(map(_mean, values, zip(*supported)))
+        return list(map(_mean, zip(*values), zip(*supported)))
 
 
 def _mean(values: tuple, supported: tuple) -> float:
@@ -443,7 +476,7 @@ def select_by_range(
     :func:`select_columns`, which queries use.
     """
     lo, hi = relevance_range
-    if lo > hi:
+    if not lo <= hi:  # NaN bounds too
         raise ValueError(f"invalid relevance range [{lo}, {hi}]")
     ibag.ontology_by_id(ontology_id)  # reject unknown ids
     selected: list[IBAGNode] = []
@@ -474,7 +507,7 @@ def select_columns(
     level that also has a supporter below ``lo``, where the walk stops.
     """
     lo, hi = relevance_range
-    if lo > hi:
+    if not lo <= hi:  # NaN bounds too
         raise ValueError(f"invalid relevance range [{lo}, {hi}]")
     try:
         columns = ibag.columns[ontology_id]

@@ -91,7 +91,7 @@ class PhraseTable:
     (start, end) positions of each ontology the table covers, in order.
     """
 
-    __slots__ = ("entries", "spans", "width")
+    __slots__ = ("entries", "presence", "spans", "width")
 
     def __init__(
         self,
@@ -114,6 +114,20 @@ class PhraseTable:
         self.entries = {first: tuple(e) for first, e in entries.items()}
         self.spans = tuple(spans)
         self.width = self.spans[-1][1]
+        # per first word, each phrase's words and the pattern bits of the
+        # terms it stands for, with and without synonyms (:meth:`mask`)
+        top = self.width - 1
+
+        def bits(positions: Iterable[int]) -> int:
+            return sum({1 << top - p for p in positions})
+
+        self.presence = {
+            first: tuple(
+                (words, size, bits(positions), bits(names))
+                for _, words, size, positions, names in e
+            )
+            for first, e in self.entries.items()
+        }
 
     @classmethod
     def of_terms(cls, terms: Sequence["OntologyTerm"]) -> "PhraseTable":
@@ -170,6 +184,20 @@ class PhraseTable:
                     counts[position] += 1
         return counts
 
+    def mask(self, tokens: list[str], use_synonyms: bool = True) -> int:
+        """One bit per position whose term occurs in ``tokens``, position 0
+        the most significant: the bits of the positions :meth:`count` gives
+        a nonzero count. A phrase occurs where its words first match, so
+        presence needs neither counts nor the non-overlap rule."""
+        bits = 0
+        presence = self.presence
+        for i, tok in enumerate(tokens):
+            if tok in presence:
+                for words, size, synonym_bits, name_bits in presence[tok]:
+                    if size == 1 or tokens[i : i + size] == words:
+                        bits |= synonym_bits if use_synonyms else name_bits
+        return bits
+
 
 @dataclass(frozen=True)
 class OntologyTerm:
@@ -190,6 +218,7 @@ class OntologyTerm:
 class Ontology:
     """An ordered set of weighted domain terms plus the page-level cutoff.
 
+    ``t``, the number of terms and so the bit-pattern length,
     ``phrase_table`` (:class:`PhraseTable`), ``weights`` and
     ``term_limits``, each term's weight and cutoff in bit-position order,
     are derived from ``terms`` on creation; they are not fields.
@@ -202,16 +231,12 @@ class Ontology:
 
     def __post_init__(self) -> None:
         self.validate()
+        object.__setattr__(self, "t", len(self.terms))
         object.__setattr__(self, "phrase_table", PhraseTable.of_terms(self.terms))
         object.__setattr__(self, "weights", tuple(term.weight for term in self.terms))
         object.__setattr__(
             self, "term_limits", tuple(term.term_relevance_limit for term in self.terms)
         )
-
-    @property
-    def t(self) -> int:
-        """Number of terms, and therefore the bit-pattern length."""
-        return len(self.terms)
 
     def validate(self) -> None:
         if self.ontology_id < 1:

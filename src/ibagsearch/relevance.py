@@ -20,9 +20,17 @@ from, so one value can serve many pages: a crawl (``rpag.build_rpag``)
 calls :func:`page_relevance` once per distinct count vector of an ontology,
 and a load (``RPaG.from_json_obj``) calls :func:`relevance_from_counts` once
 per stored row of counts; the pages with those counts share the result.
+
+A graph and its index hold those shared scores in columns, as the index
+file stores their counts: per ontology a :class:`ScoreTable` of each
+distinct score once (``rows``) and each page's row index (``of_node``), in
+order of first use by p_id. :class:`GraphScores` holds one graph's tables
+and makes each page's per-ontology dict, the ``relevance`` of a node, only
+when something reads the nodes.
 """
 from __future__ import annotations
 
+from itertools import count, repeat
 from operator import mul
 from typing import NamedTuple, Sequence
 
@@ -81,3 +89,49 @@ def page_relevance(
     if counts is None:
         counts = ontology.count_terms(tokens if isinstance(tokens, list) else list(tokens))
     return relevance_from_counts(ontology, counts)
+
+
+class ScoreTable(NamedTuple):
+    """One ontology's scores of a graph's pages: each distinct score once,
+    and each page's row index, by p_id, rows in order of first use."""
+
+    rows: list[PageRelevance]
+    of_node: list[int]
+
+    @classmethod
+    def shared(cls, scores: Sequence[PageRelevance]) -> "ScoreTable":
+        """The table of per-page scores, one row per distinct object: pages
+        that share a score share its row."""
+        first = dict(zip(map(id, scores), scores))  # in order of first use
+        row_of = dict(zip(first, count()))
+        return cls(list(first.values()), list(map(row_of.__getitem__, map(id, scores))))
+
+    def per_node(self) -> list[PageRelevance]:
+        """Each page's score, by p_id."""
+        return list(map(self.rows.__getitem__, self.of_node))
+
+
+class GraphScores:
+    """The score tables of one graph's pages, by ontology id, and each
+    page's ``relevance`` dict (ontology id to score), made on first read
+    and then kept: the graph's nodes and its index's nodes hold the same
+    dict."""
+
+    def __init__(
+        self,
+        tables: dict[int, ScoreTable],
+        node_count: int,
+        dicts: list[dict[int, PageRelevance]] | None = None,
+    ) -> None:
+        self.tables = tables
+        self.node_count = node_count
+        self._dicts = dicts
+
+    def dicts(self) -> list[dict[int, PageRelevance]]:
+        """Each page's ``relevance`` dict, by p_id, the same list on every call."""
+        if self._dicts is None:
+            ids = list(self.tables)
+            columns = [table.per_node() for table in self.tables.values()]
+            rels = zip(*columns) if columns else repeat((), self.node_count)
+            self._dicts = list(map(dict, map(zip, repeat(ids), rels)))
+        return self._dicts

@@ -36,16 +36,22 @@ from __future__ import annotations
 
 import logging
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, compress, count, repeat
-from operator import lt
-from typing import NoReturn, Sequence
+from operator import itemgetter, lt
+from typing import NamedTuple, NoReturn, Sequence
 
 from .corpus import Corpus
 from .errors import ValidationError, json_field
 from .ibag import build_ibag
 from .ontology import Ontology, PhraseTable, normalize_text
-from .relevance import PageRelevance, page_relevance, relevance_from_counts
+from .relevance import (
+    GraphScores,
+    PageRelevance,
+    ScoreTable,
+    page_relevance,
+    relevance_from_counts,
+)
 
 log = logging.getLogger(__name__)
 
@@ -62,15 +68,71 @@ class RPaGNode:
     relevance: dict[int, PageRelevance]
 
 
-@dataclass
-class RPaG:
-    """Nodes indexed by p_id (dense, in discovery order) plus the ontologies."""
+class GraphColumns(NamedTuple):
+    """A graph's node facts, one column each, by p_id: the urls, the parent
+    lists and the score tables."""
 
-    nodes: list[RPaGNode] = field(default_factory=list)
-    ontologies: tuple[Ontology, ...] = ()
+    urls: list[str]
+    pp_ids: list[list[int]]
+    scores: GraphScores
+
+
+class RPaG:
+    """The graph's pages, dense in p_id in discovery order, plus the
+    ontologies. A crawl or a load makes the columns; the nodes are made
+    from them on first read. A graph whose nodes have been read, or that
+    was made from nodes, holds the nodes from then on, and its columns are
+    derived from them on each read, so an edit to a node is what is
+    validated, laid out and saved."""
+
+    def __init__(
+        self,
+        nodes: list[RPaGNode] | None = None,
+        ontologies: Sequence[Ontology] = (),
+        columns: GraphColumns | None = None,
+    ) -> None:
+        self.ontologies = tuple(ontologies)
+        self._columns = columns
+        self._nodes = ([] if nodes is None else nodes) if columns is None else None
+
+    @property
+    def nodes(self) -> list[RPaGNode]:
+        """One node per page, by p_id, made from the columns on first read."""
+        if self._nodes is None:
+            urls, pp_ids, scores = self._columns
+            self._nodes = list(
+                map(RPaGNode, range(len(urls)), urls, map(tuple, pp_ids), scores.dicts())
+            )
+            self._columns = None
+        return self._nodes
+
+    @property
+    def columns(self) -> GraphColumns:
+        """The graph in columns; derived from the nodes once they exist.
+        Each node's score is then its own row."""
+        if self._nodes is None:
+            return self._columns
+        ids = [ont.ontology_id for ont in self.ontologies]
+        id_set = set(ids)
+        for index, node in enumerate(self._nodes):
+            if node.p_id != index:
+                raise ValidationError(f"node at index {index} has p_id {node.p_id}")
+            if node.relevance.keys() != id_set:
+                raise ValidationError(f"node {index} relevance keys mismatch the ontologies")
+        relevances = [node.relevance for node in self._nodes]
+        own_rows = list(range(len(relevances)))
+        tables = {
+            ont_id: ScoreTable(list(map(itemgetter(ont_id), relevances)), own_rows)
+            for ont_id in ids
+        }
+        return GraphColumns(
+            [node.url for node in self._nodes],
+            [list(node.pp_ids) for node in self._nodes],
+            GraphScores(tables, len(relevances), relevances),
+        )
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self._columns.urls) if self._nodes is None else len(self._nodes)
 
     def validate(self) -> None:
         """Run :func:`check_node` on every node, then lay the graph out
@@ -85,19 +147,20 @@ class RPaG:
         """Only the inputs, in columns: scores, support and every index
         structure derive from them. Each distinct count vector of an
         ontology is one row, numbered in order of first use by p_id."""
+        urls, pp_ids, scores = self.columns
         counts = {}
         for ont in self.ontologies:
-            ont_id = ont.ontology_id
+            table = scores.tables[ont.ontology_id]
             rows: dict[tuple[int, ...], int] = {}
-            of_node = [
-                rows.setdefault(node.relevance[ont_id].counts, len(rows)) for node in self.nodes
-            ]
-            counts[str(ont_id)] = {"of_node": of_node, "rows": [list(row) for row in rows]}
-        return {
-            "counts": counts,
-            "pp_ids": [list(node.pp_ids) for node in self.nodes],
-            "urls": [node.url for node in self.nodes],
-        }
+            renumbered = [rows.setdefault(rel.counts, len(rows)) for rel in table.rows]
+            # with every row's counts distinct, each row keeps its number
+            of_node = (
+                list(table.of_node)
+                if len(rows) == len(renumbered)
+                else list(map(renumbered.__getitem__, table.of_node))
+            )
+            counts[str(ont.ontology_id)] = {"of_node": of_node, "rows": list(map(list, rows))}
+        return {"counts": counts, "pp_ids": list(map(list, pp_ids)), "urls": list(urls)}
 
     @staticmethod
     def from_json_obj(obj: object, ontologies: Sequence[Ontology]) -> "RPaG":
@@ -106,7 +169,8 @@ class RPaG:
 
         Checks shapes, rows, row indexes and :func:`check_parents` only; the
         other node facts are checked by :func:`build_ibag`, which a bundle
-        load always runs on the result."""
+        load always runs on the result. The decoded lists become the
+        graph's columns as they are."""
         ontologies = tuple(ontologies)
         if not isinstance(obj, dict):
             raise ValidationError("graph section must be an object")
@@ -117,21 +181,16 @@ class RPaG:
             raise ValidationError("graph counts keys mismatch the ontologies")
         if len(pp_ids) != len(urls):
             raise ValidationError(f"graph has {len(urls)} urls but {len(pp_ids)} parent lists")
-        scores = [_node_scores(ont, tables[str(ont.ontology_id)], len(urls)) for ont in ontologies]
+        scores = {
+            ont.ontology_id: _score_table(ont, tables[str(ont.ontology_id)], len(urls))
+            for ont in ontologies
+        }
         if not _graph_columns_ok(urls, pp_ids):
             _raise_for_first_bad_node(urls, pp_ids)
-        ids = [ont.ontology_id for ont in ontologies]
-        rels = zip(*scores) if scores else repeat((), len(urls))
-        nodes = list(
-            map(
-                RPaGNode,
-                range(len(urls)),
-                urls,
-                map(tuple, pp_ids),
-                map(dict, map(zip, repeat(ids), rels)),
-            )
+        return RPaG(
+            ontologies=ontologies,
+            columns=GraphColumns(urls, pp_ids, GraphScores(scores, len(urls))),
         )
-        return RPaG(nodes=nodes, ontologies=ontologies)
 
 
 def _graph_columns_ok(urls: list, pp_ids: list) -> bool:
@@ -161,9 +220,9 @@ def _raise_for_first_bad_node(urls: list, pp_ids: list) -> NoReturn:
     raise ValidationError("graph urls or parent lists fail a check that names no node")
 
 
-def _node_scores(ont: Ontology, table: object, node_count: int) -> list[PageRelevance]:
-    """Each node's score from one ontology's ``rows`` and ``of_node``: every
-    row checked and scored once, its score shared by the nodes that use it."""
+def _score_table(ont: Ontology, table: object, node_count: int) -> ScoreTable:
+    """One ontology's ``rows`` and ``of_node``, checked, with every row
+    scored once: the score the nodes that use the row share."""
     where = f"graph counts {ont.ontology_id}"
     rows = json_field(table, "rows", list, where)
     of_node = json_field(table, "of_node", list, where)
@@ -184,7 +243,7 @@ def _node_scores(ont: Ontology, table: object, node_count: int) -> list[PageRele
             unused = min(set(range(len(rows))).difference(first_use))
             raise ValidationError(f"{where} row {unused} is used by no node")
         raise ValidationError(f"{where} rows are not in order of first use")
-    return list(map(shared.__getitem__, of_node))
+    return ScoreTable(shared, of_node)
 
 
 def _rows_ok(ont: Ontology, rows: list) -> bool:
@@ -284,31 +343,30 @@ def build_rpag(corpus: Corpus, ontologies: Sequence[Ontology]) -> RPaG:
     # shared by every page that has those counts
     scorings = [(ont, {}) for ont in ontologies]
     pending_parents: dict[str, list[int]] = {}
-    nodes: list[RPaGNode] = []
+    urls: list[str] = []
+    pp_ids: list[list[int]] = []
+    # per ontology, each kept page's score, by p_id
+    kept: list[list[PageRelevance]] = [[] for _ in ontologies]
 
     while queue:
         url = queue.popleft()
         processed.add(url)
         doc = corpus.docs[url]
         tokens = normalize_text(doc.text)
-        relevance = {}
+        relevance = []
         for (ont, scored), counts in zip(scorings, split(count_terms(tokens))):
             counts = tuple(counts)
             rel = scored.get(counts)
             if rel is None:
                 rel = scored[counts] = page_relevance(ont, tokens, counts)
-            relevance[ont.ontology_id] = rel
+            relevance.append(rel)
         p_id: int | None = None
-        if any(rel.supported for rel in relevance.values()):
-            p_id = len(nodes)
-            nodes.append(
-                RPaGNode(
-                    p_id=p_id,
-                    url=url,
-                    pp_ids=tuple(pending_parents.pop(url, ())),
-                    relevance=relevance,
-                )
-            )
+        if any(rel.supported for rel in relevance):
+            p_id = len(urls)
+            urls.append(url)
+            pp_ids.append(pending_parents.pop(url, []))
+            for column, rel in zip(kept, relevance):
+                column.append(rel)
         else:
             pending_parents.pop(url, None)
 
@@ -323,5 +381,7 @@ def build_rpag(corpus: Corpus, ontologies: Sequence[Ontology]) -> RPaG:
                 discovered.add(link)
                 queue.append(link)
 
-    log.debug("built relevance graph: %d nodes from %d documents", len(nodes), len(corpus))
-    return RPaG(nodes=nodes, ontologies=ontologies)
+    log.debug("built relevance graph: %d nodes from %d documents", len(urls), len(corpus))
+    tables = {ont_id: ScoreTable.shared(column) for ont_id, column in zip(ids, kept)}
+    columns = GraphColumns(urls, pp_ids, GraphScores(tables, len(urls)))
+    return RPaG(ontologies=ontologies, columns=columns)

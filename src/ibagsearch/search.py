@@ -17,7 +17,7 @@ from itertools import islice
 from numbers import Real
 
 from .bitmask import PatternStore, gen_mask_bit_pattern
-from .ibag import IBAG, IBAGNode, RangeSlices, select_columns
+from .ibag import IBAG, RangeSlices, select_columns
 
 # the reference paths, not called here: the benchmark's traced run wraps them
 # by the names this module binds
@@ -84,11 +84,11 @@ class SearchOutcome:
     elapsed: float
 
 
-def first_pages(slices: RangeSlices, nodes: list[IBAGNode], limit: int) -> list[IBAGNode]:
-    """The first ``limit`` selected nodes, in traversal order."""
-    chosen: list[IBAGNode] = []
+def first_pages(slices: RangeSlices, limit: int) -> list[int]:
+    """The p_ids of the first ``limit`` selected pages, in traversal order."""
+    chosen: list[int] = []
     for p_ids, start, stop in slices:
-        chosen += map(nodes.__getitem__, p_ids[start : min(stop, start + limit - len(chosen))])
+        chosen += p_ids[start : min(stop, start + limit - len(chosen))]
         if len(chosen) == limit:
             break
     return chosen
@@ -96,35 +96,43 @@ def first_pages(slices: RangeSlices, nodes: list[IBAGNode], limit: int) -> list[
 
 def first_matching_pages(
     slices: RangeSlices,
-    nodes: list[IBAGNode],
     page_bits: list[int],
     mask_bits: int,
     limit: int,
-) -> list[IBAGNode]:
-    """The first ``limit`` selected nodes whose pattern shares a set bit with
-    the mask, in traversal order; an all-zero mask matches nothing."""
-    chosen: list[IBAGNode] = []
+) -> list[int]:
+    """The p_ids of the first ``limit`` selected pages whose pattern shares
+    a set bit with the mask, in traversal order; an all-zero mask matches
+    nothing."""
+    chosen: list[int] = []
     if not mask_bits:
         return chosen
     for p_ids, start, stop in slices:
         # an inline test, no call per page: this loop is most of a masked query
         for p in islice(p_ids, start, stop):
             if page_bits[p] & mask_bits:
-                chosen.append(nodes[p])
+                chosen.append(p)
                 if len(chosen) == limit:
                     return chosen
     return chosen
+
+
+def _results(ibag: IBAG, chosen: list[int]) -> tuple[tuple[str, float], ...]:
+    """(url, mean) of each chosen page, read from the index's columns."""
+    columns = ibag.node_columns
+    return tuple(
+        zip(map(columns.url.__getitem__, chosen), map(columns.mean_rel_val.__getitem__, chosen))
+    )
 
 
 def search_before_masking(query: Query, ibag: IBAG) -> SearchOutcome:
     """Baseline: the first ``result_limit`` range-selected pages, unfiltered."""
     start = time.perf_counter()
     slices, selected, visited = select_columns(ibag, query.relevance_range, query.ontology_id)
-    chosen = first_pages(slices, ibag.nodes, query.result_limit)
+    chosen = first_pages(slices, query.result_limit)
     elapsed = time.perf_counter() - start
     return SearchOutcome(
         mode=BEFORE_MASKING,
-        results=tuple((node.url, node.mean_rel_val) for node in chosen),
+        results=_results(ibag, chosen),
         selected_count=selected,
         visited_count=visited,
         elapsed=elapsed,
@@ -143,11 +151,11 @@ def search_after_masking(
     mask = gen_mask_bit_pattern(query.search_string, ontology, use_synonyms=use_synonyms)
     slices, selected, visited = select_columns(ibag, query.relevance_range, query.ontology_id)
     page_bits = patterns.bits_for_ontology(query.ontology_id)
-    chosen = first_matching_pages(slices, ibag.nodes, page_bits, mask.bits, query.result_limit)
+    chosen = first_matching_pages(slices, page_bits, mask.bits, query.result_limit)
     elapsed = time.perf_counter() - start
     return SearchOutcome(
         mode=AFTER_MASKING,
-        results=tuple((node.url, node.mean_rel_val) for node in chosen),
+        results=_results(ibag, chosen),
         selected_count=selected,
         visited_count=visited,
         elapsed=elapsed,

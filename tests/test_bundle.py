@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import gc
 import json
+import logging
 import math
 import random
 from collections import Counter
@@ -12,7 +13,11 @@ from typing import NamedTuple
 import pytest
 
 from ibagsearch import (
+    IBAG,
+    IBAGNode,
     IndexBundle,
+    Query,
+    RPaGNode,
     build_ibag,
     gen_ibag_bit_patterns,
     Ontology,
@@ -840,6 +845,80 @@ class TestLoadMatchesBuild:
         frozen = gc.get_freeze_count()
         IndexBundle.load(path)
         assert gc.get_freeze_count() == frozen
+
+
+class TestColumnLayout:
+    """A build and a load hold the index in columns and make no node; the
+    columns lay the index out as :meth:`IBAG.from_nodes` lays out the
+    nodes, and the patterns are the per-page reference's."""
+
+    @staticmethod
+    def node_count() -> int:
+        return sum(type(obj) in (RPaGNode, IBAGNode) for obj in gc.get_objects())
+
+    def test_build_save_load_and_queries_make_no_nodes(self, bundled_onts, tmp_path):
+        corpus = synth_corpus(31, 150, bundled_onts)
+        path = tmp_path / "index.json"
+        gc.collect()
+        before = self.node_count()
+        built = IndexBundle.build(corpus, bundled_onts)
+        built.save(path)
+        loaded = IndexBundle.load(path)
+        query = Query("cricket match", 1)
+        outcomes = [
+            search_before_masking(query, loaded.ibag),
+            search_after_masking(query, loaded.ibag, loaded.patterns),
+        ]
+        assert all(outcome.results for outcome in outcomes)
+        assert len(built.rpag) == len(loaded.ibag) > 0
+        assert self.node_count() == before
+        # read, the nodes are made once and kept
+        assert loaded.ibag.nodes is loaded.ibag.nodes
+        assert self.node_count() == before + len(loaded.ibag)
+
+    @pytest.mark.parametrize("seed, docs", DIFFERENTIAL_CORPORA)
+    def test_columns_match_the_node_layout(self, bundled_onts, tmp_path, seed, docs):
+        built = IndexBundle.build(synth_corpus(seed, docs, bundled_onts), bundled_onts)
+        built.save(tmp_path / "index.json")
+        loaded = IndexBundle.load(tmp_path / "index.json")
+        # laid out by the node path, from copies of the built nodes
+        reference = IBAG.from_nodes(
+            [dataclasses.replace(node) for node in built.ibag.nodes], bundled_onts
+        )
+        ref_nodes = reference.nodes
+        for bundle in (built, loaded):
+            ibag = bundle.ibag
+            assert ibag.node_columns[:-1] == reference.node_columns[:-1]
+            assert ibag.levels == reference.levels
+            assert ibag.columns == reference.columns
+            for ont in bundled_onts:
+                ont_id = ont.ontology_id
+                scores = ibag.node_columns.scores.tables[ont_id].per_node()
+                assert scores == [node.relevance[ont_id] for node in ref_nodes]
+                assert [rel.supported for rel in scores] == [
+                    node.supported[ont_id] for node in ref_nodes
+                ]
+                bits = bundle.patterns.bits_for_ontology(ont_id)
+                assert bits == [
+                    gen_webpage_bit_pattern(node.relevance[ont_id].term_vector, ont).bits
+                    for node in ref_nodes
+                ]
+
+    def test_load_logs_one_event(self, bundle, tmp_path, caplog):
+        path = tmp_path / "index.json"
+        bundle.save(path)
+        with caplog.at_level(logging.DEBUG, logger="ibagsearch"):
+            loaded = IndexBundle.load(path)
+        records = [r for r in caplog.records if r.name.startswith("ibagsearch")]
+        assert len(records) == 1
+        fields = dict(item.split("=") for item in records[0].getMessage().split())
+        stages = ("parse_ms", "graph_ms", "layout_ms", "patterns_ms")
+        assert set(fields) == {"event", *stages, "nodes", "rows"}
+        assert fields["event"] == "load"
+        assert all(float(fields[stage]) >= 0 for stage in stages)
+        assert int(fields["nodes"]) == len(loaded.ibag) == len(bundle.rpag)
+        tables = loaded.ibag.node_columns.scores.tables
+        assert fields["rows"] == ",".join(f"{k}:{len(t.rows)}" for k, t in tables.items())
 
 
 class TestSharedScores:

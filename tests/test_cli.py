@@ -371,3 +371,41 @@ class TestParser:
         )
         assert result.returncode == 0
         assert "build" in result.stdout
+
+
+class TestColdStart:
+    def test_cli_import_leaves_evaluation_unloaded(self):
+        """``build`` and ``query`` never run the evaluation harness, so
+        importing the command line module does not import it."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import ibagsearch
+
+        src = str(Path(ibagsearch.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        probe = (
+            "import sys, ibagsearch.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('ibagsearch')))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert result.returncode == 0, result.stderr
+        loaded = result.stdout
+        assert "'ibagsearch.cli'" in loaded
+        assert "'ibagsearch.evaluation'" not in loaded
+
+    def test_package_names_resolve_on_first_access(self):
+        import ibagsearch
+
+        for name in ibagsearch.__all__:
+            assert getattr(ibagsearch, name) is not None
+        assert set(ibagsearch.__all__) <= set(dir(ibagsearch))
+        with pytest.raises(AttributeError, match="no_such_name"):
+            ibagsearch.no_such_name  # noqa: B018

@@ -15,6 +15,7 @@ from ibagsearch import (
     build_ibag,
     build_rpag,
     select_by_range,
+    select_columns,
     synth_corpus,
 )
 from conftest import make_corpus, single_term_ontology
@@ -159,6 +160,15 @@ class TestSelectByRange:
     def test_invalid_range_rejected(self, random_ibag):
         with pytest.raises(ValueError, match="range"):
             select_by_range(random_ibag, (2.0, 1.0), 1)
+
+    @pytest.mark.parametrize(
+        "bounds", [(math.nan, math.inf), (0.0, math.nan), (math.nan, math.nan), (math.nan, 1.0)]
+    )
+    def test_nan_bound_rejected(self, random_ibag, bounds):
+        """A NaN bound fails every comparison, so it would select everything."""
+        for select in (select_by_range, select_columns):
+            with pytest.raises(ValueError, match="range"):
+                select(random_ibag, bounds, 1)
 
     def test_unknown_ontology_rejected(self, random_ibag):
         with pytest.raises(ValueError, match="unknown ontology"):
