@@ -5,8 +5,9 @@ packed into a single machine integer so XOR and AND run over whole words.
 Bit position 0 is the most significant bit, matching the left-to-right
 string and hex renderings. Page patterns, query masks and their XOR are all
 :class:`BitPattern`. A query mask comes from the ontology's phrase table,
-through the scan loop that also scores pages (:meth:`Ontology.count_terms`,
-which runs ``ontology.PhraseTable.count``).
+through its presence scan (``ontology.PhraseTable.mask``), which sets the
+bits of the terms the scan that scores pages (``PhraseTable.count``) would
+count at least once.
 
 The XOR test (:func:`mask_match`, :func:`find_predicted_webpage_list`) is
 the paper's filter and the reference; queries test ``page & mask`` inline
@@ -14,10 +15,11 @@ the paper's filter and the reference; queries test ``page & mask`` inline
 mask.
 
 A page's pattern depends only on its term vector, and a build or a load
-shares one ``PageRelevance`` among the pages of an ontology with equal
-vectors. :func:`gen_ibag_bit_patterns` therefore derives the bits once per
-shared value, keyed by its ``id()``, and reuses them for every page that
-shares it; :meth:`PatternStore.add_ontology` checks a whole column of
+holds each distinct ``PageRelevance`` of an ontology once, as one row of
+the index's score table. :func:`gen_ibag_bit_patterns` therefore derives
+the bits once per row and maps them to the pages through the table's
+``of_node`` row indexes, one C-level ``map`` per ontology;
+:meth:`PatternStore.add_ontology` checks a whole column of
 patterns with one ``min`` and one ``max``, and
 :meth:`PatternStore.to_json_obj` renders each distinct pattern of an
 ontology in hex once. :func:`gen_webpage_bit_pattern` is the per-page
@@ -131,7 +133,7 @@ def gen_mask_bit_pattern(
 
     With ``use_synonyms`` (the default) a term also counts as present when
     one of its synonyms occurs. The search string is scanned once through
-    the ontology's phrase table, the same scan that scores pages.
+    the ontology's phrase table, which holds each phrase's bits.
     """
     bits = ontology.phrase_table.mask(normalize_text(search_string), use_synonyms)
     return BitPattern(bits, ontology.t, ontology.ontology_id)

@@ -21,26 +21,32 @@ cyclic garbage collector paused (``collector.collector_paused``): they make
 many objects and no reference cycles.
 
 A load parses the file, then rebuilds every derived structure through the
-code a build runs and checks each fact once. The graph and the layout
-steps make one pass per column, not one per node, and walk the nodes one
-by one only to name the first bad one when a column check fails:
+code a build runs and checks each fact once. Like a build, it holds the
+graph and the index in columns, as the file stores them, and makes no
+node object: ``rpag.nodes`` and ``ibag.nodes`` are made on first read. The
+graph and the layout steps make one pass per column, not one per node,
+and walk the rows or nodes one by one only to name the first bad one when
+a column check fails:
 
 - the version tag, then the shapes and facts of each section below, so a
   bad file is named by the check it fails; the digest last;
 - ``RPaG.from_json_obj`` checks the rows of counts and scores each once
   through ``relevance_from_counts``, the function a crawl scores through;
-  the nodes that use the row share the score. It checks the row indexes
-  and the columns, and the nodes' parents (as ``rpag.check_parents``
-  does), and builds the graph's nodes from the columns;
-- ``build_ibag`` gives each index node its graph node's scores, the same
-  dict and not a copy, and averages the supported ones into the node's
-  mean, a column at a time; the layout step it ends in, which
-  ``IBAG.from_nodes`` also runs, checks every other node fact (urls,
+  the pages that use the row share the score. It checks the row indexes
+  and the columns, and the pages' parents (as ``rpag.check_parents``
+  does), and keeps the decoded columns as the graph's;
+- ``build_ibag`` shares the graph's urls and score tables with the index,
+  not copies, and averages each page's supported scores into its mean,
+  reading each row's value and support once; the layout step it ends in,
+  which ``IBAG.from_nodes`` also runs, checks every other page fact (urls,
   levels, support, vector lengths, a positive finite mean), lays the index
   out, and leaves the paper's chains to be threaded on first read;
-- ``gen_ibag_bit_patterns`` derives the patterns once per shared score, and
+- ``gen_ibag_bit_patterns`` derives the bits once per row of scores, and
   they must equal the stored ones; each distinct pattern is rendered in
   hex once for that comparison.
+
+At debug level a load logs one ``key=value`` event with the time of each
+of these steps (:meth:`IndexBundle.load`).
 
 A load never calls ``gc.freeze()``: a freeze holds for the whole process.
 The ``query`` and ``eval`` commands, which own their process, freeze the

@@ -1,17 +1,24 @@
 """Leveled single-parent index generated from the relevance page graph.
 
-Every node keeps the p_id it had in the source graph, exactly one parent
-(the first of its listed parents) and its graph node's per-ontology scores:
-the same dict, not a copy. A node's level is its depth in that parent tree.
-Within a level, nodes are sorted by mean relevance value, highest first,
-ties broken by ascending p_id. Per ontology, a link chain threads all
-supporting nodes in traversal order (level by level, sorted within level),
-and every level stores the position of its first supporting node, so a
-traversal can enter a level directly and walk only the pages that belong
-to the queried domain. No query reads the chains, so they are threaded on
-first read, once, from the level table and the support flags: through
-``IBAG.level_heads``, :meth:`IBAG.iter_chain` or a node's ``ont_link``,
-a read-only view. A build or a load makes no per-node link dict.
+Every page keeps the p_id it had in the source graph, exactly one parent
+(the first of its listed parents) and its graph's per-ontology scores. A
+page's level is its depth in that parent tree. Within a level, pages are
+sorted by mean relevance value, highest first, ties broken by ascending
+p_id. Per ontology, a link chain threads all supporting pages in traversal
+order (level by level, sorted within level), and every level stores the
+position of its first supporting page, so a traversal can enter a level
+directly and walk only the pages that belong to the queried domain. No
+query reads the chains, so they are threaded on first read, once, from the
+level table and the support flags: through ``IBAG.level_heads``,
+:meth:`IBAG.iter_chain` or a node's ``ont_link``, a read-only view. A
+build or a load makes no per-node link dict.
+
+The index holds its pages in columns (:class:`IndexColumns`): urls, first
+parents, levels, means, and the graph's score tables, shared with it, not
+copied. Queries read only these and the supporter columns below, and a
+build or a load makes no :class:`IBAGNode`. :attr:`IBAG.nodes` makes the
+nodes on first read and keeps them; each holds its graph node's
+``relevance`` dict, the same dict, and reads the index's chains.
 
 Queries do not walk the chains. Per ontology and level, the index also
 keeps two parallel columns over that level's supporters in level order:
@@ -23,19 +30,20 @@ a query pays for the pages it returns, not for every supporter.
 the reference that the tests compare it with.
 
 One private layout step, which :meth:`IBAG.from_nodes` and
-:func:`build_ibag` both end in, lays this out, and it is the one place
-that checks a node's facts (dense p_ids, unique urls, parent, level,
-support, vector lengths, a positive finite mean). It checks each fact with
-one pass over a column of all nodes; only when a column check fails does
-it walk the nodes one by one, to name the first bad node with the message
-a per-node check gives. :func:`build_ibag` derives the first parents, the
-levels and the means column by column and hands the step those columns
-with the nodes it built from them, so no column is read back out of the
-nodes; :meth:`IBAG.from_nodes` reads its columns out of the nodes it is
-given. Before the step, a load checks only shapes and the graph's own
-facts, in ``RPaG.from_json_obj``; after it, the stored patterns as a
-checksum. Nothing re-checks what it derived. :meth:`IBAG.validate` lays
-copies of the nodes out again and compares, chains included.
+:func:`build_ibag` both end in, lays this out from columns, and it is the
+one place that checks a page's facts (unique urls, parent, level, support,
+vector lengths, a positive finite mean). It checks each fact with one pass
+over a column, or over a score table's rows; only when a column check
+fails does it make the nodes and walk them one by one, to name the first
+bad node with the message a per-node check gives. :func:`build_ibag`
+derives the first parents, the levels and the means from the graph's
+columns, reading a score's value and support once per row;
+:meth:`IBAG.from_nodes` checks dense p_ids and the score keys, then reads
+its columns out of the nodes it is given, each node's score its own row.
+Before the step, a load checks only shapes and the graph's own facts, in
+``RPaG.from_json_obj``; after it, the stored patterns as a checksum.
+Nothing re-checks what it derived. :meth:`IBAG.validate` lays copies of
+the nodes out again and compares, chains and columns included.
 """
 from __future__ import annotations
 

@@ -15,10 +15,12 @@ phrase's words and to the bit positions of the terms the phrase stands for.
 their tables, each ontology's positions after those of the ones before it;
 :meth:`PhraseTable.split` cuts the counts of a merged table into one list
 per ontology, so no caller needs to know that layout.
-:meth:`PhraseTable.count` is the one scan loop: through an ontology's own
-table it serves :meth:`Ontology.count_terms` (query masks, and
-``relevance.page_relevance``), and through a merged table it counts the
-terms of every ontology in one scan of a crawled page.
+:meth:`PhraseTable.count` is the one counting scan: through an ontology's
+own table it serves :meth:`Ontology.count_terms` (``relevance.page_relevance``),
+and through a merged table it counts the terms of every ontology in one
+scan of a crawled page. A query mask needs only which terms occur, not how
+often, so :meth:`PhraseTable.mask` scans for presence and sets each
+phrase's precomputed bits, with no counts and no non-overlap bookkeeping.
 :func:`count_occurrences` is the per-phrase reference.
 """
 from __future__ import annotations

@@ -14,8 +14,18 @@ count vector of an ontology once, keyed by the counts: every page with
 those counts shares the one immutable ``PageRelevance``, and its term
 vector tuple with it. The memo is local to the call.
 
-A graph is stored in columns (:meth:`RPaG.to_json_obj`): the nodes' urls,
-their parent lists, and per ontology a ``rows`` table holding each distinct
+A graph holds its pages in columns (:class:`GraphColumns`), as the index
+file stores them: the urls, the parent lists, and per ontology a
+``ScoreTable`` of each distinct score once (``rows``, in order of first
+use by p_id) with each page's row index (``of_node``). A crawl and a load
+make only these columns; :attr:`RPaG.nodes` makes the :class:`RPaGNode`
+objects on first read. From then on the graph holds the nodes and derives
+its columns from them, each node's score its own row, so an edit to a
+node is what is validated, laid out and saved; ``RPaG(nodes=...)`` starts
+there. Either way one layout path, ``build_ibag``, reads the columns.
+
+A graph is saved in columns (:meth:`RPaG.to_json_obj`): the urls, the
+parent lists, and per ontology a ``rows`` table holding each distinct
 count vector once, in order of first use by p_id, with an ``of_node`` list
 of each node's row index. Loading it (:meth:`RPaG.from_json_obj`) checks
 every row: a list of one non-negative int count per term, each convertible
@@ -28,9 +38,9 @@ the facts only the graph holds (:func:`check_parents`). Each of these
 checks is a pass over a whole column (the rows' entries, the urls, the
 parent lists); only when one fails does the decoder walk the rows or the
 nodes one by one, to name the first one at fault as :func:`check_parents`
-would. The nodes are then built with one ``map`` over the columns. Every
-other node fact is checked once, later, by the layout ``build_ibag`` ends
-in, among them a relevance sum that overflows to infinity.
+would. The decoded lists then become the graph's columns as they are.
+Every other node fact is checked once, later, by the layout ``build_ibag``
+ends in, among them a relevance sum that overflows to infinity.
 """
 from __future__ import annotations
 

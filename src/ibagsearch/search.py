@@ -119,9 +119,8 @@ def first_matching_pages(
 def _results(ibag: IBAG, chosen: list[int]) -> tuple[tuple[str, float], ...]:
     """(url, mean) of each chosen page, read from the index's columns."""
     columns = ibag.node_columns
-    return tuple(
-        zip(map(columns.url.__getitem__, chosen), map(columns.mean_rel_val.__getitem__, chosen))
-    )
+    urls, means = columns.url, columns.mean_rel_val
+    return tuple([(urls[p], means[p]) for p in chosen])
 
 
 def search_before_masking(query: Query, ibag: IBAG) -> SearchOutcome:
