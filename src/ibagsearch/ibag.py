@@ -428,10 +428,8 @@ def build_ibag(rpag: RPaG) -> IBAG:
         append(0 if pp_id is None else levels[pp_id] + 1)
     supports = _support_flags(rpag.ontologies, scores)
     # in ontology order, not dict order, so the float sum is fixed
-    values = [
-        _per_node(scores.tables[ont.ontology_id], "relevance_value") for ont in rpag.ontologies
-    ]
-    means = _means(values, list(supports.values()), len(urls))
+    tables = [scores.tables[ont.ontology_id] for ont in rpag.ontologies]
+    means = _means(tables, list(supports.values()), len(urls))
     columns = IndexColumns(urls, pp_ids, levels, means, scores)
     return IBAG._lay_out(columns, rpag.ontologies, supports)
 
@@ -449,11 +447,20 @@ def _support_flags(ontologies: Sequence[Ontology], scores: GraphScores) -> dict[
     }
 
 
-def _means(values: list[list], supported: list[list[bool]], node_count: int) -> list[float]:
+def _means(tables: list[ScoreTable], supported: list[list[bool]], node_count: int) -> list[float]:
     """Each node's mean: its supported values' sum, added in ontology order,
     over their count (0.0 for none); ``inf`` when the sum cannot be a float."""
-    if not values:
+    if not tables:
         return [0.0] * node_count
+    values = [_per_node(table, "relevance_value") for table in tables]
+    if not {type(rel.relevance_value) for table in tables for rel in table.rows} - {float}:
+        # an unsupported value is 0.0, and adding 0.0 leaves a float as it
+        # is, so with floats alone every value adds up to the supported sum
+        sums, counts = values[0], supported[0]
+        for column, flags in zip(values[1:], supported[1:]):
+            sums = list(map(add, sums, column))
+            counts = list(map(add, counts, flags))
+        return list(map(truediv, sums, map(max, counts, repeat(1))))
     try:
         sums = map(sum, map(compress, zip(*values), zip(*supported)))
         return list(map(truediv, sums, map(max, map(sum, zip(*supported)), repeat(1))))

@@ -782,8 +782,12 @@ class TestLoadMatchesBuild:
                 [1e16 / 3, (2.0 + 1e16) / 3, 0.5, float(2**53)],
             ),
             ([{1: 10**308, 2: 10**308, 3: 10**308}, {1: 0.25}], [1e308, 0.25]),
+            (
+                [{1: 1e16, 2: 1.0, 3: 1.0}, {1: 1.0, 2: 1.0, 3: 1e16}, {2: 0.5}],
+                [1e16 / 3, (2.0 + 1e16) / 3, 0.5],
+            ),
         ],
-        ids=["sum-order", "int-sum-past-the-largest-float"],
+        ids=["sum-order", "int-sum-past-the-largest-float", "float-sum-order"],
     )
     def test_hand_made_graph_where_order_matters(self, values_per_node, means):
         """Supported values summed left to right in ontology order: ``1e16
