@@ -242,6 +242,15 @@ class TestIbagInvariants:
         with pytest.raises(ValidationError, match="columns"):
             ibag.validate()
 
+    def test_load_rejects_node_edited_away_from_columns(self, bundled_onts):
+        """Queries read the index's columns, so an edit to a node that the
+        columns do not show is an index that answers otherwise."""
+        corpus = synth_corpus(8, 70, bundled_onts)
+        ibag = build_ibag(build_rpag(corpus, bundled_onts))
+        ibag.nodes[0].url = "elsewhere"
+        with pytest.raises(ValidationError, match="index columns"):
+            ibag.validate()
+
     def test_validate_leaves_index_unchanged(self, bundled_onts):
         corpus = synth_corpus(8, 70, bundled_onts)
         ibag = build_ibag(build_rpag(corpus, bundled_onts))
