@@ -19,8 +19,9 @@ per ontology, so no caller needs to know that layout.
 own table it serves :meth:`Ontology.count_terms` (``relevance.page_relevance``),
 and through a merged table it counts the terms of every ontology in one
 scan of a crawled page. A query mask needs only which terms occur, not how
-often, so :meth:`PhraseTable.mask` scans for presence and sets each
-phrase's precomputed bits, with no counts and no non-overlap bookkeeping.
+often, so :meth:`PhraseTable.mask` scans an ontology's own table for
+presence and sets each phrase's pattern bits, which that table alone holds,
+with no counts and no non-overlap bookkeeping.
 :func:`count_occurrences` is the per-phrase reference.
 """
 from __future__ import annotations
@@ -116,24 +117,11 @@ class PhraseTable:
         self.entries = {first: tuple(e) for first, e in entries.items()}
         self.spans = tuple(spans)
         self.width = self.spans[-1][1]
-        # per first word, each phrase's words and the pattern bits of the
-        # terms it stands for, with and without synonyms (:meth:`mask`)
-        top = self.width - 1
-
-        def bits(positions: Iterable[int]) -> int:
-            return sum({1 << top - p for p in positions})
-
-        self.presence = {
-            first: tuple(
-                (words, size, bits(positions), bits(names))
-                for _, words, size, positions, names in e
-            )
-            for first, e in self.entries.items()
-        }
 
     @classmethod
     def of_terms(cls, terms: Sequence["OntologyTerm"]) -> "PhraseTable":
-        return cls(
+        """An ontology's own table; only such a table answers :meth:`mask`."""
+        table = cls(
             (
                 (phrase, (term.bit_position,), (term.bit_position,) if phrase == term.term else ())
                 for term in terms
@@ -141,6 +129,21 @@ class PhraseTable:
             ),
             [(0, len(terms))],
         )
+        # per first word, each phrase's words and the pattern bits of the
+        # terms it stands for, with and without synonyms
+        top = table.width - 1
+
+        def bits(positions: Iterable[int]) -> int:
+            return sum({1 << top - p for p in positions})
+
+        table.presence = {
+            first: tuple(
+                (words, size, bits(positions), bits(names))
+                for _, words, size, positions, names in e
+            )
+            for first, e in table.entries.items()
+        }
+        return table
 
     @classmethod
     def merge(cls, tables: Sequence["PhraseTable"]) -> "PhraseTable":
@@ -190,7 +193,9 @@ class PhraseTable:
         """One bit per position whose term occurs in ``tokens``, position 0
         the most significant: the bits of the positions :meth:`count` gives
         a nonzero count. A phrase occurs where its words first match, so
-        presence needs neither counts nor the non-overlap rule."""
+        presence needs neither counts nor the non-overlap rule. Query masks
+        are its only use, so only :meth:`of_terms` builds the bits it reads;
+        a merged table has none."""
         bits = 0
         presence = self.presence
         for i, tok in enumerate(tokens):

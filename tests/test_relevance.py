@@ -232,6 +232,7 @@ class TestMergedScan:
             )
             merged = PhraseTable.merge([o.phrase_table for o in ontologies])
             assert merged.width == sum(o.t for o in ontologies)
+            assert not hasattr(merged, "presence")  # only query masks read it
             for _ in range(6):
                 tokens = [rng.choice(VOCAB) for _ in range(rng.randint(0, 20))]
                 seen["overlapping occurrences"] += any(
