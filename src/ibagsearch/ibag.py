@@ -53,7 +53,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import compress, count, repeat
-from operator import add, attrgetter, eq, is_not, itemgetter, le, lt, neg, not_, truediv
+from operator import add, attrgetter, eq, is_not, le, lt, neg, not_, truediv
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, NoReturn, Sequence
 
@@ -232,12 +232,8 @@ class IBAG:
         ontologies = tuple(ontologies)
         ids = [ont.ontology_id for ont in ontologies]
         relevances = [node.relevance for node in nodes]
-        own_rows = list(range(len(nodes)))
         try:
-            tables = {
-                ont_id: ScoreTable(list(map(itemgetter(ont_id), relevances)), own_rows)
-                for ont_id in ids
-            }
+            scores = GraphScores.of_dicts(relevances, ids)
             # with every id present, no other key
             ok = not set(map(len, relevances)) - {len(ids)}
         except (KeyError, TypeError):  # a missing id, or no dict
@@ -246,7 +242,7 @@ class IBAG:
             _raise_for_first_bad_node(nodes, ontologies)
         columns = IndexColumns(
             *(list(map(attrgetter(f), nodes)) for f in ("url", "pp_id", "level", "mean_rel_val")),
-            GraphScores(tables, len(nodes), relevances),
+            scores,
         )
         ibag = cls._lay_out(columns, ontologies)
         for node in nodes:

@@ -31,7 +31,7 @@ when something reads the nodes.
 from __future__ import annotations
 
 from itertools import count, repeat
-from operator import mul
+from operator import itemgetter, mul
 from typing import NamedTuple, Sequence
 
 from .ontology import Ontology, OntologyTerm, count_occurrences
@@ -126,6 +126,18 @@ class GraphScores:
         self.tables = tables
         self.node_count = node_count
         self._dicts = dicts
+
+    @classmethod
+    def of_dicts(cls, dicts: list[dict[int, PageRelevance]], ids: Sequence[int]) -> "GraphScores":
+        """The tables of the pages' ``relevance`` dicts, by p_id, each
+        page's score its own row; the pages keep these dicts. A dict that
+        lacks an id raises KeyError, a page with no dict TypeError; other
+        keys are the caller's to check."""
+        own_rows = list(range(len(dicts)))
+        tables = {
+            ont_id: ScoreTable(list(map(itemgetter(ont_id), dicts)), own_rows) for ont_id in ids
+        }
+        return cls(tables, len(dicts), dicts)
 
     def dicts(self) -> list[dict[int, PageRelevance]]:
         """Each page's ``relevance`` dict, by p_id, the same list on every call."""

@@ -48,7 +48,7 @@ import logging
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain, compress, count, repeat
-from operator import itemgetter, lt
+from operator import lt
 from typing import NamedTuple, NoReturn, Sequence
 
 from .corpus import Corpus
@@ -129,16 +129,10 @@ class RPaG:
                 raise ValidationError(f"node at index {index} has p_id {node.p_id}")
             if node.relevance.keys() != id_set:
                 raise ValidationError(f"node {index} relevance keys mismatch the ontologies")
-        relevances = [node.relevance for node in self._nodes]
-        own_rows = list(range(len(relevances)))
-        tables = {
-            ont_id: ScoreTable(list(map(itemgetter(ont_id), relevances)), own_rows)
-            for ont_id in ids
-        }
         return GraphColumns(
             [node.url for node in self._nodes],
             [list(node.pp_ids) for node in self._nodes],
-            GraphScores(tables, len(relevances), relevances),
+            GraphScores.of_dicts([node.relevance for node in self._nodes], ids),
         )
 
     def __len__(self) -> int:
