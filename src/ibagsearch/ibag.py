@@ -449,9 +449,15 @@ def _means(tables: list[ScoreTable], supported: list[list[bool]], node_count: in
     if not tables:
         return [0.0] * node_count
     values = [_per_node(table, "relevance_value") for table in tables]
-    if not {type(rel.relevance_value) for table in tables for rel in table.rows} - {float}:
-        # an unsupported value is 0.0, and adding 0.0 leaves a float as it
-        # is, so with floats alone every value adds up to the supported sum
+    if all(
+        type(rel.relevance_value) is float
+        and (rel.supported is True or (rel.supported is False and rel.relevance_value == 0.0))
+        for table in tables
+        for rel in table.rows
+    ):
+        # scored pages hold 0.0 where unsupported, and adding 0.0 leaves a
+        # float as it is, so with such floats alone every value adds up to
+        # the supported sum; a hand-made score may hold another value
         sums, counts = values[0], supported[0]
         for column, flags in zip(values[1:], supported[1:]):
             sums = list(map(add, sums, column))

@@ -802,6 +802,20 @@ class TestLoadMatchesBuild:
         assert len(set(means)) == len(means)
         bundle.validate()
 
+    @pytest.mark.parametrize("value", [5.0, math.nan], ids=["nonzero", "nan"])
+    def test_hand_made_unsupported_value_left_out_of_the_mean(self, value):
+        """A score made by hand may be unsupported and still hold a value
+        other than 0.0; like every unsupported value, the mean leaves it
+        out, and the layout accepts the graph."""
+        rpag = rpag_from_values([{1: 0.5, 2: 0.25}, {2: 0.75}], INT_WEIGHT_ONTS)
+        for node in rpag.nodes:
+            node.relevance[3] = node.relevance[3]._replace(relevance_value=value)
+        ibag = build_ibag(rpag)
+        bundle = IndexBundle(rpag.ontologies, rpag, ibag, gen_ibag_bit_patterns(ibag, rpag.ontologies))
+        assert layout_of(bundle) == reference_layout(bundle)
+        assert layout_of(bundle).means == [0.375, 0.75]
+        bundle.validate()
+
     @pytest.mark.parametrize(
         "values",
         [{1: 2 * 10**308}, {1: 10**308, 2: 10**308, 3: 10**309}, {1: 10**400, 2: 1.0}],
