@@ -27,6 +27,7 @@ reference.
 """
 from __future__ import annotations
 
+from functools import partial
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ValidationError
@@ -79,6 +80,12 @@ class BitPattern(NamedTuple):
 
     def to_hex(self) -> str:
         return _to_hex(self.bits, self.length)
+
+
+# builds a BitPattern from a (bits, length, ontology_id, owner) tuple in C,
+# without the Python frame of the named tuple's generated ``__new__``: every
+# masked query makes one
+_new_pattern = partial(tuple.__new__, BitPattern)
 
 
 def xor_patterns(page: BitPattern, mask: BitPattern) -> BitPattern:
@@ -136,7 +143,7 @@ def gen_mask_bit_pattern(
     the ontology's phrase table, which holds each phrase's bits.
     """
     bits = ontology.phrase_table.mask(normalize_text(search_string), use_synonyms)
-    return BitPattern(bits, ontology.t, ontology.ontology_id)
+    return _new_pattern((bits, ontology.t, ontology.ontology_id, None))
 
 
 class PatternStore:

@@ -1,9 +1,12 @@
 """End-to-end query pipelines: plain range selection and mask-filtered search.
 
-Both modes read the index's supporter columns (:func:`select_columns`) and
-stop as soon as ``result_limit`` pages are in hand. The after-masking
-filter keeps a page when its pattern shares a set bit with a nonzero mask,
-which is what the paper's XOR test (:func:`mask_match`) decides. The chain
+Both modes read the index's supporter columns (:func:`select_columns`),
+stop as soon as ``result_limit`` pages are in hand, and read each page's
+url and mean from the index's columns; a query's ``elapsed`` covers all of
+that, as it covered picking the result nodes when the index held nodes.
+The after-masking filter keeps a page when its pattern shares a set bit
+with a nonzero mask, which is what the paper's XOR test
+(:func:`mask_match`) decides. The chain
 walk :func:`select_by_range` and the XOR filter
 :func:`find_predicted_webpage_list` are the reference the tests compare
 these paths with.
@@ -77,6 +80,9 @@ class Query:
 
 @dataclass(frozen=True)
 class SearchOutcome:
+    """One query's answer. ``elapsed`` runs from the query's first step,
+    the mask in after-masking mode, until its ``results`` are built."""
+
     mode: str
     results: tuple[tuple[str, float], ...]
     selected_count: int
@@ -106,12 +112,16 @@ def first_matching_pages(
     chosen: list[int] = []
     if not mask_bits:
         return chosen
+    add = chosen.append
     for p_ids, start, stop in slices:
-        # an inline test, no call per page: this loop is most of a masked query
-        for p in islice(p_ids, start, stop):
+        # an inline test, no call per page: this loop is most of a masked
+        # query. A whole level, which a range like 0:inf selects, is walked
+        # as the list itself, faster than through an islice.
+        for p in p_ids if stop - start == len(p_ids) else islice(p_ids, start, stop):
             if page_bits[p] & mask_bits:
-                chosen.append(p)
-                if len(chosen) == limit:
+                add(p)
+                limit -= 1
+                if not limit:
                     return chosen
     return chosen
 
@@ -127,11 +137,11 @@ def search_before_masking(query: Query, ibag: IBAG) -> SearchOutcome:
     """Baseline: the first ``result_limit`` range-selected pages, unfiltered."""
     start = time.perf_counter()
     slices, selected, visited = select_columns(ibag, query.relevance_range, query.ontology_id)
-    chosen = first_pages(slices, query.result_limit)
+    results = _results(ibag, first_pages(slices, query.result_limit))
     elapsed = time.perf_counter() - start
     return SearchOutcome(
         mode=BEFORE_MASKING,
-        results=_results(ibag, chosen),
+        results=results,
         selected_count=selected,
         visited_count=visited,
         elapsed=elapsed,
@@ -147,14 +157,16 @@ def search_after_masking(
     """Range selection followed by the bit-mask filter."""
     ontology = ibag.ontology_by_id(query.ontology_id)
     start = time.perf_counter()
-    mask = gen_mask_bit_pattern(query.search_string, ontology, use_synonyms=use_synonyms)
+    mask = gen_mask_bit_pattern(query.search_string, ontology, use_synonyms)
     slices, selected, visited = select_columns(ibag, query.relevance_range, query.ontology_id)
     page_bits = patterns.bits_for_ontology(query.ontology_id)
-    chosen = first_matching_pages(slices, page_bits, mask.bits, query.result_limit)
+    results = _results(
+        ibag, first_matching_pages(slices, page_bits, mask.bits, query.result_limit)
+    )
     elapsed = time.perf_counter() - start
     return SearchOutcome(
         mode=AFTER_MASKING,
-        results=_results(ibag, chosen),
+        results=results,
         selected_count=selected,
         visited_count=visited,
         elapsed=elapsed,
