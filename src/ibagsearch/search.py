@@ -3,13 +3,11 @@
 Both modes read the index's supporter columns (:func:`select_columns`),
 stop as soon as ``result_limit`` pages are in hand, and read each page's
 url and mean from the index's columns; a query's ``elapsed`` covers all of
-that, as it covered picking the result nodes when the index held nodes.
-The after-masking filter keeps a page when its pattern shares a set bit
-with a nonzero mask, which is what the paper's XOR test
-(:func:`mask_match`) decides. The chain
-walk :func:`select_by_range` and the XOR filter
-:func:`find_predicted_webpage_list` are the reference the tests compare
-these paths with.
+that. The after-masking filter keeps a page when its pattern shares a set
+bit with a nonzero mask, which is what the paper's XOR test
+(:func:`mask_match`) decides. The chain walk :func:`select_by_range` and
+the XOR filter :func:`find_predicted_webpage_list` are the reference the
+tests compare these paths with.
 """
 from __future__ import annotations
 
