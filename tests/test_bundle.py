@@ -221,6 +221,49 @@ def _vector_entry_too_few(obj: dict) -> None:
     _rows(obj)[0].pop()
 
 
+# values a structural mutation puts in place of another: every JSON kind,
+# and the floats a parser reads from ``NaN``, ``Infinity`` and ``1e308``
+MUTATION_POOL = (
+    0, 1, -1, 3, 2**64, 0.0, -0.0, 0.5, math.nan, math.inf, -math.inf, 1e308,
+    True, False, None, "", "x", [], [0], {}, {"x": 0},
+)
+
+
+def _containers(obj: object) -> list:
+    """Every non-empty list and dict in ``obj``, ``obj`` itself included."""
+    found, stack = [], [obj]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, (list, dict)) and value:
+            found.append(value)
+            stack.extend(value.values() if isinstance(value, dict) else value)
+    return found
+
+
+def mutate(obj: dict, rng: random.Random) -> None:
+    """One seeded structural edit of a decoded index, in place: in a random
+    list or dict, replace a value from :data:`MUTATION_POOL`, delete a key
+    or an item, or duplicate or swap list items."""
+    target = rng.choice(_containers(obj))
+    if isinstance(target, dict):
+        key = rng.choice(sorted(target))
+        if rng.random() < 0.5:
+            del target[key]
+        else:
+            target[key] = rng.choice(MUTATION_POOL)
+        return
+    i, j = rng.randrange(len(target)), rng.randrange(len(target))
+    operation = rng.choice(("replace", "delete", "duplicate", "swap"))
+    if operation == "replace":
+        target[i] = rng.choice(MUTATION_POOL)
+    elif operation == "delete":
+        del target[i]
+    elif operation == "duplicate":
+        target.insert(i, json.loads(json.dumps(target[i])))
+    else:
+        target[i], target[j] = target[j], target[i]
+
+
 def canonical(obj: dict) -> bytes:
     """``obj`` in the canonical form a save writes, its digest left as it is."""
     text = json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
@@ -540,6 +583,28 @@ class TestValidation:
             except ValidationError:
                 outcomes["parsed, then rejected"] += 1
         assert min(outcomes["rejected"], outcomes["parsed, then rejected"]) > 0
+
+    def test_structural_mutations_load_or_raise_validation_error(self, bundled_onts, tmp_path):
+        """Seeded structural edits of a saved index's object (:func:`mutate`),
+        each under a fresh digest: a load either raises ValidationError or
+        gives back a bundle that saves to the same bytes and validates."""
+        data = IndexBundle.build(synth_corpus(7, 40, bundled_onts), bundled_onts).canonical_bytes()
+        rng = random.Random(2016)
+        path = tmp_path / "index.json"
+        outcomes = Counter()
+        for _ in range(300):
+            obj = json.loads(data)
+            mutate(obj, rng)
+            path.write_bytes(sealed(obj))
+            try:
+                loaded = IndexBundle.load(path)
+            except ValidationError:
+                outcomes["rejected"] += 1
+                continue
+            assert loaded.canonical_bytes() == path.read_bytes()
+            loaded.validate()
+            outcomes["loaded"] += 1
+        assert min(outcomes["rejected"], outcomes["loaded"]) > 0
 
 
 class TestDigest:
