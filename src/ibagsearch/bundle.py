@@ -20,27 +20,23 @@ A build, the serialization inside a save and a load each run with the
 cyclic garbage collector paused (``collector.collector_paused``): they make
 many objects and no reference cycles.
 
-A load parses the file, then rebuilds every derived structure through the
-code a build runs and checks each fact once. Like a build, it holds the
-graph and the index in columns, as the file stores them, and makes no
-node object: ``rpag.nodes`` and ``ibag.nodes`` are made on first read. The
-graph and the layout steps make one pass per column, not one per node,
-and walk the rows or nodes one by one only to name the first bad one when
-a column check fails:
+A load parses the file and rebuilds every derived structure through the
+code a build runs, in columns (``rpag.nodes`` and ``ibag.nodes`` are made
+on first read). Each fact is checked once, by one pass over a column per
+fact of a table (``rpag.ROW_FACTS``, ``rpag.GRAPH_FACTS``,
+``ibag.LAYOUT_FACTS``), read again only to name the first row or page at
+fault when one fails:
 
 - the version tag, then the shapes and facts of each section below, so a
   bad file is named by the check it fails; the digest last;
-- ``RPaG.from_json_obj`` checks the rows of counts and scores each once
-  through ``relevance_from_counts``, the function a crawl scores through;
-  the pages that use the row share the score. It checks the row indexes
-  and the columns, and the pages' parents (as ``rpag.check_parents``
-  does), and keeps the decoded columns as the graph's;
+- ``RPaG.from_json_obj`` checks each row of counts and scores it once
+  through ``relevance_from_counts``, as a crawl does, for the pages that
+  use it to share; then the row indexes and the pages' urls and parents.
+  The decoded columns become the graph's;
 - ``build_ibag`` shares the graph's urls and score tables with the index,
-  not copies, and averages each page's supported scores into its mean,
-  reading each row's value and support once; the layout step it ends in,
-  which ``IBAG.from_nodes`` also runs, checks every other page fact (urls,
-  levels, support, vector lengths, a positive finite mean), lays the index
-  out, and leaves the paper's chains to be threaded on first read;
+  derives each page's parent, level and mean, reading each row once, and
+  its layout step checks the facts the graph does not hold and lays the
+  index out, leaving the chains for their first read;
 - ``gen_ibag_bit_patterns`` derives the bits once per row of scores, and
   they must equal the stored ones; each distinct pattern is rendered in
   hex once for that comparison.
@@ -113,13 +109,12 @@ class IndexBundle:
     def validate(self) -> None:
         """Derive the sections from the graph again and compare: raise
         ValidationError when they disagree on the ontologies, or the graph,
-        the leveled index or the patterns differ from what the graph gives.
-        Build and load do not call this, since they derive every section
-        from one graph."""
+        the leveled index or the patterns differ from what the graph, laid
+        out once, gives. Build and load do not call this, since they derive
+        every section from one graph."""
         if self.rpag.ontologies != self.ontologies or self.ibag.ontologies != self.ontologies:
             raise ValidationError("bundle sections disagree on the ontologies")
-        self.rpag.validate()
-        if build_ibag(self.rpag).nodes != self.ibag.nodes:
+        if self.rpag.validate().nodes != self.ibag.nodes:
             raise ValidationError("index nodes differ from those the graph gives")
         self.ibag.validate()
         fresh = gen_ibag_bit_patterns(self.ibag, self.ontologies)

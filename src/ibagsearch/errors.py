@@ -1,8 +1,11 @@
-"""Exception types shared across the package, and the kind checks that turn
-malformed decoded JSON into a ValidationError."""
+"""Exception types shared across the package, the kind checks that turn
+malformed decoded JSON into a ValidationError, and the checker of a table
+of node facts."""
 from __future__ import annotations
 
-from typing import Any
+from itertools import compress, count, islice, repeat
+from operator import not_
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 
 class IbagSearchError(Exception):
@@ -45,3 +48,37 @@ def json_field(obj: Any, key: str, kind: type, where: str) -> Any:
     if key not in obj:
         raise ValidationError(f"{where} lacks {key!r}")
     return check_kind(obj[key], kind, f"{where}.{key}")
+
+
+class Fact(NamedTuple):
+    """A fact of each node (or row) of some columns: ``flags(columns)``
+    yields lazily, in node order, whether each node holds it, or each item
+    if ``sizes(columns)`` yields each node's item count, and may rely on the
+    facts before it in its table; ``message(columns, i)`` words the error."""
+
+    flags: Callable[[Any], Iterable[object]]
+    message: Callable[[Any, int], str]
+    sizes: Callable[[Any], Iterable[int]] | None = None
+
+
+def first_failure(facts: Sequence[Fact], columns: Any) -> tuple[int, str] | None:
+    """The lowest node a fact fails at, ties going to the earlier fact, and
+    its message, or None. Until one fails, each fact is one pass over its
+    flags; then each is read only below the lowest failure so far."""
+    lowest = failed = None
+    for fact in facts:
+        if failed is None and all(fact.flags(columns)):
+            continue
+        flags = fact.flags(columns)
+        if fact.sizes is not None:  # a node's flag: whether all its items hold
+            flags = map(all, map(islice, repeat(iter(flags)), fact.sizes(columns)))
+        bad = next(compress(count(), map(not_, islice(flags, lowest))), None)
+        if bad is not None:
+            lowest, failed = bad, fact
+    return None if failed is None else (lowest, failed.message(columns, lowest))
+
+
+def check_facts(facts: Sequence[Fact], columns: Any) -> None:
+    """Raise ValidationError with the message of :func:`first_failure`."""
+    if failure := first_failure(facts, columns):
+        raise ValidationError(failure[1])

@@ -30,19 +30,11 @@ a query pays for the pages it returns, not for every supporter.
 the reference that the tests compare it with.
 
 One private layout step, which :meth:`IBAG.from_nodes` and
-:func:`build_ibag` both end in, lays this out from columns, and it is the
-one place that checks a page's facts (unique urls, parent, level, support,
-vector lengths, a positive finite mean). It checks each fact with one pass
-over a column, or over a score table's rows; only when a column check
-fails does it make the nodes and walk them one by one, to name the first
-bad node with the message a per-node check gives. :func:`build_ibag`
-derives the first parents, the levels and the means from the graph's
-columns, reading a score's value and support once per row;
-:meth:`IBAG.from_nodes` checks dense p_ids and the score keys, then reads
-its columns out of the nodes it is given, each node's score its own row.
-Before the step, a load checks only shapes and the graph's own facts, in
-``RPaG.from_json_obj``; after it, the stored patterns as a checksum.
-Nothing re-checks what it derived. :meth:`IBAG.validate` lays copies of
+:func:`build_ibag` both end in, checks :data:`LAYOUT_FACTS` and lays the
+index out. :func:`build_ibag` derives the parents, levels and means from
+the graph's checked columns, reading each score row once, and re-checks
+nothing it derived; :meth:`IBAG.from_nodes` first checks what only its
+caller gives (:data:`NODE_FACTS`). :meth:`IBAG.validate` lays copies of
 the nodes out again and compares, chains and columns included.
 """
 from __future__ import annotations
@@ -53,11 +45,11 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import compress, count, repeat
-from operator import add, attrgetter, eq, is_not, le, lt, neg, not_, truediv
+from operator import add, attrgetter, eq, itemgetter, lt, neg, truediv
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, NoReturn, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .errors import ValidationError
+from .errors import Fact, ValidationError, check_facts, first_failure
 from .ontology import Ontology
 from .relevance import GraphScores, PageRelevance, ScoreTable
 
@@ -178,7 +170,10 @@ class IBAG:
         """One node per page, by p_id, each holding its graph node's
         ``relevance`` dict and reading this index's chains."""
         if self._nodes is None:
-            nodes = _nodes_of(self.node_columns)
+            urls, pp_ids, levels, means, scores = self.node_columns
+            nodes = list(
+                map(IBAGNode, range(len(urls)), urls, pp_ids, means, levels, scores.dicts())
+            )
             for node in nodes:
                 node._chains = self._chains
             self._nodes = nodes
@@ -219,32 +214,22 @@ class IBAG:
 
     @classmethod
     def from_nodes(cls, nodes: Sequence[IBAGNode], ontologies: Sequence[Ontology]) -> "IBAG":
-        """Check the nodes, then assemble levels, sort them and fill the
-        supporter columns, through the one layout step :func:`build_ibag`
-        also takes. The columns are read out of the nodes, each node's
-        score its own row; the per-ontology chains are threaded from the
-        levels and the support flags when first read.
-
-        ``nodes`` must be dense in p_id; the index keeps them as its nodes,
-        and each is attached to the new index's chains here.
-        """
+        """Check :data:`NODE_FACTS`, then lay out, through the step
+        :func:`build_ibag` ends in, the nodes before any that fails one, so
+        the error names the first bad node. Each node's score is its own
+        row; the index keeps ``nodes``, attached to its chains."""
         nodes = list(nodes)
         ontologies = tuple(ontologies)
-        ids = [ont.ontology_id for ont in ontologies]
-        relevances = [node.relevance for node in nodes]
-        try:
-            scores = GraphScores.of_dicts(relevances, ids)
-            # with every id present, no other key
-            ok = not set(map(len, relevances)) - {len(ids)}
-        except (KeyError, TypeError):  # a missing id, or no dict
-            ok = False
-        if not (ok and all(map(eq, map(attrgetter("p_id"), nodes), count()))):
-            _raise_for_first_bad_node(nodes, ontologies)
-        columns = IndexColumns(
-            *(list(map(attrgetter(f), nodes)) for f in ("url", "pp_id", "level", "mean_rel_val")),
-            scores,
-        )
-        ibag = cls._lay_out(columns, ontologies)
+        names = ("url", "pp_id", "p_id", "level", "mean_rel_val", "relevance")
+        view = FactColumns(*(list(map(attrgetter(f), nodes)) for f in names), ontologies=ontologies)
+        failure = first_failure(NODE_FACTS, view)
+        end = len(nodes) if failure is None else failure[0]  # each node fact holds before
+        urls, pp_ids, _, levels, means, relevances = (column[:end] for column in view[:6])
+        scores = GraphScores.of_dicts(relevances, [ont.ontology_id for ont in ontologies])
+        columns = IndexColumns(urls, pp_ids, levels, means, scores)
+        ibag = cls._lay_out(columns, ontologies, _support_flags(ontologies, scores))
+        if failure is not None:
+            raise ValidationError(failure[1])
         for node in nodes:
             node._chains = ibag._chains
         ibag._nodes = nodes
@@ -255,19 +240,16 @@ class IBAG:
         cls,
         node_columns: IndexColumns,
         ontologies: tuple[Ontology, ...],
-        supports: dict[int, list[bool]] | None = None,
+        supports: dict[int, list[bool]],
     ) -> "IBAG":
-        """The one layout step: check every node fact a column at a time,
-        naming the first bad node when one fails, then sort the levels and
-        fill the supporter columns. ``supports``, when given, holds each
-        ontology's support flags by p_id."""
-        supports = _checked_supports(node_columns, ontologies, supports)
-        if supports is None:
-            _raise_for_first_bad_node(_nodes_of(node_columns), ontologies)
+        """The one layout step: check :data:`LAYOUT_FACTS`, sort the levels
+        and fill the supporter columns. ``supports`` maps each ontology id
+        to its support flags."""
+        means = node_columns.mean_rel_val
+        check_facts(LAYOUT_FACTS, FactColumns(node_columns.url, means=means, supports=supports))
 
         # a level lists its nodes by ascending p_id, and a sort, reversed or
         # not, is stable, so ties keep that order
-        means = node_columns.mean_rel_val
         levels: list[list[int]] = [[] for _ in range(max(node_columns.level, default=-1) + 1)]
         for p_id, level in enumerate(node_columns.level):
             levels[level].append(p_id)
@@ -310,98 +292,105 @@ class IBAG:
             raise ValidationError("index columns differ from the nodes")
 
 
-def _nodes_of(columns: IndexColumns) -> list[IBAGNode]:
-    """One node per page, made from the columns."""
-    urls, pp_ids, levels, means, scores = columns
-    return list(map(IBAGNode, range(len(urls)), urls, pp_ids, means, levels, scores.dicts()))
+class FactColumns(NamedTuple):
+    """The columns a table of node facts reads some of, by p_id. ``pp_ids``
+    holds a parent list per node in a graph, one parent (or None) in an
+    index; ``supports`` each ontology id's support flags."""
+
+    urls: Sequence
+    pp_ids: Sequence = ()
+    p_ids: Sequence = ()
+    levels: Sequence = ()
+    means: Sequence = ()
+    relevances: Sequence = ()
+    supports: Mapping[int, list[bool]] = MappingProxyType({})
+    ontologies: tuple[Ontology, ...] = ()
 
 
-def _checked_supports(
-    columns: IndexColumns,
-    ontologies: tuple[Ontology, ...],
-    supports: dict[int, list[bool]] | None,
-) -> dict[int, list[bool]] | None:
-    """Each ontology's support flags by p_id, or None when a node fact that
-    :func:`_raise_for_first_bad_node` checks fails: the same checks, each
-    a pass over one column, or over a score table's rows."""
-    urls, pp_ids, levels, means, scores = columns
-    ids = [ont.ontology_id for ont in ontologies]
-    try:
-        if not (
-            all(urls)
-            and len(set(urls)) == len(urls)
-            and _parents_and_levels_ok(pp_ids, levels)
-            and scores.tables.keys() == set(ids)
-            # a vector's length, once per row
-            and all(
-                not set(map(len, map(attrgetter("term_vector"), table.rows))) - {ont.t}
-                for ont, table in zip(ontologies, map(scores.tables.get, ids))
-            )
-        ):
-            return None
-        if supports is None:
-            supports = _support_flags(ontologies, scores)
-        if not (
-            (all(map(any, zip(*supports.values()))) if ontologies else not urls)
-            and all(map(lt, repeat(0), means))
-            and all(map(lt, means, repeat(math.inf)))
-        ):
-            return None
-    except (AttributeError, KeyError, TypeError):  # a missing id, or a value of another kind
-        return None
-    return supports
+def relevance_keys_match(nodes: FactColumns) -> Iterator[bool]:
+    """Whether each node's ``relevance`` has one key per ontology id."""
+    ids = {ont.ontology_id for ont in nodes.ontologies}
+    return map(eq, map(dict.keys, nodes.relevances), repeat(ids))
 
 
-def _parents_and_levels_ok(pp_ids: list, levels: list) -> bool:
-    """Whether each parent is None or an earlier node, and each level is its
-    parent's plus one (0 without a parent)."""
-    has_parent = list(map(is_not, pp_ids, repeat(None)))
-    parents = list(compress(pp_ids, has_parent))
-    return (
-        all(map(le, repeat(0), parents))
-        and all(map(lt, parents, compress(count(), has_parent)))
-        and all(map(eq, compress(levels, map(not_, has_parent)), repeat(0)))
-        and all(
-            map(
-                eq,
-                compress(levels, has_parent),
-                map(add, map(levels.__getitem__, parents), repeat(1)),
-            )
-        )
-    )
+def _vector_lengths(nodes: FactColumns) -> Iterator[bool]:
+    """Whether each node's term vectors are as long as their ontologies."""
+
+    def lengths_match(ont: Ontology) -> Iterator[bool]:
+        scores = map(itemgetter(ont.ontology_id), nodes.relevances)
+        return map(eq, map(len, map(attrgetter("term_vector"), scores)), repeat(ont.t))
+
+    return map(all, zip(*map(lengths_match, nodes.ontologies)))
 
 
-def _raise_for_first_bad_node(nodes: list[IBAGNode], ontologies: tuple[Ontology, ...]) -> NoReturn:
-    """Node by node, raise ValidationError for the first bad node: its p_id,
-    url, parent, level, per-ontology keys, support, vector lengths or mean."""
-    id_set = {ont.ontology_id for ont in ontologies}
-    lengths = [(ont.ontology_id, ont.t) for ont in ontologies]
-    urls: set[str] = set()
-    for i, node in enumerate(nodes):
-        if node.p_id != i:
-            raise ValidationError(f"node at index {i} has p_id {node.p_id}")
-        if not node.url or node.url in urls:
-            raise ValidationError(f"node {i} url {node.url!r} missing or duplicated")
-        urls.add(node.url)
-        if node.pp_id is None:
-            parent_level = -1
-        elif 0 <= node.pp_id < i:
-            parent_level = nodes[node.pp_id].level
-        else:
-            raise ValidationError(f"node {i} parent {node.pp_id} is not earlier in the index")
-        if node.level != parent_level + 1:
-            raise ValidationError(f"node {i} level {node.level} does not follow its parent")
-        relevance = node.relevance
-        if relevance.keys() != id_set:
-            raise ValidationError(f"node {i} per-ontology fields mismatch the ontologies")
-        if not any(rel.supported for rel in relevance.values()):
-            raise ValidationError(f"node {i} supports no ontology")
-        for ont_id, t in lengths:
-            if len(relevance[ont_id].term_vector) != t:
-                raise ValidationError(f"node {i} term vector length mismatches its ontology")
-        if not 0 < node.mean_rel_val < math.inf:
-            raise ValidationError(f"node {i} mean relevance {node.mean_rel_val} not in (0, inf)")
-    raise ValidationError("index nodes fail a check that names no node")
+def _new_urls(nodes: FactColumns) -> Iterable[bool]:
+    """Whether each url is unlike every earlier one: its own first index.
+    When a set of the urls is as long as they are, each is."""
+    if len(set(nodes.urls)) == len(nodes.urls):
+        return ()
+    return map(eq, map({}.setdefault, nodes.urls, count()), count())
+
+
+def _url_message(nodes: FactColumns, p_id: int) -> str:
+    return f"node {p_id} url {nodes.urls[p_id]!r} missing or duplicated"
+
+
+def _mean_message(nodes: FactColumns, p_id: int) -> str:
+    return f"node {p_id} mean relevance {nodes.means[p_id]} not in (0, inf)"
+
+
+# facts a graph of nodes shares with the index's nodes
+P_ID = Fact(
+    lambda nodes: map(eq, nodes.p_ids, count()),
+    lambda nodes, i: f"node at index {i} has p_id {nodes.p_ids[i]}",
+)
+URL_IS_STR = Fact(
+    lambda nodes: map(str.__instancecheck__, nodes.urls),
+    lambda nodes, i: f"graph url {i} must be a string, got {nodes.urls[i]!r:.40}",
+)
+VECTOR_LENGTHS = Fact(
+    _vector_lengths, lambda nodes, i: f"node {i} term vector length mismatches its ontology"
+)
+
+# The facts of hand-made nodes, which a build derives, in the order a
+# failure is named: only IBAG.from_nodes checks them.
+NODE_FACTS = (
+    P_ID,
+    URL_IS_STR,
+    Fact(
+        lambda nodes: (
+            pp is None or type(pp) is int and 0 <= pp < p_id
+            for p_id, pp in enumerate(nodes.pp_ids)
+        ),
+        lambda nodes, i: f"node {i} parent {nodes.pp_ids[i]} is not earlier in the index",
+    ),
+    Fact(
+        lambda nodes: (
+            type(level) is int and level == (0 if pp is None else nodes.levels[pp] + 1)
+            for pp, level in zip(nodes.pp_ids, nodes.levels)
+        ),
+        lambda nodes, i: f"node {i} level {nodes.levels[i]} does not follow its parent",
+    ),
+    Fact(
+        relevance_keys_match,
+        lambda nodes, i: f"node {i} per-ontology fields mismatch the ontologies",
+    ),
+    VECTOR_LENGTHS,
+    Fact(lambda nodes: map(isinstance, nodes.means, repeat((int, float))), _mean_message),
+)
+
+# The facts of every index's nodes, which the layout checks: a non-empty
+# url unlike every earlier one, support for some ontology, a mean in (0, inf).
+LAYOUT_FACTS = (
+    Fact(attrgetter("urls"), _url_message),
+    Fact(_new_urls, _url_message),
+    Fact(
+        lambda nodes: map(any, zip(repeat(False, len(nodes.urls)), *nodes.supports.values())),
+        lambda nodes, i: f"node {i} supports no ontology",
+    ),
+    Fact(lambda nodes: map(lt, repeat(0), nodes.means), _mean_message),
+    Fact(lambda nodes: map(lt, nodes.means, repeat(math.inf)), _mean_message),
+)
 
 
 def build_ibag(rpag: RPaG) -> IBAG:
@@ -409,12 +398,11 @@ def build_ibag(rpag: RPaG) -> IBAG:
 
     The single parent is the node's first listed parent. The mean relevance
     value averages the page's relevance over the ontologies it supports
-    (0.0 for none, a node :meth:`IBAG.from_nodes` rejects). A mean that
-    cannot be a float, from an int sum too large for one, becomes ``inf``,
-    which :meth:`IBAG.from_nodes` rejects too. Each step is a pass over one
-    of the graph's columns; a score's value and support are read once per
-    row of its table, then mapped to the nodes through ``of_node``. The
-    index shares the graph's urls and score tables.
+    (0.0 for none); one that cannot be a float, from an int sum too large
+    for one, becomes ``inf``. The layout rejects both. Each step is a pass
+    over one of the graph's columns; a score's value and support are read
+    once per row of its table, then mapped to the nodes through
+    ``of_node``. The index shares the graph's urls and score tables.
     """
     urls, parent_lists, scores = rpag.columns
     pp_ids = list(map(next, map(iter, parent_lists), repeat(None)))

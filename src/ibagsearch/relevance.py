@@ -130,9 +130,8 @@ class GraphScores:
     @classmethod
     def of_dicts(cls, dicts: list[dict[int, PageRelevance]], ids: Sequence[int]) -> "GraphScores":
         """The tables of the pages' ``relevance`` dicts, by p_id, each
-        page's score its own row; the pages keep these dicts. A dict that
-        lacks an id raises KeyError, a page with no dict TypeError; other
-        keys are the caller's to check."""
+        page's score its own row; the pages keep these dicts, whose keys
+        the caller has checked."""
         own_rows = list(range(len(dicts)))
         tables = {
             ont_id: ScoreTable(list(map(itemgetter(ont_id), dicts)), own_rows) for ont_id in ids

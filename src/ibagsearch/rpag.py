@@ -24,23 +24,14 @@ its columns from them, each node's score its own row, so an edit to a
 node is what is validated, laid out and saved; ``RPaG(nodes=...)`` starts
 there. Either way one layout path, ``build_ibag``, reads the columns.
 
-A graph is saved in columns (:meth:`RPaG.to_json_obj`): the urls, the
-parent lists, and per ontology a ``rows`` table holding each distinct
-count vector once, in order of first use by p_id, with an ``of_node`` list
-of each node's row index. Loading it (:meth:`RPaG.from_json_obj`) checks
-every row: a list of one non-negative int count per term, each convertible
-to a float, and unlike every other row. It scores each row once through
-``relevance_from_counts``, and every node with that row shares the one
-score, as in a crawl. Then it checks that the row indexes use every row,
-first in row order, and that the columns are equal in length, so a graph
-it accepts is the one graph that saves back to those bytes, and it checks
-the facts only the graph holds (:func:`check_parents`). Each of these
-checks is a pass over a whole column (the rows' entries, the urls, the
-parent lists); only when one fails does the decoder walk the rows or the
-nodes one by one, to name the first one at fault as :func:`check_parents`
-would. The decoded lists then become the graph's columns as they are.
-Every other node fact is checked once, later, by the layout ``build_ibag``
-ends in, among them a relevance sum that overflows to infinity.
+Loading a saved graph (:meth:`RPaG.from_json_obj`) checks each
+ontology's rows of counts (:data:`ROW_FACTS`), scores each row once
+through ``relevance_from_counts``, checks that the row indexes use every
+row, first in row order, so an accepted graph saves back to the same
+bytes, then checks the pages' urls and parents (:data:`GRAPH_FACTS`), as
+a graph of nodes does whenever its columns are read. Each fact is written
+once, as lazy flags and a message (``errors.Fact``); the index's own facts
+are checked by the layout ``build_ibag`` ends in.
 """
 from __future__ import annotations
 
@@ -48,12 +39,13 @@ import logging
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain, compress, count, repeat
-from operator import lt
-from typing import NamedTuple, NoReturn, Sequence
+from operator import eq, ge, is_, le, lt
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .corpus import Corpus
-from .errors import ValidationError, json_field
-from .ibag import build_ibag
+from .errors import Fact, ValidationError, check_facts, json_field
+from .ibag import IBAG, P_ID, URL_IS_STR, VECTOR_LENGTHS, FactColumns, build_ibag
+from .ibag import relevance_keys_match
 from .ontology import Ontology, PhraseTable, normalize_text
 from .relevance import (
     GraphScores,
@@ -80,10 +72,10 @@ class RPaGNode:
 
 class GraphColumns(NamedTuple):
     """A graph's node facts, one column each, by p_id: the urls, the parent
-    lists and the score tables."""
+    lists (tuples for a graph of nodes) and the score tables."""
 
     urls: list[str]
-    pp_ids: list[list[int]]
+    pp_ids: list[Sequence[int]]
     scores: GraphScores
 
 
@@ -118,34 +110,30 @@ class RPaG:
 
     @property
     def columns(self) -> GraphColumns:
-        """The graph in columns; derived from the nodes once they exist.
-        Each node's score is then its own row."""
+        """The graph in columns; once the nodes exist, derived from them
+        after checking :data:`GRAPH_FACTS`, each node's score its own row."""
         if self._nodes is None:
             return self._columns
-        ids = [ont.ontology_id for ont in self.ontologies]
-        id_set = set(ids)
-        for index, node in enumerate(self._nodes):
-            if node.p_id != index:
-                raise ValidationError(f"node at index {index} has p_id {node.p_id}")
-            if node.relevance.keys() != id_set:
-                raise ValidationError(f"node {index} relevance keys mismatch the ontologies")
-        return GraphColumns(
-            [node.url for node in self._nodes],
-            [list(node.pp_ids) for node in self._nodes],
-            GraphScores.of_dicts([node.relevance for node in self._nodes], ids),
+        nodes = self._nodes
+        graph = FactColumns(
+            *([getattr(node, name) for node in nodes] for name in ("url", "pp_ids", "p_id")),
+            relevances=[node.relevance for node in nodes],
+            ontologies=self.ontologies,
         )
+        check_facts(GRAPH_FACTS, graph)
+        ids = [ont.ontology_id for ont in self.ontologies]
+        return GraphColumns(graph.urls, graph.pp_ids, GraphScores.of_dicts(graph.relevances, ids))
 
     def __len__(self) -> int:
         return len(self._columns.urls) if self._nodes is None else len(self._nodes)
 
-    def validate(self) -> None:
-        """Run :func:`check_node` on every node, then lay the graph out
-        through :func:`build_ibag`, which checks every other node fact.
-        Build and load do not call this."""
-        ontology_ids = {ont.ontology_id for ont in self.ontologies}
-        for index, node in enumerate(self.nodes):
-            check_node(index, node.pp_ids, node.relevance, ontology_ids)
-        build_ibag(self)
+    def validate(self) -> IBAG:
+        """Check :data:`GRAPH_FACTS` (a graph of nodes does as its columns
+        are read) and return the index :func:`build_ibag` lays out, which
+        checks the index's facts. Build and load do not call this."""
+        if self._nodes is None:
+            check_facts(GRAPH_FACTS, FactColumns(self._columns.urls, self._columns.pp_ids))
+        return build_ibag(self)
 
     def to_json_obj(self) -> dict:
         """Only the inputs, in columns: scores, support and every index
@@ -168,13 +156,10 @@ class RPaG:
 
     @staticmethod
     def from_json_obj(obj: object, ontologies: Sequence[Ontology]) -> "RPaG":
-        """Decode the columns (p_id is the list index) and score each row of
-        counts once.
-
-        Checks shapes, rows, row indexes and :func:`check_parents` only; the
-        other node facts are checked by :func:`build_ibag`, which a bundle
-        load always runs on the result. The decoded lists become the
-        graph's columns as they are."""
+        """Decode the columns (p_id is the list index), checking shapes,
+        :data:`ROW_FACTS`, row indexes and :data:`GRAPH_FACTS`, and score
+        each row of counts once. The index's facts are checked by
+        :func:`build_ibag`, which a bundle load runs on the result."""
         ontologies = tuple(ontologies)
         if not isinstance(obj, dict):
             raise ValidationError("graph section must be an object")
@@ -189,39 +174,11 @@ class RPaG:
             ont.ontology_id: _score_table(ont, tables[str(ont.ontology_id)], len(urls))
             for ont in ontologies
         }
-        if not _graph_columns_ok(urls, pp_ids):
-            _raise_for_first_bad_node(urls, pp_ids)
+        check_facts(GRAPH_FACTS, FactColumns(urls, pp_ids))
         return RPaG(
             ontologies=ontologies,
             columns=GraphColumns(urls, pp_ids, GraphScores(scores, len(urls))),
         )
-
-
-def _graph_columns_ok(urls: list, pp_ids: list) -> bool:
-    """Whether every url is a string and every parent list holds at most
-    ``MAX_PARENTS`` ints, each below its node's p_id: one pass per column."""
-    if set(map(type, urls)) - {str} or set(map(type, pp_ids)) - {list}:
-        return False
-    if max(map(len, pp_ids), default=0) > MAX_PARENTS:
-        return False
-    flat = chain.from_iterable  # every parent of every node
-    return (
-        not set(map(type, flat(pp_ids))) - {int}
-        and min(flat(pp_ids), default=0) >= 0
-        # each non-empty list's largest parent against its node's p_id
-        and all(map(lt, map(max, filter(None, pp_ids)), compress(count(), pp_ids)))
-    )
-
-
-def _raise_for_first_bad_node(urls: list, pp_ids: list) -> NoReturn:
-    """Node by node, raise for the first node whose url or parents are bad."""
-    for p_id, (url, parents) in enumerate(zip(urls, pp_ids)):
-        if type(url) is not str:
-            raise ValidationError(f"graph url {p_id} must be a string, got {url!r:.40}")
-        if type(parents) is not list:
-            raise ValidationError(f"graph pp_ids {p_id} must be a list, got {parents!r:.40}")
-        check_parents(p_id, parents)
-    raise ValidationError("graph urls or parent lists fail a check that names no node")
 
 
 def _score_table(ont: Ontology, table: object, node_count: int) -> ScoreTable:
@@ -232,9 +189,8 @@ def _score_table(ont: Ontology, table: object, node_count: int) -> ScoreTable:
     of_node = json_field(table, "of_node", list, where)
     if len(of_node) != node_count:
         raise ValidationError(f"{where} has {len(of_node)} row indexes for {node_count} nodes")
-    shared = _scored_rows(ont, rows) if _rows_ok(ont, rows) else None
-    if shared is None:
-        _raise_for_first_bad_row(ont, rows, where)
+    check_facts(ROW_FACTS, _Rows(rows, ont.t, where))
+    shared = list(map(relevance_from_counts, repeat(ont), rows))
     if set(map(type, of_node)) - {int}:
         raise ValidationError(f"{where} row indexes must be integers")
     # each row is first used after the rows before it, and every row is used
@@ -250,69 +206,93 @@ def _score_table(ont: Ontology, table: object, node_count: int) -> ScoreTable:
     return ScoreTable(shared, of_node)
 
 
-def _rows_ok(ont: Ontology, rows: list) -> bool:
-    """Whether every row is a list of ``ont.t`` non-negative int counts, each
-    check one pass over all rows or all their entries. bool is not int
-    here, so a row holds only ints."""
-    return (
-        not set(map(type, rows)) - {list}
-        and not set(map(len, rows)) - {ont.t}
-        and not set(map(type, chain.from_iterable(rows))) - {int}
-        and min(chain.from_iterable(rows), default=0) >= 0
-    )
+def _ints(values: Iterable) -> Iterator[bool]:
+    return map(is_, map(type, values), repeat(int))
 
 
-def _scored_rows(ont: Ontology, rows: list) -> list[PageRelevance] | None:
-    """Each row's score, or None when a row repeats an earlier one or holds
-    a count too large for a float."""
-    keys = list(map(tuple, rows))
-    if len(set(keys)) < len(keys):
-        return None
-    try:
-        return list(map(relevance_from_counts, repeat(ont), keys))
-    except OverflowError:
-        return None
+def _not_negative(values: Iterable) -> Iterator[bool]:
+    return map(le, repeat(0), values)
 
 
-def _raise_for_first_bad_row(ont: Ontology, rows: list, where: str) -> NoReturn:
-    """Row by row, raise for the first row that is malformed, repeats an
-    earlier row or holds a count too large for a float."""
-    seen: set[tuple[int, ...]] = set()
-    for i, row in enumerate(rows):
-        if not (
-            type(row) is list
-            and len(row) == ont.t
-            and not set(map(type, row)) - {int}
-            and min(row) >= 0
-        ):
-            raise ValidationError(f"{where} row {i} must be {ont.t} non-negative integer counts")
-        key = tuple(row)
-        if key in seen:
-            raise ValidationError(f"{where} row {i} repeats an earlier row")
-        seen.add(key)
-        try:
-            relevance_from_counts(ont, key)
-        except OverflowError:
-            raise ValidationError(f"{where} row {i} holds a count too large for a float") from None
-    raise ValidationError(f"{where} rows fail a check that names no row")
+def _parents(graph: FactColumns) -> Iterator:
+    return chain.from_iterable(graph.pp_ids)
 
 
-def check_parents(p_id: int, pp_ids: Sequence[object]) -> None:
-    """At most ``MAX_PARENTS`` parents, each an int below ``p_id``: a fact
-    only the graph holds (the index keeps one parent)."""
-    if len(pp_ids) > MAX_PARENTS:
-        raise ValidationError(f"node {p_id} has more than {MAX_PARENTS} parents")
-    for pp in pp_ids:
-        if type(pp) is not int or not 0 <= pp < p_id:
-            raise ValidationError(f"node {p_id} parent {pp!r:.40} must reference an earlier node")
+def _parent_counts(graph: FactColumns) -> Iterator[int]:
+    return map(len, graph.pp_ids)
 
 
-def check_node(p_id: int, pp_ids: Sequence[object], relevance: dict, ontology_ids: set) -> None:
-    """The node facts only the graph holds: :func:`check_parents`, and one
-    relevance entry per ontology id."""
-    check_parents(p_id, pp_ids)
-    if relevance.keys() != ontology_ids:
-        raise ValidationError(f"node {p_id} relevance keys mismatch the ontologies")
+def _largest_parents_earlier(graph: FactColumns) -> Iterator[bool]:
+    """Whether each node's largest parent is below its p_id: one flag for
+    each node that has parents."""
+    return map(lt, map(max, filter(None, graph.pp_ids)), compress(count(), graph.pp_ids))
+
+
+def _parent_message(graph: FactColumns, p_id: int) -> str:
+    """The message naming the node's first parent that is no earlier node."""
+    bad = next(pp for pp in graph.pp_ids[p_id] if type(pp) is not int or pp not in range(p_id))
+    return f"node {p_id} parent {bad!r:.40} must reference an earlier node"
+
+
+# The facts of each node of a graph, in the order a failure is named; a
+# decoded graph has no p_ids or relevance dicts.
+GRAPH_FACTS = (
+    P_ID,
+    URL_IS_STR,
+    Fact(
+        lambda graph: map(isinstance, graph.pp_ids, repeat((list, tuple))),
+        lambda graph, i: f"graph pp_ids {i} must be a list, got {graph.pp_ids[i]!r:.40}",
+    ),
+    Fact(
+        lambda graph: map(ge, repeat(MAX_PARENTS), _parent_counts(graph)),
+        lambda graph, i: f"node {i} has more than {MAX_PARENTS} parents",
+    ),
+    Fact(lambda graph: _ints(_parents(graph)), _parent_message, _parent_counts),
+    Fact(lambda graph: _not_negative(_parents(graph)), _parent_message, _parent_counts),
+    Fact(_largest_parents_earlier, _parent_message, lambda graph: map(bool, graph.pp_ids)),
+    Fact(relevance_keys_match, lambda graph, i: f"node {i} relevance keys mismatch the ontologies"),
+    VECTOR_LENGTHS,
+)
+
+
+class _Rows(NamedTuple):
+    """One ontology's rows of counts, as decoded, their length, and where."""
+
+    rows: list
+    t: int
+    where: str
+
+
+def _new_rows(rows: _Rows) -> Iterator[bool]:
+    """Whether each row is unlike every earlier row: its own first index."""
+    return map(eq, map({}.setdefault, map(tuple, rows.rows), count()), count())
+
+
+def _row_lengths(rows: _Rows) -> Iterator[int]:
+    return map(len, rows.rows)
+
+
+def _counts_message(rows: _Rows, i: int) -> str:
+    return f"{rows.where} row {i} must be {rows.t} non-negative integer counts"
+
+
+# the least int that a conversion to float rounds past the largest float
+_TOO_LARGE_FOR_FLOAT = 2**1024 - 2**970
+
+# The facts of each row of one ontology's counts, in the order a failure
+# is named: ``t`` (at least 1) non-negative int counts, not bools, unlike
+# every earlier row, the largest small enough to convert to a float.
+ROW_FACTS = (
+    Fact(lambda rows: map(list.__instancecheck__, rows.rows), _counts_message),
+    Fact(lambda rows: map(eq, _row_lengths(rows), repeat(rows.t)), _counts_message),
+    Fact(lambda rows: _ints(chain.from_iterable(rows.rows)), _counts_message, _row_lengths),
+    Fact(lambda rows: _not_negative(chain.from_iterable(rows.rows)), _counts_message, _row_lengths),
+    Fact(_new_rows, lambda rows, i: f"{rows.where} row {i} repeats an earlier row"),
+    Fact(
+        lambda rows: map(lt, map(max, rows.rows), repeat(_TOO_LARGE_FOR_FLOAT)),
+        lambda rows, i: f"{rows.where} row {i} holds a count too large for a float",
+    ),
+)
 
 
 def build_rpag(corpus: Corpus, ontologies: Sequence[Ontology]) -> RPaG:

@@ -320,6 +320,13 @@ class TestFromNodesRejects:
             (_set(0, mean_rel_val=0.0), "mean"),
             (_set(0, mean_rel_val=math.nan), "mean"),
             (_set(0, mean_rel_val=math.inf), "mean"),
+            (_set(1, pp_id="a"), "earlier"),
+            (_set(2, pp_id=1.0), "earlier"),
+            (_set(1, level=1.0), "level"),
+            (_set(1, mean_rel_val="m"), "mean"),
+            (_set(1, mean_rel_val=None), "mean"),
+            (_set(1, url=5), "must be a string"),
+            (_set(1, url=b"u"), "must be a string"),
             (_drop_ontology_key, "per-ontology"),
             (
                 _set(0, relevance={
@@ -346,6 +353,13 @@ class TestFromNodesRejects:
             "mean-zero",
             "mean-nan",
             "mean-inf",
+            "string-parent",
+            "float-parent",
+            "float-level",
+            "string-mean",
+            "none-mean",
+            "int-url",
+            "bytes-url",
             "missing-ontology-key",
             "no-supported-ontology",
             "wrong-vector-length",

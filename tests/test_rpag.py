@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from ibagsearch import IndexBundle, RPaG, ValidationError, build_rpag, synth_corpus
+from ibagsearch import IndexBundle, RPaG, ValidationError, build_ibag, build_rpag, synth_corpus
 from ibagsearch.relevance import relevance_from_counts
 from ibagsearch.rpag import MAX_PARENTS
 from conftest import make_corpus, single_term_ontology
@@ -179,6 +179,18 @@ def _later_second_parent(graph: RPaG) -> None:
     graph.nodes[node.p_id] = dataclasses.replace(node, pp_ids=(node.pp_ids[0], node.p_id + 1))
 
 
+def _later_first_parent(graph: RPaG) -> None:
+    _with(2, pp_ids=(5,))(graph)
+
+
+def _none_parent(graph: RPaG) -> None:
+    _with(2, pp_ids=(None,))(graph)
+
+
+def _int_url(graph: RPaG) -> None:
+    _with(2, url=5)(graph)
+
+
 def _duplicate_url(graph: RPaG) -> None:
     graph.nodes[1] = dataclasses.replace(graph.nodes[1], url=graph.nodes[0].url)
 
@@ -229,3 +241,46 @@ class TestValidate:
         tamper(graph)
         with pytest.raises(ValidationError, match=message):
             graph.validate()
+
+
+class TestEditedThroughNodes:
+    """A graph edited through its nodes is checked whenever its columns are
+    read: by the layout and by a save, which writes nothing."""
+
+    @pytest.fixture
+    def bundle(self, bundled_onts):
+        return IndexBundle.build(synth_corpus(5, 60, bundled_onts), bundled_onts)
+
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            (_later_first_parent, "^node 2 parent 5 must reference an earlier node$"),
+            (_with(2, pp_ids=("a",)), "^node 2 parent 'a' must reference an earlier node$"),
+            (_with(2, pp_ids=(2.0,)), "^node 2 parent 2.0 must reference an earlier node$"),
+            (_none_parent, "^node 2 parent None must reference an earlier node$"),
+            (_int_url, "^graph url 2 must be a string, got 5$"),
+            (_with(5, pp_ids=(0, 1, 2, 3, 4)), "^node 5 has more than 4 parents$"),
+            (_later_second_parent, "must reference an earlier node$"),
+            (_missing_relevance_key, "^node 0 relevance keys mismatch the ontologies$"),
+            (_extra_relevance_key, "^node 0 relevance keys mismatch the ontologies$"),
+        ],
+        ids=[
+            "later-first-parent",
+            "string-parent",
+            "float-parent",
+            "none-parent",
+            "int-url",
+            "five-parents",
+            "later-second-parent",
+            "missing-relevance-key",
+            "extra-relevance-key",
+        ],
+    )
+    def test_bad_node_rejected_by_layout_and_save(self, bundle, tmp_path, tamper, message):
+        tamper(bundle.rpag)
+        with pytest.raises(ValidationError, match=message):
+            build_ibag(bundle.rpag)
+        path = tmp_path / "index.json"
+        with pytest.raises(ValidationError, match=message):
+            bundle.save(path)
+        assert not path.exists()
