@@ -324,8 +324,8 @@ def _vector_lengths(nodes: FactColumns) -> Iterator[bool]:
 
 
 def _new_urls(nodes: FactColumns) -> Iterable[bool]:
-    """Whether each url is unlike every earlier one: its own first index.
-    When a set of the urls is as long as they are, each is."""
+    """Whether each url, a str by now, is unlike every earlier one: its own
+    first index. When a set of the urls is as long as they are, each is."""
     if len(set(nodes.urls)) == len(nodes.urls):
         return ()
     return map(eq, map({}.setdefault, nodes.urls, count()), count())
