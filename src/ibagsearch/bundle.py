@@ -21,8 +21,9 @@ cyclic garbage collector paused (``collector.collector_paused``): they make
 many objects and no reference cycles.
 
 A load parses the file and rebuilds every derived structure through the
-code a build runs, in columns (``rpag.nodes`` and ``ibag.nodes`` are made
-on first read). Each fact is checked once, by one pass over a column per
+code a build runs, in columns, the only state of the graph and the index
+(``rpag.nodes`` and ``ibag.nodes`` are read-only values made from them on
+first read). Each fact is checked once, by one pass over a column per
 fact of a table (``rpag.ROW_FACTS``, ``rpag.GRAPH_FACTS``,
 ``ibag.LAYOUT_FACTS``), read again only to name the first row or page at
 fault when one fails:

@@ -13,7 +13,6 @@ import os
 import sys
 from typing import TYPE_CHECKING, Sequence
 
-from . import bundled
 from .bundle import IndexBundle
 from .collector import collector_paused
 from .corpus import load_corpus
@@ -31,8 +30,8 @@ if TYPE_CHECKING:
     from .evaluation import HarvestReport
 
 # ``evaluation`` is imported by the commands that use it (``bench``,
-# ``eval`` and ``query --mode both``), so ``build`` and ``query`` start
-# without it
+# ``eval`` and ``query --mode both``), and ``bundled`` by ``bench`` and
+# ``eval``, so ``build`` and ``query`` start without them
 
 log = logging.getLogger(__name__)
 
@@ -226,6 +225,7 @@ def _parse_sizes(text: str) -> list[int]:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    from . import bundled
     from .evaluation import run_benchmark
 
     sizes = _parse_sizes(args.sizes)
@@ -241,6 +241,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    from . import bundled
     from .evaluation import BenchReport, aggregate_runs, evaluate_index
 
     bundle = _load_for_process(args.index)

@@ -10,15 +10,16 @@ position of its first supporting page, so a traversal can enter a level
 directly and walk only the pages that belong to the queried domain. No
 query reads the chains, so they are threaded on first read, once, from the
 level table and the support flags: through ``IBAG.level_heads``,
-:meth:`IBAG.iter_chain` or a node's ``ont_link``, a read-only view. A
-build or a load makes no per-node link dict.
+:meth:`IBAG.iter_chain` or :attr:`IBAG.nodes`. A build or a load makes no
+per-node link mapping.
 
-The index holds its pages in columns (:class:`IndexColumns`): urls, first
-parents, levels, means, and the graph's score tables, shared with it, not
-copied. Queries read only these and the supporter columns below, and a
-build or a load makes no :class:`IBAGNode`. :attr:`IBAG.nodes` makes the
-nodes on first read and keeps them; each holds its graph node's
-``relevance`` dict, the same dict, and reads the index's chains.
+The index's columns (:class:`IndexColumns`) are its only state: urls,
+first parents, levels, means, and the graph's score tables, shared with
+it, not copied. Queries read only these and the supporter columns below,
+and a build or a load makes no :class:`IBAGNode`. :attr:`IBAG.nodes` makes
+the nodes on first read and keeps them. A node is a read-only value: it
+holds its graph node's ``relevance`` mapping, the same one, and its
+``ont_link``, its next supporter per ontology, filled from the chains.
 
 Queries do not walk the chains. Per ontology and level, the index also
 keeps two parallel columns over that level's supporters in level order:
@@ -34,18 +35,18 @@ One private layout step, which :meth:`IBAG.from_nodes` and
 index out. :func:`build_ibag` derives the parents, levels and means from
 the graph's checked columns, reading each score row once, and re-checks
 nothing it derived; :meth:`IBAG.from_nodes` first checks what only its
-caller gives (:data:`NODE_FACTS`). :meth:`IBAG.validate` lays copies of
-the nodes out again and compares, chains and columns included.
+caller gives (:data:`NODE_FACTS`), then turns the nodes into columns once.
+:meth:`IBAG.validate` lays the nodes out again and compares, chains and
+columns included.
 """
 from __future__ import annotations
 
 import math
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import compress, count, repeat
-from operator import add, attrgetter, eq, itemgetter, lt, neg, truediv
+from operator import add, attrgetter, eq, itemgetter, lt, methodcaller, neg, truediv
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -57,24 +58,20 @@ if TYPE_CHECKING:
     from .rpag import RPaG
 
 
-@dataclass(slots=True)
-class IBAGNode:
+class IBAGNode(NamedTuple):
+    """One page of an index, a read-only value. ``relevance`` maps each
+    ontology id to the page's score, and ``ont_link`` to the next
+    supporter's p_id in the chain, None at its end; both are read-only in
+    the nodes of :attr:`IBAG.nodes`. :meth:`IBAG.from_nodes` ignores
+    ``ont_link``: the layout threads the chains."""
+
     p_id: int
     url: str
     pp_id: int | None
     mean_rel_val: float
     level: int
-    relevance: dict[int, PageRelevance]
-    # the chains of the index that laid this node out (IBAG.from_nodes)
-    _chains: _Chains | None = field(default=None, init=False, repr=False, compare=False)
-
-    @property
-    def ont_link(self) -> Mapping[int, int | None]:
-        """The next supporter's p_id per ontology id, None at the chain's
-        end: a read-only mapping built on each read from the index's chains."""
-        return MappingProxyType(
-            {ont_id: links[self.p_id] for ont_id, links in self._chains.threaded[1].items()}
-        )
+    relevance: Mapping[int, PageRelevance]
+    ont_link: Mapping[int, int | None] = MappingProxyType({})
 
     @property
     def supported(self) -> dict[int, bool]:
@@ -105,9 +102,7 @@ class _Chains:
     level table and the support flags, not from the supporter columns: per
     level, the position of its first supporter of each ontology, and per
     ontology, each node's next supporter in traversal order (level by
-    level, sorted within level, crossing into the next level).
-
-    It holds no node, so the nodes that refer to it form no cycle."""
+    level, sorted within level, crossing into the next level)."""
 
     def __init__(self, levels: list[list[int]], supports: dict[int, list[bool]]) -> None:
         self.levels = levels
@@ -146,8 +141,9 @@ class IndexColumns(NamedTuple):
 class IBAG:
     """The index in columns (:class:`IndexColumns`), plus the level table,
     per-(ontology, level) supporter columns and the chains: per-level domain
-    head positions and per-node links, threaded on first read. The nodes are
-    made from the columns on first read and kept."""
+    head positions and per-node links, threaded on first read. The columns
+    are the index's only state; the nodes are read-only values made from
+    them on first read and kept."""
 
     def __init__(
         self,
@@ -163,21 +159,21 @@ class IBAG:
         self.columns = columns
         self._chains = chains
         self._by_id = {ont.ontology_id: ont for ont in ontologies}
-        self._nodes: list[IBAGNode] | None = None
 
-    @property
-    def nodes(self) -> list[IBAGNode]:
+    @cached_property
+    def nodes(self) -> tuple[IBAGNode, ...]:
         """One node per page, by p_id, each holding its graph node's
-        ``relevance`` dict and reading this index's chains."""
-        if self._nodes is None:
-            urls, pp_ids, levels, means, scores = self.node_columns
-            nodes = list(
-                map(IBAGNode, range(len(urls)), urls, pp_ids, means, levels, scores.dicts())
+        ``relevance`` mapping and its links in this index's chains, which
+        this threads."""
+        urls, pp_ids, levels, means, scores = self.node_columns
+        links = self._chains.threaded[1]
+        ont_links = map(zip, repeat(list(links)), zip(*links.values()))
+        return tuple(
+            map(
+                IBAGNode, count(), urls, pp_ids, means, levels, scores.relevances,
+                map(MappingProxyType, map(dict, ont_links)),
             )
-            for node in nodes:
-                node._chains = self._chains
-            self._nodes = nodes
-        return self._nodes
+        )
 
     @property
     def level_heads(self) -> Heads:
@@ -216,8 +212,8 @@ class IBAG:
     def from_nodes(cls, nodes: Sequence[IBAGNode], ontologies: Sequence[Ontology]) -> "IBAG":
         """Check :data:`NODE_FACTS`, then lay out, through the step
         :func:`build_ibag` ends in, the nodes before any that fails one, so
-        the error names the first bad node. Each node's score is its own
-        row; the index keeps ``nodes``, attached to its chains."""
+        the error names the first bad node. Nodes that share a score share
+        its row; the index makes its own nodes from its columns."""
         nodes = list(nodes)
         ontologies = tuple(ontologies)
         names = ("url", "pp_id", "p_id", "level", "mean_rel_val", "relevance")
@@ -225,14 +221,11 @@ class IBAG:
         failure = first_failure(NODE_FACTS, view)
         end = len(nodes) if failure is None else failure[0]  # each node fact holds before
         urls, pp_ids, _, levels, means, relevances = (column[:end] for column in view[:6])
-        scores = GraphScores.of_dicts(relevances, [ont.ontology_id for ont in ontologies])
+        scores = GraphScores.shared(relevances, [ont.ontology_id for ont in ontologies])
         columns = IndexColumns(urls, pp_ids, levels, means, scores)
         ibag = cls._lay_out(columns, ontologies, _support_flags(ontologies, scores))
         if failure is not None:
             raise ValidationError(failure[1])
-        for node in nodes:
-            node._chains = ibag._chains
-        ibag._nodes = nodes
         return ibag
 
     @classmethod
@@ -268,13 +261,12 @@ class IBAG:
         return cls(ontologies, node_columns, levels, columns_by_ontology, chains)
 
     def validate(self) -> None:
-        """Lay copies of the nodes out again and compare: raise
-        ValidationError when the level table, the level heads, the chain
-        links, the supporter columns or the index's columns differ from
-        what :meth:`from_nodes` derives. The index itself is left
-        unchanged, though its nodes are made and its chains threaded if
-        nothing has read them yet."""
-        fresh = type(self).from_nodes([replace(node) for node in self.nodes], self.ontologies)
+        """Lay the nodes out again and compare: raise ValidationError when
+        the level table, the level heads, the chain links, the supporter
+        columns or the index's columns differ from what :meth:`from_nodes`
+        derives. The index itself is left unchanged, though its nodes are
+        made and its chains threaded if nothing has read them yet."""
+        fresh = type(self).from_nodes(self.nodes, self.ontologies)
         if self.levels != fresh.levels:
             raise ValidationError("level table differs from the sorted levels the nodes give")
         heads, links = self._chains.threaded
@@ -307,10 +299,20 @@ class FactColumns(NamedTuple):
     ontologies: tuple[Ontology, ...] = ()
 
 
+def _relevance_kinds(nodes: FactColumns) -> Iterator[bool]:
+    """Whether each node's ``relevance`` is a dict, or the read-only
+    mapping a node carries, of scores."""
+    return (
+        isinstance(rel, (dict, MappingProxyType))
+        and all(map(isinstance, rel.values(), repeat(PageRelevance)))
+        for rel in nodes.relevances
+    )
+
+
 def relevance_keys_match(nodes: FactColumns) -> Iterator[bool]:
     """Whether each node's ``relevance`` has one key per ontology id."""
     ids = {ont.ontology_id for ont in nodes.ontologies}
-    return map(eq, map(dict.keys, nodes.relevances), repeat(ids))
+    return map(eq, map(methodcaller("keys"), nodes.relevances), repeat(ids))
 
 
 def _vector_lengths(nodes: FactColumns) -> Iterator[bool]:
@@ -348,6 +350,11 @@ URL_IS_STR = Fact(
     lambda nodes: map(str.__instancecheck__, nodes.urls),
     lambda nodes, i: f"graph url {i} must be a string, got {nodes.urls[i]!r:.40}",
 )
+RELEVANCE_KIND = Fact(
+    _relevance_kinds,
+    lambda nodes, i: f"node {i} relevance must map ontology ids to scores, "
+    f"got {nodes.relevances[i]!r:.40}",
+)
 VECTOR_LENGTHS = Fact(
     _vector_lengths, lambda nodes, i: f"node {i} term vector length mismatches its ontology"
 )
@@ -371,6 +378,7 @@ NODE_FACTS = (
         ),
         lambda nodes, i: f"node {i} level {nodes.levels[i]} does not follow its parent",
     ),
+    RELEVANCE_KIND,
     Fact(
         relevance_keys_match,
         lambda nodes, i: f"node {i} per-ontology fields mismatch the ontologies",

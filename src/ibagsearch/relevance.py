@@ -24,15 +24,18 @@ per stored row of counts; the pages with those counts share the result.
 A graph and its index hold those shared scores in columns, as the index
 file stores their counts: per ontology a :class:`ScoreTable` of each
 distinct score once (``rows``) and each page's row index (``of_node``), in
-order of first use by p_id. :class:`GraphScores` holds one graph's tables
-and makes each page's per-ontology dict, the ``relevance`` of a node, only
-when something reads the nodes.
+order of first use by p_id. These tables are the only home of the scores.
+:class:`GraphScores` holds one graph's tables and makes each page's
+``relevance``, the read-only per-ontology mapping a node carries, only when
+something reads the nodes.
 """
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import count, repeat
 from operator import itemgetter, mul
-from typing import NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Sequence
 
 from .ontology import Ontology, OntologyTerm, count_occurrences
 
@@ -113,36 +116,29 @@ class ScoreTable(NamedTuple):
 
 class GraphScores:
     """The score tables of one graph's pages, by ontology id, and each
-    page's ``relevance`` dict (ontology id to score), made on first read
-    and then kept: the graph's nodes and its index's nodes hold the same
-    dict."""
+    page's ``relevance``, a read-only mapping of ontology id to score, made
+    on first read and then kept: the graph's nodes and its index's nodes
+    hold the same mapping."""
 
-    def __init__(
-        self,
-        tables: dict[int, ScoreTable],
-        node_count: int,
-        dicts: list[dict[int, PageRelevance]] | None = None,
-    ) -> None:
+    def __init__(self, tables: dict[int, ScoreTable], node_count: int) -> None:
         self.tables = tables
         self.node_count = node_count
-        self._dicts = dicts
 
     @classmethod
-    def of_dicts(cls, dicts: list[dict[int, PageRelevance]], ids: Sequence[int]) -> "GraphScores":
-        """The tables of the pages' ``relevance`` dicts, by p_id, each
-        page's score its own row; the pages keep these dicts, whose keys
-        the caller has checked."""
-        own_rows = list(range(len(dicts)))
+    def shared(
+        cls, relevances: Sequence[Mapping[int, PageRelevance]], ids: Sequence[int]
+    ) -> "GraphScores":
+        """The tables of the pages' ``relevance`` mappings, by p_id, whose
+        keys the caller has checked: pages that share a score share its row."""
         tables = {
-            ont_id: ScoreTable(list(map(itemgetter(ont_id), dicts)), own_rows) for ont_id in ids
+            ont_id: ScoreTable.shared(list(map(itemgetter(ont_id), relevances))) for ont_id in ids
         }
-        return cls(tables, len(dicts), dicts)
+        return cls(tables, len(relevances))
 
-    def dicts(self) -> list[dict[int, PageRelevance]]:
-        """Each page's ``relevance`` dict, by p_id, the same list on every call."""
-        if self._dicts is None:
-            ids = list(self.tables)
-            columns = [table.per_node() for table in self.tables.values()]
-            rels = zip(*columns) if columns else repeat((), self.node_count)
-            self._dicts = list(map(dict, map(zip, repeat(ids), rels)))
-        return self._dicts
+    @cached_property
+    def relevances(self) -> list[Mapping[int, PageRelevance]]:
+        """Each page's ``relevance`` mapping, by p_id."""
+        ids = list(self.tables)
+        columns = [table.per_node() for table in self.tables.values()]
+        rels = zip(*columns) if columns else repeat((), self.node_count)
+        return list(map(MappingProxyType, map(dict, map(zip, repeat(ids), rels))))

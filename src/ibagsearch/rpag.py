@@ -14,38 +14,38 @@ count vector of an ontology once, keyed by the counts: every page with
 those counts shares the one immutable ``PageRelevance``, and its term
 vector tuple with it. The memo is local to the call.
 
-A graph holds its pages in columns (:class:`GraphColumns`), as the index
-file stores them: the urls, the parent lists, and per ontology a
+A graph's only state is its pages in columns (:class:`GraphColumns`), as
+the index file stores them: the urls, the parent lists, and per ontology a
 ``ScoreTable`` of each distinct score once (``rows``, in order of first
 use by p_id) with each page's row index (``of_node``). A crawl and a load
-make only these columns; :attr:`RPaG.nodes` makes the :class:`RPaGNode`
-objects on first read. From then on the graph holds the nodes and derives
-its columns from them, each node's score its own row, so an edit to a
-node is what is validated, laid out and saved; ``RPaG(nodes=...)`` starts
-there. Either way one layout path, ``build_ibag``, reads the columns.
+make only these columns. ``RPaG(nodes=...)`` checks its nodes
+(:data:`GRAPH_FACTS`) and turns them into columns once, a score that
+several nodes share one row. :attr:`RPaG.nodes` makes the
+:class:`RPaGNode` values on first read and keeps them; they are read-only,
+so an edit makes new nodes and a new graph from them. One layout path,
+``build_ibag``, reads the columns.
 
 Loading a saved graph (:meth:`RPaG.from_json_obj`) checks each
 ontology's rows of counts (:data:`ROW_FACTS`), scores each row once
 through ``relevance_from_counts``, checks that the row indexes use every
 row, first in row order, so an accepted graph saves back to the same
-bytes, then checks the pages' urls and parents (:data:`GRAPH_FACTS`), as
-a graph of nodes does whenever its columns are read. Each fact is written
-once, as lazy flags and a message (``errors.Fact``); the index's own facts
-are checked by the layout ``build_ibag`` ends in.
+bytes, then checks the pages' urls and parents (:data:`GRAPH_FACTS`).
+Each fact is written once, as lazy flags and a message (``errors.Fact``);
+the index's own facts are checked by the layout ``build_ibag`` ends in.
 """
 from __future__ import annotations
 
 import logging
 from collections import deque
-from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, compress, count, repeat
 from operator import eq, ge, is_, le, lt
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .corpus import Corpus
 from .errors import Fact, ValidationError, check_facts, json_field
-from .ibag import IBAG, P_ID, URL_IS_STR, VECTOR_LENGTHS, FactColumns, build_ibag
-from .ibag import relevance_keys_match
+from .ibag import IBAG, P_ID, RELEVANCE_KIND, URL_IS_STR, VECTOR_LENGTHS, FactColumns
+from .ibag import build_ibag, relevance_keys_match
 from .ontology import Ontology, PhraseTable, normalize_text
 from .relevance import (
     GraphScores,
@@ -60,19 +60,19 @@ log = logging.getLogger(__name__)
 MAX_PARENTS = 4
 
 
-@dataclass(slots=True)
-class RPaGNode:
-    """One relevant page: identity, up to four parents, per-ontology scores."""
+class RPaGNode(NamedTuple):
+    """One relevant page, a read-only value: identity, up to four parents,
+    per-ontology scores (read-only in the nodes of :attr:`RPaG.nodes`)."""
 
     p_id: int
     url: str
     pp_ids: tuple[int, ...]
-    relevance: dict[int, PageRelevance]
+    relevance: Mapping[int, PageRelevance]
 
 
 class GraphColumns(NamedTuple):
     """A graph's node facts, one column each, by p_id: the urls, the parent
-    lists (tuples for a graph of nodes) and the score tables."""
+    lists (as given, for a graph of nodes) and the score tables."""
 
     urls: list[str]
     pp_ids: list[Sequence[int]]
@@ -81,58 +81,45 @@ class GraphColumns(NamedTuple):
 
 class RPaG:
     """The graph's pages, dense in p_id in discovery order, plus the
-    ontologies. A crawl or a load makes the columns; the nodes are made
-    from them on first read. A graph whose nodes have been read, or that
-    was made from nodes, holds the nodes from then on, and its columns are
-    derived from them on each read, so an edit to a node is what is
-    validated, laid out and saved."""
+    ontologies. Its columns are its only state: a crawl or a load makes
+    them, and a graph of nodes is turned into them once, after its nodes
+    are checked. The nodes are read-only values made from the columns on
+    first read and kept."""
 
     def __init__(
         self,
-        nodes: list[RPaGNode] | None = None,
+        nodes: Sequence[RPaGNode] | None = None,
         ontologies: Sequence[Ontology] = (),
         columns: GraphColumns | None = None,
     ) -> None:
         self.ontologies = tuple(ontologies)
-        self._columns = columns
-        self._nodes = ([] if nodes is None else nodes) if columns is None else None
-
-    @property
-    def nodes(self) -> list[RPaGNode]:
-        """One node per page, by p_id, made from the columns on first read."""
-        if self._nodes is None:
-            urls, pp_ids, scores = self._columns
-            self._nodes = list(
-                map(RPaGNode, range(len(urls)), urls, map(tuple, pp_ids), scores.dicts())
+        if columns is None:
+            nodes = list(nodes or ())
+            graph = FactColumns(
+                *([getattr(node, name) for node in nodes] for name in ("url", "pp_ids", "p_id")),
+                relevances=[node.relevance for node in nodes],
+                ontologies=self.ontologies,
             )
-            self._columns = None
-        return self._nodes
+            check_facts(GRAPH_FACTS, graph)
+            ids = [ont.ontology_id for ont in self.ontologies]
+            scores = GraphScores.shared(graph.relevances, ids)
+            columns = GraphColumns(graph.urls, graph.pp_ids, scores)
+        self.columns = columns
 
-    @property
-    def columns(self) -> GraphColumns:
-        """The graph in columns; once the nodes exist, derived from them
-        after checking :data:`GRAPH_FACTS`, each node's score its own row."""
-        if self._nodes is None:
-            return self._columns
-        nodes = self._nodes
-        graph = FactColumns(
-            *([getattr(node, name) for node in nodes] for name in ("url", "pp_ids", "p_id")),
-            relevances=[node.relevance for node in nodes],
-            ontologies=self.ontologies,
-        )
-        check_facts(GRAPH_FACTS, graph)
-        ids = [ont.ontology_id for ont in self.ontologies]
-        return GraphColumns(graph.urls, graph.pp_ids, GraphScores.of_dicts(graph.relevances, ids))
+    @cached_property
+    def nodes(self) -> tuple[RPaGNode, ...]:
+        """One node per page, by p_id, made from the columns on first read."""
+        urls, pp_ids, scores = self.columns
+        return tuple(map(RPaGNode, count(), urls, map(tuple, pp_ids), scores.relevances))
 
     def __len__(self) -> int:
-        return len(self._columns.urls) if self._nodes is None else len(self._nodes)
+        return len(self.columns.urls)
 
     def validate(self) -> IBAG:
-        """Check :data:`GRAPH_FACTS` (a graph of nodes does as its columns
-        are read) and return the index :func:`build_ibag` lays out, which
-        checks the index's facts. Build and load do not call this."""
-        if self._nodes is None:
-            check_facts(GRAPH_FACTS, FactColumns(self._columns.urls, self._columns.pp_ids))
+        """Check the urls and parents (:data:`GRAPH_FACTS`) and return the
+        index :func:`build_ibag` lays out, which checks the index's facts.
+        Build and load do not call this."""
+        check_facts(GRAPH_FACTS, FactColumns(*self.columns[:2]))
         return build_ibag(self)
 
     def to_json_obj(self) -> dict:
@@ -235,7 +222,7 @@ def _parent_message(graph: FactColumns, p_id: int) -> str:
 
 
 # The facts of each node of a graph, in the order a failure is named; a
-# decoded graph has no p_ids or relevance dicts.
+# decoded graph has no p_ids or relevance mappings.
 GRAPH_FACTS = (
     P_ID,
     URL_IS_STR,
@@ -250,6 +237,7 @@ GRAPH_FACTS = (
     Fact(lambda graph: _ints(_parents(graph)), _parent_message, _parent_counts),
     Fact(lambda graph: _not_negative(_parents(graph)), _parent_message, _parent_counts),
     Fact(_largest_parents_earlier, _parent_message, lambda graph: map(bool, graph.pp_ids)),
+    RELEVANCE_KIND,
     Fact(relevance_keys_match, lambda graph, i: f"node {i} relevance keys mismatch the ontologies"),
     VECTOR_LENGTHS,
 )

@@ -17,6 +17,7 @@ from ibagsearch import (
     IBAGNode,
     IndexBundle,
     Query,
+    RPaG,
     RPaGNode,
     build_ibag,
     gen_ibag_bit_patterns,
@@ -688,16 +689,21 @@ class TestBundleValidate:
 
     def test_graph_only_fact_rejected(self, fresh):
         """The index ignores a relevance entry for an unknown ontology."""
-        fresh.rpag.nodes[0].relevance[99] = fresh.rpag.nodes[0].relevance[1]
+        nodes = list(fresh.rpag.nodes)
+        relevance = nodes[0].relevance
+        nodes[0] = nodes[0]._replace(relevance={**relevance, 99: relevance[1]})
         with pytest.raises(ValidationError, match="relevance keys"):
-            fresh.validate()
+            rpag = RPaG(nodes=nodes, ontologies=fresh.ontologies)
+            dataclasses.replace(fresh, rpag=rpag).validate()
 
     def test_mean_edited_in_place_rejected(self, fresh):
         """The edit keeps every level's order, so only a re-derivation from
         the graph can tell."""
-        fresh.ibag.nodes[0].mean_rel_val *= 1.0 + 1e-9
+        nodes = list(fresh.ibag.nodes)
+        nodes[0] = nodes[0]._replace(mean_rel_val=nodes[0].mean_rel_val * (1.0 + 1e-9))
+        ibag = IBAG.from_nodes(nodes, fresh.ontologies)
         with pytest.raises(ValidationError, match="index nodes"):
-            fresh.validate()
+            dataclasses.replace(fresh, ibag=ibag).validate()
 
 
 class Layout(NamedTuple):
@@ -872,9 +878,14 @@ class TestLoadMatchesBuild:
         """A score made by hand may be unsupported and still hold a value
         other than 0.0; like every unsupported value, the mean leaves it
         out, and the layout accepts the graph."""
-        rpag = rpag_from_values([{1: 0.5, 2: 0.25}, {2: 0.75}], INT_WEIGHT_ONTS)
-        for node in rpag.nodes:
-            node.relevance[3] = node.relevance[3]._replace(relevance_value=value)
+        made = rpag_from_values([{1: 0.5, 2: 0.25}, {2: 0.75}], INT_WEIGHT_ONTS)
+        nodes = [
+            node._replace(
+                relevance={**node.relevance, 3: node.relevance[3]._replace(relevance_value=value)}
+            )
+            for node in made.nodes
+        ]
+        rpag = RPaG(nodes=nodes, ontologies=made.ontologies)
         ibag = build_ibag(rpag)
         bundle = IndexBundle(rpag.ontologies, rpag, ibag, gen_ibag_bit_patterns(ibag, rpag.ontologies))
         assert layout_of(bundle) == reference_layout(bundle)
@@ -964,10 +975,8 @@ class TestColumnLayout:
         built = IndexBundle.build(synth_corpus(seed, docs, bundled_onts), bundled_onts)
         built.save(tmp_path / "index.json")
         loaded = IndexBundle.load(tmp_path / "index.json")
-        # laid out by the node path, from copies of the built nodes
-        reference = IBAG.from_nodes(
-            [dataclasses.replace(node) for node in built.ibag.nodes], bundled_onts
-        )
+        # laid out by the node path, from the built nodes
+        reference = IBAG.from_nodes(built.ibag.nodes, bundled_onts)
         ref_nodes = reference.nodes
         for bundle in (built, loaded):
             ibag = bundle.ibag
@@ -1002,6 +1011,52 @@ class TestColumnLayout:
         assert int(fields["nodes"]) == len(loaded.ibag) == len(bundle.rpag)
         tables = loaded.ibag.node_columns.scores.tables
         assert fields["rows"] == ",".join(f"{k}:{len(t.rows)}" for k, t in tables.items())
+
+
+def row_counts(rpag: RPaG) -> dict[int, int]:
+    """Each ontology's count of distinct score rows in a graph's columns."""
+    return {ont_id: len(table.rows) for ont_id, table in rpag.columns.scores.tables.items()}
+
+
+class TestReadingNodes:
+    """The columns are the only state of a graph and of an index: reading
+    the nodes makes read-only values from them and changes nothing else."""
+
+    @pytest.mark.parametrize("seed, docs", DIFFERENTIAL_CORPORA)
+    def test_reading_nodes_changes_nothing(self, bundled_onts, tmp_path, seed, docs):
+        built = IndexBundle.build(synth_corpus(seed, docs, bundled_onts), bundled_onts)
+        path = tmp_path / "index.json"
+        built.save(path)
+        for bundle in (built, IndexBundle.load(path)):
+            rpag = bundle.rpag
+            columns, rows, saved = rpag.columns, row_counts(rpag), bundle.canonical_bytes()
+            assert sum(rows.values()) < len(rpag) * len(rows)  # some nodes share a row
+            nodes, inodes = rpag.nodes, bundle.ibag.nodes
+            assert rpag.columns is columns
+            assert row_counts(rpag) == rows
+            assert bundle.canonical_bytes() == saved
+
+            remade = RPaG(nodes=nodes, ontologies=rpag.ontologies)
+            assert row_counts(remade) == rows
+            assert remade.nodes == nodes
+            ibag = build_ibag(remade)
+            patterns = gen_ibag_bit_patterns(ibag, remade.ontologies)
+            again = IndexBundle(remade.ontologies, remade, ibag, patterns)
+            assert again.canonical_bytes() == saved
+            assert ibag.nodes == inodes
+
+            with pytest.raises(AttributeError):
+                nodes[0].url = "elsewhere"
+            with pytest.raises(AttributeError):
+                inodes[0].mean_rel_val = 1.0
+            with pytest.raises(TypeError):
+                nodes[0] = nodes[1]
+            with pytest.raises(TypeError):
+                nodes[0].relevance[1] = nodes[1].relevance[1]
+            with pytest.raises(TypeError):
+                inodes[0].ont_link[1] = None
+            # an index node holds its graph node's mapping
+            assert inodes[0].relevance is nodes[0].relevance
 
 
 class TestSharedScores:

@@ -374,9 +374,12 @@ class TestParser:
 
 
 class TestColdStart:
-    def test_cli_import_leaves_evaluation_unloaded(self):
-        """``build`` and ``query`` never run the evaluation harness, so
-        importing the command line module does not import it."""
+    @staticmethod
+    def modules_after_cli_import() -> str:
+        """The package's modules that ``import ibagsearch.cli`` loads, in a
+        fresh interpreter run without ``site``, which may import modules of
+        its own (``importlib.resources``, say) through installed ``.pth``
+        files."""
         import os
         import subprocess
         import sys
@@ -391,15 +394,24 @@ class TestColdStart:
             "print(sorted(m for m in sys.modules if m.startswith('ibagsearch')))"
         )
         result = subprocess.run(
-            [sys.executable, "-c", probe],
+            [sys.executable, "-S", "-c", probe],
             capture_output=True,
             text=True,
             env={**os.environ, "PYTHONPATH": path},
         )
         assert result.returncode == 0, result.stderr
-        loaded = result.stdout
-        assert "'ibagsearch.cli'" in loaded
-        assert "'ibagsearch.evaluation'" not in loaded
+        assert "'ibagsearch.cli'" in result.stdout
+        return result.stdout
+
+    def test_cli_import_leaves_evaluation_unloaded(self):
+        """``build`` and ``query`` never run the evaluation harness, so
+        importing the command line module does not import it."""
+        assert "'ibagsearch.evaluation'" not in self.modules_after_cli_import()
+
+    def test_cli_import_leaves_bundled_unloaded(self):
+        """Only ``bench`` and ``eval`` read the bundled data, whose module
+        imports ``importlib.resources``."""
+        assert "'ibagsearch.bundled'" not in self.modules_after_cli_import()
 
     def test_package_names_resolve_on_first_access(self):
         import ibagsearch

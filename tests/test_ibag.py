@@ -244,23 +244,30 @@ class TestIbagInvariants:
 
     def test_load_rejects_node_edited_away_from_columns(self, bundled_onts):
         """Queries read the index's columns, so an edit to a node that the
-        columns do not show is an index that answers otherwise."""
+        columns do not show would be an index that answers otherwise. A node
+        is a read-only value made from the columns: the edit raises."""
         corpus = synth_corpus(8, 70, bundled_onts)
         ibag = build_ibag(build_rpag(corpus, bundled_onts))
-        ibag.nodes[0].url = "elsewhere"
-        with pytest.raises(ValidationError, match="index columns"):
-            ibag.validate()
+        with pytest.raises(AttributeError):
+            ibag.nodes[0].url = "elsewhere"
+        with pytest.raises(TypeError):
+            ibag.nodes[0] = ibag.nodes[0]._replace(url="elsewhere")
+        with pytest.raises(TypeError):
+            ibag.nodes[0].relevance[1] = ibag.nodes[1].relevance[1]
+        assert ibag.nodes[0].url == ibag.node_columns.url[0]
+        ibag.validate()
 
     def test_validate_leaves_index_unchanged(self, bundled_onts):
         corpus = synth_corpus(8, 70, bundled_onts)
         ibag = build_ibag(build_rpag(corpus, bundled_onts))
         heads = ibag.level_heads
-        snapshot = [dict(node.ont_link) for node in ibag.nodes]
+        nodes = ibag.nodes
+        snapshot = [dict(node.ont_link) for node in nodes]
         ibag.validate()
         assert [dict(node.ont_link) for node in ibag.nodes] == snapshot
-        # validate lays out copies: the nodes keep reading this index's chains
+        # validate lays the nodes out into a new index: this one keeps its own
         assert ibag.level_heads is heads
-        assert all(node._chains is ibag._chains for node in ibag.nodes)
+        assert ibag.nodes is nodes
 
     def test_empty_graph_builds_empty_index(self):
         corpus = make_corpus([("a", [], "noise")])
@@ -293,14 +300,13 @@ def chain_nodes() -> list[IBAGNode]:
 
 def _set(p_id: int, **changes):
     def tamper(nodes: list[IBAGNode]) -> None:
-        for name, value in changes.items():
-            setattr(nodes[p_id], name, value)
+        nodes[p_id] = nodes[p_id]._replace(**changes)
 
     return tamper
 
 
 def _drop_ontology_key(nodes: list[IBAGNode]) -> None:
-    del nodes[1].relevance[2]
+    _set(1, relevance={1: nodes[1].relevance[1]})(nodes)
 
 
 class TestFromNodesRejects:
@@ -328,6 +334,11 @@ class TestFromNodesRejects:
             (_set(1, url=5), "must be a string"),
             (_set(1, url=b"u"), "must be a string"),
             (_drop_ontology_key, "per-ontology"),
+            (_set(1, relevance=None), "^node 1 relevance must map ontology ids to scores"),
+            (
+                _set(1, relevance={1: None, 2: None}),
+                "^node 1 relevance must map ontology ids to scores",
+            ),
             (
                 _set(0, relevance={
                     1: PageRelevance(1, 0.0, False, (1.0,), (1,)),
@@ -361,6 +372,8 @@ class TestFromNodesRejects:
             "int-url",
             "bytes-url",
             "missing-ontology-key",
+            "none-relevance",
+            "relevance-of-nones",
             "no-supported-ontology",
             "wrong-vector-length",
         ],

@@ -5,7 +5,15 @@ import json
 
 import pytest
 
-from ibagsearch import IndexBundle, RPaG, ValidationError, build_ibag, build_rpag, synth_corpus
+from ibagsearch import (
+    IndexBundle,
+    RPaG,
+    RPaGNode,
+    ValidationError,
+    build_ibag,
+    build_rpag,
+    synth_corpus,
+)
 from ibagsearch.relevance import relevance_from_counts
 from ibagsearch.rpag import MAX_PARENTS
 from conftest import make_corpus, single_term_ontology
@@ -166,48 +174,61 @@ class TestRpagInvariants:
 
 
 def _with(p_id: int, **changes):
-    """Replace fields of node ``p_id`` in a graph."""
+    """A graph's nodes, node ``p_id`` with its fields replaced."""
 
-    def tamper(graph: RPaG) -> None:
-        graph.nodes[p_id] = dataclasses.replace(graph.nodes[p_id], **changes)
+    def tamper(graph: RPaG) -> list[RPaGNode]:
+        nodes = list(graph.nodes)
+        nodes[p_id] = nodes[p_id]._replace(**changes)
+        return nodes
 
     return tamper
 
 
-def _later_second_parent(graph: RPaG) -> None:
+def _later_second_parent(graph: RPaG) -> list[RPaGNode]:
     node = next(node for node in graph.nodes if node.pp_ids)
-    graph.nodes[node.p_id] = dataclasses.replace(node, pp_ids=(node.pp_ids[0], node.p_id + 1))
+    return _with(node.p_id, pp_ids=(node.pp_ids[0], node.p_id + 1))(graph)
 
 
-def _later_first_parent(graph: RPaG) -> None:
-    _with(2, pp_ids=(5,))(graph)
+def _later_first_parent(graph: RPaG) -> list[RPaGNode]:
+    return _with(2, pp_ids=(5,))(graph)
 
 
-def _none_parent(graph: RPaG) -> None:
-    _with(2, pp_ids=(None,))(graph)
+def _none_parent(graph: RPaG) -> list[RPaGNode]:
+    return _with(2, pp_ids=(None,))(graph)
 
 
-def _int_url(graph: RPaG) -> None:
-    _with(2, url=5)(graph)
+def _int_url(graph: RPaG) -> list[RPaGNode]:
+    return _with(2, url=5)(graph)
 
 
-def _duplicate_url(graph: RPaG) -> None:
-    graph.nodes[1] = dataclasses.replace(graph.nodes[1], url=graph.nodes[0].url)
+def _duplicate_url(graph: RPaG) -> list[RPaGNode]:
+    return _with(1, url=graph.nodes[0].url)(graph)
 
 
-def _missing_relevance_key(graph: RPaG) -> None:
-    del graph.nodes[0].relevance[2]
+def _missing_relevance_key(graph: RPaG) -> list[RPaGNode]:
+    relevance = dict(graph.nodes[0].relevance)
+    del relevance[2]
+    return _with(0, relevance=relevance)(graph)
 
 
-def _extra_relevance_key(graph: RPaG) -> None:
-    graph.nodes[0].relevance[99] = graph.nodes[0].relevance[1]
+def _extra_relevance_key(graph: RPaG) -> list[RPaGNode]:
+    relevance = graph.nodes[0].relevance
+    return _with(0, relevance={**relevance, 99: relevance[1]})(graph)
 
 
-def _supports_nothing(graph: RPaG) -> None:
-    node = graph.nodes[0]
-    node.relevance.update(
-        (ont.ontology_id, relevance_from_counts(ont, [0] * ont.t)) for ont in graph.ontologies
-    )
+def _supports_nothing(graph: RPaG) -> list[RPaGNode]:
+    relevance = {
+        ont.ontology_id: relevance_from_counts(ont, [0] * ont.t) for ont in graph.ontologies
+    }
+    return _with(0, relevance=relevance)(graph)
+
+
+def _none_relevance(graph: RPaG) -> list[RPaGNode]:
+    return _with(1, relevance=None)(graph)
+
+
+def _relevance_of_nones(graph: RPaG) -> list[RPaGNode]:
+    return _with(1, relevance={1: None, 2: None})(graph)
 
 
 class TestValidate:
@@ -238,14 +259,15 @@ class TestValidate:
         ],
     )
     def test_bad_node_rejected(self, graph, tamper, message):
-        tamper(graph)
+        nodes = tamper(graph)
         with pytest.raises(ValidationError, match=message):
-            graph.validate()
+            RPaG(nodes=nodes, ontologies=graph.ontologies).validate()
 
 
 class TestEditedThroughNodes:
-    """A graph edited through its nodes is checked whenever its columns are
-    read: by the layout and by a save, which writes nothing."""
+    """A node is a read-only value, so an edit makes new nodes, and a graph
+    made from them is checked as it is made: neither a layout nor a save
+    of it gets that far, and a save writes nothing."""
 
     @pytest.fixture
     def bundle(self, bundled_onts):
@@ -263,6 +285,11 @@ class TestEditedThroughNodes:
             (_later_second_parent, "must reference an earlier node$"),
             (_missing_relevance_key, "^node 0 relevance keys mismatch the ontologies$"),
             (_extra_relevance_key, "^node 0 relevance keys mismatch the ontologies$"),
+            (_none_relevance, "^node 1 relevance must map ontology ids to scores, got None$"),
+            (
+                _relevance_of_nones,
+                "^node 1 relevance must map ontology ids to scores, got {1: None, 2: None}$",
+            ),
         ],
         ids=[
             "later-first-parent",
@@ -274,13 +301,16 @@ class TestEditedThroughNodes:
             "later-second-parent",
             "missing-relevance-key",
             "extra-relevance-key",
+            "none-relevance",
+            "relevance-of-nones",
         ],
     )
     def test_bad_node_rejected_by_layout_and_save(self, bundle, tmp_path, tamper, message):
-        tamper(bundle.rpag)
+        nodes = tamper(bundle.rpag)
         with pytest.raises(ValidationError, match=message):
-            build_ibag(bundle.rpag)
+            build_ibag(RPaG(nodes=nodes, ontologies=bundle.ontologies))
         path = tmp_path / "index.json"
         with pytest.raises(ValidationError, match=message):
-            bundle.save(path)
+            graph = RPaG(nodes=nodes, ontologies=bundle.ontologies)
+            dataclasses.replace(bundle, rpag=graph).save(path)
         assert not path.exists()
