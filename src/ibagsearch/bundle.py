@@ -10,11 +10,13 @@ loaded bundle reproduces the file byte for byte.
 A top-level ``digest`` holds the SHA-256 of the canonical bytes of the
 file without that member; with sorted keys it comes first. A save dumps
 each section once, one section at a time, hashes the pieces and joins the
-digest member in front of them (``canonical_bytes``). A load hashes the
-raw bytes after it and never re-serializes; ``from_json_obj`` has no raw
-bytes, so it re-serializes what it decoded. The digest guards against
-corruption and hand edits. It is not authentication: anyone who can write
-the file can write a matching digest.
+digest member in front of them (``canonical_bytes``). It dumps the graph
+from its own columns, not copies, and each long column a slice at a time
+(``_dump``), so it holds little more than the bytes it makes. A load
+hashes the raw bytes after it and never re-serializes; ``from_json_obj``
+has no raw bytes, so it re-serializes what it decoded. The digest guards
+against corruption and hand edits. It is not authentication: anyone who
+can write the file can write a matching digest.
 
 A build, the serialization inside a save and a load each run with the
 cyclic garbage collector paused (``collector.collector_paused``): they make
@@ -64,7 +66,7 @@ from typing import Callable, Sequence
 from .bitmask import PatternStore, gen_ibag_bit_patterns
 from .collector import collector_paused
 from .corpus import Corpus
-from .errors import ValidationError, json_field
+from .errors import ValidationError, json_copy, json_field
 from .ibag import IBAG, build_ibag
 from .ontology import Ontology
 from .rpag import RPaG, build_rpag
@@ -77,9 +79,36 @@ _DIGEST_OPEN = b'{"digest":"'
 _BODY_START = len(_DIGEST_OPEN) + 64 + len(b'",')
 
 
-def _dump(obj: object) -> bytes:
+# a save dumps an array longer than this one slice at a time (``_dump``)
+_SLICE = 2048
+
+
+def _text(obj: object) -> bytes:
     """``obj`` in canonical JSON: sorted keys, fixed separators."""
     return json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":")).encode()
+
+
+def _dump(obj: object, pieces: list[bytes]) -> None:
+    """Append the bytes of ``obj`` in canonical JSON to ``pieces``, whose
+    keys are strings. An object is dumped a member at a time and an array
+    longer than ``_SLICE`` a slice at a time: the encoder holds a string per
+    item until it joins them, so it never holds one per item of a column.
+    The bytes equal those of one :func:`_text` of ``obj``."""
+    if isinstance(obj, dict) and obj:
+        opening = b"{"
+        for key in sorted(obj):
+            pieces += (opening, _text(key), b":")
+            _dump(obj[key], pieces)
+            opening = b","
+        pieces.append(b"}")
+    elif isinstance(obj, (list, tuple)) and len(obj) > _SLICE:
+        opening = b"["
+        for start in range(0, len(obj), _SLICE):
+            pieces += (opening, _text(obj[start : start + _SLICE])[1:-1])
+            opening = b","
+        pieces.append(b"]")
+    else:
+        pieces.append(_text(obj))
 
 
 def _digest(pieces: list[bytes]) -> str:
@@ -127,7 +156,7 @@ class IndexBundle:
         return {
             "format_version": lambda: FORMAT_VERSION,
             "ontologies": lambda: [ont.to_json_obj() for ont in self.ontologies],
-            "rpag": self.rpag.to_json_obj,
+            "rpag": self.rpag.json_columns,
             "patterns": self.patterns.to_json_obj,
         }
 
@@ -135,18 +164,21 @@ class IndexBundle:
         """The canonical bytes of the file after its opening brace, without
         the digest member, in pieces. The sections are made and dumped one
         at a time, in key order, so only one section's object is alive at
-        once."""
+        once; the graph's holds its columns, not copies."""
         pieces: list[bytes] = []
         for key, make in sorted(self._sections().items()):
-            pieces += (b'"', key.encode(), b'":', _dump(make()), b",")
+            pieces += (b'"', key.encode(), b'":')
+            _dump(make(), pieces)
+            pieces.append(b",")
         pieces[-1] = b"}\n"
         return pieces
 
     def to_json_obj(self) -> dict:
         """The file's object: the sections, and the digest of their
-        canonical bytes."""
+        canonical bytes. A copy: editing it leaves the bundle and its next
+        save as they are."""
         sections = {key: make() for key, make in self._sections().items()}
-        return {"digest": _digest(self._pieces()), **sections}
+        return json_copy({"digest": _digest(self._pieces()), **sections})
 
     @staticmethod
     def from_json_obj(obj: object) -> "IndexBundle":

@@ -2,7 +2,11 @@
 
 :func:`load_corpus` reads the file with the cyclic garbage collector paused
 (``collector.collector_paused``): it keeps every record it decodes and
-makes no reference cycles.
+makes no reference cycles. It keeps one string per distinct url: the
+``docs`` key, the document's ``url``, every link that names the url and
+every seed that does are the same object, so a url mentioned by many links
+costs one string, and a crawl's bookkeeping and a graph's urls share them.
+A document is a named tuple, with no per-instance ``__dict__``.
 """
 from __future__ import annotations
 
@@ -10,15 +14,14 @@ import json
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .collector import collector_paused
 from .errors import ParseError, ValidationError
 from .ontology import Ontology
 
 
-@dataclass(frozen=True)
-class CorpusDoc:
+class CorpusDoc(NamedTuple):
     url: str
     out_links: tuple[str, ...]
     text: str
@@ -43,10 +46,15 @@ class Corpus:
 def load_corpus(path: str | Path, seeds: Sequence[str] | None = None) -> Corpus:
     """Read a line-delimited JSON corpus (fields: url, links, text).
 
-    ``seeds`` defaults to the first record's url when omitted.
+    ``seeds`` defaults to the first record's url when omitted. A url that
+    is not valid Unicode (a lone surrogate) is rejected, since no index
+    could hold it.
     """
     path = Path(path)
     docs: dict[str, CorpusDoc] = {}
+    # each distinct url once, shared by its document, its links and seeds
+    known: dict[str, str] = {}
+    same_url = known.setdefault
     with path.open("r", encoding="utf-8") as fh, collector_paused():
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
@@ -68,7 +76,12 @@ def load_corpus(path: str | Path, seeds: Sequence[str] | None = None) -> Corpus:
                 raise ParseError(path, line_no, "'text' must be a string")
             if url in docs:
                 raise ValidationError(f"{path}:{line_no}: duplicate url {url!r}")
-            docs[url] = CorpusDoc(url=url, out_links=tuple(links), text=text)
+            try:
+                url.encode()
+            except UnicodeEncodeError:
+                raise ParseError(path, line_no, "'url' is not valid Unicode") from None
+            url = same_url(url, url)
+            docs[url] = CorpusDoc(url=url, out_links=tuple(map(same_url, links, links)), text=text)
     if seeds is None:
         if not docs:
             raise ValidationError(f"{path}: corpus is empty, cannot infer seeds")
@@ -76,7 +89,7 @@ def load_corpus(path: str | Path, seeds: Sequence[str] | None = None) -> Corpus:
     deduped: list[str] = []
     for seed in seeds:
         if seed not in deduped:
-            deduped.append(seed)
+            deduped.append(known.get(seed, seed))
     return Corpus(docs=docs, seeds=tuple(deduped))
 
 

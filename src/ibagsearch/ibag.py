@@ -309,6 +309,17 @@ def _relevance_kinds(nodes: FactColumns) -> Iterator[bool]:
     )
 
 
+def _score_fields_hold(rel: PageRelevance) -> bool:
+    """Whether a score's ``supported`` is a bool, its ``relevance_value`` a
+    real number and its ``term_vector`` a tuple of them."""
+    return (
+        type(rel.supported) is bool
+        and isinstance(rel.relevance_value, (int, float))
+        and isinstance(rel.term_vector, tuple)
+        and all(map(isinstance, rel.term_vector, repeat((int, float))))
+    )
+
+
 def relevance_keys_match(nodes: FactColumns) -> Iterator[bool]:
     """Whether each node's ``relevance`` has one key per ontology id."""
     ids = {ont.ontology_id for ont in nodes.ontologies}
@@ -355,6 +366,11 @@ RELEVANCE_KIND = Fact(
     lambda nodes, i: f"node {i} relevance must map ontology ids to scores, "
     f"got {nodes.relevances[i]!r:.40}",
 )
+SCORE_FIELDS = Fact(
+    lambda nodes: (all(map(_score_fields_hold, rel.values())) for rel in nodes.relevances),
+    lambda nodes, i: f"node {i} scores must hold a bool support, a real value and a tuple "
+    "of real term values",
+)
 VECTOR_LENGTHS = Fact(
     _vector_lengths, lambda nodes, i: f"node {i} term vector length mismatches its ontology"
 )
@@ -379,6 +395,7 @@ NODE_FACTS = (
         lambda nodes, i: f"node {i} level {nodes.levels[i]} does not follow its parent",
     ),
     RELEVANCE_KIND,
+    SCORE_FIELDS,
     Fact(
         relevance_keys_match,
         lambda nodes, i: f"node {i} per-ontology fields mismatch the ontologies",

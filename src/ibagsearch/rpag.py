@@ -43,9 +43,9 @@ from operator import eq, ge, is_, le, lt
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .corpus import Corpus
-from .errors import Fact, ValidationError, check_facts, json_field
-from .ibag import IBAG, P_ID, RELEVANCE_KIND, URL_IS_STR, VECTOR_LENGTHS, FactColumns
-from .ibag import build_ibag, relevance_keys_match
+from .errors import Fact, ValidationError, check_facts, json_copy, json_field
+from .ibag import IBAG, P_ID, RELEVANCE_KIND, SCORE_FIELDS, URL_IS_STR, VECTOR_LENGTHS
+from .ibag import FactColumns, build_ibag, relevance_keys_match
 from .ontology import Ontology, PhraseTable, normalize_text
 from .relevance import (
     GraphScores,
@@ -125,7 +125,14 @@ class RPaG:
     def to_json_obj(self) -> dict:
         """Only the inputs, in columns: scores, support and every index
         structure derive from them. Each distinct count vector of an
-        ontology is one row, numbered in order of first use by p_id."""
+        ontology is one row, numbered in order of first use by p_id. A
+        copy of :meth:`json_columns`: editing it leaves the graph as it is."""
+        return json_copy(self.json_columns())
+
+    def json_columns(self) -> dict:
+        """The object :meth:`to_json_obj` copies, holding the graph's own
+        url, parent and row index lists, not copies: a save dumps it, and
+        nothing may edit it."""
         urls, pp_ids, scores = self.columns
         counts = {}
         for ont in self.ontologies:
@@ -134,12 +141,12 @@ class RPaG:
             renumbered = [rows.setdefault(rel.counts, len(rows)) for rel in table.rows]
             # with every row's counts distinct, each row keeps its number
             of_node = (
-                list(table.of_node)
+                table.of_node
                 if len(rows) == len(renumbered)
                 else list(map(renumbered.__getitem__, table.of_node))
             )
-            counts[str(ont.ontology_id)] = {"of_node": of_node, "rows": list(map(list, rows))}
-        return {"counts": counts, "pp_ids": list(map(list, pp_ids)), "urls": list(urls)}
+            counts[str(ont.ontology_id)] = {"of_node": of_node, "rows": list(rows)}
+        return {"counts": counts, "pp_ids": pp_ids, "urls": urls}
 
     @staticmethod
     def from_json_obj(obj: object, ontologies: Sequence[Ontology]) -> "RPaG":
@@ -238,6 +245,7 @@ GRAPH_FACTS = (
     Fact(lambda graph: _not_negative(_parents(graph)), _parent_message, _parent_counts),
     Fact(_largest_parents_earlier, _parent_message, lambda graph: map(bool, graph.pp_ids)),
     RELEVANCE_KIND,
+    SCORE_FIELDS,
     Fact(relevance_keys_match, lambda graph, i: f"node {i} relevance keys mismatch the ontologies"),
     VECTOR_LENGTHS,
 )
