@@ -89,11 +89,11 @@ def _text(obj: object) -> bytes:
 
 
 def _dump(obj: object, pieces: list[bytes]) -> None:
-    """Append the bytes of ``obj`` in canonical JSON to ``pieces``, whose
-    keys are strings. An object is dumped a member at a time and an array
-    longer than ``_SLICE`` a slice at a time: the encoder holds a string per
-    item until it joins them, so it never holds one per item of a column.
-    The bytes equal those of one :func:`_text` of ``obj``."""
+    """Append the bytes of ``obj``, whose object keys are strings, in
+    canonical JSON to ``pieces``. An object is dumped a member at a time and
+    an array longer than ``_SLICE`` a slice at a time: the encoder holds a
+    string per item until it joins them, so it never holds one per item of
+    a column. The bytes equal those of one :func:`_text` of ``obj``."""
     if isinstance(obj, dict) and obj:
         opening = b"{"
         for key in sorted(obj):

@@ -6,6 +6,7 @@ import json
 import logging
 import math
 import random
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 from typing import NamedTuple
@@ -1099,6 +1100,89 @@ class TestSharedScores:
             loaded,
             lambda node, ont: relevance_from_counts(ont, stored[ont.ontology_id][node.p_id]),
         )
+
+
+def one_shot(obj: object) -> bytes:
+    """``obj`` in canonical JSON, from one call of the encoder."""
+    return json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":")).encode()
+
+
+# urls JSON must escape (a quote, a backslash, control characters) and
+# urls it writes as they are, outside ASCII
+ESCAPED_URLS = ['a"b', "c\\d", "e\x01f", "g\nh\ti", "\x7f", "jé", "日本", "\u2028", "🙂"]
+SLICE = bundle_module._SLICE
+
+
+class TestSlicedSave:
+    """A save dumps the graph from its own columns, and each long array a
+    slice at a time: the bytes are those of one canonical dump, and what
+    ``to_json_obj`` gives is a copy."""
+
+    @pytest.mark.parametrize(
+        "length", [SLICE, SLICE + 1, 3 * SLICE + 5], ids=["one-slice", "one-more", "several"]
+    )
+    def test_sliced_dump_equals_one_shot(self, length):
+        urls = [f"{ESCAPED_URLS[i % len(ESCAPED_URLS)]}{i}" for i in range(length)]
+        obj = {
+            "urls": urls,
+            "counts": {
+                "2": {"of_node": list(range(length)), "rows": [(1, 2)] * length},
+                "10": {"of_node": [], "rows": []},
+            },
+            "pp_ids": [[i, i + 1] if i % 3 else () for i in range(length)],
+            'ñ"\\': [0.5, None, True, {}, ESCAPED_URLS],
+        }
+        for value in (obj, urls):
+            pieces: list[bytes] = []
+            bundle_module._dump(value, pieces)
+            assert b"".join(pieces) == one_shot(value)
+
+    @pytest.mark.parametrize("seed, docs", DIFFERENTIAL_CORPORA)
+    def test_save_equals_one_shot_dump(self, bundled_onts, monkeypatch, seed, docs):
+        """At any slice length, the file a save writes is the one-shot
+        canonical dump of ``to_json_obj`` under its digest."""
+        built = IndexBundle.build(synth_corpus(seed, docs, bundled_onts), bundled_onts)
+        for slice_length in (1, 7, docs // 3, SLICE):
+            monkeypatch.setattr(bundle_module, "_SLICE", slice_length)
+            assert built.canonical_bytes() == sealed(built.to_json_obj())
+
+    def test_editing_to_json_obj_leaves_the_next_save(self, bundle):
+        before = bundle.canonical_bytes()
+        whole = bundle.to_json_obj()
+        assert whole == json.loads(before)  # lists throughout, as a parse gives
+        for graph in (whole["rpag"], bundle.rpag.to_json_obj()):
+            graph["urls"][0] = "edited"
+            graph["urls"].append("more")
+            graph["pp_ids"][-1].append(0)
+            graph["pp_ids"].append([])
+            for table in graph["counts"].values():
+                table["of_node"][0] = 99
+                table["of_node"].append(0)
+                table["rows"][0][0] = 99
+                table["rows"].append([])
+        whole["ontologies"][0]["terms"][0]["synonyms"].append("more")
+        whole["patterns"]["patterns"]["1"][0] = "f"
+        assert bundle.canonical_bytes() == before
+
+
+class TestSaveMemory:
+    def test_save_holds_little_more_than_its_bytes(self, bundled_onts, monkeypatch):
+        """A save's transient peak stays within a small multiple of the
+        bytes it makes (about 2.5 here; 16.9 when each column was copied
+        and dumped in one call), with the graph's columns spanning several
+        slices."""
+        built = IndexBundle.build(synth_corpus(3, 1500, bundled_onts), bundled_onts)
+        monkeypatch.setattr(bundle_module, "_SLICE", 128)
+        assert len(built.rpag) > 8 * 128
+        built.canonical_bytes()  # what a first call makes once is made
+        gc.collect()
+        tracemalloc.start()
+        try:
+            size = len(built.canonical_bytes())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * size
 
 
 class TestCollectorPaused:

@@ -107,6 +107,22 @@ class TestBuild:
         )
         assert code == 1
 
+    def test_url_that_is_not_unicode_is_one_line_error(self, tmp_path, cricket_files, capsys):
+        """Such a url fails the corpus read, before the crawl, not the save
+        after it, and nothing is written."""
+        weights, syntable, limits = cricket_files
+        corpus_path = tmp_path / "c.jsonl"
+        write_corpus(corpus_path, [("a", ["b\ud800"], "cricket"), ("b\ud800", [], "cricket")])
+        out = tmp_path / "i.json"
+        code = main(
+            ["build", str(corpus_path), "--ontology", f"{weights}:{syntable}",
+             "--limits", str(limits), "--out", str(out)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {corpus_path}:2: 'url' is not valid Unicode\n"
+        assert not out.exists()
+
     def test_explicit_seeds(self, tmp_path, cricket_files, capsys):
         weights, syntable, limits = cricket_files
         corpus_path = tmp_path / "c.jsonl"

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from ibagsearch import (
+    CorpusDoc,
     GenerationConfig,
     ParseError,
     ValidationError,
@@ -72,6 +73,58 @@ class TestLoadCorpus:
             ],
         )
         assert load_corpus(path).seeds == ("first",)
+
+    def test_each_url_is_one_object(self, tmp_path):
+        """The docs key, the document's url, every link naming the url and
+        the seed naming it are one string, whichever names it first."""
+        path = tmp_path / "corpus.jsonl"
+        write_jsonl(
+            path,
+            [
+                {"url": "http://a.example/", "links": ["http://b.example/"], "text": "x"},
+                {"url": "http://c.example/", "links": ["http://b.example/"] * 2, "text": "y"},
+                {"url": "http://b.example/", "links": ["http://a.example/"], "text": "z"},
+            ],
+        )
+        seed = "".join(["http://b.example", "/"])  # equal, not the same object
+        corpus = load_corpus(path, [seed, "http://a.example/"])
+        mentions: dict[str, list[str]] = {url: [] for url in corpus.docs}
+        for key, doc in corpus.docs.items():
+            mentions[key] += [key, doc.url]
+            for link in doc.out_links:
+                mentions[link].append(link)
+        for seed in corpus.seeds:
+            mentions[seed].append(seed)
+        assert {url: len(named) for url, named in mentions.items()} == {
+            "http://a.example/": 4, "http://b.example/": 6, "http://c.example/": 2
+        }
+        for url, named in mentions.items():
+            assert all(other is named[0] for other in named), url
+
+    def test_document_has_no_instance_dict(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        write_jsonl(path, [{"url": "a", "links": ["b"], "text": "x"}])
+        doc = load_corpus(path).docs["a"]
+        assert not hasattr(doc, "__dict__")
+        assert (doc.url, doc.out_links, doc.text) == ("a", ("b",), "x")
+        assert doc == CorpusDoc(url="a", out_links=("b",), text="x")
+
+    def test_url_that_is_not_unicode_rejected(self, tmp_path):
+        """A lone surrogate, which JSON can escape but UTF-8 cannot encode,
+        is rejected as the corpus is read, naming its line; such a link
+        or text is left as it is, since no index holds them."""
+        path = tmp_path / "corpus.jsonl"
+        write_jsonl(
+            path,
+            [
+                {"url": "a", "links": ["b\ud800"], "text": "x\udfff"},
+                {"url": "b\ud800", "links": [], "text": "y"},
+            ],
+        )
+        with pytest.raises(ParseError, match=r":2: 'url' is not valid Unicode$"):
+            load_corpus(path)
+        write_jsonl(path, [{"url": "a", "links": ["b\ud800"], "text": "x\udfff"}])
+        assert load_corpus(path).docs["a"].out_links == ("b\ud800",)
 
     def test_five_thousand_records(self, tmp_path, bundled_onts):
         corpus = synth_corpus(3, 5000, bundled_onts)

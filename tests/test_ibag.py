@@ -305,6 +305,16 @@ def _set(p_id: int, **changes):
     return tamper
 
 
+def _set_score(**changes):
+    """Replace fields of node 1's ontology-2 score."""
+
+    def tamper(nodes: list[IBAGNode]) -> None:
+        relevance = nodes[1].relevance
+        _set(1, relevance={**relevance, 2: relevance[2]._replace(**changes)})(nodes)
+
+    return tamper
+
+
 def _drop_ontology_key(nodes: list[IBAGNode]) -> None:
     _set(1, relevance={1: nodes[1].relevance[1]})(nodes)
 
@@ -339,6 +349,9 @@ class TestFromNodesRejects:
                 _set(1, relevance={1: None, 2: None}),
                 "^node 1 relevance must map ontology ids to scores",
             ),
+            (_set_score(term_vector=None), "^node 1 scores must hold a bool support"),
+            (_set_score(relevance_value="1.0"), "^node 1 scores must hold a bool support"),
+            (_set_score(supported="yes"), "^node 1 scores must hold a bool support"),
             (
                 _set(0, relevance={
                     1: PageRelevance(1, 0.0, False, (1.0,), (1,)),
@@ -374,6 +387,9 @@ class TestFromNodesRejects:
             "missing-ontology-key",
             "none-relevance",
             "relevance-of-nones",
+            "none-term-vector",
+            "string-value",
+            "string-support",
             "no-supported-ontology",
             "wrong-vector-length",
         ],

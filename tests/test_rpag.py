@@ -231,6 +231,21 @@ def _relevance_of_nones(graph: RPaG) -> list[RPaGNode]:
     return _with(1, relevance={1: None, 2: None})(graph)
 
 
+def _score_of_node_1(**changes):
+    """A graph's nodes, node 1's ontology-2 score with its fields replaced."""
+
+    def tamper(graph: RPaG) -> list[RPaGNode]:
+        relevance = graph.nodes[1].relevance
+        return _with(1, relevance={**relevance, 2: relevance[2]._replace(**changes)})(graph)
+
+    return tamper
+
+
+SCORE_FIELDS_MESSAGE = (
+    "^node 1 scores must hold a bool support, a real value and a tuple of real term values$"
+)
+
+
 class TestValidate:
     @pytest.fixture
     def graph(self, bundled_onts):
@@ -290,6 +305,9 @@ class TestEditedThroughNodes:
                 _relevance_of_nones,
                 "^node 1 relevance must map ontology ids to scores, got {1: None, 2: None}$",
             ),
+            (_score_of_node_1(term_vector=None), SCORE_FIELDS_MESSAGE),
+            (_score_of_node_1(relevance_value="1.0"), SCORE_FIELDS_MESSAGE),
+            (_score_of_node_1(supported="yes"), SCORE_FIELDS_MESSAGE),
         ],
         ids=[
             "later-first-parent",
@@ -303,6 +321,9 @@ class TestEditedThroughNodes:
             "extra-relevance-key",
             "none-relevance",
             "relevance-of-nones",
+            "none-term-vector",
+            "string-value",
+            "string-support",
         ],
     )
     def test_bad_node_rejected_by_layout_and_save(self, bundle, tmp_path, tamper, message):
