@@ -62,6 +62,7 @@ _HOMES = {
     ),
 }
 _MODULE_OF = {name: module for module, names in _HOMES.items() for name in names}
+__all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name: str) -> object:
@@ -79,58 +80,3 @@ def __dir__() -> list[str]:
 
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BenchReport",
-    "BenchRow",
-    "BitPattern",
-    "Corpus",
-    "CorpusDoc",
-    "GenerationConfig",
-    "HRDirectionResult",
-    "HarvestReport",
-    "IBAG",
-    "IBAGNode",
-    "IbagSearchError",
-    "IndexBundle",
-    "LimitsConfig",
-    "Ontology",
-    "OntologyTerm",
-    "PageRelevance",
-    "ParseError",
-    "PatternStore",
-    "Query",
-    "QueryRun",
-    "RPaG",
-    "RPaGNode",
-    "SearchOutcome",
-    "ValidationError",
-    "build_ibag",
-    "build_rpag",
-    "count_occurrences",
-    "evaluate_index",
-    "find_predicted_webpage_list",
-    "gen_ibag_bit_patterns",
-    "gen_mask_bit_pattern",
-    "gen_webpage_bit_pattern",
-    "harvest_rate",
-    "hr_direction_experiment",
-    "load_corpus",
-    "load_limits",
-    "load_ontology",
-    "mask_match",
-    "normalize_phrase",
-    "normalize_text",
-    "page_relevance",
-    "parse_relevance_range",
-    "run_benchmark",
-    "save_corpus",
-    "search_after_masking",
-    "search_before_masking",
-    "select_by_range",
-    "select_columns",
-    "synth_corpus",
-    "term_relevance_value",
-    "traversal_cost_check",
-    "xor_patterns",
-]

@@ -66,7 +66,7 @@ from typing import Callable, Sequence
 from .bitmask import PatternStore, gen_ibag_bit_patterns
 from .collector import collector_paused
 from .corpus import Corpus
-from .errors import ValidationError, json_copy, json_field
+from .errors import ValidationError, json_field
 from .ibag import IBAG, build_ibag
 from .ontology import Ontology
 from .rpag import RPaG, build_rpag
@@ -174,11 +174,10 @@ class IndexBundle:
         return pieces
 
     def to_json_obj(self) -> dict:
-        """The file's object: the sections, and the digest of their
-        canonical bytes. A copy: editing it leaves the bundle and its next
-        save as they are."""
-        sections = {key: make() for key, make in self._sections().items()}
-        return json_copy({"digest": _digest(self._pieces()), **sections})
+        """The file's object, parsed from :meth:`canonical_bytes`: the
+        sections and the digest of their canonical bytes. Editing it leaves
+        the bundle and its next save as they are."""
+        return json.loads(self.canonical_bytes())
 
     @staticmethod
     def from_json_obj(obj: object) -> "IndexBundle":

@@ -1,7 +1,6 @@
 """Bundled sample ontologies, limits, and query set used by the benchmarks."""
 from __future__ import annotations
 
-import math
 from importlib.resources import as_file, files
 from pathlib import Path
 
@@ -34,14 +33,10 @@ def default_ontologies() -> tuple[Ontology, ...]:
     return tuple(ontologies)
 
 
-def load_query_file(
-    path: str | Path,
-    *,
-    default_ontology_id: int = 1,
-    default_limit: int = 20,
-) -> list[Query]:
+def load_query_file(path: str | Path, *, default_ontology_id: int = 1) -> list[Query]:
     """Parse a query file: one search string per line, optional tab-separated
-    ``lo:hi`` range and result-limit columns."""
+    ``lo:hi`` range and result-limit columns, which default to those of
+    :class:`Query`."""
     path = Path(path)
     queries: list[Query] = []
     for line_no, row in _iter_rows(path):
@@ -53,13 +48,13 @@ def load_query_file(
             raise ParseError(path, line_no, "empty search string")
         range_field = parts[1].strip() if len(parts) > 1 else ""
         limit_field = parts[2].strip() if len(parts) > 2 else ""
-        relevance_range = (0.0, math.inf)
+        relevance_range = Query.relevance_range
         if range_field:
             try:
                 relevance_range = parse_relevance_range(range_field)
             except ValueError as exc:
                 raise ParseError(path, line_no, str(exc)) from None
-        result_limit = default_limit
+        result_limit = Query.result_limit
         if limit_field:
             try:
                 result_limit = int(limit_field)
@@ -81,8 +76,6 @@ def load_query_file(
     return queries
 
 
-def default_queries(*, default_ontology_id: int = 1, default_limit: int = 20) -> list[Query]:
+def default_queries(*, default_ontology_id: int = 1) -> list[Query]:
     with as_file(_DATA / "queries.tsv") as path:
-        return load_query_file(
-            path, default_ontology_id=default_ontology_id, default_limit=default_limit
-        )
+        return load_query_file(path, default_ontology_id=default_ontology_id)

@@ -1,6 +1,6 @@
 """Exception types shared across the package, the kind checks that turn
-malformed decoded JSON into a ValidationError, a copy of a JSON value, and
-the checker of a table of node facts."""
+malformed decoded JSON into a ValidationError, and the checker of a table
+of node facts."""
 from __future__ import annotations
 
 from itertools import compress, count, islice, repeat
@@ -48,16 +48,6 @@ def json_field(obj: Any, key: str, kind: type, where: str) -> Any:
     if key not in obj:
         raise ValidationError(f"{where} lacks {key!r}")
     return check_kind(obj[key], kind, f"{where}.{key}")
-
-
-def json_copy(value: Any) -> Any:
-    """A copy of a JSON value with every object and array new, each array a
-    list, sharing only the strings and numbers."""
-    if isinstance(value, dict):
-        return {key: json_copy(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return list(map(json_copy, value))
-    return value
 
 
 class Fact(NamedTuple):

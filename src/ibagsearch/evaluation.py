@@ -12,7 +12,7 @@ from typing import Sequence
 
 from .bitmask import BitPattern, PatternStore, gen_mask_bit_pattern
 from .bundle import IndexBundle
-from .corpus import GenerationConfig, synth_corpus
+from .corpus import synth_corpus
 from .ibag import IBAG, IBAGNode, select_columns
 from .ontology import Ontology, OntologyTerm
 from .relevance import PageRelevance
@@ -153,20 +153,18 @@ def evaluate_index(
     queries: Sequence[Query],
     *,
     repeats: int = 5,
-    use_synonyms: bool = True,
 ) -> list[QueryRun]:
     """Run every query in both modes; elapsed is the median of ``repeats`` runs."""
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
 
     def run_one(query: Query) -> QueryRun:
-        modes = compare_modes(query, ibag, patterns, use_synonyms)
+        modes = compare_modes(query, ibag, patterns)
         before_elapsed = statistics.median(
             search_before_masking(query, ibag).elapsed for _ in range(repeats)
         )
         after_elapsed = statistics.median(
-            search_after_masking(query, ibag, patterns, use_synonyms).elapsed
-            for _ in range(repeats)
+            search_after_masking(query, ibag, patterns).elapsed for _ in range(repeats)
         )
         return QueryRun(
             query=query,
@@ -293,9 +291,7 @@ def run_benchmark(
     rng_seed: int,
     *,
     ontologies: Sequence[Ontology] | None = None,
-    gen_config: GenerationConfig | None = None,
     repeats: int = 5,
-    use_synonyms: bool = True,
 ) -> BenchReport:
     """Build a synthetic index at each size and measure every query, both modes."""
     sizes = list(corpus_sizes)
@@ -314,11 +310,9 @@ def run_benchmark(
 
     rows: list[BenchRow] = []
     for size in sizes:
-        corpus = synth_corpus(rng_seed * 1_000_003 + size, size, ontologies, gen_config)
+        corpus = synth_corpus(rng_seed * 1_000_003 + size, size, ontologies)
         bundle = IndexBundle.build(corpus, ontologies)
-        runs = evaluate_index(
-            bundle.ibag, bundle.patterns, queries, repeats=repeats, use_synonyms=use_synonyms
-        )
+        runs = evaluate_index(bundle.ibag, bundle.patterns, queries, repeats=repeats)
         rows.extend(aggregate_runs(size, runs))
         log.info("benchmarked size %d: %d index pages", size, len(bundle.ibag))
     # a run's term count depends only on its query, so every size gives the same diagnostics
@@ -399,7 +393,6 @@ def hr_direction_experiment(
     rng_seed: int = 20260809,
     *,
     ontologies: Sequence[Ontology] | None = None,
-    gen_config: GenerationConfig | None = None,
 ) -> HRDirectionResult:
     """Seeded (corpus, query) pairs comparing harvest rates of both modes.
 
@@ -425,7 +418,7 @@ def hr_direction_experiment(
         search_string = " ".join(words)
         k = ks[i % len(ks)]
 
-        corpus = synth_corpus(corpus_seed, n_docs, ontologies, gen_config)
+        corpus = synth_corpus(corpus_seed, n_docs, ontologies)
         bundle = IndexBundle.build(corpus, ontologies)
         bounds = bundle.ibag.mean_value_bounds()
         if bounds is None:

@@ -85,10 +85,10 @@ def count_occurrences(tokens: Sequence[str], phrase: str) -> int:
 class PhraseTable:
     """Every phrase of one or more ontologies, keyed by its first word.
 
-    An entry holds the phrase, its words, the positions of the terms the
-    phrase names or is a synonym of, and the positions of the terms it
-    names; a phrase may be one term's name and another term's synonym. A
-    table merged from several ontologies (:meth:`merge`) numbers the
+    An entry is ``(phrase, words, size, positions)``: the phrase, its words,
+    their count and the positions of the terms the phrase names or is a
+    synonym of; a phrase may be one term's name and another term's synonym.
+    A table merged from several ontologies (:meth:`merge`) numbers the
     positions of each ontology after those of the ones before it, and holds
     one entry for a phrase that several of them share. ``spans`` holds the
     (start, end) positions of each ontology the table covers, in order.
@@ -98,22 +98,18 @@ class PhraseTable:
 
     def __init__(
         self,
-        rows: Iterable[tuple[str, Sequence[int], Sequence[int]]],
+        rows: Iterable[tuple[str, Sequence[int]]],
         spans: Sequence[tuple[int, int]],
     ):
-        """``rows`` are (phrase, positions, name positions); a phrase may repeat.
+        """``rows`` are (phrase, positions); a phrase may repeat.
         ``spans`` are the (start, end) positions of each ontology covered."""
-        owners: dict[str, tuple[list[int], list[int]]] = {}
-        for phrase, positions, names in rows:
-            merged_positions, merged_names = owners.setdefault(phrase, ([], []))
-            merged_positions += positions
-            merged_names += names
+        owners: dict[str, list[int]] = {}
+        for phrase, positions in rows:
+            owners.setdefault(phrase, []).extend(positions)
         entries: dict[str, list] = {}
-        for phrase, (positions, names) in owners.items():
+        for phrase, positions in owners.items():
             words = phrase.split(" ")
-            entries.setdefault(words[0], []).append(
-                (phrase, words, len(words), tuple(positions), tuple(names))
-            )
+            entries.setdefault(words[0], []).append((phrase, words, len(words), tuple(positions)))
         self.entries = {first: tuple(e) for first, e in entries.items()}
         self.spans = tuple(spans)
         self.width = self.spans[-1][1]
@@ -122,24 +118,17 @@ class PhraseTable:
     def of_terms(cls, terms: Sequence["OntologyTerm"]) -> "PhraseTable":
         """An ontology's own table; only such a table answers :meth:`mask`."""
         table = cls(
-            (
-                (phrase, (term.bit_position,), (term.bit_position,) if phrase == term.term else ())
-                for term in terms
-                for phrase in term.phrases()
-            ),
+            ((phrase, (term.bit_position,)) for term in terms for phrase in term.phrases()),
             [(0, len(terms))],
         )
         # per first word, each phrase's words and the pattern bits of the
         # terms it stands for, with and without synonyms
         top = table.width - 1
-
-        def bits(positions: Iterable[int]) -> int:
-            return sum({1 << top - p for p in positions})
-
+        name_bits = {term.term: 1 << top - term.bit_position for term in terms}
         table.presence = {
             first: tuple(
-                (words, size, bits(positions), bits(names))
-                for _, words, size, positions, names in e
+                (words, size, sum({1 << top - p for p in positions}), name_bits.get(phrase, 0))
+                for phrase, words, size, positions in e
             )
             for first, e in table.entries.items()
         }
@@ -151,10 +140,10 @@ class PhraseTable:
         offsets = list(accumulate((table.width for table in tables), initial=0))
         return cls(
             (
-                (phrase, [p + offset for p in positions], [p + offset for p in names])
+                (phrase, [p + offset for p in positions])
                 for table, offset in zip(tables, offsets)
                 for entries in table.entries.values()
-                for phrase, _, _, positions, names in entries
+                for phrase, _, _, positions in entries
             ),
             list(zip(offsets, offsets[1:])),
         )
@@ -163,15 +152,15 @@ class PhraseTable:
         """The counts :meth:`count` gave, one list per ontology covered."""
         return [counts[start:end] for start, end in self.spans]
 
-    def count(self, tokens: list[str], use_synonyms: bool = True) -> list[int]:
+    def count(self, tokens: list[str]) -> list[int]:
         """Occurrences of each term in ``tokens``, indexed by position.
 
         One scan of the tokens serves every phrase. Each phrase matches
         greedily left to right and never overlaps itself, as
         :func:`count_occurrences` counts it; different phrases may overlap.
-        A match counts for the term the phrase names and, with
-        ``use_synonyms``, for the term it is a synonym of. ``tokens`` must be
-        a list: a slice of any other sequence never equals a phrase's words.
+        A match counts for the term the phrase names and for the term it is
+        a synonym of. ``tokens`` must be a list: a slice of any other
+        sequence never equals a phrase's words.
         """
         counts = [0] * self.width
         entries = self.entries
@@ -179,20 +168,21 @@ class PhraseTable:
         for i, tok in enumerate(tokens):
             if tok not in entries:
                 continue
-            for phrase, words, size, positions, names in entries[tok]:
+            for phrase, words, size, positions in entries[tok]:
                 if size > 1:  # a one-word phrase cannot overlap itself
                     end = i + size
                     if next_at.get(phrase, 0) > i or tokens[i:end] != words:
                         continue
                     next_at[phrase] = end
-                for position in positions if use_synonyms else names:
+                for position in positions:
                     counts[position] += 1
         return counts
 
     def mask(self, tokens: list[str], use_synonyms: bool = True) -> int:
         """One bit per position whose term occurs in ``tokens``, position 0
         the most significant: the bits of the positions :meth:`count` gives
-        a nonzero count. A phrase occurs where its words first match, so
+        a nonzero count. Without ``use_synonyms`` a term occurs only where
+        its own name does. A phrase occurs where its words first match, so
         presence needs neither counts nor the non-overlap rule. Query masks
         are its only use, so only :meth:`of_terms` builds the bits it reads;
         a merged table has none."""
@@ -250,7 +240,7 @@ class Ontology:
             raise ValidationError(f"ontology_id must be >= 1, got {self.ontology_id}")
         if not self.terms:
             raise ValidationError(f"ontology {self.name!r} has no terms")
-        if self.relevance_limit < 0:
+        if not self.relevance_limit >= 0:
             raise ValidationError(f"relevance_limit must be >= 0, got {self.relevance_limit}")
         seen_terms: set[str] = set()
         syn_owner: dict[str, str] = {}
@@ -268,7 +258,7 @@ class Ontology:
                 raise ValidationError(
                     f"term {term.term!r} weight {term.weight} outside [0, 1]"
                 )
-            if term.term_relevance_limit < 0:
+            if not term.term_relevance_limit >= 0:
                 raise ValidationError(
                     f"term {term.term!r} has negative term_relevance_limit"
                 )
@@ -289,10 +279,10 @@ class Ontology:
                     )
                 syn_owner[syn] = term.term
 
-    def count_terms(self, tokens: list[str], use_synonyms: bool = True) -> list[int]:
+    def count_terms(self, tokens: list[str]) -> list[int]:
         """Occurrences of each term in ``tokens``, indexed by bit position:
         one scan of the tokens through the phrase table (:meth:`PhraseTable.count`)."""
-        return self.phrase_table.count(tokens, use_synonyms)
+        return self.phrase_table.count(tokens)
 
     def to_json_obj(self) -> dict:
         return {
@@ -376,7 +366,7 @@ def load_limits(path: str | Path) -> LimitsConfig:
             value = float(raw_value.strip())
         except ValueError:
             raise ParseError(path, line_no, f"value {raw_value.strip()!r} is not a number") from None
-        if value < 0:
+        if not value >= 0:
             raise ValidationError(f"{path}:{line_no}: limit {value} must be >= 0")
         if key == "relevance_limit":
             relevance_limit = value

@@ -35,6 +35,7 @@ the index's own facts are checked by the layout ``build_ibag`` ends in.
 """
 from __future__ import annotations
 
+import json
 import logging
 from collections import deque
 from functools import cached_property
@@ -43,7 +44,7 @@ from operator import eq, ge, is_, le, lt
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .corpus import Corpus
-from .errors import Fact, ValidationError, check_facts, json_copy, json_field
+from .errors import Fact, ValidationError, check_facts, json_field
 from .ibag import IBAG, P_ID, RELEVANCE_KIND, SCORE_FIELDS, URL_IS_STR, VECTOR_LENGTHS
 from .ibag import FactColumns, build_ibag, relevance_keys_match
 from .ontology import Ontology, PhraseTable, normalize_text
@@ -125,14 +126,15 @@ class RPaG:
     def to_json_obj(self) -> dict:
         """Only the inputs, in columns: scores, support and every index
         structure derive from them. Each distinct count vector of an
-        ontology is one row, numbered in order of first use by p_id. A
-        copy of :meth:`json_columns`: editing it leaves the graph as it is."""
-        return json_copy(self.json_columns())
+        ontology is one row, numbered in order of first use by p_id. The
+        parse of a dump of :meth:`json_columns`: editing it leaves the
+        graph as it is."""
+        return json.loads(json.dumps(self.json_columns()))
 
     def json_columns(self) -> dict:
-        """The object :meth:`to_json_obj` copies, holding the graph's own
-        url, parent and row index lists, not copies: a save dumps it, and
-        nothing may edit it."""
+        """The object :meth:`to_json_obj` parses a dump of, holding the
+        graph's own url, parent and row index lists, not copies: a save
+        dumps it, and nothing may edit it."""
         urls, pp_ids, scores = self.columns
         counts = {}
         for ont in self.ontologies:

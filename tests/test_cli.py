@@ -123,6 +123,25 @@ class TestBuild:
         assert err == f"error: {corpus_path}:2: 'url' is not valid Unicode\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["relevance_limit", "term_relevance_limit.default"])
+    def test_nan_limit_is_one_line_error(self, tmp_path, cricket_files, capsys, key):
+        """A NaN limit fails the build, naming its line, and nothing is
+        written: no index that a query cannot load."""
+        weights, syntable, _ = cricket_files
+        limits = tmp_path / "limits.cfg"
+        limits.write_text(f"# limits\n{key}=nan\n", encoding="utf-8")
+        corpus_path = tmp_path / "c.jsonl"
+        write_corpus(corpus_path, [("a", [], "cricket")])
+        out = tmp_path / "i.json"
+        code = main(
+            ["build", str(corpus_path), "--ontology", f"{weights}:{syntable}",
+             "--limits", str(limits), "--out", str(out)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{limits}:2:" in err
+        assert not out.exists()
+
     def test_explicit_seeds(self, tmp_path, cricket_files, capsys):
         weights, syntable, limits = cricket_files
         corpus_path = tmp_path / "c.jsonl"

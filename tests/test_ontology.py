@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -258,6 +259,24 @@ class TestOntologyValidation:
     def test_empty_terms_rejected(self):
         with pytest.raises(ValidationError):
             Ontology(ontology_id=1, name="x", terms=(), relevance_limit=0.0)
+
+    def test_nan_page_limit_rejected(self):
+        with pytest.raises(ValidationError, match="relevance_limit"):
+            Ontology(
+                ontology_id=1,
+                name="x",
+                terms=(OntologyTerm(term="a", weight=0.5),),
+                relevance_limit=math.nan,
+            )
+
+    def test_nan_term_limit_rejected(self):
+        with pytest.raises(ValidationError, match="term_relevance_limit"):
+            Ontology(
+                ontology_id=1,
+                name="x",
+                terms=(OntologyTerm(term="a", weight=0.5, term_relevance_limit=math.nan),),
+                relevance_limit=0.0,
+            )
 
     def test_oracle_tokenizer_agrees(self):
         rng = random.Random(23)

@@ -188,13 +188,10 @@ def overlapping_ontologies(rng: random.Random) -> list[Ontology]:
     return ontologies
 
 
-def reference_counts(ontology: Ontology, tokens: list[str], use_synonyms: bool) -> list[int]:
+def reference_counts(ontology: Ontology, tokens: list[str]) -> list[int]:
     """Per term, the per-phrase reference count of the term and its synonyms."""
     return [
-        sum(
-            count_occurrences(tokens, phrase)
-            for phrase in (term.phrases() if use_synonyms else (term.term,))
-        )
+        sum(count_occurrences(tokens, phrase) for phrase in term.phrases())
         for term in ontology.terms
     ]
 
@@ -238,20 +235,18 @@ class TestMergedScan:
                 seen["overlapping occurrences"] += any(
                     oracle_count(tokens, p) < alignments(tokens, p) for p in set().union(*phrases)
                 )
-                for use_synonyms in (True, False):
-                    counts = merged.count(tokens, use_synonyms)
-                    pieces = merged.split(counts)
-                    assert len(pieces) == len(ontologies)
-                    start = 0
-                    for ontology, piece in zip(ontologies, pieces):
-                        assert piece == counts[start : start + ontology.t]
-                        start += ontology.t
-                        assert piece == ontology.count_terms(tokens, use_synonyms)
-                        assert piece == reference_counts(ontology, tokens, use_synonyms)
-                        if use_synonyms:
-                            assert page_relevance(ontology, tokens, piece) == (
-                                page_relevance(ontology, tokens)
-                            )
+                counts = merged.count(tokens)
+                pieces = merged.split(counts)
+                assert len(pieces) == len(ontologies)
+                start = 0
+                for ontology, piece in zip(ontologies, pieces):
+                    assert piece == counts[start : start + ontology.t]
+                    start += ontology.t
+                    assert piece == ontology.count_terms(tokens)
+                    assert piece == reference_counts(ontology, tokens)
+                    assert page_relevance(ontology, tokens, piece) == (
+                        page_relevance(ontology, tokens)
+                    )
         assert all(seen.values()), seen
 
     @pytest.mark.parametrize("seed", range(6))
