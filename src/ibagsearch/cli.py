@@ -264,10 +264,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except IbagSearchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (IbagSearchError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

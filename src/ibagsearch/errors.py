@@ -3,7 +3,7 @@ malformed decoded JSON into a ValidationError, and the checker of a table
 of node facts."""
 from __future__ import annotations
 
-from itertools import compress, count, islice, repeat
+from itertools import compress, count, islice
 from operator import not_
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
@@ -52,27 +52,24 @@ def json_field(obj: Any, key: str, kind: type, where: str) -> Any:
 
 class Fact(NamedTuple):
     """A fact of each node (or row) of some columns: ``flags(columns)``
-    yields lazily, in node order, whether each node holds it, or each item
-    if ``sizes(columns)`` yields each node's item count, and may rely on the
-    facts before it in its table; ``message(columns, i)`` words the error."""
+    yields lazily, in node order, whether each node holds it, and may rely
+    on the facts before it in its table; ``message(columns, i)`` words the
+    error."""
 
     flags: Callable[[Any], Iterable[object]]
     message: Callable[[Any, int], str]
-    sizes: Callable[[Any], Iterable[int]] | None = None
 
 
 def first_failure(facts: Sequence[Fact], columns: Any) -> tuple[int, str] | None:
     """The lowest node a fact fails at, ties going to the earlier fact, and
     its message, or None. Until one fails, each fact is one pass over its
-    flags; then each is read only below the lowest failure so far."""
+    flags, one per node; then each is read only below the lowest failure
+    so far."""
     lowest = failed = None
     for fact in facts:
         if failed is None and all(fact.flags(columns)):
             continue
-        flags = fact.flags(columns)
-        if fact.sizes is not None:  # a node's flag: whether all its items hold
-            flags = map(all, map(islice, repeat(iter(flags)), fact.sizes(columns)))
-        bad = next(compress(count(), map(not_, islice(flags, lowest))), None)
+        bad = next(compress(count(), map(not_, islice(fact.flags(columns), lowest))), None)
         if bad is not None:
             lowest, failed = bad, fact
     return None if failed is None else (lowest, failed.message(columns, lowest))

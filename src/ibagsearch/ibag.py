@@ -476,11 +476,7 @@ def _means(tables: list[ScoreTable], supported: list[list[bool]], node_count: in
             sums = list(map(add, sums, column))
             counts = list(map(add, counts, flags))
         return list(map(truediv, sums, map(max, counts, repeat(1))))
-    try:
-        sums = map(sum, map(compress, zip(*values), zip(*supported)))
-        return list(map(truediv, sums, map(max, map(sum, zip(*supported)), repeat(1))))
-    except OverflowError:
-        return list(map(_mean, zip(*values), zip(*supported)))
+    return list(map(_mean, zip(*values), zip(*supported)))
 
 
 def _mean(values: tuple, supported: tuple) -> float:

@@ -26,6 +26,7 @@ with no counts and no non-overlap bookkeeping.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -240,8 +241,10 @@ class Ontology:
             raise ValidationError(f"ontology_id must be >= 1, got {self.ontology_id}")
         if not self.terms:
             raise ValidationError(f"ontology {self.name!r} has no terms")
-        if not self.relevance_limit >= 0:
-            raise ValidationError(f"relevance_limit must be >= 0, got {self.relevance_limit}")
+        if not 0 <= self.relevance_limit < math.inf:
+            raise ValidationError(
+                f"relevance_limit must be in [0, inf), got {self.relevance_limit}"
+            )
         seen_terms: set[str] = set()
         syn_owner: dict[str, str] = {}
         for i, term in enumerate(self.terms):
@@ -258,9 +261,9 @@ class Ontology:
                 raise ValidationError(
                     f"term {term.term!r} weight {term.weight} outside [0, 1]"
                 )
-            if not term.term_relevance_limit >= 0:
+            if not 0 <= term.term_relevance_limit < math.inf:
                 raise ValidationError(
-                    f"term {term.term!r} has negative term_relevance_limit"
+                    f"term {term.term!r} term_relevance_limit must be in [0, inf)"
                 )
             local: set[str] = {term.term}
             for syn in term.synonyms:
@@ -366,8 +369,8 @@ def load_limits(path: str | Path) -> LimitsConfig:
             value = float(raw_value.strip())
         except ValueError:
             raise ParseError(path, line_no, f"value {raw_value.strip()!r} is not a number") from None
-        if not value >= 0:
-            raise ValidationError(f"{path}:{line_no}: limit {value} must be >= 0")
+        if not 0 <= value < math.inf:
+            raise ValidationError(f"{path}:{line_no}: limit {value} must be in [0, inf)")
         if key == "relevance_limit":
             relevance_limit = value
         elif key == "term_relevance_limit.default":

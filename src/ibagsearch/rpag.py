@@ -30,8 +30,10 @@ ontology's rows of counts (:data:`ROW_FACTS`), scores each row once
 through ``relevance_from_counts``, checks that the row indexes use every
 row, first in row order, so an accepted graph saves back to the same
 bytes, then checks the pages' urls and parents (:data:`GRAPH_FACTS`).
-Each fact is written once, as lazy flags and a message (``errors.Fact``);
-the index's own facts are checked by the layout ``build_ibag`` ends in.
+Each fact is written once, as lazy flags, one per node or row, and a
+message (``errors.Fact``): a node's parents are one check of its parent
+list, a row's counts one check of the row. The index's own facts are
+checked by the layout ``build_ibag`` ends in.
 """
 from __future__ import annotations
 
@@ -39,9 +41,9 @@ import json
 import logging
 from collections import deque
 from functools import cached_property
-from itertools import chain, compress, count, repeat
-from operator import eq, ge, is_, le, lt
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from itertools import count, repeat
+from operator import eq, ge, lt
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .corpus import Corpus
 from .errors import Fact, ValidationError, check_facts, json_field
@@ -202,31 +204,17 @@ def _score_table(ont: Ontology, table: object, node_count: int) -> ScoreTable:
     return ScoreTable(shared, of_node)
 
 
-def _ints(values: Iterable) -> Iterator[bool]:
-    return map(is_, map(type, values), repeat(int))
-
-
-def _not_negative(values: Iterable) -> Iterator[bool]:
-    return map(le, repeat(0), values)
-
-
-def _parents(graph: FactColumns) -> Iterator:
-    return chain.from_iterable(graph.pp_ids)
-
-
-def _parent_counts(graph: FactColumns) -> Iterator[int]:
-    return map(len, graph.pp_ids)
-
-
-def _largest_parents_earlier(graph: FactColumns) -> Iterator[bool]:
-    """Whether each node's largest parent is below its p_id: one flag for
-    each node that has parents."""
-    return map(lt, map(max, filter(None, graph.pp_ids)), compress(count(), graph.pp_ids))
+def _parents_earlier(pp_ids: Sequence, p_id: int) -> bool:
+    """Whether each of a node's parents is an int naming an earlier node."""
+    for pp in pp_ids:
+        if type(pp) is not int or not 0 <= pp < p_id:
+            return False
+    return True
 
 
 def _parent_message(graph: FactColumns, p_id: int) -> str:
     """The message naming the node's first parent that is no earlier node."""
-    bad = next(pp for pp in graph.pp_ids[p_id] if type(pp) is not int or pp not in range(p_id))
+    bad = next(pp for pp in graph.pp_ids[p_id] if not _parents_earlier((pp,), p_id))
     return f"node {p_id} parent {bad!r:.40} must reference an earlier node"
 
 
@@ -240,12 +228,10 @@ GRAPH_FACTS = (
         lambda graph, i: f"graph pp_ids {i} must be a list, got {graph.pp_ids[i]!r:.40}",
     ),
     Fact(
-        lambda graph: map(ge, repeat(MAX_PARENTS), _parent_counts(graph)),
+        lambda graph: map(ge, repeat(MAX_PARENTS), map(len, graph.pp_ids)),
         lambda graph, i: f"node {i} has more than {MAX_PARENTS} parents",
     ),
-    Fact(lambda graph: _ints(_parents(graph)), _parent_message, _parent_counts),
-    Fact(lambda graph: _not_negative(_parents(graph)), _parent_message, _parent_counts),
-    Fact(_largest_parents_earlier, _parent_message, lambda graph: map(bool, graph.pp_ids)),
+    Fact(lambda graph: map(_parents_earlier, graph.pp_ids, count()), _parent_message),
     RELEVANCE_KIND,
     SCORE_FIELDS,
     Fact(relevance_keys_match, lambda graph, i: f"node {i} relevance keys mismatch the ontologies"),
@@ -266,8 +252,14 @@ def _new_rows(rows: _Rows) -> Iterator[bool]:
     return map(eq, map({}.setdefault, map(tuple, rows.rows), count()), count())
 
 
-def _row_lengths(rows: _Rows) -> Iterator[int]:
-    return map(len, rows.rows)
+def _counts_hold(row: object, t: int) -> bool:
+    """Whether a row is a list of ``t`` non-negative int counts."""
+    if not isinstance(row, list) or len(row) != t:
+        return False
+    for c in row:
+        if type(c) is not int or c < 0:
+            return False
+    return True
 
 
 def _counts_message(rows: _Rows, i: int) -> str:
@@ -281,10 +273,7 @@ _TOO_LARGE_FOR_FLOAT = 2**1024 - 2**970
 # is named: ``t`` (at least 1) non-negative int counts, not bools, unlike
 # every earlier row, the largest small enough to convert to a float.
 ROW_FACTS = (
-    Fact(lambda rows: map(list.__instancecheck__, rows.rows), _counts_message),
-    Fact(lambda rows: map(eq, _row_lengths(rows), repeat(rows.t)), _counts_message),
-    Fact(lambda rows: _ints(chain.from_iterable(rows.rows)), _counts_message, _row_lengths),
-    Fact(lambda rows: _not_negative(chain.from_iterable(rows.rows)), _counts_message, _row_lengths),
+    Fact(lambda rows: map(_counts_hold, rows.rows, repeat(rows.t)), _counts_message),
     Fact(_new_rows, lambda rows, i: f"{rows.where} row {i} repeats an earlier row"),
     Fact(
         lambda rows: map(lt, map(max, rows.rows), repeat(_TOO_LARGE_FOR_FLOAT)),

@@ -6,6 +6,7 @@ import json
 import logging
 import math
 import random
+import re
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -331,6 +332,10 @@ def _urls_too_few(graph: dict) -> None:
     graph["urls"].pop()
 
 
+_NOT_EARLIER = "must reference an earlier node"
+_NOT_COUNTS = "must be 3 non-negative integer counts"
+
+
 class TestValidation:
     def test_tampered_pattern_count_rejected(self, bundle, tmp_path):
         path = tmp_path / "index.json"
@@ -486,6 +491,56 @@ class TestValidation:
         else:
             message = f"row {1 + edited} must be 3 non-negative integer counts"
         with pytest.raises(ValidationError, match=message):
+            IndexBundle.load(path)
+
+    @pytest.mark.parametrize(
+        "edits, message",
+        [
+            ({"pp_ids": {2: [1, True]}}, "node 2 parent True " + _NOT_EARLIER),
+            ({"pp_ids": {2: ["0"]}}, "node 2 parent '0' " + _NOT_EARLIER),
+            ({"pp_ids": {2: [-1, 1]}}, "node 2 parent -1 " + _NOT_EARLIER),
+            ({"pp_ids": {2: [2]}}, "node 2 parent 2 " + _NOT_EARLIER),
+            ({"pp_ids": {2: [1, 3]}}, "node 2 parent 3 " + _NOT_EARLIER),
+            ({"pp_ids": {2: [3], 3: [True]}}, "node 2 parent 3 " + _NOT_EARLIER),
+            ({"rows": {1: "1,0,1"}}, "graph counts 1 row 1 " + _NOT_COUNTS),
+            ({"rows": {1: [1, 0]}}, "graph counts 1 row 1 " + _NOT_COUNTS),
+            ({"rows": {1: [1, False, 1]}}, "graph counts 1 row 1 " + _NOT_COUNTS),
+            ({"rows": {1: [1, 0.5, 1]}}, "graph counts 1 row 1 " + _NOT_COUNTS),
+            ({"rows": {1: [1, -1, 1]}}, "graph counts 1 row 1 " + _NOT_COUNTS),
+            ({"rows": {0: [1, -1, 0], 1: "x"}}, "graph counts 1 row 0 " + _NOT_COUNTS),
+        ],
+        ids=[
+            "bool-parent", "string-parent", "negative-parent", "own-p_id-parent", "later-parent",
+            "later-parent-before-bool-parent", "row-not-a-list", "short-row", "bool-count",
+            "float-count", "negative-count", "negative-count-before-row-not-a-list",
+        ],
+    )
+    def test_parent_and_count_rules_name_node_and_row(self, tmp_path, edits, message):
+        """A node's parents are one check and a row's counts one check: the
+        message names the lowest node or row that breaks any part of the
+        rule, and a node's first bad parent. The last case of each kind
+        breaks a later part of the rule below an earlier part."""
+        obj = four_page_index(tmp_path)
+        columns = {"pp_ids": obj["rpag"]["pp_ids"], "rows": obj["rpag"]["counts"]["1"]["rows"]}
+        for column, values in edits.items():
+            for i, value in values.items():
+                columns[column][i] = value
+        path = tmp_path / "index.json"
+        path.write_bytes(sealed(obj))
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            IndexBundle.load(path)
+
+    @pytest.mark.parametrize("key", ["relevance_limit", "term_relevance_limit"])
+    def test_infinite_limit_rejected(self, tmp_path, key):
+        """A limit is finite: ``Infinity``, which Python's parser reads but
+        is not JSON, fails a load under a fresh digest."""
+        obj = four_page_index(tmp_path)
+        ontology = obj["ontologies"][0]
+        (ontology if key == "relevance_limit" else ontology["terms"][1])[key] = math.inf
+        path = tmp_path / "index.json"
+        path.write_bytes(sealed(obj))
+        assert b"Infinity" in path.read_bytes()
+        with pytest.raises(ValidationError, match=key):
             IndexBundle.load(path)
 
     @pytest.mark.parametrize("text", ["[]", "null", '"index"', "[[[[1]]]]"])

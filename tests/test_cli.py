@@ -123,13 +123,24 @@ class TestBuild:
         assert err == f"error: {corpus_path}:2: 'url' is not valid Unicode\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("key", ["relevance_limit", "term_relevance_limit.default"])
-    def test_nan_limit_is_one_line_error(self, tmp_path, cricket_files, capsys, key):
-        """A NaN limit fails the build, naming its line, and nothing is
-        written: no index that a query cannot load."""
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            pytest.param("relevance_limit", "nan", id="relevance_limit"),
+            pytest.param("term_relevance_limit.default", "nan", id="term_relevance_limit.default"),
+            pytest.param("relevance_limit", "inf", id="relevance_limit-inf"),
+            pytest.param(
+                "term_relevance_limit.default", "inf", id="term_relevance_limit.default-inf"
+            ),
+        ],
+    )
+    def test_nan_limit_is_one_line_error(self, tmp_path, cricket_files, capsys, key, value):
+        """A NaN or infinite limit fails the build, naming its line, and
+        nothing is written: no index that a query cannot load, and no
+        ``Infinity``, which is not JSON."""
         weights, syntable, _ = cricket_files
         limits = tmp_path / "limits.cfg"
-        limits.write_text(f"# limits\n{key}=nan\n", encoding="utf-8")
+        limits.write_text(f"# limits\n{key}={value}\n", encoding="utf-8")
         corpus_path = tmp_path / "c.jsonl"
         write_corpus(corpus_path, [("a", [], "cricket")])
         out = tmp_path / "i.json"

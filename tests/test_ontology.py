@@ -278,6 +278,24 @@ class TestOntologyValidation:
                 relevance_limit=0.0,
             )
 
+    def test_infinite_page_limit_rejected(self):
+        with pytest.raises(ValidationError, match="relevance_limit"):
+            Ontology(
+                ontology_id=1,
+                name="x",
+                terms=(OntologyTerm(term="a", weight=0.5),),
+                relevance_limit=math.inf,
+            )
+
+    def test_infinite_term_limit_rejected(self):
+        with pytest.raises(ValidationError, match="term_relevance_limit"):
+            Ontology(
+                ontology_id=1,
+                name="x",
+                terms=(OntologyTerm(term="a", weight=0.5, term_relevance_limit=math.inf),),
+                relevance_limit=0.0,
+            )
+
     def test_oracle_tokenizer_agrees(self):
         rng = random.Random(23)
         for _ in range(100):

@@ -1,5 +1,6 @@
 """The package has zero runtime dependencies: it imports only the standard
-library and declares no dependency."""
+library and declares no dependency. Nor does it import a name it never
+uses."""
 from __future__ import annotations
 
 import ast
@@ -23,6 +24,28 @@ def absolute_imports(path: Path) -> list[str]:
     return names
 
 
+def unused_imports(path: Path) -> list[str]:
+    """Names the file imports and never reads, skipping ``from __future__``
+    and lines marked ``# noqa: F401``. Every module of the package imports
+    ``annotations`` from ``__future__``, so annotations are read as names,
+    not strings."""
+    source = path.read_text(encoding="utf-8")
+    lines = source.splitlines()
+    imported: dict[str, int] = {}
+    read: set[str] = set()
+    for node in ast.walk(ast.parse(source, str(path))):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) == "__future__":
+                continue
+            if "# noqa: F401" in lines[node.lineno - 1]:
+                continue
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in read]
+
+
 def test_sources_found():
     assert ROOT / "src" / "ibagsearch" / "__init__.py" in SOURCES
 
@@ -38,3 +61,9 @@ def test_pyproject_declares_no_dependencies():
     with open(ROOT / "pyproject.toml", "rb") as fh:
         project = tomllib.load(fh)["project"]
     assert project["dependencies"] == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_imports_only_names_it_uses(path):
+    unused = unused_imports(path)
+    assert not unused, f"{path.name} imports unused {unused}"
