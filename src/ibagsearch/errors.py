@@ -60,11 +60,11 @@ class Fact(NamedTuple):
     message: Callable[[Any, int], str]
 
 
-def first_failure(facts: Sequence[Fact], columns: Any) -> tuple[int, str] | None:
-    """The lowest node a fact fails at, ties going to the earlier fact, and
-    its message, or None. Until one fails, each fact is one pass over its
-    flags, one per node; then each is read only below the lowest failure
-    so far."""
+def check_facts(facts: Sequence[Fact], columns: Any) -> None:
+    """Raise ValidationError naming the lowest node a fact fails at, ties
+    going to the earlier fact. Until one fails, each fact is one pass over
+    its flags, one per node; then each is read only below the lowest
+    failure so far."""
     lowest = failed = None
     for fact in facts:
         if failed is None and all(fact.flags(columns)):
@@ -72,10 +72,5 @@ def first_failure(facts: Sequence[Fact], columns: Any) -> tuple[int, str] | None
         bad = next(compress(count(), map(not_, islice(fact.flags(columns), lowest))), None)
         if bad is not None:
             lowest, failed = bad, fact
-    return None if failed is None else (lowest, failed.message(columns, lowest))
-
-
-def check_facts(facts: Sequence[Fact], columns: Any) -> None:
-    """Raise ValidationError with the message of :func:`first_failure`."""
-    if failure := first_failure(facts, columns):
-        raise ValidationError(failure[1])
+    if failed is not None:
+        raise ValidationError(failed.message(columns, lowest))

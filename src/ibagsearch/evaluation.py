@@ -13,9 +13,9 @@ from typing import Sequence
 from .bitmask import BitPattern, PatternStore, gen_mask_bit_pattern
 from .bundle import IndexBundle
 from .corpus import synth_corpus
-from .ibag import IBAG, IBAGNode, select_columns
+from .ibag import IBAG, IBAGNode, build_ibag, select_columns
 from .ontology import Ontology, OntologyTerm
-from .relevance import PageRelevance
+from .rpag import RPaG
 from .search import (
     AFTER_MASKING,
     BEFORE_MASKING,
@@ -337,22 +337,21 @@ def traversal_cost_check(m_levels: int, pages_per_level: int) -> float:
         terms=(OntologyTerm(term="probe", weight=1.0),),
         relevance_limit=0.0,
     )
-    nodes: list[IBAGNode] = []
-    for level in range(m_levels):
-        base = level * pages_per_level
-        parent = None if level == 0 else (level - 1) * pages_per_level
-        for i in range(pages_per_level):
-            nodes.append(
-                IBAGNode(
-                    p_id=base + i,
-                    url=f"page-{base + i}",
-                    pp_id=parent,
-                    mean_rel_val=float(pages_per_level - i),
-                    level=level,
-                    relevance={1: PageRelevance(1, 1.0, True, (1.0,), (1,))},
-                )
-            )
-    ibag = IBAG.from_nodes(nodes, (probe,))
+    # page i of a level counts the term L - i times, so the level sorts in
+    # page order, and its parent is the first page of the level above
+    pages = range(pages_per_level)
+    graph = {
+        "urls": [f"page-{p_id}" for p_id in range(m_levels * pages_per_level)],
+        "pp_ids": [
+            [(level - 1) * pages_per_level] if level else []
+            for level in range(m_levels)
+            for _ in pages
+        ],
+        "counts": {
+            "1": {"rows": [[pages_per_level - i] for i in pages], "of_node": [*pages] * m_levels}
+        },
+    }
+    ibag = build_ibag(RPaG.from_json_obj(graph, (probe,)))
 
     total_visits = 0
     total_pages = 0

@@ -30,14 +30,12 @@ a query pays for the pages it returns, not for every supporter.
 :func:`select_by_range` and :meth:`IBAG.iter_chain`, the chain walk, are
 the reference that the tests compare it with.
 
-One private layout step, which :meth:`IBAG.from_nodes` and
-:func:`build_ibag` both end in, checks :data:`LAYOUT_FACTS` and lays the
-index out. :func:`build_ibag` derives the parents, levels and means from
-the graph's checked columns, reading each score row once, and re-checks
-nothing it derived; :meth:`IBAG.from_nodes` first checks what only its
-caller gives (:data:`NODE_FACTS`), then turns the nodes into columns once.
-:meth:`IBAG.validate` lays the nodes out again and compares, chains and
-columns included.
+The one way to an index is :func:`build_ibag`, from a graph that a crawl
+or a load made. It derives the parents, levels and means from the graph's
+checked columns, reading each score row once, and re-checks nothing it
+derived; its private layout step checks :data:`LAYOUT_FACTS` and lays the
+index out. :meth:`IBAG.validate` lays the index's columns out again and
+compares, chains included.
 """
 from __future__ import annotations
 
@@ -46,11 +44,11 @@ from array import array
 from bisect import bisect_left, bisect_right
 from functools import cached_property
 from itertools import compress, count, repeat
-from operator import add, attrgetter, eq, itemgetter, lt, methodcaller, neg, truediv
+from operator import add, attrgetter, eq, lt, neg, truediv
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .errors import Fact, ValidationError, check_facts, first_failure
+from .errors import Fact, ValidationError, check_facts
 from .ontology import Ontology
 from .relevance import GraphScores, PageRelevance, ScoreTable
 
@@ -62,8 +60,7 @@ class IBAGNode(NamedTuple):
     """One page of an index, a read-only value. ``relevance`` maps each
     ontology id to the page's score, and ``ont_link`` to the next
     supporter's p_id in the chain, None at its end; both are read-only in
-    the nodes of :attr:`IBAG.nodes`. :meth:`IBAG.from_nodes` ignores
-    ``ont_link``: the layout threads the chains."""
+    the nodes of :attr:`IBAG.nodes`."""
 
     p_id: int
     url: str
@@ -71,7 +68,7 @@ class IBAGNode(NamedTuple):
     mean_rel_val: float
     level: int
     relevance: Mapping[int, PageRelevance]
-    ont_link: Mapping[int, int | None] = MappingProxyType({})
+    ont_link: Mapping[int, int | None]
 
     @property
     def supported(self) -> dict[int, bool]:
@@ -209,26 +206,6 @@ class IBAG:
             p_id = next_ids[p_id]
 
     @classmethod
-    def from_nodes(cls, nodes: Sequence[IBAGNode], ontologies: Sequence[Ontology]) -> "IBAG":
-        """Check :data:`NODE_FACTS`, then lay out, through the step
-        :func:`build_ibag` ends in, the nodes before any that fails one, so
-        the error names the first bad node. Nodes that share a score share
-        its row; the index makes its own nodes from its columns."""
-        nodes = list(nodes)
-        ontologies = tuple(ontologies)
-        names = ("url", "pp_id", "p_id", "level", "mean_rel_val", "relevance")
-        view = FactColumns(*(list(map(attrgetter(f), nodes)) for f in names), ontologies=ontologies)
-        failure = first_failure(NODE_FACTS, view)
-        end = len(nodes) if failure is None else failure[0]  # each node fact holds before
-        urls, pp_ids, _, levels, means, relevances = (column[:end] for column in view[:6])
-        scores = GraphScores.shared(relevances, [ont.ontology_id for ont in ontologies])
-        columns = IndexColumns(urls, pp_ids, levels, means, scores)
-        ibag = cls._lay_out(columns, ontologies, _support_flags(ontologies, scores))
-        if failure is not None:
-            raise ValidationError(failure[1])
-        return ibag
-
-    @classmethod
     def _lay_out(
         cls,
         node_columns: IndexColumns,
@@ -261,79 +238,33 @@ class IBAG:
         return cls(ontologies, node_columns, levels, columns_by_ontology, chains)
 
     def validate(self) -> None:
-        """Lay the nodes out again and compare: raise ValidationError when
-        the level table, the level heads, the chain links, the supporter
-        columns or the index's columns differ from what :meth:`from_nodes`
-        derives. The index itself is left unchanged, though its nodes are
-        made and its chains threaded if nothing has read them yet."""
-        fresh = type(self).from_nodes(self.nodes, self.ontologies)
+        """Lay the index's columns out again and compare: raise
+        ValidationError when the level table, the level heads, the chain
+        links or the supporter columns differ from what the columns give.
+        The index itself is left unchanged, though its chains are threaded
+        if nothing has read them yet."""
+        supports = _support_flags(self.ontologies, self.node_columns.scores)
+        fresh = type(self)._lay_out(self.node_columns, self.ontologies, supports)
         if self.levels != fresh.levels:
-            raise ValidationError("level table differs from the sorted levels the nodes give")
+            raise ValidationError("level table differs from the sorted levels the columns give")
         heads, links = self._chains.threaded
         if heads != fresh.level_heads:
-            raise ValidationError("level heads differ from the first supporters the nodes give")
+            raise ValidationError("level heads differ from the first supporters the columns give")
         if links != fresh._chains.threaded[1]:
-            raise ValidationError("chain links differ from those the nodes give")
+            raise ValidationError("chain links differ from those the columns give")
         if self.columns != fresh.columns:
-            raise ValidationError("supporter columns differ from the sorted levels the nodes give")
-        mine, theirs = self.node_columns, fresh.node_columns
-        if mine[:-1] != theirs[:-1] or any(
-            table.per_node() != theirs.scores.tables[ont_id].per_node()
-            for ont_id, table in mine.scores.tables.items()
-        ):
-            raise ValidationError("index columns differ from the nodes")
+            raise ValidationError("supporter columns differ from the sorted levels")
 
 
 class FactColumns(NamedTuple):
-    """The columns a table of node facts reads some of, by p_id. ``pp_ids``
-    holds a parent list per node in a graph, one parent (or None) in an
-    index; ``supports`` each ontology id's support flags."""
+    """The columns a table of node facts reads some of, by p_id: a graph's
+    urls and parent lists, or an index's urls, means and ``supports``, each
+    ontology id's support flags."""
 
     urls: Sequence
     pp_ids: Sequence = ()
-    p_ids: Sequence = ()
-    levels: Sequence = ()
     means: Sequence = ()
-    relevances: Sequence = ()
     supports: Mapping[int, list[bool]] = MappingProxyType({})
-    ontologies: tuple[Ontology, ...] = ()
-
-
-def _relevance_kinds(nodes: FactColumns) -> Iterator[bool]:
-    """Whether each node's ``relevance`` is a dict, or the read-only
-    mapping a node carries, of scores."""
-    return (
-        isinstance(rel, (dict, MappingProxyType))
-        and all(map(isinstance, rel.values(), repeat(PageRelevance)))
-        for rel in nodes.relevances
-    )
-
-
-def _score_fields_hold(rel: PageRelevance) -> bool:
-    """Whether a score's ``supported`` is a bool, its ``relevance_value`` a
-    real number and its ``term_vector`` a tuple of them."""
-    return (
-        type(rel.supported) is bool
-        and isinstance(rel.relevance_value, (int, float))
-        and isinstance(rel.term_vector, tuple)
-        and all(map(isinstance, rel.term_vector, repeat((int, float))))
-    )
-
-
-def relevance_keys_match(nodes: FactColumns) -> Iterator[bool]:
-    """Whether each node's ``relevance`` has one key per ontology id."""
-    ids = {ont.ontology_id for ont in nodes.ontologies}
-    return map(eq, map(methodcaller("keys"), nodes.relevances), repeat(ids))
-
-
-def _vector_lengths(nodes: FactColumns) -> Iterator[bool]:
-    """Whether each node's term vectors are as long as their ontologies."""
-
-    def lengths_match(ont: Ontology) -> Iterator[bool]:
-        scores = map(itemgetter(ont.ontology_id), nodes.relevances)
-        return map(eq, map(len, map(attrgetter("term_vector"), scores)), repeat(ont.t))
-
-    return map(all, zip(*map(lengths_match, nodes.ontologies)))
 
 
 def _new_urls(nodes: FactColumns) -> Iterable[bool]:
@@ -351,58 +282,6 @@ def _url_message(nodes: FactColumns, p_id: int) -> str:
 def _mean_message(nodes: FactColumns, p_id: int) -> str:
     return f"node {p_id} mean relevance {nodes.means[p_id]} not in (0, inf)"
 
-
-# facts a graph of nodes shares with the index's nodes
-P_ID = Fact(
-    lambda nodes: map(eq, nodes.p_ids, count()),
-    lambda nodes, i: f"node at index {i} has p_id {nodes.p_ids[i]}",
-)
-URL_IS_STR = Fact(
-    lambda nodes: map(str.__instancecheck__, nodes.urls),
-    lambda nodes, i: f"graph url {i} must be a string, got {nodes.urls[i]!r:.40}",
-)
-RELEVANCE_KIND = Fact(
-    _relevance_kinds,
-    lambda nodes, i: f"node {i} relevance must map ontology ids to scores, "
-    f"got {nodes.relevances[i]!r:.40}",
-)
-SCORE_FIELDS = Fact(
-    lambda nodes: (all(map(_score_fields_hold, rel.values())) for rel in nodes.relevances),
-    lambda nodes, i: f"node {i} scores must hold a bool support, a real value and a tuple "
-    "of real term values",
-)
-VECTOR_LENGTHS = Fact(
-    _vector_lengths, lambda nodes, i: f"node {i} term vector length mismatches its ontology"
-)
-
-# The facts of hand-made nodes, which a build derives, in the order a
-# failure is named: only IBAG.from_nodes checks them.
-NODE_FACTS = (
-    P_ID,
-    URL_IS_STR,
-    Fact(
-        lambda nodes: (
-            pp is None or type(pp) is int and 0 <= pp < p_id
-            for p_id, pp in enumerate(nodes.pp_ids)
-        ),
-        lambda nodes, i: f"node {i} parent {nodes.pp_ids[i]} is not earlier in the index",
-    ),
-    Fact(
-        lambda nodes: (
-            type(level) is int and level == (0 if pp is None else nodes.levels[pp] + 1)
-            for pp, level in zip(nodes.pp_ids, nodes.levels)
-        ),
-        lambda nodes, i: f"node {i} level {nodes.levels[i]} does not follow its parent",
-    ),
-    RELEVANCE_KIND,
-    SCORE_FIELDS,
-    Fact(
-        relevance_keys_match,
-        lambda nodes, i: f"node {i} per-ontology fields mismatch the ontologies",
-    ),
-    VECTOR_LENGTHS,
-    Fact(lambda nodes: map(isinstance, nodes.means, repeat((int, float))), _mean_message),
-)
 
 # The facts of every index's nodes, which the layout checks: a non-empty
 # url unlike every earlier one, support for some ontology, a mean in (0, inf).
@@ -438,7 +317,7 @@ def build_ibag(rpag: RPaG) -> IBAG:
     supports = _support_flags(rpag.ontologies, scores)
     # in ontology order, not dict order, so the float sum is fixed
     tables = [scores.tables[ont.ontology_id] for ont in rpag.ontologies]
-    means = _means(tables, list(supports.values()), len(urls))
+    means = _means(tables, list(supports.values()))
     columns = IndexColumns(urls, pp_ids, levels, means, scores)
     return IBAG._lay_out(columns, rpag.ontologies, supports)
 
@@ -456,21 +335,14 @@ def _support_flags(ontologies: Sequence[Ontology], scores: GraphScores) -> dict[
     }
 
 
-def _means(tables: list[ScoreTable], supported: list[list[bool]], node_count: int) -> list[float]:
+def _means(tables: list[ScoreTable], supported: list[list[bool]]) -> list[float]:
     """Each node's mean: its supported values' sum, added in ontology order,
     over their count (0.0 for none); ``inf`` when the sum cannot be a float."""
-    if not tables:
-        return [0.0] * node_count
     values = [_per_node(table, "relevance_value") for table in tables]
-    if all(
-        type(rel.relevance_value) is float
-        and (rel.supported is True or (rel.supported is False and rel.relevance_value == 0.0))
-        for table in tables
-        for rel in table.rows
-    ):
-        # scored pages hold 0.0 where unsupported, and adding 0.0 leaves a
-        # float as it is, so with such floats alone every value adds up to
-        # the supported sum; a hand-made score may hold another value
+    if all(type(rel.relevance_value) is float for table in tables for rel in table.rows):
+        # a score holds 0.0 where unsupported, and adding 0.0 leaves a float
+        # as it is, so with floats alone every value adds up to the
+        # supported sum; an ontology whose weights are all ints gives ints
         sums, counts = values[0], supported[0]
         for column, flags in zip(values[1:], supported[1:]):
             sums = list(map(add, sums, column))

@@ -20,6 +20,9 @@ from, so one value can serve many pages: a crawl (``rpag.build_rpag``)
 calls :func:`page_relevance` once per distinct count vector of an ontology,
 and a load (``RPaG.from_json_obj``) calls :func:`relevance_from_counts` once
 per stored row of counts; the pages with those counts share the result.
+These are the only two ways to a graph's scores, so each of them follows
+from its counts: a graph made by hand is an index file's ``rpag`` object,
+and a load scores it.
 
 A graph and its index hold those shared scores in columns, as the index
 file stores their counts: per ontology a :class:`ScoreTable` of each
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import count, repeat
-from operator import itemgetter, mul
+from operator import mul
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
@@ -120,25 +123,12 @@ class GraphScores:
     on first read and then kept: the graph's nodes and its index's nodes
     hold the same mapping."""
 
-    def __init__(self, tables: dict[int, ScoreTable], node_count: int) -> None:
-        self.tables = tables
-        self.node_count = node_count
-
-    @classmethod
-    def shared(
-        cls, relevances: Sequence[Mapping[int, PageRelevance]], ids: Sequence[int]
-    ) -> "GraphScores":
-        """The tables of the pages' ``relevance`` mappings, by p_id, whose
-        keys the caller has checked: pages that share a score share its row."""
-        tables = {
-            ont_id: ScoreTable.shared(list(map(itemgetter(ont_id), relevances))) for ont_id in ids
-        }
-        return cls(tables, len(relevances))
+    def __init__(self, tables: dict[int, ScoreTable]) -> None:
+        self.tables = tables  # one per ontology, at least one
 
     @cached_property
     def relevances(self) -> list[Mapping[int, PageRelevance]]:
         """Each page's ``relevance`` mapping, by p_id."""
         ids = list(self.tables)
-        columns = [table.per_node() for table in self.tables.values()]
-        rels = zip(*columns) if columns else repeat((), self.node_count)
+        rels = zip(*(table.per_node() for table in self.tables.values()))
         return list(map(MappingProxyType, map(dict, map(zip, repeat(ids), rels))))

@@ -18,22 +18,22 @@ A graph's only state is its pages in columns (:class:`GraphColumns`), as
 the index file stores them: the urls, the parent lists, and per ontology a
 ``ScoreTable`` of each distinct score once (``rows``, in order of first
 use by p_id) with each page's row index (``of_node``). A crawl and a load
-make only these columns. ``RPaG(nodes=...)`` checks its nodes
-(:data:`GRAPH_FACTS`) and turns them into columns once, a score that
-several nodes share one row. :attr:`RPaG.nodes` makes the
-:class:`RPaGNode` values on first read and keeps them; they are read-only,
-so an edit makes new nodes and a new graph from them. One layout path,
+make these columns, and nothing else does: a page's scores come only from
+its counts. :attr:`RPaG.nodes` makes the :class:`RPaGNode` values on
+first read and keeps them; they are read-only. One layout path,
 ``build_ibag``, reads the columns.
 
-Loading a saved graph (:meth:`RPaG.from_json_obj`) checks each
-ontology's rows of counts (:data:`ROW_FACTS`), scores each row once
-through ``relevance_from_counts``, checks that the row indexes use every
-row, first in row order, so an accepted graph saves back to the same
-bytes, then checks the pages' urls and parents (:data:`GRAPH_FACTS`).
-Each fact is written once, as lazy flags, one per node or row, and a
-message (``errors.Fact``): a node's parents are one check of its parent
-list, a row's counts one check of the row. The index's own facts are
-checked by the layout ``build_ibag`` ends in.
+Loading a saved graph (:meth:`RPaG.from_json_obj`) checks the ontologies
+as a crawl does, then each ontology's rows of counts (:data:`ROW_FACTS`),
+scores each row once through ``relevance_from_counts``, checks that the
+row indexes use every row, first in row order, so an accepted graph saves
+back to the same bytes, then checks the pages' urls and parents
+(:data:`GRAPH_FACTS`). A graph made by hand is the same object, the
+``rpag`` section of an index file, and enters the same way. Each fact is
+written once, as lazy flags, one per node or row, and a message
+(``errors.Fact``): a node's parents are one check of its parent list, a
+row's counts one check of the row. The index's own facts are checked by
+the layout ``build_ibag`` ends in.
 """
 from __future__ import annotations
 
@@ -47,8 +47,7 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .corpus import Corpus
 from .errors import Fact, ValidationError, check_facts, json_field
-from .ibag import IBAG, P_ID, RELEVANCE_KIND, SCORE_FIELDS, URL_IS_STR, VECTOR_LENGTHS
-from .ibag import FactColumns, build_ibag, relevance_keys_match
+from .ibag import IBAG, FactColumns, build_ibag
 from .ontology import Ontology, PhraseTable, normalize_text
 from .relevance import (
     GraphScores,
@@ -75,7 +74,7 @@ class RPaGNode(NamedTuple):
 
 class GraphColumns(NamedTuple):
     """A graph's node facts, one column each, by p_id: the urls, the parent
-    lists (as given, for a graph of nodes) and the score tables."""
+    lists and the score tables."""
 
     urls: list[str]
     pp_ids: list[Sequence[int]]
@@ -85,28 +84,11 @@ class GraphColumns(NamedTuple):
 class RPaG:
     """The graph's pages, dense in p_id in discovery order, plus the
     ontologies. Its columns are its only state: a crawl or a load makes
-    them, and a graph of nodes is turned into them once, after its nodes
-    are checked. The nodes are read-only values made from the columns on
-    first read and kept."""
+    them. The nodes are read-only values made from the columns on first
+    read and kept."""
 
-    def __init__(
-        self,
-        nodes: Sequence[RPaGNode] | None = None,
-        ontologies: Sequence[Ontology] = (),
-        columns: GraphColumns | None = None,
-    ) -> None:
+    def __init__(self, ontologies: Sequence[Ontology], columns: GraphColumns) -> None:
         self.ontologies = tuple(ontologies)
-        if columns is None:
-            nodes = list(nodes or ())
-            graph = FactColumns(
-                *([getattr(node, name) for node in nodes] for name in ("url", "pp_ids", "p_id")),
-                relevances=[node.relevance for node in nodes],
-                ontologies=self.ontologies,
-            )
-            check_facts(GRAPH_FACTS, graph)
-            ids = [ont.ontology_id for ont in self.ontologies]
-            scores = GraphScores.shared(graph.relevances, ids)
-            columns = GraphColumns(graph.urls, graph.pp_ids, scores)
         self.columns = columns
 
     @cached_property
@@ -138,27 +120,23 @@ class RPaG:
         graph's own url, parent and row index lists, not copies: a save
         dumps it, and nothing may edit it."""
         urls, pp_ids, scores = self.columns
+        # a crawl scores each distinct count vector once and a load rejects
+        # a repeated row, so each row's counts are distinct
         counts = {}
         for ont in self.ontologies:
             table = scores.tables[ont.ontology_id]
-            rows: dict[tuple[int, ...], int] = {}
-            renumbered = [rows.setdefault(rel.counts, len(rows)) for rel in table.rows]
-            # with every row's counts distinct, each row keeps its number
-            of_node = (
-                table.of_node
-                if len(rows) == len(renumbered)
-                else list(map(renumbered.__getitem__, table.of_node))
-            )
-            counts[str(ont.ontology_id)] = {"of_node": of_node, "rows": list(rows)}
+            rows = [rel.counts for rel in table.rows]
+            counts[str(ont.ontology_id)] = {"of_node": table.of_node, "rows": rows}
         return {"counts": counts, "pp_ids": pp_ids, "urls": urls}
 
     @staticmethod
     def from_json_obj(obj: object, ontologies: Sequence[Ontology]) -> "RPaG":
-        """Decode the columns (p_id is the list index), checking shapes,
-        :data:`ROW_FACTS`, row indexes and :data:`GRAPH_FACTS`, and score
-        each row of counts once. The index's facts are checked by
-        :func:`build_ibag`, which a bundle load runs on the result."""
-        ontologies = tuple(ontologies)
+        """Decode the columns (p_id is the list index), checking the
+        ontologies, shapes, :data:`ROW_FACTS`, row indexes and
+        :data:`GRAPH_FACTS`, and score each row of counts once. The index's
+        facts are checked by :func:`build_ibag`, which a bundle load runs on
+        the result."""
+        ontologies = _checked_ontologies(ontologies)
         if not isinstance(obj, dict):
             raise ValidationError("graph section must be an object")
         urls = json_field(obj, "urls", list, "graph")
@@ -173,10 +151,7 @@ class RPaG:
             for ont in ontologies
         }
         check_facts(GRAPH_FACTS, FactColumns(urls, pp_ids))
-        return RPaG(
-            ontologies=ontologies,
-            columns=GraphColumns(urls, pp_ids, GraphScores(scores, len(urls))),
-        )
+        return RPaG(ontologies, GraphColumns(urls, pp_ids, GraphScores(scores)))
 
 
 def _score_table(ont: Ontology, table: object, node_count: int) -> ScoreTable:
@@ -204,25 +179,31 @@ def _score_table(ont: Ontology, table: object, node_count: int) -> ScoreTable:
     return ScoreTable(shared, of_node)
 
 
-def _parents_earlier(pp_ids: Sequence, p_id: int) -> bool:
-    """Whether each of a node's parents is an int naming an earlier node."""
+def _parents_hold(pp_ids: Sequence, p_id: int) -> bool:
+    """Whether a node's parents are distinct ints, each naming an earlier node."""
     for pp in pp_ids:
         if type(pp) is not int or not 0 <= pp < p_id:
             return False
-    return True
+    return len(pp_ids) < 2 or len(set(pp_ids)) == len(pp_ids)
 
 
 def _parent_message(graph: FactColumns, p_id: int) -> str:
-    """The message naming the node's first parent that is no earlier node."""
-    bad = next(pp for pp in graph.pp_ids[p_id] if not _parents_earlier((pp,), p_id))
-    return f"node {p_id} parent {bad!r:.40} must reference an earlier node"
+    """The message naming the node's first parent that is no earlier node,
+    or else its first parent listed twice."""
+    parents = graph.pp_ids[p_id]
+    for pp in parents:
+        if not _parents_hold((pp,), p_id):
+            return f"node {p_id} parent {pp!r:.40} must reference an earlier node"
+    twice = next(pp for i, pp in enumerate(parents) if pp in parents[:i])
+    return f"node {p_id} parent {twice} is listed twice"
 
 
-# The facts of each node of a graph, in the order a failure is named; a
-# decoded graph has no p_ids or relevance mappings.
+# The facts of each node of a graph, in the order a failure is named.
 GRAPH_FACTS = (
-    P_ID,
-    URL_IS_STR,
+    Fact(
+        lambda graph: map(str.__instancecheck__, graph.urls),
+        lambda graph, i: f"graph url {i} must be a string, got {graph.urls[i]!r:.40}",
+    ),
     Fact(
         lambda graph: map(isinstance, graph.pp_ids, repeat((list, tuple))),
         lambda graph, i: f"graph pp_ids {i} must be a list, got {graph.pp_ids[i]!r:.40}",
@@ -231,11 +212,7 @@ GRAPH_FACTS = (
         lambda graph: map(ge, repeat(MAX_PARENTS), map(len, graph.pp_ids)),
         lambda graph, i: f"node {i} has more than {MAX_PARENTS} parents",
     ),
-    Fact(lambda graph: map(_parents_earlier, graph.pp_ids, count()), _parent_message),
-    RELEVANCE_KIND,
-    SCORE_FIELDS,
-    Fact(relevance_keys_match, lambda graph, i: f"node {i} relevance keys mismatch the ontologies"),
-    VECTOR_LENGTHS,
+    Fact(lambda graph: map(_parents_hold, graph.pp_ids, count()), _parent_message),
 )
 
 
@@ -282,6 +259,18 @@ ROW_FACTS = (
 )
 
 
+def _checked_ontologies(ontologies: Sequence[Ontology]) -> tuple[Ontology, ...]:
+    """The ontologies as a tuple: at least one, their ids unique. A crawl
+    and a load both check them here."""
+    ontologies = tuple(ontologies)
+    if not ontologies:
+        raise ValidationError("at least one ontology is required")
+    ids = [ont.ontology_id for ont in ontologies]
+    if len(set(ids)) != len(ids):
+        raise ValidationError("ontology ids must be unique")
+    return ontologies
+
+
 def build_rpag(corpus: Corpus, ontologies: Sequence[Ontology]) -> RPaG:
     """Crawl the corpus from its seeds and keep every supporting page.
 
@@ -290,14 +279,9 @@ def build_rpag(corpus: Corpus, ontologies: Sequence[Ontology]) -> RPaG:
     was processed, in link-discovery order. That rule keeps every parent's
     p_id below its child's, so the parent structure is acyclic.
     """
-    ontologies = tuple(ontologies)
-    if not ontologies:
-        raise ValidationError("at least one ontology is required")
+    ontologies = _checked_ontologies(ontologies)
     if not corpus.seeds:
         raise ValidationError("corpus has no seeds")
-    ids = [ont.ontology_id for ont in ontologies]
-    if len(set(ids)) != len(ids):
-        raise ValidationError("ontology ids must be unique")
 
     queue: deque[str] = deque()
     discovered: set[str] = set()
@@ -353,6 +337,7 @@ def build_rpag(corpus: Corpus, ontologies: Sequence[Ontology]) -> RPaG:
                 queue.append(link)
 
     log.debug("built relevance graph: %d nodes from %d documents", len(urls), len(corpus))
-    tables = {ont_id: ScoreTable.shared(column) for ont_id, column in zip(ids, kept)}
-    columns = GraphColumns(urls, pp_ids, GraphScores(tables, len(urls)))
-    return RPaG(ontologies=ontologies, columns=columns)
+    tables = {
+        ont.ontology_id: ScoreTable.shared(column) for ont, column in zip(ontologies, kept)
+    }
+    return RPaG(ontologies, GraphColumns(urls, pp_ids, GraphScores(tables)))

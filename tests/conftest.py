@@ -6,7 +6,15 @@ import sys
 
 import pytest
 
-from ibagsearch import Corpus, CorpusDoc, LimitsConfig, Ontology, OntologyTerm, load_ontology
+from ibagsearch import (
+    Corpus,
+    CorpusDoc,
+    LimitsConfig,
+    Ontology,
+    OntologyTerm,
+    RPaG,
+    load_ontology,
+)
 from ibagsearch.bundled import default_ontologies
 
 
@@ -41,6 +49,28 @@ def set_node_counts(index_obj: dict, key: str, counts: list[list[int]]) -> None:
     rows: dict[tuple[int, ...], int] = {}
     of_node = [rows.setdefault(tuple(c), len(rows)) for c in counts]
     index_obj["rpag"]["counts"][key] = {"of_node": of_node, "rows": [list(r) for r in rows]}
+
+
+def graph_from_counts(
+    per_node: list[dict[int, list[int]]],
+    ontologies,
+    pp_ids: list[list[int]] | None = None,
+    urls: list[str] | None = None,
+) -> RPaG:
+    """A graph made by hand: node i counts ``per_node[i][id]`` of the terms
+    of ontology ``id`` (none of an ontology it leaves out); its url is
+    ``u<i>`` and it has no parents unless given. It is the ``rpag`` object
+    of an index file, so it is checked and scored as a load checks and
+    scores one."""
+    obj = {
+        "urls": urls if urls is not None else [f"u{i}" for i in range(len(per_node))],
+        "pp_ids": pp_ids if pp_ids is not None else [[] for _ in per_node],
+        "counts": {},
+    }
+    for ont in ontologies:
+        counts = [node.get(ont.ontology_id, [0] * ont.t) for node in per_node]
+        set_node_counts({"rpag": obj}, str(ont.ontology_id), counts)
+    return RPaG.from_json_obj(obj, ontologies)
 
 
 LARGEST_FLOAT_AS_INT = int(sys.float_info.max)

@@ -72,6 +72,18 @@ class TestMaskBitPattern:
         assert mask.positions() == (1,)
 
 
+class TestBitPattern:
+    def test_bit_reads_positions_msb_first(self):
+        pattern = BitPattern(bits=0b1100100, length=7, ontology_id=1)
+        assert [pattern.bit(p) for p in range(7)] == [1, 1, 0, 0, 1, 0, 0]
+
+    @pytest.mark.parametrize("position", [-1, 7])
+    def test_bit_outside_the_pattern_rejected(self, position):
+        pattern = BitPattern(bits=0b1111111, length=7, ontology_id=1)
+        with pytest.raises(ValueError, match=rf"^bit position {position} outside \[0, 7\)$"):
+            pattern.bit(position)
+
+
 class TestXor:
     def test_worked_example(self):
         page = gen_webpage_bit_pattern([0.0, 0.9, 0.0, 0.0, 0.7, 0.0, 0.0], SEVEN)

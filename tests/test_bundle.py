@@ -8,6 +8,7 @@ import math
 import random
 import re
 import tracemalloc
+from array import array
 from collections import Counter
 from pathlib import Path
 from typing import NamedTuple
@@ -15,13 +16,13 @@ from typing import NamedTuple
 import pytest
 
 from ibagsearch import (
-    IBAG,
     IBAGNode,
     IndexBundle,
     Query,
     RPaG,
     RPaGNode,
     build_ibag,
+    build_rpag,
     gen_ibag_bit_patterns,
     Ontology,
     OntologyTerm,
@@ -36,7 +37,9 @@ from ibagsearch.bundled import default_queries
 from ibagsearch.ontology import normalize_text
 from ibagsearch.relevance import page_relevance, relevance_from_counts
 from conftest import (
+    LARGEST_FLOAT_AS_INT,
     flat_ontology,
+    graph_from_counts,
     int_sum_too_large_for_float,
     make_corpus,
     node_counts,
@@ -45,7 +48,6 @@ from conftest import (
     set_node_counts,
     single_term_ontology,
 )
-from test_ibag import rpag_from_values
 
 
 @pytest.fixture(scope="module")
@@ -332,6 +334,33 @@ def _urls_too_few(graph: dict) -> None:
     graph["urls"].pop()
 
 
+def _counts_of_an_unknown_ontology(graph: dict) -> None:
+    graph["counts"]["9"] = graph["counts"]["1"]
+
+
+def _empty_url_of_node_1(graph: dict) -> None:
+    graph["urls"][1] = ""
+
+
+def _url_of_node_0_repeated(graph: dict) -> None:
+    graph["urls"][2] = graph["urls"][0]
+
+
+def _int_url_of_node_1(graph: dict) -> None:
+    graph["urls"][1] = 5
+
+
+def _no_ontologies(obj: dict) -> None:
+    """No ontologies, and so no pages, counts or patterns."""
+    obj["ontologies"] = []
+    obj["rpag"] = {"counts": {}, "pp_ids": [], "urls": []}
+    obj["patterns"] = {"patterns": {}, "t_by_ontology": {}}
+
+
+def _ontology_twice(obj: dict) -> None:
+    obj["ontologies"] *= 2
+
+
 _NOT_EARLIER = "must reference an earlier node"
 _NOT_COUNTS = "must be 3 non-negative integer counts"
 
@@ -452,6 +481,10 @@ class TestValidation:
             (_rows_out_of_first_use_order, "not in order of first use"),
             (_row_indexes_too_few, "3 row indexes for 4 nodes"),
             (_urls_too_few, "3 urls but 4 parent lists"),
+            (_counts_of_an_unknown_ontology, "^graph counts keys mismatch the ontologies$"),
+            (_empty_url_of_node_1, "^node 1 url '' missing or duplicated$"),
+            (_url_of_node_0_repeated, "^node 2 url 'a' missing or duplicated$"),
+            (_int_url_of_node_1, "^graph url 1 must be a string, got 5$"),
         ],
     )
     def test_malformed_columns_rejected(self, tmp_path, tamper, message):
@@ -501,6 +534,9 @@ class TestValidation:
             ({"pp_ids": {2: [-1, 1]}}, "node 2 parent -1 " + _NOT_EARLIER),
             ({"pp_ids": {2: [2]}}, "node 2 parent 2 " + _NOT_EARLIER),
             ({"pp_ids": {2: [1, 3]}}, "node 2 parent 3 " + _NOT_EARLIER),
+            ({"pp_ids": {3: [0, 0]}}, "node 3 parent 0 is listed twice"),
+            ({"pp_ids": {3: [1, 0, 1]}}, "node 3 parent 1 is listed twice"),
+            ({"pp_ids": {3: [0, 0, 3]}}, "node 3 parent 3 " + _NOT_EARLIER),
             ({"pp_ids": {2: [3], 3: [True]}}, "node 2 parent 3 " + _NOT_EARLIER),
             ({"rows": {1: "1,0,1"}}, "graph counts 1 row 1 " + _NOT_COUNTS),
             ({"rows": {1: [1, 0]}}, "graph counts 1 row 1 " + _NOT_COUNTS),
@@ -511,6 +547,7 @@ class TestValidation:
         ],
         ids=[
             "bool-parent", "string-parent", "negative-parent", "own-p_id-parent", "later-parent",
+            "repeated-parent", "parent-repeated-later", "own-p_id-parent-after-repeated-parent",
             "later-parent-before-bool-parent", "row-not-a-list", "short-row", "bool-count",
             "float-count", "negative-count", "negative-count-before-row-not-a-list",
         ],
@@ -518,8 +555,9 @@ class TestValidation:
     def test_parent_and_count_rules_name_node_and_row(self, tmp_path, edits, message):
         """A node's parents are one check and a row's counts one check: the
         message names the lowest node or row that breaks any part of the
-        rule, and a node's first bad parent. The last case of each kind
-        breaks a later part of the rule below an earlier part."""
+        rule, and a node's first bad parent, else its first parent listed
+        twice. The last case of each kind breaks a later part of the rule
+        below an earlier part."""
         obj = four_page_index(tmp_path)
         columns = {"pp_ids": obj["rpag"]["pp_ids"], "rows": obj["rpag"]["counts"]["1"]["rows"]}
         for column, values in edits.items():
@@ -542,6 +580,28 @@ class TestValidation:
         assert b"Infinity" in path.read_bytes()
         with pytest.raises(ValidationError, match=key):
             IndexBundle.load(path)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (_no_ontologies, "at least one ontology is required"),
+            (_ontology_twice, "ontology ids must be unique"),
+        ],
+        ids=["no-ontologies", "ontology-twice"],
+    )
+    def test_ontology_list_rejected_as_a_build_rejects_it(self, tmp_path, edit, message):
+        """A load checks the ontologies as a crawl does: at least one, each
+        id once. The file is otherwise whole, under a fresh digest."""
+        ontology = single_term_ontology("topic")
+        corpus = make_corpus([("a", ["b"], "topic"), ("b", [], "topic topic")])
+        obj = saved_obj(IndexBundle.build(corpus, [ontology]), tmp_path / "built.json")
+        edit(obj)
+        path = tmp_path / "index.json"
+        path.write_bytes(sealed(obj))
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            IndexBundle.load(path)
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            build_rpag(corpus, [Ontology.from_json_obj(raw) for raw in obj["ontologies"]])
 
     @pytest.mark.parametrize("text", ["[]", "null", '"index"', "[[[[1]]]]"])
     def test_non_object_top_level_rejected(self, tmp_path, text):
@@ -743,23 +803,12 @@ class TestBundleValidate:
         with pytest.raises(ValidationError, match="index nodes"):
             dataclasses.replace(fresh, ibag=other.ibag).validate()
 
-    def test_graph_only_fact_rejected(self, fresh):
-        """The index ignores a relevance entry for an unknown ontology."""
-        nodes = list(fresh.rpag.nodes)
-        relevance = nodes[0].relevance
-        nodes[0] = nodes[0]._replace(relevance={**relevance, 99: relevance[1]})
-        with pytest.raises(ValidationError, match="relevance keys"):
-            rpag = RPaG(nodes=nodes, ontologies=fresh.ontologies)
-            dataclasses.replace(fresh, rpag=rpag).validate()
-
     def test_mean_edited_in_place_rejected(self, fresh):
-        """The edit keeps every level's order, so only a re-derivation from
-        the graph can tell."""
-        nodes = list(fresh.ibag.nodes)
-        nodes[0] = nodes[0]._replace(mean_rel_val=nodes[0].mean_rel_val * (1.0 + 1e-9))
-        ibag = IBAG.from_nodes(nodes, fresh.ontologies)
+        """The index's own layout does not read its means again, so only a
+        re-derivation from the graph can tell."""
+        fresh.ibag.node_columns.mean_rel_val[0] *= 1.0 + 1e-9
         with pytest.raises(ValidationError, match="index nodes"):
-            dataclasses.replace(fresh, ibag=ibag).validate()
+            fresh.validate()
 
 
 class Layout(NamedTuple):
@@ -829,9 +878,12 @@ def layout_of(bundle: IndexBundle) -> Layout:
     )
 
 
-def hand_made(values_per_node: list[dict[int, float]], ontologies) -> IndexBundle:
-    """A bundle laid out from a parentless graph with the given values."""
-    rpag = rpag_from_values(values_per_node, ontologies)
+def hand_made(counts_per_node: list[dict[int, int]], ontologies) -> IndexBundle:
+    """A bundle laid out from a parentless graph of one-term ontologies made
+    by hand: node i counts its ontology ``id``'s term ``counts_per_node[i][id]``
+    times (none for an ontology it leaves out)."""
+    counts = [{ont_id: [c] for ont_id, c in node.items()} for node in counts_per_node]
+    rpag = graph_from_counts(counts, ontologies)
     ibag = build_ibag(rpag)
     return IndexBundle(rpag.ontologies, rpag, ibag, gen_ibag_bit_patterns(ibag, rpag.ontologies))
 
@@ -843,11 +895,21 @@ DIFFERENTIAL_CORPORA = [
 ]
 
 
-# weight 1 as an int, as an ontology read from JSON may hold it
-INT_WEIGHT_ONTS = tuple(
-    single_term_ontology(term, weight=1, relevance_limit=0.1, ontology_id=ont_id)
-    for ont_id, term in enumerate(("alpha", "beta", "gamma"), start=1)
-)
+def one_term_ontologies(*weights: float, relevance_limit: float = 0.1) -> tuple[Ontology, ...]:
+    """One one-term ontology per weight, ids from 1, limit ``relevance_limit``."""
+    return tuple(
+        single_term_ontology(term, weight=weight, relevance_limit=relevance_limit, ontology_id=i)
+        for i, (term, weight) in enumerate(zip(("alpha", "beta", "gamma"), weights), start=1)
+    )
+
+
+# weight 1 as an int, as an ontology read from JSON may hold it: its values
+# are ints; weight 1.0 gives floats
+INT_WEIGHT_ONTS = one_term_ontologies(1, 1, 1)
+FLOAT_WEIGHT_ONTS = one_term_ontologies(1.0, 1.0, 1.0)
+# a count past half the largest float, and no count is past the largest:
+# it takes two int values to sum past it
+PAST_HALF_THE_LARGEST_FLOAT = LARGEST_FLOAT_AS_INT * 5 // 6
 
 
 class TestLoadMatchesBuild:
@@ -897,67 +959,80 @@ class TestLoadMatchesBuild:
         self.assert_load_matches_build(built, tmp_path / "index.json")
 
     @pytest.mark.parametrize(
-        "values_per_node, means",
+        "ontologies, counts_per_node, means",
         [
             (
+                INT_WEIGHT_ONTS,
                 [
-                    {1: 1e16, 2: 1.0, 3: 1.0},
-                    {1: 1.0, 2: 1.0, 3: 1e16},
-                    {2: 0.5},
+                    {1: 10**16, 2: 1, 3: 1},
+                    {2: 1},
                     {1: 2**53 + 1, 2: 2**53 + 1, 3: 2**53 + 1},
                 ],
-                [1e16 / 3, (2.0 + 1e16) / 3, 0.5, float(2**53)],
+                [3333333333333334.0, 1.0, float(2**53)],
             ),
-            ([{1: 10**308, 2: 10**308, 3: 10**308}, {1: 0.25}], [1e308, 0.25]),
+            (INT_WEIGHT_ONTS, [{1: 10**308, 2: 10**308, 3: 10**308}, {1: 1}], [1e308, 1.0]),
             (
-                [{1: 1e16, 2: 1.0, 3: 1.0}, {1: 1.0, 2: 1.0, 3: 1e16}, {2: 0.5}],
-                [1e16 / 3, (2.0 + 1e16) / 3, 0.5],
+                FLOAT_WEIGHT_ONTS,
+                [{1: 10**16, 2: 1, 3: 1}, {1: 1, 2: 1, 3: 10**16}, {2: 2}],
+                [1e16 / 3, (2.0 + 1e16) / 3, 2.0],
             ),
         ],
         ids=["sum-order", "int-sum-past-the-largest-float", "float-sum-order"],
     )
-    def test_hand_made_graph_where_order_matters(self, values_per_node, means):
-        """Supported values summed left to right in ontology order: ``1e16
+    def test_hand_made_graph_where_order_matters(self, ontologies, counts_per_node, means):
+        """Float values are summed left to right in ontology order: ``1e16
         + 1.0`` rounds back to ``1e16``, so the first two pages' means differ
         in their last bits. A page may support one ontology of three. Int
-        values are summed as ints and divided once: ``3 * (2**53 + 1)`` as
-        a float would round up, and ``3 * 10**308`` is past the largest
-        float, yet its mean is one."""
-        bundle = hand_made(values_per_node, INT_WEIGHT_ONTS)
+        values, from int weights, are summed as ints and divided once:
+        ``10**16 + 1 + 1`` stays exact, where floats would give ``1e16 / 3``,
+        and ``3 * 10**308`` is past the largest float, yet its mean is one."""
+        bundle = hand_made(counts_per_node, ontologies)
         assert layout_of(bundle) == reference_layout(bundle)
         assert layout_of(bundle).means == means
         assert len(set(means)) == len(means)
         bundle.validate()
 
-    @pytest.mark.parametrize("value", [5.0, math.nan], ids=["nonzero", "nan"])
-    def test_hand_made_unsupported_value_left_out_of_the_mean(self, value):
-        """A score made by hand may be unsupported and still hold a value
-        other than 0.0; like every unsupported value, the mean leaves it
-        out, and the layout accepts the graph."""
-        made = rpag_from_values([{1: 0.5, 2: 0.25}, {2: 0.75}], INT_WEIGHT_ONTS)
-        nodes = [
-            node._replace(
-                relevance={**node.relevance, 3: node.relevance[3]._replace(relevance_value=value)}
-            )
-            for node in made.nodes
-        ]
-        rpag = RPaG(nodes=nodes, ontologies=made.ontologies)
-        ibag = build_ibag(rpag)
-        bundle = IndexBundle(rpag.ontologies, rpag, ibag, gen_ibag_bit_patterns(ibag, rpag.ontologies))
+    @pytest.mark.parametrize("count", [1, 0], ids=["nonzero", "zero"])
+    def test_hand_made_unsupported_value_left_out_of_the_mean(self, count):
+        """Ontology 3's term scores ``count`` on each page, not past its
+        limit: like every unsupported value, the mean leaves it out."""
+        ontologies = one_term_ontologies(1.0, 1.0, 1.0, relevance_limit=1.5)
+        bundle = hand_made([{1: 2, 2: 3, 3: count}, {2: 4, 3: count}], ontologies)
         assert layout_of(bundle) == reference_layout(bundle)
-        assert layout_of(bundle).means == [0.375, 0.75]
+        assert layout_of(bundle).means == [2.5, 4.0]
         bundle.validate()
 
     @pytest.mark.parametrize(
-        "values",
-        [{1: 2 * 10**308}, {1: 10**308, 2: 10**308, 3: 10**309}, {1: 10**400, 2: 1.0}],
-        ids=["one-int", "int-sum", "int-plus-float"],
+        "ontologies, counts, message",
+        [
+            (INT_WEIGHT_ONTS, {1: 2 * 10**308}, "graph counts 1 row 1 holds a count too large"),
+            (
+                INT_WEIGHT_ONTS,
+                {1: 10**308, 2: 10**308, 3: 10**309},
+                "graph counts 3 row 1 holds a count too large",
+            ),
+            (
+                one_term_ontologies(1, 1, 1.0),
+                {1: PAST_HALF_THE_LARGEST_FLOAT, 2: PAST_HALF_THE_LARGEST_FLOAT, 3: 1},
+                "node 1 mean relevance inf not in",
+            ),
+            (
+                one_term_ontologies(1, 1.0, 1),
+                {1: PAST_HALF_THE_LARGEST_FLOAT, 2: 1, 3: PAST_HALF_THE_LARGEST_FLOAT},
+                "node 1 mean relevance inf not in",
+            ),
+        ],
+        ids=["one-int", "int-sum", "int-plus-float", "float-plus-int"],
     )
-    def test_int_sum_past_the_largest_float_rejected(self, values):
-        """Node 0 is valid; node 1's mean cannot be a float, so it is
-        ``inf``, which the layout rejects, naming node 1."""
-        with pytest.raises(ValidationError, match="node 1 mean relevance inf not in"):
-            hand_made([{2: 0.5}, values], INT_WEIGHT_ONTS)
+    def test_int_sum_past_the_largest_float_rejected(self, ontologies, counts, message):
+        """Node 0 is valid; node 1's values cannot sum to a float. A count
+        past the largest float fails its row. Below it, two int values may
+        sum past the largest float: a float added to that sum cannot convert
+        it, and a float sum that adds such an int passes the largest float.
+        Either way the mean is ``inf``, which the layout rejects, naming
+        node 1."""
+        with pytest.raises(ValidationError, match=f"^{message}"):
+            hand_made([{2: 1}, counts], ontologies)
 
     def test_load_leaves_the_collector_as_it_found_it(self, bundle, tmp_path):
         path = tmp_path / "index.json"
@@ -999,8 +1074,8 @@ class TestLoadMatchesBuild:
 
 class TestColumnLayout:
     """A build and a load hold the index in columns and make no node; the
-    columns lay the index out as :meth:`IBAG.from_nodes` lays out the
-    nodes, and the patterns are the per-page reference's."""
+    nodes read from the columns lay the index out as it is laid out, and
+    the patterns are the per-page reference's."""
 
     @staticmethod
     def node_count() -> int:
@@ -1031,25 +1106,37 @@ class TestColumnLayout:
         built = IndexBundle.build(synth_corpus(seed, docs, bundled_onts), bundled_onts)
         built.save(tmp_path / "index.json")
         loaded = IndexBundle.load(tmp_path / "index.json")
-        # laid out by the node path, from the built nodes
-        reference = IBAG.from_nodes(built.ibag.nodes, bundled_onts)
-        ref_nodes = reference.nodes
+        assert loaded.ibag.nodes == built.ibag.nodes
         for bundle in (built, loaded):
             ibag = bundle.ibag
-            assert ibag.node_columns[:-1] == reference.node_columns[:-1]
-            assert ibag.levels == reference.levels
-            assert ibag.columns == reference.columns
+            nodes = ibag.nodes
+            assert [(node.url, node.pp_id, node.level, node.mean_rel_val) for node in nodes] == (
+                list(zip(*ibag.node_columns[:-1]))
+            )
+            # a level by descending mean, ties by ascending p_id
+            assert ibag.levels == [
+                sorted(
+                    (node.p_id for node in nodes if node.level == level),
+                    key=lambda p_id: (-nodes[p_id].mean_rel_val, p_id),
+                )
+                for level in range(len(ibag.levels))
+            ]
             for ont in bundled_onts:
                 ont_id = ont.ontology_id
                 scores = ibag.node_columns.scores.tables[ont_id].per_node()
-                assert scores == [node.relevance[ont_id] for node in ref_nodes]
-                assert [rel.supported for rel in scores] == [
-                    node.supported[ont_id] for node in ref_nodes
+                assert scores == [node.relevance[ont_id] for node in nodes]
+                supporters = [
+                    [p_id for p_id in level if nodes[p_id].supported[ont_id]]
+                    for level in ibag.levels
+                ]
+                assert ibag.columns[ont_id] == [
+                    (p_ids, array("d", [-nodes[p_id].mean_rel_val for p_id in p_ids]))
+                    for p_ids in supporters
                 ]
                 bits = bundle.patterns.bits_for_ontology(ont_id)
                 assert bits == [
                     gen_webpage_bit_pattern(node.relevance[ont_id].term_vector, ont).bits
-                    for node in ref_nodes
+                    for node in nodes
                 ]
 
     def test_load_logs_one_event(self, bundle, tmp_path, caplog):
@@ -1092,7 +1179,7 @@ class TestReadingNodes:
             assert row_counts(rpag) == rows
             assert bundle.canonical_bytes() == saved
 
-            remade = RPaG(nodes=nodes, ontologies=rpag.ontologies)
+            remade = RPaG.from_json_obj(rpag.to_json_obj(), rpag.ontologies)
             assert row_counts(remade) == rows
             assert remade.nodes == nodes
             ibag = build_ibag(remade)

@@ -254,6 +254,40 @@ class TestQuery:
         assert err.count("\n") == 1
         assert "digest" not in err
 
+    def test_index_without_ontologies_is_one_line_error(self, built_index, capsys):
+        """An index with no ontologies, and so no pages, fails its load as a
+        build with none fails, not the query that would follow."""
+        obj = json.loads(built_index.read_text(encoding="utf-8"))
+        obj["ontologies"] = []
+        obj["rpag"] = {"counts": {}, "pp_ids": [], "urls": []}
+        obj["patterns"] = {"patterns": {}, "t_by_ontology": {}}
+        built_index.write_bytes(sealed(obj))
+        code = main(["query", str(built_index), "--search", "cricket"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: at least one ontology is required\n"
+
+    def test_limit_defaults_to_twenty(self, tmp_path, cricket_files, capsys):
+        """Without ``--limit``, a query that 25 pages answer prints 20."""
+        weights, syntable, limits = cricket_files
+        corpus_path = tmp_path / "corpus.jsonl"
+        pages = [f"p{i}" for i in range(25)]
+        write_corpus(
+            corpus_path,
+            [("home", pages, "noise")] + [(page, [], "cricket cricket") for page in pages],
+        )
+        index_path = tmp_path / "index.json"
+        assert main(
+            ["build", str(corpus_path), "--ontology", f"{weights}:{syntable}",
+             "--limits", str(limits), "--out", str(index_path)]
+        ) == 0
+        capsys.readouterr()
+        assert main(["query", str(index_path), "--search", "cricket", "--mode", "both"]) == 0
+        out = capsys.readouterr().out
+        for mode in ("before", "after"):
+            section = out.split(f"== {mode} ==\n")[1]
+            assert section.startswith("".join(f"{page}\t1.800000\n" for page in pages[:20]))
+            assert "# results=20 selected=25 " in section
+
     def test_format_2_index_names_version_and_rebuild(self, built_index, capsys):
         """An index written before format 3 fails with one line that says
         how to get a readable one."""

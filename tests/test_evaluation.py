@@ -7,8 +7,8 @@ import pytest
 
 from ibagsearch import (
     IBAG,
-    IBAGNode,
-    PageRelevance,
+    Ontology,
+    OntologyTerm,
     Query,
     build_ibag,
     build_rpag,
@@ -31,26 +31,27 @@ from ibagsearch.evaluation import (
     compare_modes,
     measure_bit_op_seconds,
 )
-from conftest import single_term_ontology
+from conftest import graph_from_counts
 
-TOPIC = single_term_ontology("topic")
+# "topic" scores 0.5 an occurrence; "filler", outside every query below,
+# sets a page's mean
+TOPIC_AND_FILLER = Ontology(
+    ontology_id=1,
+    name="topic-and-filler",
+    terms=(
+        OntologyTerm(term="topic", weight=0.5, bit_position=0),
+        OntologyTerm(term="filler", weight=1.0, bit_position=1),
+    ),
+    relevance_limit=0.0,
+)
 
 
-def flat_index(scores: list[float], means: list[float] | None = None) -> IBAG:
-    """Single-level index over the one-term ontology with given term scores."""
-    means = means or [float(len(scores) - i) for i in range(len(scores))]
-    nodes = [
-        IBAGNode(
-            p_id=i,
-            url=f"u{i}",
-            pp_id=None,
-            mean_rel_val=means[i],
-            level=0,
-            relevance={1: PageRelevance(1, score, True, (score,), ())},
-        )
-        for i, score in enumerate(scores)
-    ]
-    return IBAG.from_nodes(nodes, (TOPIC,))
+def flat_index(scores: list[float]) -> IBAG:
+    """Single-level index whose page i scores ``scores[i]`` on "topic" (a
+    multiple of 0.5) and has mean ``len(scores) - i + scores[i]``, highest
+    first, through its "filler" count."""
+    counts = [{1: [int(2 * score), len(scores) - i]} for i, score in enumerate(scores)]
+    return build_ibag(graph_from_counts(counts, (TOPIC_AND_FILLER,)))
 
 
 class TestHarvestRate:
@@ -137,11 +138,11 @@ class TestCostScaling:
     def test_visited_grows_linearly_with_selection_size(self):
         total = 400
         ibag = flat_index([1.0] * total)
-        patterns = gen_ibag_bit_patterns(ibag, (TOPIC,))
+        patterns = gen_ibag_bit_patterns(ibag, (TOPIC_AND_FILLER,))
         ks = list(range(50, 400, 50))
         visited = []
         for k in ks:
-            lo = float(total - k + 1)
+            lo = float(total - k + 2)
             query = Query("topic", 1, relevance_range=(lo, math.inf), result_limit=total)
             outcome = search_after_masking(query, ibag, patterns)
             assert outcome.selected_count == k

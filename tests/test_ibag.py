@@ -6,11 +6,6 @@ import random
 import pytest
 
 from ibagsearch import (
-    IBAG,
-    IBAGNode,
-    PageRelevance,
-    RPaG,
-    RPaGNode,
     ValidationError,
     build_ibag,
     build_rpag,
@@ -18,36 +13,10 @@ from ibagsearch import (
     select_columns,
     synth_corpus,
 )
-from conftest import make_corpus, single_term_ontology
+from conftest import graph_from_counts, make_corpus, single_term_ontology
 from oracles import oracle_range_selection
 
 TOPIC = single_term_ontology("topic")
-
-
-def rpag_from_values(values_per_node: list[dict[int, float]], ontologies) -> RPaG:
-    """Hand-build a parentless graph whose nodes carry the given values.
-
-    A value above the ontology's relevance limit marks support; anything
-    else is stored as unsupported with a zero relevance value. The values
-    come from no term counts, so ``counts`` is empty: such a graph is laid
-    out, never saved.
-    """
-    by_id = {ont.ontology_id: ont for ont in ontologies}
-    nodes = []
-    for p_id, values in enumerate(values_per_node):
-        relevance = {}
-        for ont_id, ontology in by_id.items():
-            value = values.get(ont_id, 0.0)
-            supported = value > ontology.relevance_limit
-            relevance[ont_id] = PageRelevance(
-                ontology_id=ont_id,
-                relevance_value=value if supported else 0.0,
-                supported=supported,
-                term_vector=(value,),
-                counts=(),
-            )
-        nodes.append(RPaGNode(p_id=p_id, url=f"u{p_id}", pp_ids=(), relevance=relevance))
-    return RPaG(nodes=nodes, ontologies=tuple(ontologies))
 
 
 THREE_ONTS = (
@@ -58,20 +27,19 @@ THREE_ONTS = (
 
 
 class TestMeanRelevance:
+    """A node's mean averages its values over the ontologies it supports."""
+
     def test_mean_of_two_supported(self):
-        rpag = rpag_from_values([{1: 0.8, 2: 0.6}], THREE_ONTS)
-        ibag = build_ibag(rpag)
-        assert ibag.nodes[0].mean_rel_val == pytest.approx(0.7, rel=1e-12)
+        ibag = build_ibag(graph_from_counts([{1: [8], 2: [6]}], THREE_ONTS))
+        assert ibag.nodes[0].mean_rel_val == 7.0
 
     def test_mean_of_three_supported(self):
-        rpag = rpag_from_values([{1: 0.9, 2: 0.6, 3: 0.3}], THREE_ONTS)
-        ibag = build_ibag(rpag)
-        assert ibag.nodes[0].mean_rel_val == pytest.approx(0.6, rel=1e-12)
+        ibag = build_ibag(graph_from_counts([{1: [9], 2: [6], 3: [3]}], THREE_ONTS))
+        assert ibag.nodes[0].mean_rel_val == 6.0
 
     def test_single_support_keeps_value(self):
-        rpag = rpag_from_values([{2: 1.25}], THREE_ONTS)
-        ibag = build_ibag(rpag)
-        assert ibag.nodes[0].mean_rel_val == 1.25
+        ibag = build_ibag(graph_from_counts([{2: [5]}], THREE_ONTS))
+        assert ibag.nodes[0].mean_rel_val == 5.0
 
 
 class TestHandBuiltFixture:
@@ -275,136 +243,3 @@ class TestIbagInvariants:
         assert len(ibag) == 0
         assert ibag.levels == []
         assert ibag.mean_value_bounds() is None
-
-
-TWO_ONTS = THREE_ONTS[:2]
-
-
-def chain_nodes() -> list[IBAGNode]:
-    """Three nodes in a parent chain, one per level, valid for TWO_ONTS."""
-    return [
-        IBAGNode(
-            p_id=i,
-            url=f"u{i}",
-            pp_id=None if i == 0 else i - 1,
-            mean_rel_val=1.0 + i,
-            level=i,
-            relevance={
-                1: PageRelevance(1, 1.0, True, (1.0,), (1,)),
-                2: PageRelevance(2, float(i), i > 0, (float(i),), (i,)),
-            },
-        )
-        for i in range(3)
-    ]
-
-
-def _set(p_id: int, **changes):
-    def tamper(nodes: list[IBAGNode]) -> None:
-        nodes[p_id] = nodes[p_id]._replace(**changes)
-
-    return tamper
-
-
-def _set_score(**changes):
-    """Replace fields of node 1's ontology-2 score."""
-
-    def tamper(nodes: list[IBAGNode]) -> None:
-        relevance = nodes[1].relevance
-        _set(1, relevance={**relevance, 2: relevance[2]._replace(**changes)})(nodes)
-
-    return tamper
-
-
-def _drop_ontology_key(nodes: list[IBAGNode]) -> None:
-    _set(1, relevance={1: nodes[1].relevance[1]})(nodes)
-
-
-class TestFromNodesRejects:
-    def test_valid_nodes_build(self):
-        ibag = IBAG.from_nodes(chain_nodes(), TWO_ONTS)
-        assert ibag.levels == [[0], [1], [2]]
-
-    @pytest.mark.parametrize(
-        "tamper, message",
-        [
-            (_set(2, url="u0"), "url"),
-            (_set(1, url=""), "url"),
-            (_set(1, pp_id=2), "earlier"),
-            (_set(1, pp_id=1), "earlier"),
-            (_set(2, level=1), "level"),
-            (_set(1, pp_id=None), "level"),
-            (_set(0, mean_rel_val=0.0), "mean"),
-            (_set(0, mean_rel_val=math.nan), "mean"),
-            (_set(0, mean_rel_val=math.inf), "mean"),
-            (_set(1, pp_id="a"), "earlier"),
-            (_set(2, pp_id=1.0), "earlier"),
-            (_set(1, level=1.0), "level"),
-            (_set(1, mean_rel_val="m"), "mean"),
-            (_set(1, mean_rel_val=None), "mean"),
-            (_set(1, url=5), "must be a string"),
-            (_set(1, url=b"u"), "must be a string"),
-            (_drop_ontology_key, "per-ontology"),
-            (_set(1, relevance=None), "^node 1 relevance must map ontology ids to scores"),
-            (
-                _set(1, relevance={1: None, 2: None}),
-                "^node 1 relevance must map ontology ids to scores",
-            ),
-            (_set_score(term_vector=None), "^node 1 scores must hold a bool support"),
-            (_set_score(relevance_value="1.0"), "^node 1 scores must hold a bool support"),
-            (_set_score(supported="yes"), "^node 1 scores must hold a bool support"),
-            (
-                _set(0, relevance={
-                    1: PageRelevance(1, 0.0, False, (1.0,), (1,)),
-                    2: PageRelevance(2, 0.0, False, (0.0,), (0,)),
-                }),
-                "supports no",
-            ),
-            (
-                _set(0, relevance={
-                    1: PageRelevance(1, 2.0, True, (1.0, 1.0), (1, 1)),
-                    2: PageRelevance(2, 0.0, False, (0.0,), (0,)),
-                }),
-                "length",
-            ),
-        ],
-        ids=[
-            "duplicate-url",
-            "empty-url",
-            "later-parent",
-            "self-parent",
-            "level-skips-parent",
-            "parentless-at-level-1",
-            "mean-zero",
-            "mean-nan",
-            "mean-inf",
-            "string-parent",
-            "float-parent",
-            "float-level",
-            "string-mean",
-            "none-mean",
-            "int-url",
-            "bytes-url",
-            "missing-ontology-key",
-            "none-relevance",
-            "relevance-of-nones",
-            "none-term-vector",
-            "string-value",
-            "string-support",
-            "no-supported-ontology",
-            "wrong-vector-length",
-        ],
-    )
-    def test_bad_node_rejected(self, tamper, message):
-        nodes = chain_nodes()
-        tamper(nodes)
-        with pytest.raises(ValidationError, match=message):
-            IBAG.from_nodes(nodes, TWO_ONTS)
-
-    def test_first_bad_node_named(self):
-        """Node 2 repeats a url and node 1 has a zero mean: the facts are
-        checked a column at a time, yet the message names node 1."""
-        nodes = chain_nodes()
-        _set(2, url="u0")(nodes)
-        _set(1, mean_rel_val=0.0)(nodes)
-        with pytest.raises(ValidationError, match="^node 1 mean relevance 0.0 not in"):
-            IBAG.from_nodes(nodes, TWO_ONTS)

@@ -1,6 +1,6 @@
 """The package has zero runtime dependencies: it imports only the standard
-library and declares no dependency. Nor does it import a name it never
-uses."""
+library and declares no dependency. Neither it nor its tests import a name
+they never use."""
 from __future__ import annotations
 
 import ast
@@ -11,6 +11,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "ibagsearch").rglob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def absolute_imports(path: Path) -> list[str]:
@@ -26,9 +27,9 @@ def absolute_imports(path: Path) -> list[str]:
 
 def unused_imports(path: Path) -> list[str]:
     """Names the file imports and never reads, skipping ``from __future__``
-    and lines marked ``# noqa: F401``. Every module of the package imports
-    ``annotations`` from ``__future__``, so annotations are read as names,
-    not strings."""
+    and lines marked ``# noqa: F401``. Every module of the package and of
+    its tests imports ``annotations`` from ``__future__``, so annotations
+    are read as names, not strings."""
     source = path.read_text(encoding="utf-8")
     lines = source.splitlines()
     imported: dict[str, int] = {}
@@ -48,6 +49,7 @@ def unused_imports(path: Path) -> list[str]:
 
 def test_sources_found():
     assert ROOT / "src" / "ibagsearch" / "__init__.py" in SOURCES
+    assert Path(__file__).resolve() in TESTS
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -65,5 +67,12 @@ def test_pyproject_declares_no_dependencies():
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_imports_only_names_it_uses(path):
+    unused = unused_imports(path)
+    assert not unused, f"{path.name} imports unused {unused}"
+
+
+# by stem: a test id that names the acceptance file would count as a criterion
+@pytest.mark.parametrize("path", TESTS, ids=lambda p: p.stem)
+def test_tests_import_only_names_they_use(path):
     unused = unused_imports(path)
     assert not unused, f"{path.name} imports unused {unused}"
