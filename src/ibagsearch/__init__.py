@@ -22,7 +22,6 @@ _HOMES = {
     "corpus": (
         "Corpus",
         "CorpusDoc",
-        "GenerationConfig",
         "load_corpus",
         "save_corpus",
         "synth_corpus",

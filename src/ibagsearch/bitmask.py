@@ -147,7 +147,7 @@ def gen_mask_bit_pattern(
 
 
 class PatternStore:
-    """Precomputed bit patterns keyed by (p_id, ontology_id).
+    """Precomputed bit patterns: per ontology id, one column indexed by p_id.
 
     Patterns are generated once per index build; lookups during query
     filtering are list indexing, since p_ids are dense.
@@ -167,27 +167,12 @@ class PatternStore:
         self._bits[ontology_id] = bits_by_p_id
         self._lengths[ontology_id] = length
 
-    def bits(self, p_id: int, ontology_id: int) -> int:
-        return self._bits[ontology_id][p_id]
-
     def bits_for_ontology(self, ontology_id: int) -> list[int]:
         """The whole per-page bits column, indexed by p_id."""
         return self._bits[ontology_id]
 
-    def get(self, p_id: int, ontology_id: int) -> BitPattern:
-        return BitPattern(
-            bits=self._bits[ontology_id][p_id],
-            length=self._lengths[ontology_id],
-            ontology_id=ontology_id,
-            owner=p_id,
-        )
-
     def __len__(self) -> int:
         return sum(len(bits) for bits in self._bits.values())
-
-    def __contains__(self, key: tuple[int, int]) -> bool:
-        p_id, ontology_id = key
-        return ontology_id in self._bits and 0 <= p_id < len(self._bits[ontology_id])
 
     def to_json_obj(self) -> dict:
         """Lengths and hex patterns per ontology; each distinct pattern of an

@@ -242,16 +242,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     from . import bundled
-    from .evaluation import BenchReport, aggregate_runs, evaluate_index
+    from .evaluation import BenchReport, aggregate_runs, evaluate_index, hr_direction_counts
 
     bundle = _load_for_process(args.index)
     queries = bundled.load_query_file(args.queries, default_ontology_id=args.ontology)
     runs = evaluate_index(bundle.ibag, bundle.patterns, queries, repeats=args.repeats)
     report = BenchReport.from_runs(0, aggregate_runs(len(bundle.ibag), runs), runs)
     print(report.csv_text(), end="")
-    comparable = [r for r in runs if r.hr_before is not None and r.hr_after is not None]
-    improved = sum(1 for r in comparable if r.hr_after >= r.hr_before)
-    print(f"hr direction: after>=before on {improved}/{len(comparable)} comparable queries")
+    comparable, improved = hr_direction_counts(run.modes for run in runs)
+    print(f"hr direction: after>=before on {improved}/{comparable} comparable queries")
     if args.out is not None:
         json_path, csv_path = report.write(args.out)
         print(f"wrote {json_path} and {csv_path}")

@@ -103,22 +103,15 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
             fh.write("\n")
 
 
-@dataclass(frozen=True)
-class GenerationConfig:
-    """Knobs for the synthetic corpus generator."""
-
-    noise_vocab_size: int = 400
-    doc_len_mean: int = 90
-    term_hit_prob: float = 0.12
-    link_out_degree: int = 3
+# the synthetic generator's noise words, document lengths, chance that a
+# word slot holds an ontology phrase, and extra out-links per document
+_NOISE_VOCAB_SIZE = 400
+_DOC_LEN_RANGE = (45, 135)
+_TERM_HIT_PROB = 0.12
+_EXTRA_LINKS_MAX = 3
 
 
-def synth_corpus(
-    rng_seed: int,
-    n_docs: int,
-    ontologies: Sequence[Ontology],
-    params: GenerationConfig | None = None,
-) -> Corpus:
+def synth_corpus(rng_seed: int, n_docs: int, ontologies: Sequence[Ontology]) -> Corpus:
     """Generate a deterministic corpus whose texts embed ontology phrases.
 
     Every document is reachable from the single seed (the first document):
@@ -127,7 +120,6 @@ def synth_corpus(
     """
     if n_docs < 1:
         raise ValueError(f"n_docs must be >= 1, got {n_docs}")
-    cfg = params or GenerationConfig()
     rng = random.Random(rng_seed)
     pools = [[phrase for term in ont.terms for phrase in term.phrases()] for ont in ontologies]
 
@@ -136,18 +128,18 @@ def synth_corpus(
     for i in range(1, n_docs):
         links[rng.randrange(i)].append(urls[i])
     for i in range(n_docs):
-        for _ in range(rng.randint(0, cfg.link_out_degree)):
+        for _ in range(rng.randint(0, _EXTRA_LINKS_MAX)):
             links[i].append(urls[rng.randrange(n_docs)])
 
     docs: dict[str, CorpusDoc] = {}
     for i in range(n_docs):
-        length = rng.randint(max(1, cfg.doc_len_mean // 2), cfg.doc_len_mean + cfg.doc_len_mean // 2)
+        length = rng.randint(*_DOC_LEN_RANGE)
         words: list[str] = []
         while len(words) < length:
-            if pools and rng.random() < cfg.term_hit_prob:
+            if pools and rng.random() < _TERM_HIT_PROB:
                 pool = pools[rng.randrange(len(pools))]
                 words.extend(rng.choice(pool).split(" "))
             else:
-                words.append(f"nz{rng.randrange(cfg.noise_vocab_size)}")
+                words.append(f"nz{rng.randrange(_NOISE_VOCAB_SIZE)}")
         docs[urls[i]] = CorpusDoc(url=urls[i], out_links=tuple(links[i]), text=" ".join(words))
     return Corpus(docs=docs, seeds=(urls[0],))

@@ -7,8 +7,9 @@ import random
 import statistics
 import time
 from dataclasses import asdict, dataclass
+from operator import attrgetter
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .bitmask import BitPattern, PatternStore, gen_mask_bit_pattern
 from .bundle import IndexBundle
@@ -28,6 +29,7 @@ from .search import (
 log = logging.getLogger(__name__)
 
 CSV_HEADER = "size,mode,avg_count,avg_elapsed_us,avg_visited,hr_mean"
+_BIT_OP_ITERATIONS = 200_000
 
 
 @dataclass(frozen=True)
@@ -136,15 +138,9 @@ class QueryRun:
     """Measured numbers for one query against one index, both modes."""
 
     query: Query
-    term_count: int
-    selected_count: int
-    visited_count: int
-    before_count: int
-    after_count: int
+    modes: ModeComparison
     before_elapsed: float
     after_elapsed: float
-    hr_before: float | None
-    hr_after: float | None
 
 
 def evaluate_index(
@@ -166,18 +162,7 @@ def evaluate_index(
         after_elapsed = statistics.median(
             search_after_masking(query, ibag, patterns).elapsed for _ in range(repeats)
         )
-        return QueryRun(
-            query=query,
-            term_count=modes.term_count,
-            selected_count=modes.selected_count,
-            visited_count=modes.visited_count,
-            before_count=modes.before_count,
-            after_count=modes.after_count,
-            before_elapsed=before_elapsed,
-            after_elapsed=after_elapsed,
-            hr_before=modes.before.hr,
-            hr_after=modes.after.hr,
-        )
+        return QueryRun(query, modes, before_elapsed, after_elapsed)
 
     return [run_one(query) for query in queries]
 
@@ -217,7 +202,7 @@ class BenchReport:
                 search_string=run.query.search_string,
                 ontology_id=run.query.ontology_id,
                 result_limit=run.query.result_limit,
-                term_count=run.term_count,
+                term_count=run.modes.term_count,
             )
             for run in runs
         ]
@@ -252,37 +237,37 @@ class BenchReport:
 def aggregate_runs(size: int, runs: Sequence[QueryRun]) -> list[BenchRow]:
     """Fold per-query runs into one row per mode."""
     per_mode = (
-        (BEFORE_MASKING, lambda run: (run.before_count, run.before_elapsed, run.hr_before)),
-        (AFTER_MASKING, lambda run: (run.after_count, run.after_elapsed, run.hr_after)),
+        (BEFORE_MASKING, attrgetter("modes.before_count", "before_elapsed", "modes.before")),
+        (AFTER_MASKING, attrgetter("modes.after_count", "after_elapsed", "modes.after")),
     )
     rows = []
     for mode, pick in per_mode:
-        counts, elapsed, hrs = zip(*map(pick, runs))
-        defined = [hr for hr in hrs if hr is not None]
+        counts, elapsed, reports = zip(*map(pick, runs))
+        defined = [report.hr for report in reports if report.hr is not None]
         rows.append(
             BenchRow(
                 size=size,
                 mode=mode,
                 avg_count=statistics.fmean(counts),
                 avg_elapsed_us=statistics.fmean(elapsed) * 1e6,
-                avg_visited=statistics.fmean(run.visited_count for run in runs),
+                avg_visited=statistics.fmean(run.modes.visited_count for run in runs),
                 hr_mean=statistics.fmean(defined) if defined else None,
             )
         )
     return rows
 
 
-def measure_bit_op_seconds(length: int = 64, iterations: int = 200_000) -> float:
-    """Rough per-operation cost of one whole-word XOR (loop overhead included)."""
-    a = (1 << length) - 1
+def measure_bit_op_seconds() -> float:
+    """Rough per-operation cost of one 64-bit XOR (loop overhead included)."""
+    a = (1 << 64) - 1
     b = a >> 1
     start = time.perf_counter()
     x = 0
-    for _ in range(iterations):
+    for _ in range(_BIT_OP_ITERATIONS):
         x = a ^ b
     elapsed = time.perf_counter() - start
     del x
-    return elapsed / iterations
+    return elapsed / _BIT_OP_ITERATIONS
 
 
 def run_benchmark(
@@ -383,6 +368,14 @@ class HRDirectionResult:
         return self.pairs_after_ge_before / self.pairs_valid
 
 
+def hr_direction_counts(comparisons: Iterable[ModeComparison]) -> tuple[int, int]:
+    """The harvest-rate direction rule: of the queries whose two rates are
+    both defined (an empty result has none), how many there are, and in how
+    many the after rate is at least the before rate. A tie counts for after."""
+    comparable = [m for m in comparisons if m.before.hr is not None and m.after.hr is not None]
+    return len(comparable), sum(m.after.hr >= m.before.hr for m in comparable)
+
+
 _FILLER_WORDS = ("best", "today", "guide", "report", "review", "latest")
 
 
@@ -396,8 +389,8 @@ def hr_direction_experiment(
     """Seeded (corpus, query) pairs comparing harvest rates of both modes.
 
     Each pair uses the full [min, max] mean-relevance range, so the
-    selection covers every supporting page. Pairs whose filtered result is
-    empty, or whose harvest rate is undefined, do not count as valid.
+    selection covers every supporting page. The pairs count as
+    :func:`hr_direction_counts` counts them.
     """
     if ontologies is None:
         from .bundled import default_ontologies
@@ -405,8 +398,7 @@ def hr_direction_experiment(
         ontologies = default_ontologies()
     ontologies = tuple(ontologies)
     master = random.Random(rng_seed)
-    valid = 0
-    after_ge_before = 0
+    comparisons = []
     for i in range(n_pairs):
         corpus_seed = master.randrange(2**31)
         n_docs = master.randint(80, 160)
@@ -428,13 +420,8 @@ def hr_direction_experiment(
             relevance_range=bounds,
             result_limit=k,
         )
-        modes = compare_modes(query, bundle.ibag, bundle.patterns)
-        hr_before, hr_after = modes.before.hr, modes.after.hr
-        if not modes.after_count or hr_before is None or hr_after is None:
-            continue
-        valid += 1
-        if hr_after >= hr_before:
-            after_ge_before += 1
+        comparisons.append(compare_modes(query, bundle.ibag, bundle.patterns))
+    valid, after_ge_before = hr_direction_counts(comparisons)
     return HRDirectionResult(
         pairs_total=n_pairs,
         pairs_valid=valid,

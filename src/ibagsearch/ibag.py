@@ -284,7 +284,9 @@ def _mean_message(nodes: FactColumns, p_id: int) -> str:
 
 
 # The facts of every index's nodes, which the layout checks: a non-empty
-# url unlike every earlier one, support for some ontology, a mean in (0, inf).
+# url unlike every earlier one, support for some ontology, a finite mean.
+# A supported node's mean averages values above limits >= 0, so it is
+# above 0; an unsupported node's is 0.0, and the support fact names it.
 LAYOUT_FACTS = (
     Fact(attrgetter("urls"), _url_message),
     Fact(_new_urls, _url_message),
@@ -292,7 +294,6 @@ LAYOUT_FACTS = (
         lambda nodes: map(any, zip(repeat(False, len(nodes.urls)), *nodes.supports.values())),
         lambda nodes, i: f"node {i} supports no ontology",
     ),
-    Fact(lambda nodes: map(lt, repeat(0), nodes.means), _mean_message),
     Fact(lambda nodes: map(lt, nodes.means, repeat(math.inf)), _mean_message),
 )
 

@@ -137,8 +137,6 @@ class RPaG:
         facts are checked by :func:`build_ibag`, which a bundle load runs on
         the result."""
         ontologies = _checked_ontologies(ontologies)
-        if not isinstance(obj, dict):
-            raise ValidationError("graph section must be an object")
         urls = json_field(obj, "urls", list, "graph")
         pp_ids = json_field(obj, "pp_ids", list, "graph")
         tables = json_field(obj, "counts", dict, "graph")
@@ -205,7 +203,7 @@ GRAPH_FACTS = (
         lambda graph, i: f"graph url {i} must be a string, got {graph.urls[i]!r:.40}",
     ),
     Fact(
-        lambda graph: map(isinstance, graph.pp_ids, repeat((list, tuple))),
+        lambda graph: map(list.__instancecheck__, graph.pp_ids),
         lambda graph, i: f"graph pp_ids {i} must be a list, got {graph.pp_ids[i]!r:.40}",
     ),
     Fact(

@@ -125,7 +125,7 @@ class TestPatternStore:
                 fresh = gen_webpage_bit_pattern(
                     node.term_vectors[ontology.ontology_id], ontology, owner=node.p_id
                 )
-                assert store.get(node.p_id, ontology.ontology_id) == fresh
+                assert store.bits_for_ontology(ontology.ontology_id)[node.p_id] == fresh.bits
 
     def test_empty_index_empty_store(self, bundled_onts):
         corpus = make_corpus([("a", [], "irrelevant")])
@@ -133,14 +133,14 @@ class TestPatternStore:
         store = gen_ibag_bit_patterns(ibag, bundled_onts)
         assert len(store) == 0
 
+    def test_ontology_listed_twice_rejected(self, built, bundled_onts):
+        ibag, _ = built
+        with pytest.raises(ValidationError, match="patterns for ontology 1 already present"):
+            gen_ibag_bit_patterns(ibag, [bundled_onts[0], bundled_onts[0]])
+
     def test_oversized_pattern_rejected(self):
         with pytest.raises(ValidationError, match="fit"):
             PatternStore().add_ontology(1, 5, [0xFF])  # 8 bits do not fit t=5
-
-    def test_contains(self, built):
-        ibag, store = built
-        assert (0, 1) in store
-        assert (len(ibag), 1) not in store
 
 
 class TestFindPredicted:
@@ -157,7 +157,7 @@ class TestFindPredicted:
         corpus = make_corpus([("p", [], "term1 and term4 appear")])
         ibag = build_ibag(build_rpag(corpus, [SEVEN]))
         store = gen_ibag_bit_patterns(ibag, [SEVEN])
-        assert store.get(0, 1).to_string() == "0100100"
+        assert BitPattern(store.bits_for_ontology(1)[0], SEVEN.t, 1).to_string() == "0100100"
         mask = gen_mask_bit_pattern("term1", SEVEN)
         assert mask.to_string() == "0100000"
         predicted = find_predicted_webpage_list(ibag.nodes, store, mask, SEVEN, 10)
@@ -168,7 +168,7 @@ class TestFindPredicted:
         mask = gen_mask_bit_pattern("cricket", ontology)
         predicted = find_predicted_webpage_list(selected, store, mask, ontology, 1000)
         for node in predicted:
-            assert store.bits(node.p_id, ontology.ontology_id) & mask.bits
+            assert store.bits_for_ontology(ontology.ontology_id)[node.p_id] & mask.bits
 
     def test_all_zero_mask_selects_nothing(self, ranged):
         _, store, ontology, selected = ranged
@@ -184,11 +184,8 @@ class TestFindPredicted:
             for limit in (1, 3, 10, 10_000):
                 mask = gen_mask_bit_pattern(search, ontology)
                 predicted = find_predicted_webpage_list(selected, store, mask, ontology, limit)
-                expected = [
-                    n
-                    for n in selected
-                    if (store.bits(n.p_id, ontology.ontology_id) & mask.bits) != 0
-                ][:limit]
+                page_bits = store.bits_for_ontology(ontology.ontology_id)
+                expected = [n for n in selected if page_bits[n.p_id] & mask.bits][:limit]
                 assert [n.p_id for n in predicted] == [n.p_id for n in expected]
 
     def test_subset_order_and_limit(self, ranged):

@@ -803,6 +803,10 @@ class TestBundleValidate:
         with pytest.raises(ValidationError, match="index nodes"):
             dataclasses.replace(fresh, ibag=other.ibag).validate()
 
+    def test_sections_on_other_ontologies_rejected(self, fresh):
+        with pytest.raises(ValidationError, match="disagree on the ontologies"):
+            dataclasses.replace(fresh, ontologies=fresh.ontologies[:2]).validate()
+
     def test_mean_edited_in_place_rejected(self, fresh):
         """The index's own layout does not read its means again, so only a
         re-derivation from the graph can tell."""

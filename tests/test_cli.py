@@ -124,33 +124,97 @@ class TestBuild:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "key, value",
+        "name, text, line_no",
         [
-            pytest.param("relevance_limit", "nan", id="relevance_limit"),
-            pytest.param("term_relevance_limit.default", "nan", id="term_relevance_limit.default"),
-            pytest.param("relevance_limit", "inf", id="relevance_limit-inf"),
+            pytest.param("limits.cfg", "# limits\nrelevance_limit=nan\n", 2, id="relevance_limit"),
             pytest.param(
-                "term_relevance_limit.default", "inf", id="term_relevance_limit.default-inf"
+                "limits.cfg", "# limits\nterm_relevance_limit.default=nan\n", 2,
+                id="term_relevance_limit.default",
             ),
+            pytest.param(
+                "limits.cfg", "# limits\nrelevance_limit=inf\n", 2, id="relevance_limit-inf"
+            ),
+            pytest.param(
+                "limits.cfg", "# limits\nterm_relevance_limit.default=inf\n", 2,
+                id="term_relevance_limit.default-inf",
+            ),
+            pytest.param("limits.cfg", "# limits\nrelevance_limit 1.0\n", 2, id="limits-no-equals"),
+            pytest.param(
+                "limits.cfg", "# limits\nterm_relevance_limit.!!=1.0\n", 2, id="limits-empty-term"
+            ),
+            pytest.param("cricket-weights.tsv", "# w\n!!\t0.5\n", 2, id="weights-empty-term"),
+            pytest.param(
+                "cricket-weights.tsv", "# w\ncricket\theavy\n", 2, id="weights-not-a-number"
+            ),
+            pytest.param("cricket-syntable.tsv", "# s\nmatch\n", 2, id="syntable-one-column"),
+            pytest.param(
+                "cricket-syntable.tsv", "match\tgame\nmatch\tfixture\n", 2,
+                id="syntable-duplicate-row",
+            ),
+            pytest.param(
+                "cricket-syntable.tsv", "# s\nmatch\tgame,,fixture\n", 2,
+                id="syntable-empty-synonym",
+            ),
+            pytest.param(
+                "cricket-syntable.tsv", "# s\nmatch\tgame,match\n", 2,
+                id="syntable-synonym-is-the-term",
+            ),
+            pytest.param("c.jsonl", "\n[]\n", 2, id="corpus-not-an-object"),
+            pytest.param("c.jsonl", '\n{"links": [], "text": ""}\n', 2, id="corpus-no-url"),
+            pytest.param(
+                "c.jsonl", '{"url": "a", "links": [], "text": 1}\n', 1,
+                id="corpus-text-not-a-string",
+            ),
+            pytest.param("c.jsonl", "\n", None, id="corpus-empty"),
+            pytest.param("queries.tsv", "# q\ncricket\t0:1\t5\tx\n", 2, id="queries-four-columns"),
+            pytest.param("queries.tsv", "# q\n \t0:1\n", 2, id="queries-empty-search"),
+            pytest.param("queries.tsv", "# q\ncricket\tlow:high\n", 2, id="queries-bad-range"),
+            pytest.param("queries.tsv", "# q\ncricket\t0:1\tfive\n", 2, id="queries-bad-limit"),
+            pytest.param("queries.tsv", "# q\ncricket\t0:1\t0\n", 2, id="queries-zero-limit"),
         ],
     )
-    def test_nan_limit_is_one_line_error(self, tmp_path, cricket_files, capsys, key, value):
-        """A NaN or infinite limit fails the build, naming its line, and
-        nothing is written: no index that a query cannot load, and no
-        ``Infinity``, which is not JSON."""
-        weights, syntable, _ = cricket_files
-        limits = tmp_path / "limits.cfg"
-        limits.write_text(f"# limits\n{key}={value}\n", encoding="utf-8")
+    def test_nan_limit_is_one_line_error(
+        self, tmp_path, cricket_files, capsys, name, text, line_no
+    ):
+        """A bad line of an input file fails the command that reads it with
+        exit code 1 and one stderr line naming the file and line (only the
+        file, for a corpus with no records). A build that fails writes
+        nothing: a NaN or infinite limit, say, leaves no index that a query
+        cannot load, and no ``Infinity``, which is not JSON. The query file
+        is read by ``eval``, after a build that succeeds."""
+        weights, syntable, limits = cricket_files
         corpus_path = tmp_path / "c.jsonl"
         write_corpus(corpus_path, [("a", [], "cricket")])
+        queries = tmp_path / "queries.tsv"
+        bad = tmp_path / name
+        bad.write_text(text, encoding="utf-8")
         out = tmp_path / "i.json"
         code = main(
             ["build", str(corpus_path), "--ontology", f"{weights}:{syntable}",
              "--limits", str(limits), "--out", str(out)]
         )
+        if bad == queries:
+            assert code == 0
+            capsys.readouterr()
+            code = main(["eval", "--index", str(out), "--queries", str(queries)])
+        else:
+            assert not out.exists()
         assert code == 1
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and f"{limits}:2:" in err
+        where = f"{bad}:" if line_no is None else f"{bad}:{line_no}:"
+        assert err.count("\n") == 1 and err.startswith(f"error: {where} ")
+
+    def test_empty_seed_list_is_one_line_error(self, tmp_path, cricket_files, capsys):
+        weights, syntable, limits = cricket_files
+        corpus_path = tmp_path / "c.jsonl"
+        write_corpus(corpus_path, [("a", [], "cricket")])
+        out = tmp_path / "i.json"
+        code = main(
+            ["build", str(corpus_path), "--ontology", f"{weights}:{syntable}",
+             "--limits", str(limits), "--out", str(out), "--seeds", ","]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: corpus has no seeds\n"
         assert not out.exists()
 
     def test_explicit_seeds(self, tmp_path, cricket_files, capsys):
@@ -222,10 +286,15 @@ class TestQuery:
             "int_sum_too_large_for_float",
             "duplicate_url",
             "all_zero_vectors",
+            "ontology_id_zero",
+            "empty_term",
+            "duplicate_term",
+            "shared_synonym",
         ],
     )
     def test_malformed_index_is_one_line_error(self, built_index, capsys, tamper):
         obj = json.loads(built_index.read_text(encoding="utf-8"))
+        terms = obj["ontologies"][0]["terms"]
         if tamper == "drop_url":
             del obj["rpag"]["urls"]
         elif tamper == "int_too_large_for_float":
@@ -242,6 +311,14 @@ class TestQuery:
             counts = node_counts(obj, "1")
             counts[0] = [0] * len(counts[0])
             set_node_counts(obj, "1", counts)
+        elif tamper == "ontology_id_zero":
+            obj["ontologies"][0]["ontology_id"] = 0
+        elif tamper == "empty_term":
+            terms[0]["term"] = ""
+        elif tamper == "duplicate_term":
+            terms[1]["term"] = terms[0]["term"]
+        elif tamper == "shared_synonym":
+            terms[1]["synonyms"].append(terms[4]["synonyms"][0])
         if tamper == "top_level_list":
             built_index.write_text(json.dumps([obj]), encoding="utf-8")
         else:
@@ -253,6 +330,13 @@ class TestQuery:
         assert err.startswith("error: ")
         assert err.count("\n") == 1
         assert "digest" not in err
+        ontology_rules = {
+            "ontology_id_zero": "ontology_id must be >= 1, got 0",
+            "empty_term": "term '' is not a normalized phrase",
+            "duplicate_term": "duplicate term 'cricket'",
+            "shared_synonym": "synonym 'competition' is shared by 'wicket keeper' and 'match'",
+        }
+        assert ontology_rules.get(tamper, "") in err
 
     def test_index_without_ontologies_is_one_line_error(self, built_index, capsys):
         """An index with no ontologies, and so no pages, fails its load as a
@@ -345,6 +429,20 @@ class TestBench:
         csv_rows = (tmp_path / "one" / "report.csv").read_text().strip().splitlines()
         assert len(csv_rows) == 1 + 4  # header + 2 sizes x 2 modes
         assert {row.split(",")[0] for row in csv_rows[1:]} == {"40", "60"}
+
+    def test_repeats_default_to_five(self, tmp_path, capsys, monkeypatch):
+        from ibagsearch import evaluation
+
+        seen = []
+        evaluate_index = evaluation.evaluate_index
+
+        def spy(*args, repeats):
+            seen.append(repeats)
+            return evaluate_index(*args, repeats=repeats)
+
+        monkeypatch.setattr(evaluation, "evaluate_index", spy)
+        assert main(["bench", "--sizes", "40", "--out", str(tmp_path / "o")]) == 0
+        assert seen == [5]
 
     def test_empty_query_file_is_usage_error(self, tmp_path, capsys):
         queries = tmp_path / "queries.tsv"

@@ -7,7 +7,6 @@ import pytest
 
 from ibagsearch import (
     CorpusDoc,
-    GenerationConfig,
     ParseError,
     ValidationError,
     load_corpus,
@@ -183,8 +182,7 @@ class TestSynthCorpus:
         assert synth_corpus(7, 10, bundled_onts) != synth_corpus(8, 10, bundled_onts)
 
     def test_zero_term_frequency_means_zero_relevance(self, bundled_onts):
-        cfg = GenerationConfig(term_hit_prob=0.0)
-        corpus = synth_corpus(5, 30, bundled_onts, cfg)
+        corpus = synth_corpus(5, 30, ())  # no ontology phrase to embed
         for doc in corpus.docs.values():
             tokens = normalize_text(doc.text)
             for ontology in bundled_onts:

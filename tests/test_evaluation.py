@@ -24,14 +24,17 @@ from ibagsearch import (
     synth_corpus,
     traversal_cost_check,
 )
-from ibagsearch.bundled import default_queries
+from ibagsearch.bundled import default_queries, load_query_file
 from ibagsearch.evaluation import (
     CSV_HEADER,
+    HarvestReport,
+    ModeComparison,
     aggregate_runs,
     compare_modes,
+    hr_direction_counts,
     measure_bit_op_seconds,
 )
-from conftest import graph_from_counts
+from conftest import flat_ontology, graph_from_counts
 
 # "topic" scores 0.5 an occurrence; "filler", outside every query below,
 # sets a page's mean
@@ -237,6 +240,28 @@ class TestHRDirection:
         result = hr_direction_experiment(n_pairs=0)
         assert result.ratio is None
 
+    def test_index_that_no_page_supports_gives_no_valid_pairs(self):
+        unreachable = flat_ontology(["alpha", "beta"], relevance_limit=1e9)
+        result = hr_direction_experiment(n_pairs=3, ontologies=(unreachable,))
+        assert (result.pairs_total, result.pairs_valid) == (3, 0)
+
+    def test_tie_counts_for_after(self):
+        """Equal rates count as after >= before, and a query with an
+        undefined rate is not comparable."""
+
+        def modes(hr_before, hr_after):
+            before, after = (HarvestReport(hr, 1.0, hr) for hr in (hr_before, hr_after))
+            return ModeComparison(1, 1, 1, 1, 1, before, after)
+
+        comparisons = [modes(0.5, 0.5), modes(2.0, 1.0), modes(1.0, None), modes(None, 1.0)]
+        assert hr_direction_counts(comparisons) == (2, 1)
+
+
+def test_query_file_defaults_to_ontology_one(tmp_path):
+    path = tmp_path / "queries.tsv"
+    path.write_text("cricket\numpire\t0:1\t5\n", encoding="utf-8")
+    assert [query.ontology_id for query in load_query_file(path)] == [1, 1]
+
 
 def test_bit_op_measurement_positive():
-    assert measure_bit_op_seconds(iterations=10_000) > 0
+    assert measure_bit_op_seconds() > 0

@@ -194,6 +194,25 @@ class TestIbagInvariants:
         assert supporter.ont_link[1] == successor
         ibag.validate()
 
+    def test_load_rejects_broken_links(self, bundled_onts):
+        """A supporter that heads no level stops supporting ontology 1 and
+        still supports ontology 2: its score edited in place leaves the
+        levels and heads as they were, and the links differ."""
+        corpus = synth_corpus(8, 70, bundled_onts)
+        ibag = build_ibag(build_rpag(corpus, bundled_onts))
+        heads = ibag.level_heads
+        p_id = next(
+            node.p_id
+            for node in ibag.nodes
+            if node.supported[1]
+            and node.supported[2]
+            and ibag.levels[node.level][heads[node.level][1]] != node.p_id
+        )
+        table = ibag.node_columns.scores.tables[1]
+        table.of_node[p_id] = next(i for i, rel in enumerate(table.rows) if not rel.supported)
+        with pytest.raises(ValidationError, match="chain links"):
+            ibag.validate()
+
     def test_load_rejects_broken_heads(self, bundled_onts):
         corpus = synth_corpus(8, 70, bundled_onts)
         ibag = build_ibag(build_rpag(corpus, bundled_onts))

@@ -114,6 +114,10 @@ class TestBuildRpag:
         with pytest.raises(ValidationError):
             build_rpag(corpus, [])
 
+    def test_graph_section_must_be_an_object(self):
+        with pytest.raises(ValidationError, match="graph must be an object"):
+            RPaG.from_json_obj([], [TOPIC])
+
     def test_multiple_seeds_deduped(self):
         corpus = make_corpus([("a", [], "topic"), ("b", [], "topic")], seeds=["a", "b", "a"])
         graph = build_rpag(corpus, [TOPIC])
