@@ -4,8 +4,9 @@ The file holds only the inputs under one version tag: the ontologies and
 the relevance graph in columns (each node's url and parents, and per
 ontology each distinct term-count vector once, with each node's row
 index). The file also keeps the bit patterns, as a checksum.
-Serialization is canonical (sorted keys, fixed separators), so saving a
-loaded bundle reproduces the file byte for byte.
+Serialization is canonical (sorted keys, fixed separators). A load reads
+every member, so a save of a loaded bundle differs from the file only in
+formatting that was not canonical.
 
 A top-level ``digest`` holds the SHA-256 of the canonical bytes of the
 file without that member; with sorted keys it comes first. A save dumps
@@ -30,8 +31,10 @@ fact of a table (``rpag.ROW_FACTS``, ``rpag.GRAPH_FACTS``,
 ``ibag.LAYOUT_FACTS``), read again only to name the first row or page at
 fault when one fails:
 
-- the version tag, then the shapes and facts of each section below, so a
-  bad file is named by the check it fails; the digest last;
+- the version tag, then each object's keys and kinds in one
+  ``errors.json_fields`` call (a repeated key fails the parse), then the
+  facts of each section below, so a bad file is named by the check it
+  fails; the digest last;
 - ``RPaG.from_json_obj`` checks each row of counts and scores it once
   through ``relevance_from_counts``, as a crawl does, for the pages that
   use it to share; then the row indexes and the pages' urls and parents.
@@ -41,8 +44,8 @@ fault when one fails:
   its layout step checks the facts the graph does not hold and lays the
   index out, leaving the chains for their first read;
 - ``gen_ibag_bit_patterns`` derives the bits once per row of scores, and
-  they must equal the stored ones; each distinct pattern is rendered in
-  hex once for that comparison.
+  they must equal the stored ones, each stored length an int; each
+  distinct pattern is rendered in hex once for that comparison.
 
 At debug level a load logs one ``key=value`` event with the time of each
 of these steps (:meth:`IndexBundle.load`).
@@ -57,16 +60,17 @@ import hashlib
 import json
 import logging
 import os
+from collections import Counter
 from dataclasses import dataclass
 from operator import sub
 from pathlib import Path
 from time import perf_counter
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .bitmask import PatternStore, gen_ibag_bit_patterns
 from .collector import collector_paused
 from .corpus import Corpus
-from .errors import ValidationError, json_field
+from .errors import ValidationError, check_kind, json_fields
 from .ibag import IBAG, build_ibag
 from .ontology import Ontology
 from .rpag import RPaG, build_rpag
@@ -120,12 +124,26 @@ def _digest(pieces: list[bytes]) -> str:
     return digest.hexdigest()
 
 
+def _object(pairs: list[tuple[str, object]]) -> dict:
+    """``json.loads``'s object hook: a key given twice is rejected, where
+    the parser would keep only its last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        repeated = next(key for key, n in Counter(key for key, _ in pairs).items() if n > 1)
+        raise ValueError(f"repeated key {repeated!r}")
+    return obj
+
+
 @dataclass
 class IndexBundle:
-    ontologies: tuple[Ontology, ...]
     rpag: RPaG
     ibag: IBAG
     patterns: PatternStore
+
+    @property
+    def ontologies(self) -> tuple[Ontology, ...]:
+        """The graph's ontologies, their one home."""
+        return self.rpag.ontologies
 
     @classmethod
     def build(cls, corpus: Corpus, ontologies: Sequence[Ontology]) -> "IndexBundle":
@@ -134,15 +152,15 @@ class IndexBundle:
             rpag = build_rpag(corpus, ontologies)
             ibag = build_ibag(rpag)
             patterns = gen_ibag_bit_patterns(ibag, rpag.ontologies)
-        return cls(ontologies=rpag.ontologies, rpag=rpag, ibag=ibag, patterns=patterns)
+        return cls(rpag, ibag, patterns)
 
     def validate(self) -> None:
         """Derive the sections from the graph again and compare: raise
-        ValidationError when they disagree on the ontologies, or the graph,
-        the leveled index or the patterns differ from what the graph, laid
-        out once, gives. Build and load do not call this, since they derive
-        every section from one graph."""
-        if self.rpag.ontologies != self.ontologies or self.ibag.ontologies != self.ontologies:
+        ValidationError when the index and the graph disagree on the
+        ontologies, or the graph, the leveled index or the patterns differ
+        from what the graph, laid out once, gives. Build and load do not
+        call this, since they derive every section from one graph."""
+        if self.ibag.ontologies != self.ontologies:
             raise ValidationError("bundle sections disagree on the ontologies")
         if self.rpag.validate().nodes != self.ibag.nodes:
             raise ValidationError("index nodes differ from those the graph gives")
@@ -151,22 +169,18 @@ class IndexBundle:
         if fresh.to_json_obj() != self.patterns.to_json_obj():
             raise ValidationError("bit patterns differ from those the term vectors give")
 
-    def _sections(self) -> dict[str, Callable[[], object]]:
-        """How to make each section of the file's object, by its key."""
-        return {
-            "format_version": lambda: FORMAT_VERSION,
-            "ontologies": lambda: [ont.to_json_obj() for ont in self.ontologies],
-            "rpag": self.rpag.json_columns,
-            "patterns": self.patterns.to_json_obj,
-        }
-
     def _pieces(self) -> list[bytes]:
         """The canonical bytes of the file after its opening brace, without
         the digest member, in pieces. The sections are made and dumped one
         at a time, in key order, so only one section's object is alive at
         once; the graph's holds its columns, not copies."""
         pieces: list[bytes] = []
-        for key, make in sorted(self._sections().items()):
+        for key, make in (
+            ("format_version", lambda: FORMAT_VERSION),
+            ("ontologies", lambda: [ont.to_json_obj() for ont in self.ontologies]),
+            ("patterns", self.patterns.to_json_obj),
+            ("rpag", self.rpag.json_columns),
+        ):
             pieces += (b'"', key.encode(), b'":')
             _dump(make(), pieces)
             pieces.append(b",")
@@ -187,7 +201,7 @@ class IndexBundle:
         to check the digest, which takes about as long as a save;
         :meth:`load` hashes the file's bytes instead."""
         bundle = IndexBundle._decode(obj, [])
-        if obj.get("digest") != _digest(bundle._pieces()):
+        if obj["digest"] != _digest(bundle._pieces()):
             raise ValidationError("index digest does not match its contents")
         return bundle
 
@@ -205,18 +219,22 @@ class IndexBundle:
                 f"unsupported index format version {version!r:.40} (this program reads "
                 f"version {FORMAT_VERSION!r}); rebuild the index with `ibag-search build`"
             )
-        ontologies = tuple(
-            Ontology.from_json_obj(raw) for raw in json_field(obj, "ontologies", list, "index")
+        _, raw_ontologies, graph, stored, _ = json_fields(
+            obj, "index", format_version=str, ontologies=list, rpag=dict, patterns=dict, digest=str
         )
-        rpag = RPaG.from_json_obj(json_field(obj, "rpag", dict, "index"), ontologies)
+        ontologies = tuple(map(Ontology.from_json_obj, raw_ontologies))
+        rpag = RPaG.from_json_obj(graph, ontologies)
         stamps.append(perf_counter())
         ibag = build_ibag(rpag)
         stamps.append(perf_counter())
         patterns = gen_ibag_bit_patterns(ibag, ontologies)
-        if json_field(obj, "patterns", dict, "index") != patterns.to_json_obj():
+        lengths, _ = json_fields(stored, "index.patterns", t_by_ontology=dict, patterns=dict)
+        for key, length in lengths.items():
+            check_kind(length, int, f"index.patterns.t_by_ontology.{key}")
+        if stored != patterns.to_json_obj():
             raise ValidationError("stored bit patterns differ from those the term vectors give")
         stamps.append(perf_counter())
-        return IndexBundle(ontologies=ontologies, rpag=rpag, ibag=ibag, patterns=patterns)
+        return IndexBundle(rpag, ibag, patterns)
 
     def canonical_bytes(self) -> bytes:
         """The bytes of :meth:`to_json_obj` in canonical form, from one dump
@@ -251,9 +269,9 @@ class IndexBundle:
         raw = Path(path).read_bytes()
         with collector_paused():
             stamps = [perf_counter()]
-            try:
-                obj = json.loads(raw.decode("utf-8"))
-            except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON, deep nesting
+            try:  # bad UTF-8, bad JSON, a repeated key or deep nesting is rejected
+                obj = json.loads(raw.decode("utf-8"), object_pairs_hook=_object)
+            except (ValueError, RecursionError) as exc:
                 raise ValidationError(f"{path}: not a valid index file: {exc}") from None
             stamps.append(perf_counter())
             bundle = IndexBundle._decode(obj, stamps)

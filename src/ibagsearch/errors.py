@@ -41,13 +41,21 @@ def check_kind(value: Any, kind: type, where: str) -> Any:
     return value
 
 
-def json_field(obj: Any, key: str, kind: type, where: str) -> Any:
-    """``obj[key]`` checked with :func:`check_kind`; ``obj`` must be an object holding ``key``."""
+def json_fields(obj: Any, where: str, **kinds: type) -> list[Any]:
+    """The values of ``obj``'s keys in the order ``kinds`` lists them, each
+    checked with :func:`check_kind`: ``obj`` must be an object holding
+    every key of ``kinds`` and no other."""
     if not isinstance(obj, dict):
         raise ValidationError(f"{where} must be an object")
-    if key not in obj:
-        raise ValidationError(f"{where} lacks {key!r}")
-    return check_kind(obj[key], kind, f"{where}.{key}")
+    values = []
+    for key, kind in kinds.items():
+        if key not in obj:
+            raise ValidationError(f"{where} lacks {key!r}")
+        values.append(check_kind(obj[key], kind, f"{where}.{key}"))
+    if len(obj) > len(kinds):
+        unknown = next(key for key in obj if key not in kinds)
+        raise ValidationError(f"{where} has unknown key {unknown!r}")
+    return values
 
 
 class Fact(NamedTuple):

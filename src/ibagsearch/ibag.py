@@ -94,36 +94,6 @@ Heads = list[dict[int, int | None]]
 Links = dict[int, list[int | None]]
 
 
-class _Chains:
-    """The paper's traversal structures, threaded on first read from the
-    level table and the support flags, not from the supporter columns: per
-    level, the position of its first supporter of each ontology, and per
-    ontology, each node's next supporter in traversal order (level by
-    level, sorted within level, crossing into the next level)."""
-
-    def __init__(self, levels: list[list[int]], supports: dict[int, list[bool]]) -> None:
-        self.levels = levels
-        self.supports = supports  # per ontology id, indexed by p_id
-
-    @cached_property
-    def threaded(self) -> tuple[Heads, Links]:
-        heads: Heads = [dict.fromkeys(self.supports) for _ in self.levels]
-        links: Links = {}
-        for ont_id, supports in self.supports.items():
-            next_ids: list[int | None] = [None] * len(supports)
-            previous: int | None = None
-            for level_index, level in enumerate(self.levels):
-                p_ids = [p_id for p_id in level if supports[p_id]]
-                if p_ids:
-                    heads[level_index][ont_id] = level.index(p_ids[0])
-                    for p_id in p_ids:
-                        if previous is not None:
-                            next_ids[previous] = p_id
-                        previous = p_id
-            links[ont_id] = next_ids
-        return heads, links
-
-
 class IndexColumns(NamedTuple):
     """The index's node facts, one column each, by p_id: what a query reads
     (urls and means) and what the nodes are made from."""
@@ -137,10 +107,10 @@ class IndexColumns(NamedTuple):
 
 class IBAG:
     """The index in columns (:class:`IndexColumns`), plus the level table,
-    per-(ontology, level) supporter columns and the chains: per-level domain
-    head positions and per-node links, threaded on first read. The columns
-    are the index's only state; the nodes are read-only values made from
-    them on first read and kept."""
+    per-(ontology, level) supporter columns, support flags and the chains:
+    per-level domain head positions and per-node links, threaded on first
+    read. The columns are the index's only state; the nodes are read-only
+    values made from them on first read and kept."""
 
     def __init__(
         self,
@@ -148,14 +118,36 @@ class IBAG:
         node_columns: IndexColumns,
         levels: list[list[int]],
         columns: dict[int, list[Column]],
-        chains: _Chains,
+        supports: dict[int, list[bool]],
     ) -> None:
         self.ontologies = ontologies
         self.node_columns = node_columns
         self.levels = levels
         self.columns = columns
-        self._chains = chains
+        self._supports = supports
         self._by_id = {ont.ontology_id: ont for ont in ontologies}
+
+    @cached_property
+    def _chains(self) -> tuple[Heads, Links]:
+        """The paper's traversal structures, threaded on first read from the
+        level table and the support flags: per level, the position of its
+        first supporter of each ontology, and per ontology, each node's next
+        supporter in traversal order, crossing into the next level."""
+        heads: Heads = [dict.fromkeys(self._supports) for _ in self.levels]
+        links: Links = {}
+        for ont_id, supports in self._supports.items():
+            next_ids: list[int | None] = [None] * len(supports)
+            previous: int | None = None
+            for level_index, level in enumerate(self.levels):
+                p_ids = [p_id for p_id in level if supports[p_id]]
+                if p_ids:
+                    heads[level_index][ont_id] = level.index(p_ids[0])
+                    for p_id in p_ids:
+                        if previous is not None:
+                            next_ids[previous] = p_id
+                        previous = p_id
+            links[ont_id] = next_ids
+        return heads, links
 
     @cached_property
     def nodes(self) -> tuple[IBAGNode, ...]:
@@ -163,7 +155,7 @@ class IBAG:
         ``relevance`` mapping and its links in this index's chains, which
         this threads."""
         urls, pp_ids, levels, means, scores = self.node_columns
-        links = self._chains.threaded[1]
+        links = self._chains[1]
         ont_links = map(zip, repeat(list(links)), zip(*links.values()))
         return tuple(
             map(
@@ -176,7 +168,7 @@ class IBAG:
     def level_heads(self) -> Heads:
         """Per level, the position of its first supporter of each ontology
         id, None when it has none; threaded with the chains on first read."""
-        return self._chains.threaded[0]
+        return self._chains[0]
 
     def __len__(self) -> int:
         return len(self.node_columns.url)
@@ -194,7 +186,7 @@ class IBAG:
 
     def iter_chain(self, level_index: int, ontology_id: int) -> Iterator[IBAGNode]:
         """Walk one level's supporting nodes, entering at the stored head."""
-        heads, links = self._chains.threaded
+        heads, links = self._chains
         head = heads[level_index].get(ontology_id)
         if head is None:
             return
@@ -234,8 +226,7 @@ class IBAG:
                     list(compress(level, map(supported.__getitem__, level))) for level in levels
                 )
             ]
-        chains = _Chains(levels, supports)
-        return cls(ontologies, node_columns, levels, columns_by_ontology, chains)
+        return cls(ontologies, node_columns, levels, columns_by_ontology, supports)
 
     def validate(self) -> None:
         """Lay the index's columns out again and compare: raise
@@ -247,10 +238,10 @@ class IBAG:
         fresh = type(self)._lay_out(self.node_columns, self.ontologies, supports)
         if self.levels != fresh.levels:
             raise ValidationError("level table differs from the sorted levels the columns give")
-        heads, links = self._chains.threaded
+        heads, links = self._chains
         if heads != fresh.level_heads:
             raise ValidationError("level heads differ from the first supporters the columns give")
-        if links != fresh._chains.threaded[1]:
+        if links != fresh._chains[1]:
             raise ValidationError("chain links differ from those the columns give")
         if self.columns != fresh.columns:
             raise ValidationError("supporter columns differ from the sorted levels")

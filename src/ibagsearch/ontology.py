@@ -16,12 +16,12 @@ their tables, each ontology's positions after those of the ones before it;
 :meth:`PhraseTable.split` cuts the counts of a merged table into one list
 per ontology, so no caller needs to know that layout.
 :meth:`PhraseTable.count` is the one counting scan: through an ontology's
-own table it serves :meth:`Ontology.count_terms` (``relevance.page_relevance``),
-and through a merged table it counts the terms of every ontology in one
-scan of a crawled page. A query mask needs only which terms occur, not how
-often, so :meth:`PhraseTable.mask` scans an ontology's own table for
-presence and sets each phrase's pattern bits, which that table alone holds,
-with no counts and no non-overlap bookkeeping.
+own table it serves ``relevance.page_relevance``, and through a merged
+table it counts the terms of every ontology in one scan of a crawled page.
+A query mask needs only which terms occur, not how often, so
+:meth:`PhraseTable.mask` scans an ontology's own table for presence and
+sets each phrase's pattern bits, which that table alone holds, with no
+counts and no non-overlap bookkeeping.
 :func:`count_occurrences` is the per-phrase reference.
 """
 from __future__ import annotations
@@ -33,7 +33,7 @@ from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .errors import ParseError, ValidationError, check_kind, json_field
+from .errors import ParseError, ValidationError, check_kind, json_fields
 
 _TAG_RE = re.compile(r"<[^>]*>")
 # maps every byte outside [0-9a-z] to a space. Every byte of a non-ASCII
@@ -282,11 +282,6 @@ class Ontology:
                     )
                 syn_owner[syn] = term.term
 
-    def count_terms(self, tokens: list[str]) -> list[int]:
-        """Occurrences of each term in ``tokens``, indexed by bit position:
-        one scan of the tokens through the phrase table (:meth:`PhraseTable.count`)."""
-        return self.phrase_table.count(tokens)
-
     def to_json_obj(self) -> dict:
         return {
             "ontology_id": self.ontology_id,
@@ -306,25 +301,18 @@ class Ontology:
 
     @staticmethod
     def from_json_obj(obj: object) -> "Ontology":
-        terms = tuple(
-            OntologyTerm(
-                term=json_field(t, "term", str, "ontology term"),
-                weight=json_field(t, "weight", float, "ontology term"),
-                synonyms=tuple(
-                    check_kind(syn, str, "ontology synonym")
-                    for syn in json_field(t, "synonyms", list, "ontology term")
-                ),
-                term_relevance_limit=json_field(t, "term_relevance_limit", float, "ontology term"),
-                bit_position=json_field(t, "bit_position", int, "ontology term"),
+        raw_terms, ontology_id, name, relevance_limit = json_fields(
+            obj, "ontology", terms=list, ontology_id=int, name=str, relevance_limit=float
+        )
+        terms = []
+        for raw in raw_terms:
+            term, weight, synonyms, term_limit, bit_position = json_fields(
+                raw, "ontology term", term=str, weight=float, synonyms=list,
+                term_relevance_limit=float, bit_position=int,
             )
-            for t in json_field(obj, "terms", list, "ontology")
-        )
-        return Ontology(
-            ontology_id=json_field(obj, "ontology_id", int, "ontology"),
-            name=json_field(obj, "name", str, "ontology"),
-            terms=terms,
-            relevance_limit=json_field(obj, "relevance_limit", float, "ontology"),
-        )
+            synonyms = tuple(check_kind(syn, str, "ontology synonym") for syn in synonyms)
+            terms.append(OntologyTerm(term, weight, synonyms, term_limit, bit_position))
+        return Ontology(ontology_id, name, tuple(terms), relevance_limit)
 
 
 @dataclass(frozen=True)

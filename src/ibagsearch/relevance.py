@@ -44,17 +44,16 @@ from .ontology import Ontology, OntologyTerm, count_occurrences
 
 
 class PageRelevance(NamedTuple):
-    """One page scored against one ontology.
+    """One page scored against the ontology whose id keys its score table.
 
     ``relevance_value`` is forced to zero when the page does not clear the
     cutoff; the per-term vector is kept either way, indexed by bit position,
     and so are the term counts it was derived from, which an index file
     stores.
     A named tuple, not a frozen dataclass: a build or a load makes one per
-    (page, ontology) pair, and a named tuple is cheaper to build and to hold.
+    distinct row of counts, and a named tuple is cheaper to build and to hold.
     """
 
-    ontology_id: int
     relevance_value: float
     supported: bool
     term_vector: tuple[float, ...]
@@ -79,9 +78,7 @@ def relevance_from_counts(ontology: Ontology, counts: Sequence[int]) -> PageRele
     vector = tuple(map(mul, ontology.weights, counts))
     value = sum(vector)
     supported = value > ontology.relevance_limit
-    return PageRelevance(
-        ontology.ontology_id, value if supported else 0.0, supported, vector, counts
-    )
+    return PageRelevance(value if supported else 0.0, supported, vector, counts)
 
 
 def page_relevance(
@@ -90,10 +87,10 @@ def page_relevance(
     """Score a tokenized page against every term of the ontology.
 
     ``counts``, when given, are the occurrences of each term in ``tokens``,
-    indexed by bit position, as :meth:`Ontology.count_terms` gives them.
+    indexed by bit position, as the ontology's phrase table counts them.
     """
     if counts is None:
-        counts = ontology.count_terms(tokens if isinstance(tokens, list) else list(tokens))
+        counts = ontology.phrase_table.count(tokens if isinstance(tokens, list) else list(tokens))
     return relevance_from_counts(ontology, counts)
 
 

@@ -46,7 +46,7 @@ from operator import eq, ge, lt
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .corpus import Corpus
-from .errors import Fact, ValidationError, check_facts, json_field
+from .errors import Fact, ValidationError, check_facts, json_fields
 from .ibag import IBAG, FactColumns, build_ibag
 from .ontology import Ontology, PhraseTable, normalize_text
 from .relevance import (
@@ -137,9 +137,7 @@ class RPaG:
         facts are checked by :func:`build_ibag`, which a bundle load runs on
         the result."""
         ontologies = _checked_ontologies(ontologies)
-        urls = json_field(obj, "urls", list, "graph")
-        pp_ids = json_field(obj, "pp_ids", list, "graph")
-        tables = json_field(obj, "counts", dict, "graph")
+        urls, pp_ids, tables = json_fields(obj, "graph", urls=list, pp_ids=list, counts=dict)
         if tables.keys() != {str(ont.ontology_id) for ont in ontologies}:
             raise ValidationError("graph counts keys mismatch the ontologies")
         if len(pp_ids) != len(urls):
@@ -156,8 +154,7 @@ def _score_table(ont: Ontology, table: object, node_count: int) -> ScoreTable:
     """One ontology's ``rows`` and ``of_node``, checked, with every row
     scored once: the score the nodes that use the row share."""
     where = f"graph counts {ont.ontology_id}"
-    rows = json_field(table, "rows", list, where)
-    of_node = json_field(table, "of_node", list, where)
+    rows, of_node = json_fields(table, where, rows=list, of_node=list)
     if len(of_node) != node_count:
         raise ValidationError(f"{where} has {len(of_node)} row indexes for {node_count} nodes")
     check_facts(ROW_FACTS, _Rows(rows, ont.t, where))

@@ -248,14 +248,18 @@ def _containers(obj: object) -> list:
 def mutate(obj: dict, rng: random.Random) -> None:
     """One seeded structural edit of a decoded index, in place: in a random
     list or dict, replace a value from :data:`MUTATION_POOL`, delete a key
-    or an item, or duplicate or swap list items."""
+    or an item, add a member ``extra`` holding a value from the pool, or
+    duplicate or swap list items."""
     target = rng.choice(_containers(obj))
     if isinstance(target, dict):
         key = rng.choice(sorted(target))
-        if rng.random() < 0.5:
+        operation = rng.choice(("replace", "delete", "add"))
+        if operation == "replace":
+            target[key] = rng.choice(MUTATION_POOL)
+        elif operation == "delete":
             del target[key]
         else:
-            target[key] = rng.choice(MUTATION_POOL)
+            target["extra"] = rng.choice(MUTATION_POOL)
         return
     i, j = rng.randrange(len(target)), rng.randrange(len(target))
     operation = rng.choice(("replace", "delete", "duplicate", "swap"))
@@ -603,6 +607,45 @@ class TestValidation:
         with pytest.raises(ValidationError, match=f"^{message}$"):
             build_rpag(corpus, [Ontology.from_json_obj(raw) for raw in obj["ontologies"]])
 
+    @pytest.mark.parametrize(
+        "member, where",
+        [
+            (lambda obj: obj, "index"),
+            (lambda obj: obj["ontologies"][0], "ontology"),
+            (lambda obj: obj["ontologies"][0]["terms"][1], "ontology term"),
+            (lambda obj: obj["rpag"], "graph"),
+            (lambda obj: obj["rpag"]["counts"]["1"], "graph counts 1"),
+            (lambda obj: obj["patterns"], "index.patterns"),
+        ],
+        ids=["top-level", "ontology", "term", "graph", "counts-table", "patterns"],
+    )
+    def test_unknown_key_rejected_by_load_and_decode_alike(self, tmp_path, member, where):
+        """Every member of each object is read: one more, under a fresh
+        digest, fails a load and a decode of the parsed file with the same
+        message, before any digest check."""
+        obj = four_page_index(tmp_path)
+        member(obj)["extra"] = 0
+        path = tmp_path / "index.json"
+        path.write_bytes(sealed(obj))
+        message = f"^{re.escape(where)} has unknown key 'extra'$"
+        with pytest.raises(ValidationError, match=message):
+            IndexBundle.load(path)
+        with pytest.raises(ValidationError, match=message):
+            IndexBundle.from_json_obj(json.loads(path.read_bytes()))
+
+    def test_pattern_length_true_rejected(self, tmp_path):
+        """A one-term ontology's pattern length is 1, which ``true`` equals,
+        but a save would write 1, so the file is rejected."""
+        corpus = make_corpus([("a", ["b"], "topic"), ("b", [], "topic topic")])
+        obj = saved_obj(IndexBundle.build(corpus, [single_term_ontology()]), tmp_path / "b.json")
+        assert obj["patterns"]["t_by_ontology"] == {"1": 1}
+        obj["patterns"]["t_by_ontology"]["1"] = True
+        path = tmp_path / "index.json"
+        path.write_bytes(sealed(obj))
+        message = "^index.patterns.t_by_ontology.1 must be an integer, got True$"
+        with pytest.raises(ValidationError, match=message):
+            IndexBundle.load(path)
+
     @pytest.mark.parametrize("text", ["[]", "null", '"index"', "[[[[1]]]]"])
     def test_non_object_top_level_rejected(self, tmp_path, text):
         path = tmp_path / "index.json"
@@ -803,9 +846,11 @@ class TestBundleValidate:
         with pytest.raises(ValidationError, match="index nodes"):
             dataclasses.replace(fresh, ibag=other.ibag).validate()
 
-    def test_sections_on_other_ontologies_rejected(self, fresh):
+    def test_sections_on_other_ontologies_rejected(self, fresh, bundled_onts):
+        two = bundled_onts[:2]
+        index = build_ibag(build_rpag(synth_corpus(5, 60, two), two))
         with pytest.raises(ValidationError, match="disagree on the ontologies"):
-            dataclasses.replace(fresh, ontologies=fresh.ontologies[:2]).validate()
+            dataclasses.replace(fresh, ibag=index).validate()
 
     def test_mean_edited_in_place_rejected(self, fresh):
         """The index's own layout does not read its means again, so only a
@@ -889,7 +934,7 @@ def hand_made(counts_per_node: list[dict[int, int]], ontologies) -> IndexBundle:
     counts = [{ont_id: [c] for ont_id, c in node.items()} for node in counts_per_node]
     rpag = graph_from_counts(counts, ontologies)
     ibag = build_ibag(rpag)
-    return IndexBundle(rpag.ontologies, rpag, ibag, gen_ibag_bit_patterns(ibag, rpag.ontologies))
+    return IndexBundle(rpag, ibag, gen_ibag_bit_patterns(ibag, rpag.ontologies))
 
 
 # (seed, documents): the 400-document corpus is the largest
@@ -1063,9 +1108,9 @@ class TestLoadMatchesBuild:
         built.save(path)
         loaded = IndexBundle.load(path)
         for bundle in (built, loaded):
-            assert "threaded" not in vars(bundle.ibag._chains)
+            assert "_chains" not in vars(bundle.ibag)
         assert loaded.ibag.level_heads == built.ibag.level_heads
-        assert "threaded" in vars(loaded.ibag._chains)
+        assert "_chains" in vars(loaded.ibag)
 
     def test_load_freezes_nothing(self, bundle, tmp_path):
         """A freeze is process-wide, so only the CLI's commands make one."""
@@ -1188,7 +1233,7 @@ class TestReadingNodes:
             assert remade.nodes == nodes
             ibag = build_ibag(remade)
             patterns = gen_ibag_bit_patterns(ibag, remade.ontologies)
-            again = IndexBundle(remade.ontologies, remade, ibag, patterns)
+            again = IndexBundle(remade, ibag, patterns)
             assert again.canonical_bytes() == saved
             assert ibag.nodes == inodes
 

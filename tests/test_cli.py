@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import io
 import json
 
@@ -16,6 +17,13 @@ from conftest import (
     sealed,
     set_node_counts,
 )
+
+
+def resealed(data: bytes) -> bytes:
+    """A saved index file's bytes, edited after the digest member, under a
+    fresh digest: the SHA-256 of ``{`` and the bytes after that member."""
+    body = data[data.index(b'",') + 2 :]
+    return b'{"digest":"' + hashlib.sha256(b"{" + body).hexdigest().encode() + b'",' + body
 
 
 def write_corpus(path, records):
@@ -290,6 +298,13 @@ class TestQuery:
             "empty_term",
             "duplicate_term",
             "shared_synonym",
+            "unknown_top_level_key",
+            "unknown_ontology_key",
+            "unknown_term_key",
+            "unknown_graph_key",
+            "unknown_counts_key",
+            "repeated_key",
+            "float_length",
         ],
     )
     def test_malformed_index_is_one_line_error(self, built_index, capsys, tamper):
@@ -319,8 +334,23 @@ class TestQuery:
             terms[1]["term"] = terms[0]["term"]
         elif tamper == "shared_synonym":
             terms[1]["synonyms"].append(terms[4]["synonyms"][0])
+        elif tamper.startswith("unknown_"):
+            members = {
+                "top_level": obj,
+                "ontology": obj["ontologies"][0],
+                "term": terms[0],
+                "graph": obj["rpag"],
+                "counts": obj["rpag"]["counts"]["1"],
+            }
+            members[tamper[len("unknown_") : -len("_key")]]["extra"] = 0
+        elif tamper == "float_length":
+            obj["patterns"]["t_by_ontology"]["1"] = float(obj["patterns"]["t_by_ontology"]["1"])
         if tamper == "top_level_list":
             built_index.write_text(json.dumps([obj]), encoding="utf-8")
+        elif tamper == "repeated_key":
+            name = json.dumps(obj["ontologies"][0]["name"]).encode()
+            twice = b'"name":"other","name":' + name
+            built_index.write_bytes(resealed(sealed(obj).replace(b'"name":' + name, twice)))
         else:
             # under a fresh digest, so the check for the edited fact rejects it
             built_index.write_bytes(sealed(obj))
@@ -330,13 +360,20 @@ class TestQuery:
         assert err.startswith("error: ")
         assert err.count("\n") == 1
         assert "digest" not in err
-        ontology_rules = {
+        rules = {
             "ontology_id_zero": "ontology_id must be >= 1, got 0",
             "empty_term": "term '' is not a normalized phrase",
             "duplicate_term": "duplicate term 'cricket'",
             "shared_synonym": "synonym 'competition' is shared by 'wicket keeper' and 'match'",
+            "unknown_top_level_key": "index has unknown key 'extra'",
+            "unknown_ontology_key": "ontology has unknown key 'extra'",
+            "unknown_term_key": "ontology term has unknown key 'extra'",
+            "unknown_graph_key": "graph has unknown key 'extra'",
+            "unknown_counts_key": "graph counts 1 has unknown key 'extra'",
+            "repeated_key": "not a valid index file: repeated key 'name'",
+            "float_length": "index.patterns.t_by_ontology.1 must be an integer, got 5.0",
         }
-        assert ontology_rules.get(tamper, "") in err
+        assert rules.get(tamper, "") in err
 
     def test_index_without_ontologies_is_one_line_error(self, built_index, capsys):
         """An index with no ontologies, and so no pages, fails its load as a

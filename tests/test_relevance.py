@@ -205,9 +205,9 @@ def alignments(tokens: list[str], phrase: str) -> int:
 class TestMergedScan:
     def test_merged_counts_agree_with_each_ontology(self):
         """One scan through the merged table, sliced per ontology, counts as
-        ``Ontology.count_terms`` and the per-phrase reference do, and a page
-        scored from a slice scores as ``page_relevance`` does from the tokens,
-        float for float."""
+        each ontology's own phrase table and the per-phrase reference do,
+        and a page scored from a slice scores as ``page_relevance`` does
+        from the tokens, float for float."""
         rng = random.Random(29)
         seen = {
             "first word in two ontologies": 0,
@@ -242,7 +242,7 @@ class TestMergedScan:
                 for ontology, piece in zip(ontologies, pieces):
                     assert piece == counts[start : start + ontology.t]
                     start += ontology.t
-                    assert piece == ontology.count_terms(tokens)
+                    assert piece == ontology.phrase_table.count(tokens)
                     assert piece == reference_counts(ontology, tokens)
                     assert page_relevance(ontology, tokens, piece) == (
                         page_relevance(ontology, tokens)
