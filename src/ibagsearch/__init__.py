@@ -23,7 +23,6 @@ _HOMES = {
         "Corpus",
         "CorpusDoc",
         "load_corpus",
-        "save_corpus",
         "synth_corpus",
     ),
     "errors": ("IbagSearchError", "ParseError", "ValidationError"),
@@ -44,13 +43,12 @@ _HOMES = {
         "LimitsConfig",
         "Ontology",
         "OntologyTerm",
-        "count_occurrences",
         "load_limits",
         "load_ontology",
         "normalize_phrase",
         "normalize_text",
     ),
-    "relevance": ("PageRelevance", "page_relevance", "term_relevance_value"),
+    "relevance": ("PageRelevance", "page_relevance"),
     "rpag": ("RPaG", "RPaGNode", "build_rpag"),
     "search": (
         "Query",

@@ -78,9 +78,6 @@ class BitPattern(NamedTuple):
     def to_string(self) -> str:
         return format(self.bits, f"0{self.length}b")
 
-    def to_hex(self) -> str:
-        return _to_hex(self.bits, self.length)
-
 
 # builds a BitPattern from a (bits, length, ontology_id, owner) tuple in C,
 # without the Python frame of the named tuple's generated ``__new__``: every

@@ -187,12 +187,6 @@ class IndexBundle:
         pieces[-1] = b"}\n"
         return pieces
 
-    def to_json_obj(self) -> dict:
-        """The file's object, parsed from :meth:`canonical_bytes`: the
-        sections and the digest of their canonical bytes. Editing it leaves
-        the bundle and its next save as they are."""
-        return json.loads(self.canonical_bytes())
-
     @staticmethod
     def from_json_obj(obj: object) -> "IndexBundle":
         """Decode a parsed index file and check its digest.
@@ -237,8 +231,8 @@ class IndexBundle:
         return IndexBundle(rpag, ibag, patterns)
 
     def canonical_bytes(self) -> bytes:
-        """The bytes of :meth:`to_json_obj` in canonical form, from one dump
-        of each section: their digest is joined in as the first member."""
+        """The file's bytes in canonical form, from one dump of each
+        section: their digest is joined in as the first member."""
         pieces = self._pieces()
         return b"".join([_DIGEST_OPEN, _digest(pieces).encode(), b'",', *pieces])
 
@@ -260,28 +254,32 @@ class IndexBundle:
     @staticmethod
     def load(path: str | Path) -> "IndexBundle":
         """Parse and decode ``path`` with the cyclic garbage collector
-        paused, then check the digest against the file's bytes.
+        paused, then check the digest against the file's bytes. Every fault
+        is raised as one ValidationError whose message starts ``<path>: ``.
 
         At debug level it logs one key=value event: the milliseconds of the
         parse, the graph decode, the layout and the patterns (derived and
         compared with the stored ones), the node count and each ontology's
         rows of distinct scores."""
         raw = Path(path).read_bytes()
-        with collector_paused():
-            stamps = [perf_counter()]
-            try:  # bad UTF-8, bad JSON, a repeated key or deep nesting is rejected
-                obj = json.loads(raw.decode("utf-8"), object_pairs_hook=_object)
-            except (ValueError, RecursionError) as exc:
-                raise ValidationError(f"{path}: not a valid index file: {exc}") from None
-            stamps.append(perf_counter())
-            bundle = IndexBundle._decode(obj, stamps)
-            # free the parsed file before the collector resumes, or its first
-            # pass, which any allocation may start, scans every object of it
-            del obj
-        content = hashlib.sha256(b"{")
-        content.update(memoryview(raw)[_BODY_START:])
-        if raw[:_BODY_START] != _DIGEST_OPEN + content.hexdigest().encode() + b'",':
-            raise ValidationError(f"{path}: index digest does not match its contents")
+        try:
+            with collector_paused():
+                stamps = [perf_counter()]
+                try:  # bad UTF-8, bad JSON, a repeated key or deep nesting is rejected
+                    obj = json.loads(raw.decode("utf-8"), object_pairs_hook=_object)
+                except (ValueError, RecursionError) as exc:
+                    raise ValidationError(f"not a valid index file: {exc}") from None
+                stamps.append(perf_counter())
+                bundle = IndexBundle._decode(obj, stamps)
+                # free the parsed file before the collector resumes, or its first
+                # pass, which any allocation may start, scans every object of it
+                del obj
+            content = hashlib.sha256(b"{")
+            content.update(memoryview(raw)[_BODY_START:])
+            if raw[:_BODY_START] != _DIGEST_OPEN + content.hexdigest().encode() + b'",':
+                raise ValidationError("index digest does not match its contents")
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from None
         if log.isEnabledFor(logging.DEBUG):
             parse, graph, layout, patterns = map(sub, stamps[1:], stamps)
             tables = bundle.ibag.node_columns.scores.tables

@@ -93,16 +93,6 @@ def load_corpus(path: str | Path, seeds: Sequence[str] | None = None) -> Corpus:
     return Corpus(docs=docs, seeds=tuple(deduped))
 
 
-def save_corpus(corpus: Corpus, path: str | Path) -> None:
-    """Write the corpus back as line-delimited JSON (canonical key order)."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        for doc in corpus.docs.values():
-            obj = {"links": list(doc.out_links), "text": doc.text, "url": doc.url}
-            fh.write(json.dumps(obj, sort_keys=True, ensure_ascii=False))
-            fh.write("\n")
-
-
 # the synthetic generator's noise words, document lengths, chance that a
 # word slot holds an ontology phrase, and extra out-links per document
 _NOISE_VOCAB_SIZE = 400

@@ -361,12 +361,6 @@ class HRDirectionResult:
     pairs_valid: int
     pairs_after_ge_before: int
 
-    @property
-    def ratio(self) -> float | None:
-        if not self.pairs_valid:
-            return None
-        return self.pairs_after_ge_before / self.pairs_valid
-
 
 def hr_direction_counts(comparisons: Iterable[ModeComparison]) -> tuple[int, int]:
     """The harvest-rate direction rule: of the queries whose two rates are

@@ -9,7 +9,7 @@ order (level by level, sorted within level), and every level stores the
 position of its first supporting page, so a traversal can enter a level
 directly and walk only the pages that belong to the queried domain. No
 query reads the chains, so they are threaded on first read, once, from the
-level table and the support flags: through ``IBAG.level_heads``,
+level table and the supporter columns: through ``IBAG.level_heads``,
 :meth:`IBAG.iter_chain` or :attr:`IBAG.nodes`. A build or a load makes no
 per-node link mapping.
 
@@ -107,10 +107,10 @@ class IndexColumns(NamedTuple):
 
 class IBAG:
     """The index in columns (:class:`IndexColumns`), plus the level table,
-    per-(ontology, level) supporter columns, support flags and the chains:
-    per-level domain head positions and per-node links, threaded on first
-    read. The columns are the index's only state; the nodes are read-only
-    values made from them on first read and kept."""
+    the per-(ontology, level) supporter columns and the chains: per-level
+    domain head positions and per-node links, threaded on first read from
+    the supporter columns. The columns are the index's only state; the
+    nodes are read-only values made from them on first read and kept."""
 
     def __init__(
         self,
@@ -118,34 +118,30 @@ class IBAG:
         node_columns: IndexColumns,
         levels: list[list[int]],
         columns: dict[int, list[Column]],
-        supports: dict[int, list[bool]],
     ) -> None:
         self.ontologies = ontologies
         self.node_columns = node_columns
         self.levels = levels
         self.columns = columns
-        self._supports = supports
         self._by_id = {ont.ontology_id: ont for ont in ontologies}
 
     @cached_property
     def _chains(self) -> tuple[Heads, Links]:
         """The paper's traversal structures, threaded on first read from the
-        level table and the support flags: per level, the position of its
-        first supporter of each ontology, and per ontology, each node's next
-        supporter in traversal order, crossing into the next level."""
-        heads: Heads = [dict.fromkeys(self._supports) for _ in self.levels]
+        level table and the supporter columns: per level, the position of
+        its first supporter of each ontology, its column's first p_id, and
+        per ontology, each node's next supporter in traversal order. An
+        ontology's chain is its columns' p_ids, level after level."""
+        heads: Heads = [dict.fromkeys(self.columns) for _ in self.levels]
         links: Links = {}
-        for ont_id, supports in self._supports.items():
-            next_ids: list[int | None] = [None] * len(supports)
-            previous: int | None = None
-            for level_index, level in enumerate(self.levels):
-                p_ids = [p_id for p_id in level if supports[p_id]]
+        for ont_id, columns in self.columns.items():
+            chain = [p_id for p_ids, _ in columns for p_id in p_ids]
+            next_ids: list[int | None] = [None] * len(self)
+            for p_id, next_id in zip(chain, chain[1:]):
+                next_ids[p_id] = next_id
+            for level_heads, level, (p_ids, _) in zip(heads, self.levels, columns):
                 if p_ids:
-                    heads[level_index][ont_id] = level.index(p_ids[0])
-                    for p_id in p_ids:
-                        if previous is not None:
-                            next_ids[previous] = p_id
-                        previous = p_id
+                    level_heads[ont_id] = level.index(p_ids[0])
             links[ont_id] = next_ids
         return heads, links
 
@@ -226,7 +222,7 @@ class IBAG:
                     list(compress(level, map(supported.__getitem__, level))) for level in levels
                 )
             ]
-        return cls(ontologies, node_columns, levels, columns_by_ontology, supports)
+        return cls(ontologies, node_columns, levels, columns_by_ontology)
 
     def validate(self) -> None:
         """Lay the index's columns out again and compare: raise
@@ -294,8 +290,8 @@ def build_ibag(rpag: RPaG) -> IBAG:
 
     The single parent is the node's first listed parent. The mean relevance
     value averages the page's relevance over the ontologies it supports
-    (0.0 for none); one that cannot be a float, from an int sum too large
-    for one, becomes ``inf``. The layout rejects both. Each step is a pass
+    (0.0 for none), a float sum over a count; a sum past the largest float
+    is ``inf``. The layout rejects both. Each step is a pass
     over one of the graph's columns; a score's value and support are read
     once per row of its table, then mapped to the nodes through
     ``of_node``. The index shares the graph's urls and score tables.
@@ -328,28 +324,17 @@ def _support_flags(ontologies: Sequence[Ontology], scores: GraphScores) -> dict[
 
 
 def _means(tables: list[ScoreTable], supported: list[list[bool]]) -> list[float]:
-    """Each node's mean: its supported values' sum, added in ontology order,
-    over their count (0.0 for none); ``inf`` when the sum cannot be a float."""
+    """Each node's mean: its supported values' float sum, added column by
+    column in ontology order, over their count (0.0 for none); ``inf`` when
+    the sum passes the largest float. A score holds 0.0 where unsupported,
+    and adding 0.0 leaves a float as it is, so every value adds up to the
+    supported sum."""
     values = [_per_node(table, "relevance_value") for table in tables]
-    if all(type(rel.relevance_value) is float for table in tables for rel in table.rows):
-        # a score holds 0.0 where unsupported, and adding 0.0 leaves a float
-        # as it is, so with floats alone every value adds up to the
-        # supported sum; an ontology whose weights are all ints gives ints
-        sums, counts = values[0], supported[0]
-        for column, flags in zip(values[1:], supported[1:]):
-            sums = list(map(add, sums, column))
-            counts = list(map(add, counts, flags))
-        return list(map(truediv, sums, map(max, counts, repeat(1))))
-    return list(map(_mean, zip(*values), zip(*supported)))
-
-
-def _mean(values: tuple, supported: tuple) -> float:
-    """One node's mean, as :func:`_means` gives it."""
-    kept = list(compress(values, supported))
-    try:
-        return sum(kept) / max(len(kept), 1)
-    except OverflowError:
-        return math.inf
+    sums, counts = values[0], supported[0]
+    for column, flags in zip(values[1:], supported[1:]):
+        sums = list(map(add, sums, column))
+        counts = list(map(add, counts, flags))
+    return list(map(truediv, sums, map(max, counts, repeat(1))))
 
 
 def select_by_range(

@@ -22,7 +22,9 @@ A query mask needs only which terms occur, not how often, so
 :meth:`PhraseTable.mask` scans an ontology's own table for presence and
 sets each phrase's pattern bits, which that table alone holds, with no
 counts and no non-overlap bookkeeping.
-:func:`count_occurrences` is the per-phrase reference.
+``tests/oracles.py`` (``oracle_count``) writes the per-phrase counting
+rule out independently: the reference the tests compare
+:meth:`PhraseTable.count` with.
 """
 from __future__ import annotations
 
@@ -58,29 +60,6 @@ def normalize_text(raw: str) -> list[str]:
 def normalize_phrase(raw: str) -> str:
     """Canonical phrase form: lowercase words joined by single spaces."""
     return " ".join(normalize_text(raw))
-
-
-def count_occurrences(tokens: Sequence[str], phrase: str) -> int:
-    """Number of non-overlapping left-to-right matches of ``phrase`` in ``tokens``.
-
-    ``phrase`` must already be normalized. Matching is greedy: after a match
-    the scan resumes past the matched words, so ``wicket wicket keeper``
-    contains ``wicket keeper`` exactly once.
-    """
-    if not phrase:
-        return 0
-    words = phrase.split(" ")
-    toks = tokens if isinstance(tokens, list) else list(tokens)
-    n, w = len(toks), len(words)
-    count = 0
-    i = 0
-    while i + w <= n:
-        if toks[i : i + w] == words:
-            count += 1
-            i += w
-        else:
-            i += 1
-    return count
 
 
 class PhraseTable:
@@ -157,8 +136,9 @@ class PhraseTable:
         """Occurrences of each term in ``tokens``, indexed by position.
 
         One scan of the tokens serves every phrase. Each phrase matches
-        greedily left to right and never overlaps itself, as
-        :func:`count_occurrences` counts it; different phrases may overlap.
+        greedily left to right and never overlaps itself: after a match the
+        phrase's scan resumes past the matched words, so ``wicket wicket
+        keeper`` holds ``wicket keeper`` once. Different phrases may overlap.
         A match counts for the term the phrase names and for the term it is
         a synonym of. ``tokens`` must be a list: a slice of any other
         sequence never equals a phrase's words.
@@ -219,7 +199,10 @@ class Ontology:
     ``t``, the number of terms and so the bit-pattern length,
     ``phrase_table`` (:class:`PhraseTable`), ``weights`` and
     ``term_limits``, each term's weight and cutoff in bit-position order,
-    are derived from ``terms`` on creation; they are not fields.
+    are derived from ``terms`` on creation; they are not fields. The
+    scoring weights are floats, an int weight converted, so every score
+    and mean is a float sum; the terms and the JSON keep each weight as
+    given.
     """
 
     ontology_id: int
@@ -231,7 +214,7 @@ class Ontology:
         self.validate()
         object.__setattr__(self, "t", len(self.terms))
         object.__setattr__(self, "phrase_table", PhraseTable.of_terms(self.terms))
-        object.__setattr__(self, "weights", tuple(term.weight for term in self.terms))
+        object.__setattr__(self, "weights", tuple(float(term.weight) for term in self.terms))
         object.__setattr__(
             self, "term_limits", tuple(term.term_relevance_limit for term in self.terms)
         )
@@ -436,7 +419,7 @@ def load_syntable(path: str | Path, known_terms: set[str]) -> dict[str, tuple[st
 def load_ontology(
     weight_table_path: str | Path,
     syntable_path: str | Path,
-    limits: LimitsConfig | str | Path,
+    limits: LimitsConfig,
     *,
     ontology_id: int = 1,
     name: str | None = None,
@@ -445,10 +428,9 @@ def load_ontology(
 
     Weight-table order defines bit positions. Terms missing from the
     syntable get an empty synonym list; syntable terms missing from the
-    weight table are rejected.
+    weight table are rejected. ``limits`` comes from :func:`load_limits`
+    or is made directly.
     """
-    if not isinstance(limits, LimitsConfig):
-        limits = load_limits(limits)
     weights = load_weight_table(weight_table_path)
     syntable = load_syntable(syntable_path, {term for term, _ in weights})
     terms = tuple(

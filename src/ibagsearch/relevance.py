@@ -10,10 +10,10 @@ table in one scan of the page, or takes the counts from a scan the caller
 has made already: a crawl counts the terms of all its ontologies in one
 scan of the page, through their tables merged into one. Either way the page
 is scored from its counts through :func:`relevance_from_counts`, the one
-scoring rule: each term's value is its weight times its count, the same
-float product whether a build or a load computes it.
-:func:`term_relevance_value` counts one term phrase by phrase and is the
-reference the tests compare it against.
+scoring rule: each term's value is its weight, as a float, times its
+count, the same float product whether a build or a load computes it.
+``tests/oracles.py`` counts and scores each term phrase by phrase
+(``oracle_term_value``), the reference the tests compare it against.
 
 A :class:`PageRelevance` is immutable and keeps the counts it was scored
 from, so one value can serve many pages: a crawl (``rpag.build_rpag``)
@@ -40,7 +40,7 @@ from operator import mul
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
-from .ontology import Ontology, OntologyTerm, count_occurrences
+from .ontology import Ontology
 
 
 class PageRelevance(NamedTuple):
@@ -58,13 +58,6 @@ class PageRelevance(NamedTuple):
     supported: bool
     term_vector: tuple[float, ...]
     counts: tuple[int, ...]
-
-
-def term_relevance_value(term: OntologyTerm, tokens: Sequence[str]) -> float:
-    occurrences = count_occurrences(tokens, term.term)
-    for synonym in term.synonyms:
-        occurrences += count_occurrences(tokens, synonym)
-    return term.weight * occurrences
 
 
 def relevance_from_counts(ontology: Ontology, counts: Sequence[int]) -> PageRelevance:

@@ -37,7 +37,6 @@ the layout ``build_ibag`` ends in.
 """
 from __future__ import annotations
 
-import json
 import logging
 from collections import deque
 from functools import cached_property
@@ -107,18 +106,13 @@ class RPaG:
         check_facts(GRAPH_FACTS, FactColumns(*self.columns[:2]))
         return build_ibag(self)
 
-    def to_json_obj(self) -> dict:
-        """Only the inputs, in columns: scores, support and every index
-        structure derive from them. Each distinct count vector of an
-        ontology is one row, numbered in order of first use by p_id. The
-        parse of a dump of :meth:`json_columns`: editing it leaves the
-        graph as it is."""
-        return json.loads(json.dumps(self.json_columns()))
-
     def json_columns(self) -> dict:
-        """The object :meth:`to_json_obj` parses a dump of, holding the
-        graph's own url, parent and row index lists, not copies: a save
-        dumps it, and nothing may edit it."""
+        """The index file's ``rpag`` object: only the inputs, in columns,
+        from which scores, support and every index structure derive. Each
+        distinct count vector of an ontology is one row, numbered in order
+        of first use by p_id. It holds the graph's own url, parent and row
+        index lists, not copies: a save dumps it, and nothing may edit it
+        (edit a JSON round trip of it instead)."""
         urls, pp_ids, scores = self.columns
         # a crawl scores each distinct count vector once and a load rejects
         # a repeated row, so each row's counts are distinct

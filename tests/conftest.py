@@ -13,6 +13,7 @@ from ibagsearch import (
     Ontology,
     OntologyTerm,
     RPaG,
+    load_limits,
     load_ontology,
 )
 from ibagsearch.bundled import default_ontologies
@@ -148,7 +149,7 @@ def cricket_files(tmp_path):
 @pytest.fixture
 def cricket(cricket_files) -> Ontology:
     weights, syntable, limits = cricket_files
-    return load_ontology(weights, syntable, limits, ontology_id=1, name="cricket")
+    return load_ontology(weights, syntable, load_limits(limits), ontology_id=1, name="cricket")
 
 
 def single_term_ontology(

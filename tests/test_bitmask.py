@@ -19,6 +19,7 @@ from ibagsearch import (
     synth_corpus,
     xor_patterns,
 )
+from ibagsearch.bitmask import _to_hex
 from conftest import flat_ontology, make_corpus
 
 SEVEN = flat_ontology([f"term{i}" for i in range(7)], term_limit=0.5)
@@ -47,7 +48,7 @@ class TestWebpageBitPattern:
         vector = [0.9, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
         pattern = gen_webpage_bit_pattern(vector, SEVEN)
         assert pattern.to_string() == "1000000"
-        assert pattern.to_hex() == "40"
+        assert _to_hex(pattern.bits, pattern.length) == "40"
 
 
 class TestMaskBitPattern:

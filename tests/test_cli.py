@@ -357,7 +357,7 @@ class TestQuery:
         code = main(["query", str(built_index), "--search", "cricket"])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ")
+        assert err.startswith(f"error: {built_index}: ")  # every load fault names the file
         assert err.count("\n") == 1
         assert "digest" not in err
         rules = {
@@ -385,7 +385,8 @@ class TestQuery:
         built_index.write_bytes(sealed(obj))
         code = main(["query", str(built_index), "--search", "cricket"])
         assert code == 1
-        assert capsys.readouterr().err == "error: at least one ontology is required\n"
+        err = capsys.readouterr().err
+        assert err == f"error: {built_index}: at least one ontology is required\n"
 
     def test_limit_defaults_to_twenty(self, tmp_path, cricket_files, capsys):
         """Without ``--limit``, a query that 25 pages answer prints 20."""
@@ -419,7 +420,7 @@ class TestQuery:
         code = main(["query", str(built_index), "--search", "cricket"])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: unsupported index format version '2'")
+        assert err.startswith(f"error: {built_index}: unsupported index format version '2'")
         assert "rebuild the index with `ibag-search build`" in err
         assert err.count("\n") == 1
 

@@ -12,7 +12,6 @@ from ibagsearch import (
     load_corpus,
     normalize_text,
     page_relevance,
-    save_corpus,
     synth_corpus,
 )
 from oracles import oracle_page_vector, oracle_tokens
@@ -22,6 +21,14 @@ def write_jsonl(path, records):
     with path.open("w", encoding="utf-8") as fh:
         for record in records:
             fh.write(json.dumps(record) + "\n")
+
+
+def records(corpus):
+    """The corpus's documents as the records of a corpus file."""
+    return [
+        {"url": doc.url, "links": list(doc.out_links), "text": doc.text}
+        for doc in corpus.docs.values()
+    ]
 
 
 class TestLoadCorpus:
@@ -128,14 +135,14 @@ class TestLoadCorpus:
     def test_five_thousand_records(self, tmp_path, bundled_onts):
         corpus = synth_corpus(3, 5000, bundled_onts)
         path = tmp_path / "big.jsonl"
-        save_corpus(corpus, path)
+        write_jsonl(path, records(corpus))
         loaded = load_corpus(path, corpus.seeds)
         assert len(loaded) == 5000
 
     def test_save_load_round_trip(self, tmp_path, bundled_onts):
         corpus = synth_corpus(9, 40, bundled_onts)
         path = tmp_path / "corpus.jsonl"
-        save_corpus(corpus, path)
+        write_jsonl(path, records(corpus))
         assert load_corpus(path, corpus.seeds) == corpus
 
 

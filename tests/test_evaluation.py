@@ -234,11 +234,11 @@ class TestHRDirection:
     def test_small_seeded_sample_prefers_after(self):
         result = hr_direction_experiment(n_pairs=20, rng_seed=3)
         assert result.pairs_valid > 0
-        assert result.ratio >= 0.9
+        assert result.pairs_after_ge_before >= 0.9 * result.pairs_valid
 
     def test_ratio_none_when_no_valid_pairs(self):
         result = hr_direction_experiment(n_pairs=0)
-        assert result.ratio is None
+        assert (result.pairs_total, result.pairs_valid) == (0, 0)
 
     def test_index_that_no_page_supports_gives_no_valid_pairs(self):
         unreachable = flat_ontology(["alpha", "beta"], relevance_limit=1e9)
