@@ -41,8 +41,9 @@ fault when one fails:
   The decoded columns become the graph's;
 - ``build_ibag`` shares the graph's urls and score tables with the index,
   derives each page's parent, level and mean, reading each row once, and
-  its layout step checks the facts the graph does not hold and lays the
-  index out, leaving the chains for their first read;
+  the ``IBAG`` constructor, its layout step, checks the facts the graph
+  does not hold and lays the index out, leaving the chains for their
+  first read;
 - ``gen_ibag_bit_patterns`` derives the bits once per row of scores, and
   they must equal the stored ones, each stored length an int; each
   distinct pattern is rendered in hex once for that comparison.

@@ -86,11 +86,7 @@ def load_corpus(path: str | Path, seeds: Sequence[str] | None = None) -> Corpus:
         if not docs:
             raise ValidationError(f"{path}: corpus is empty, cannot infer seeds")
         seeds = [next(iter(docs))]
-    deduped: list[str] = []
-    for seed in seeds:
-        if seed not in deduped:
-            deduped.append(known.get(seed, seed))
-    return Corpus(docs=docs, seeds=tuple(deduped))
+    return Corpus(docs=docs, seeds=tuple(dict.fromkeys(known.get(s, s) for s in seeds)))
 
 
 # the synthetic generator's noise words, document lengths, chance that a

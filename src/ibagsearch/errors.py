@@ -1,11 +1,11 @@
 """Exception types shared across the package, the kind checks that turn
 malformed decoded JSON into a ValidationError, and the checker of a table
-of node facts."""
+of node facts, with the first-occurrence rule two of its facts use."""
 from __future__ import annotations
 
 from itertools import compress, count, islice
-from operator import not_
-from typing import Any, Callable, Iterable, NamedTuple, Sequence
+from operator import eq, not_
+from typing import Any, Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 
 class IbagSearchError(Exception):
@@ -66,6 +66,11 @@ class Fact(NamedTuple):
 
     flags: Callable[[Any], Iterable[object]]
     message: Callable[[Any, int], str]
+
+
+def first_occurrences(items: Iterable[Hashable]) -> Iterator[bool]:
+    """Whether each item is unlike every earlier one: its own first index."""
+    return map(eq, map({}.setdefault, items, count()), count())
 
 
 def check_facts(facts: Sequence[Fact], columns: Any) -> None:

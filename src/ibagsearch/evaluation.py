@@ -386,6 +386,10 @@ def hr_direction_experiment(
     selection covers every supporting page. The pairs count as
     :func:`hr_direction_counts` counts them.
     """
+    if n_pairs < 0:
+        raise ValueError(f"n_pairs must be >= 0, got {n_pairs}")
+    if not ks:
+        raise ValueError("ks must name at least one result limit")
     if ontologies is None:
         from .bundled import default_ontologies
 

@@ -33,9 +33,9 @@ the reference that the tests compare it with.
 The one way to an index is :func:`build_ibag`, from a graph that a crawl
 or a load made. It derives the parents, levels and means from the graph's
 checked columns, reading each score row once, and re-checks nothing it
-derived; its private layout step checks :data:`LAYOUT_FACTS` and lays the
-index out. :meth:`IBAG.validate` lays the index's columns out again and
-compares, chains included.
+derived; the :class:`IBAG` constructor, the one layout step, checks
+:data:`LAYOUT_FACTS` and lays the index out. :meth:`IBAG.validate` lays
+the index's columns out again and compares, chains included.
 """
 from __future__ import annotations
 
@@ -44,11 +44,11 @@ from array import array
 from bisect import bisect_left, bisect_right
 from functools import cached_property
 from itertools import compress, count, repeat
-from operator import add, attrgetter, eq, lt, neg, truediv
+from operator import add, attrgetter, lt, neg, truediv
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .errors import Fact, ValidationError, check_facts
+from .errors import Fact, ValidationError, check_facts, first_occurrences
 from .ontology import Ontology
 from .relevance import GraphScores, PageRelevance, ScoreTable
 
@@ -114,15 +114,36 @@ class IBAG:
 
     def __init__(
         self,
-        ontologies: tuple[Ontology, ...],
         node_columns: IndexColumns,
-        levels: list[list[int]],
-        columns: dict[int, list[Column]],
+        ontologies: tuple[Ontology, ...],
+        supports: dict[int, list[bool]],
     ) -> None:
+        """The one layout step: check :data:`LAYOUT_FACTS`, sort the levels
+        and fill the supporter columns. ``supports`` maps each ontology id
+        to its support flags."""
+        means = node_columns.mean_rel_val
+        check_facts(LAYOUT_FACTS, _LayoutColumns(node_columns.url, means, supports))
+
+        # a level lists its nodes by ascending p_id, and a sort, reversed or
+        # not, is stable, so ties keep that order
+        levels: list[list[int]] = [[] for _ in range(max(node_columns.level, default=-1) + 1)]
+        for p_id, level in enumerate(node_columns.level):
+            levels[level].append(p_id)
+        for level in levels:
+            level.sort(key=means.__getitem__, reverse=True)
+
         self.ontologies = ontologies
         self.node_columns = node_columns
         self.levels = levels
-        self.columns = columns
+        self.columns: dict[int, list[Column]] = {
+            ont_id: [
+                (p_ids, array("d", map(neg, map(means.__getitem__, p_ids))))
+                for p_ids in (
+                    list(compress(level, map(supported.__getitem__, level))) for level in levels
+                )
+            ]
+            for ont_id, supported in supports.items()
+        }
         self._by_id = {ont.ontology_id: ont for ont in ontologies}
 
     @cached_property
@@ -193,37 +214,6 @@ class IBAG:
             yield nodes[p_id]
             p_id = next_ids[p_id]
 
-    @classmethod
-    def _lay_out(
-        cls,
-        node_columns: IndexColumns,
-        ontologies: tuple[Ontology, ...],
-        supports: dict[int, list[bool]],
-    ) -> "IBAG":
-        """The one layout step: check :data:`LAYOUT_FACTS`, sort the levels
-        and fill the supporter columns. ``supports`` maps each ontology id
-        to its support flags."""
-        means = node_columns.mean_rel_val
-        check_facts(LAYOUT_FACTS, FactColumns(node_columns.url, means=means, supports=supports))
-
-        # a level lists its nodes by ascending p_id, and a sort, reversed or
-        # not, is stable, so ties keep that order
-        levels: list[list[int]] = [[] for _ in range(max(node_columns.level, default=-1) + 1)]
-        for p_id, level in enumerate(node_columns.level):
-            levels[level].append(p_id)
-        for level in levels:
-            level.sort(key=means.__getitem__, reverse=True)
-
-        columns_by_ontology: dict[int, list[Column]] = {}
-        for ont_id, supported in supports.items():
-            columns_by_ontology[ont_id] = [
-                (p_ids, array("d", map(neg, map(means.__getitem__, p_ids))))
-                for p_ids in (
-                    list(compress(level, map(supported.__getitem__, level))) for level in levels
-                )
-            ]
-        return cls(ontologies, node_columns, levels, columns_by_ontology)
-
     def validate(self) -> None:
         """Lay the index's columns out again and compare: raise
         ValidationError when the level table, the level heads, the chain
@@ -231,7 +221,7 @@ class IBAG:
         The index itself is left unchanged, though its chains are threaded
         if nothing has read them yet."""
         supports = _support_flags(self.ontologies, self.node_columns.scores)
-        fresh = type(self)._lay_out(self.node_columns, self.ontologies, supports)
+        fresh = IBAG(self.node_columns, self.ontologies, supports)
         if self.levels != fresh.levels:
             raise ValidationError("level table differs from the sorted levels the columns give")
         heads, links = self._chains
@@ -243,30 +233,28 @@ class IBAG:
             raise ValidationError("supporter columns differ from the sorted levels")
 
 
-class FactColumns(NamedTuple):
-    """The columns a table of node facts reads some of, by p_id: a graph's
-    urls and parent lists, or an index's urls, means and ``supports``, each
-    ontology id's support flags."""
+class _LayoutColumns(NamedTuple):
+    """The columns :data:`LAYOUT_FACTS` read, by p_id: the urls, the means
+    and ``supports``, each ontology id's support flags."""
 
     urls: Sequence
-    pp_ids: Sequence = ()
-    means: Sequence = ()
-    supports: Mapping[int, list[bool]] = MappingProxyType({})
+    means: Sequence[float]
+    supports: Mapping[int, list[bool]]
 
 
-def _new_urls(nodes: FactColumns) -> Iterable[bool]:
+def _new_urls(nodes: _LayoutColumns) -> Iterable[bool]:
     """Whether each url, a str by now, is unlike every earlier one: its own
     first index. When a set of the urls is as long as they are, each is."""
     if len(set(nodes.urls)) == len(nodes.urls):
         return ()
-    return map(eq, map({}.setdefault, nodes.urls, count()), count())
+    return first_occurrences(nodes.urls)
 
 
-def _url_message(nodes: FactColumns, p_id: int) -> str:
+def _url_message(nodes: _LayoutColumns, p_id: int) -> str:
     return f"node {p_id} url {nodes.urls[p_id]!r} missing or duplicated"
 
 
-def _mean_message(nodes: FactColumns, p_id: int) -> str:
+def _mean_message(nodes: _LayoutColumns, p_id: int) -> str:
     return f"node {p_id} mean relevance {nodes.means[p_id]} not in (0, inf)"
 
 
@@ -307,7 +295,7 @@ def build_ibag(rpag: RPaG) -> IBAG:
     tables = [scores.tables[ont.ontology_id] for ont in rpag.ontologies]
     means = _means(tables, list(supports.values()))
     columns = IndexColumns(urls, pp_ids, levels, means, scores)
-    return IBAG._lay_out(columns, rpag.ontologies, supports)
+    return IBAG(columns, rpag.ontologies, supports)
 
 
 def _per_node(table: ScoreTable, field: str) -> list:

@@ -27,7 +27,9 @@ and a load scores it.
 A graph and its index hold those shared scores in columns, as the index
 file stores their counts: per ontology a :class:`ScoreTable` of each
 distinct score once (``rows``) and each page's row index (``of_node``), in
-order of first use by p_id. These tables are the only home of the scores.
+order of first use by p_id. A crawl fills each table as it keeps pages,
+and a load decodes it from the file's rows. These tables are the only
+home of the scores.
 :class:`GraphScores` holds one graph's tables and makes each page's
 ``relevance``, the read-only per-ontology mapping a node carries, only when
 something reads the nodes.
@@ -35,7 +37,7 @@ something reads the nodes.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import count, repeat
+from itertools import repeat
 from operator import mul
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
@@ -93,14 +95,6 @@ class ScoreTable(NamedTuple):
 
     rows: list[PageRelevance]
     of_node: list[int]
-
-    @classmethod
-    def shared(cls, scores: Sequence[PageRelevance]) -> "ScoreTable":
-        """The table of per-page scores, one row per distinct object: pages
-        that share a score share its row."""
-        first = dict(zip(map(id, scores), scores))  # in order of first use
-        row_of = dict(zip(first, count()))
-        return cls(list(first.values()), list(map(row_of.__getitem__, map(id, scores))))
 
     def per_node(self) -> list[PageRelevance]:
         """Each page's score, by p_id."""

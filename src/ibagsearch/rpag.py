@@ -17,23 +17,25 @@ vector tuple with it. The memo is local to the call.
 A graph's only state is its pages in columns (:class:`GraphColumns`), as
 the index file stores them: the urls, the parent lists, and per ontology a
 ``ScoreTable`` of each distinct score once (``rows``, in order of first
-use by p_id) with each page's row index (``of_node``). A crawl and a load
-make these columns, and nothing else does: a page's scores come only from
-its counts. :attr:`RPaG.nodes` makes the :class:`RPaGNode` values on
-first read and keeps them; they are read-only. One layout path,
-``build_ibag``, reads the columns.
+use by p_id) with each page's row index (``of_node``). A crawl fills each
+table as it keeps pages, numbering a score's row at its first use by a
+kept page. A crawl and a load make these columns, and nothing else does:
+a page's scores come only from its counts. :attr:`RPaG.nodes` makes the
+:class:`RPaGNode` values on first read and keeps them; they are
+read-only. One layout path, ``build_ibag``, reads the columns.
 
 Loading a saved graph (:meth:`RPaG.from_json_obj`) checks the ontologies
 as a crawl does, then each ontology's rows of counts (:data:`ROW_FACTS`),
 scores each row once through ``relevance_from_counts``, checks that the
 row indexes use every row, first in row order, so an accepted graph saves
 back to the same bytes, then checks the pages' urls and parents
-(:data:`GRAPH_FACTS`). A graph made by hand is the same object, the
-``rpag`` section of an index file, and enters the same way. Each fact is
-written once, as lazy flags, one per node or row, and a message
-(``errors.Fact``): a node's parents are one check of its parent list, a
-row's counts one check of the row. The index's own facts are checked by
-the layout ``build_ibag`` ends in.
+(:data:`GRAPH_FACTS`, read from the graph's own columns). A graph made
+by hand is the same object, the ``rpag`` section of an index file, and
+enters the same way. Each fact is written once, as lazy flags, one per
+node or row, and a message (``errors.Fact``): a node's parents are one
+check of its parent list, a row's counts one check of the row. The
+index's own facts are checked by the ``IBAG`` constructor, the layout
+``build_ibag`` ends in.
 """
 from __future__ import annotations
 
@@ -41,12 +43,12 @@ import logging
 from collections import deque
 from functools import cached_property
 from itertools import count, repeat
-from operator import eq, ge, lt
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from operator import ge, lt
+from typing import Mapping, NamedTuple, Sequence
 
 from .corpus import Corpus
-from .errors import Fact, ValidationError, check_facts, json_fields
-from .ibag import IBAG, FactColumns, build_ibag
+from .errors import Fact, ValidationError, check_facts, first_occurrences, json_fields
+from .ibag import IBAG, build_ibag
 from .ontology import Ontology, PhraseTable, normalize_text
 from .relevance import (
     GraphScores,
@@ -103,7 +105,7 @@ class RPaG:
         """Check the urls and parents (:data:`GRAPH_FACTS`) and return the
         index :func:`build_ibag` lays out, which checks the index's facts.
         Build and load do not call this."""
-        check_facts(GRAPH_FACTS, FactColumns(*self.columns[:2]))
+        check_facts(GRAPH_FACTS, self.columns)
         return build_ibag(self)
 
     def json_columns(self) -> dict:
@@ -140,8 +142,9 @@ class RPaG:
             ont.ontology_id: _score_table(ont, tables[str(ont.ontology_id)], len(urls))
             for ont in ontologies
         }
-        check_facts(GRAPH_FACTS, FactColumns(urls, pp_ids))
-        return RPaG(ontologies, GraphColumns(urls, pp_ids, GraphScores(scores)))
+        columns = GraphColumns(urls, pp_ids, GraphScores(scores))
+        check_facts(GRAPH_FACTS, columns)
+        return RPaG(ontologies, columns)
 
 
 def _score_table(ont: Ontology, table: object, node_count: int) -> ScoreTable:
@@ -176,7 +179,7 @@ def _parents_hold(pp_ids: Sequence, p_id: int) -> bool:
     return len(pp_ids) < 2 or len(set(pp_ids)) == len(pp_ids)
 
 
-def _parent_message(graph: FactColumns, p_id: int) -> str:
+def _parent_message(graph: GraphColumns, p_id: int) -> str:
     """The message naming the node's first parent that is no earlier node,
     or else its first parent listed twice."""
     parents = graph.pp_ids[p_id]
@@ -213,11 +216,6 @@ class _Rows(NamedTuple):
     where: str
 
 
-def _new_rows(rows: _Rows) -> Iterator[bool]:
-    """Whether each row is unlike every earlier row: its own first index."""
-    return map(eq, map({}.setdefault, map(tuple, rows.rows), count()), count())
-
-
 def _counts_hold(row: object, t: int) -> bool:
     """Whether a row is a list of ``t`` non-negative int counts."""
     if not isinstance(row, list) or len(row) != t:
@@ -240,7 +238,10 @@ _TOO_LARGE_FOR_FLOAT = 2**1024 - 2**970
 # every earlier row, the largest small enough to convert to a float.
 ROW_FACTS = (
     Fact(lambda rows: map(_counts_hold, rows.rows, repeat(rows.t)), _counts_message),
-    Fact(_new_rows, lambda rows, i: f"{rows.where} row {i} repeats an earlier row"),
+    Fact(
+        lambda rows: first_occurrences(map(tuple, rows.rows)),
+        lambda rows, i: f"{rows.where} row {i} repeats an earlier row",
+    ),
     Fact(
         lambda rows: map(lt, map(max, rows.rows), repeat(_TOO_LARGE_FOR_FLOAT)),
         lambda rows, i: f"{rows.where} row {i} holds a count too large for a float",
@@ -265,20 +266,20 @@ def build_rpag(corpus: Corpus, ontologies: Sequence[Ontology]) -> RPaG:
 
     Parent lists are frozen when a page is dequeued: a node's pp_ids are
     the first (up to four) supporting pages that linked to it before it
-    was processed, in link-discovery order. That rule keeps every parent's
-    p_id below its child's, so the parent structure is acyclic.
+    was crawled, in link-discovery order. That rule keeps every parent's
+    p_id below its child's, so the parent structure is acyclic. Each
+    ontology's score table is filled as pages are kept: a score's row is
+    numbered at its first use by a kept page.
     """
     ontologies = _checked_ontologies(ontologies)
     if not corpus.seeds:
         raise ValidationError("corpus has no seeds")
 
-    queue: deque[str] = deque()
-    discovered: set[str] = set()
-    for seed in corpus.seeds:
-        if seed not in discovered:
-            discovered.add(seed)
-            queue.append(seed)
-    processed: set[str] = set()
+    # each url waiting in the queue has an entry here, its parents so far;
+    # a crawl pops it, so a url not crawled yet is one that has an entry
+    pending_parents: dict[str, list[int]] = {seed: [] for seed in corpus.seeds}
+    queue: deque[str] = deque(pending_parents)
+    discovered: set[str] = set(pending_parents)
     # one scan of a page counts the terms of every ontology; each ontology
     # scores its own slice of the counts
     table = PhraseTable.merge([ont.phrase_table for ont in ontologies])
@@ -286,15 +287,16 @@ def build_rpag(corpus: Corpus, ontologies: Sequence[Ontology]) -> RPaG:
     # per ontology, the score of each distinct count vector, made once and
     # shared by every page that has those counts
     scorings = [(ont, {}) for ont in ontologies]
-    pending_parents: dict[str, list[int]] = {}
     urls: list[str] = []
     pp_ids: list[list[int]] = []
-    # per ontology, each kept page's score, by p_id
-    kept: list[list[PageRelevance]] = [[] for _ in ontologies]
+    # per ontology, the graph's score table, filled as pages are kept, and
+    # each row's index by the id of its score: the memo holds one score per
+    # count vector, so the id stands for the vector without hashing it again
+    tables = [(ScoreTable([], []), {}) for _ in ontologies]
 
     while queue:
         url = queue.popleft()
-        processed.add(url)
+        parents = pending_parents.pop(url)
         doc = corpus.docs[url]
         tokens = normalize_text(doc.text)
         relevance = []
@@ -308,25 +310,25 @@ def build_rpag(corpus: Corpus, ontologies: Sequence[Ontology]) -> RPaG:
         if any(rel.supported for rel in relevance):
             p_id = len(urls)
             urls.append(url)
-            pp_ids.append(pending_parents.pop(url, []))
-            for column, rel in zip(kept, relevance):
-                column.append(rel)
-        else:
-            pending_parents.pop(url, None)
+            pp_ids.append(parents)
+            for ((rows, of_node), row_of), rel in zip(tables, relevance):
+                row = row_of.setdefault(id(rel), len(rows))
+                if row == len(rows):
+                    rows.append(rel)
+                of_node.append(row)
 
         for link in doc.out_links:
             if link not in corpus.docs:
                 continue  # dangling link: a live crawler would fail the fetch
-            if p_id is not None and link not in processed:
-                parents = pending_parents.setdefault(link, [])
-                if len(parents) < MAX_PARENTS and p_id not in parents:
-                    parents.append(p_id)
             if link not in discovered:
                 discovered.add(link)
                 queue.append(link)
+                pending_parents[link] = []
+            if p_id is not None and link in pending_parents:
+                link_parents = pending_parents[link]
+                if len(link_parents) < MAX_PARENTS and p_id not in link_parents:
+                    link_parents.append(p_id)
 
     log.debug("built relevance graph: %d nodes from %d documents", len(urls), len(corpus))
-    tables = {
-        ont.ontology_id: ScoreTable.shared(column) for ont, column in zip(ontologies, kept)
-    }
-    return RPaG(ontologies, GraphColumns(urls, pp_ids, GraphScores(tables)))
+    scores = {ont.ontology_id: table for ont, (table, _) in zip(ontologies, tables)}
+    return RPaG(ontologies, GraphColumns(urls, pp_ids, GraphScores(scores)))

@@ -236,6 +236,15 @@ class TestHRDirection:
         assert result.pairs_valid > 0
         assert result.pairs_after_ge_before >= 0.9 * result.pairs_valid
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [({"n_pairs": -3}, "n_pairs must be >= 0"), ({"n_pairs": 2, "ks": ()}, "ks must name")],
+        ids=["negative-pairs", "no-ks"],
+    )
+    def test_bad_arguments_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            hr_direction_experiment(**kwargs)
+
     def test_ratio_none_when_no_valid_pairs(self):
         result = hr_direction_experiment(n_pairs=0)
         assert (result.pairs_total, result.pairs_valid) == (0, 0)

@@ -123,6 +123,12 @@ class TestBuildRpag:
         graph = build_rpag(corpus, [TOPIC])
         assert [node.url for node in graph.nodes] == ["a", "b"]
 
+    def test_queued_seed_gains_parents_until_crawled(self):
+        # b waits in the queue as a seed when a links to it, so a is its parent
+        corpus = make_corpus([("a", ["b"], "topic"), ("b", [], "topic")], seeds=["a", "b"])
+        graph = build_rpag(corpus, [TOPIC])
+        assert [node.pp_ids for node in graph.nodes] == [(), (0,)]
+
 
 class TestRpagInvariants:
     @pytest.mark.parametrize("seed", range(8))
