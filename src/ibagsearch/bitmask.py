@@ -154,7 +154,8 @@ class PatternStore:
         self._bits: dict[int, list[int]] = {}
         self._lengths: dict[int, int] = {}
 
-    def add_ontology(self, ontology_id: int, length: int, bits_by_p_id: Iterable[int]) -> None:
+    def add_ontology(self, ontology: Ontology, bits_by_p_id: Iterable[int]) -> None:
+        ontology_id, length = ontology.ontology_id, ontology.t
         if ontology_id in self._bits:
             raise ValidationError(f"patterns for ontology {ontology_id} already present")
         bits_by_p_id = list(bits_by_p_id)
@@ -195,7 +196,7 @@ def gen_ibag_bit_patterns(ibag: IBAG, ontologies: Sequence[Ontology]) -> Pattern
     for ontology in ontologies:
         rows, of_node = tables[ontology.ontology_id]
         row_bits = [_page_bits(rel.term_vector, ontology) for rel in rows]
-        store.add_ontology(ontology.ontology_id, ontology.t, map(row_bits.__getitem__, of_node))
+        store.add_ontology(ontology, map(row_bits.__getitem__, of_node))
     return store
 
 

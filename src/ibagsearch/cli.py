@@ -81,11 +81,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_query.add_argument("index", help="index file written by build")
     p_query.add_argument("--search", default=None, help="search string")
     p_query.add_argument(
-        "--range", type=_range_arg, default=(0.0, float("inf")), metavar="LO:HI",
+        "--range", type=_range_arg, default=Query.relevance_range, metavar="LO:HI",
         help="mean relevance range (default 0:inf)",
     )
     p_query.add_argument("--ontology", type=int, default=1, help="ontology id (default 1)")
-    p_query.add_argument("--limit", type=int, default=20, help="number of search results")
+    p_query.add_argument(
+        "--limit", type=int, default=Query.result_limit, help="number of search results"
+    )
     p_query.add_argument(
         "--mode", choices=("before", "after", "both"), default="after",
         help="before/after bit masking, or both plus the harvest report",

@@ -3,10 +3,10 @@
 :func:`load_corpus` reads the file with the cyclic garbage collector paused
 (``collector.collector_paused``): it keeps every record it decodes and
 makes no reference cycles. It keeps one string per distinct url: the
-``docs`` key, the document's ``url``, every link that names the url and
-every seed that does are the same object, so a url mentioned by many links
-costs one string, and a crawl's bookkeeping and a graph's urls share them.
-A document is a named tuple, with no per-instance ``__dict__``.
+``docs`` key, every link that names the url and every seed that does are
+the same object, so a url mentioned by many links costs one string, and a
+crawl's bookkeeping and a graph's urls share them. A document is a named
+tuple, with no per-instance ``__dict__``; its url is its ``docs`` key.
 """
 from __future__ import annotations
 
@@ -22,7 +22,6 @@ from .ontology import Ontology
 
 
 class CorpusDoc(NamedTuple):
-    url: str
     out_links: tuple[str, ...]
     text: str
 
@@ -81,7 +80,7 @@ def load_corpus(path: str | Path, seeds: Sequence[str] | None = None) -> Corpus:
             except UnicodeEncodeError:
                 raise ParseError(path, line_no, "'url' is not valid Unicode") from None
             url = same_url(url, url)
-            docs[url] = CorpusDoc(url=url, out_links=tuple(map(same_url, links, links)), text=text)
+            docs[url] = CorpusDoc(out_links=tuple(map(same_url, links, links)), text=text)
     if seeds is None:
         if not docs:
             raise ValidationError(f"{path}: corpus is empty, cannot infer seeds")
@@ -127,5 +126,5 @@ def synth_corpus(rng_seed: int, n_docs: int, ontologies: Sequence[Ontology]) -> 
                 words.extend(rng.choice(pool).split(" "))
             else:
                 words.append(f"nz{rng.randrange(_NOISE_VOCAB_SIZE)}")
-        docs[urls[i]] = CorpusDoc(url=urls[i], out_links=tuple(links[i]), text=" ".join(words))
+        docs[urls[i]] = CorpusDoc(out_links=tuple(links[i]), text=" ".join(words))
     return Corpus(docs=docs, seeds=(urls[0],))

@@ -43,7 +43,8 @@ def check_kind(value: Any, kind: type, where: str) -> Any:
 
 def json_fields(obj: Any, where: str, **kinds: type) -> list[Any]:
     """The values of ``obj``'s keys in the order ``kinds`` lists them, each
-    checked with :func:`check_kind`: ``obj`` must be an object holding
+    checked with :func:`check_kind` unless its kind is ``object`` (any
+    value, which the caller checks): ``obj`` must be an object holding
     every key of ``kinds`` and no other."""
     if not isinstance(obj, dict):
         raise ValidationError(f"{where} must be an object")
@@ -51,7 +52,8 @@ def json_fields(obj: Any, where: str, **kinds: type) -> list[Any]:
     for key, kind in kinds.items():
         if key not in obj:
             raise ValidationError(f"{where} lacks {key!r}")
-        values.append(check_kind(obj[key], kind, f"{where}.{key}"))
+        value = obj[key]
+        values.append(value if kind is object else check_kind(value, kind, f"{where}.{key}"))
     if len(obj) > len(kinds):
         unknown = next(key for key in obj if key not in kinds)
         raise ValidationError(f"{where} has unknown key {unknown!r}")

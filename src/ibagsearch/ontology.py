@@ -1,8 +1,9 @@
 """Ontology loading, validation, and phrase-occurrence counting.
 
 An ontology is an ordered list of weighted domain terms. Each term may
-carry synonyms and a per-term relevance cutoff; the list order fixes the
-bit position the term occupies in page and query bit patterns.
+carry synonyms and a per-term relevance cutoff; its index in the list is
+its bit position in page and query bit patterns, and an index file keeps
+that position only as a check.
 
 :func:`normalize_text` lowercases a text and strips its tags, then splits
 its UTF-8 bytes through a 256-byte table that turns every byte outside
@@ -98,13 +99,13 @@ class PhraseTable:
     def of_terms(cls, terms: Sequence["OntologyTerm"]) -> "PhraseTable":
         """An ontology's own table; only such a table answers :meth:`mask`."""
         table = cls(
-            ((phrase, (term.bit_position,)) for term in terms for phrase in term.phrases()),
+            ((phrase, (i,)) for i, term in enumerate(terms) for phrase in term.phrases()),
             [(0, len(terms))],
         )
         # per first word, each phrase's words and the pattern bits of the
         # terms it stands for, with and without synonyms
         top = table.width - 1
-        name_bits = {term.term: 1 << top - term.bit_position for term in terms}
+        name_bits = {term.term: 1 << top - i for i, term in enumerate(terms)}
         table.presence = {
             first: tuple(
                 (words, size, sum({1 << top - p for p in positions}), name_bits.get(phrase, 0))
@@ -185,7 +186,6 @@ class OntologyTerm:
     weight: float
     synonyms: tuple[str, ...] = ()
     term_relevance_limit: float = 0.0
-    bit_position: int = 0
 
     def phrases(self) -> tuple[str, ...]:
         """The term itself followed by its synonyms."""
@@ -220,6 +220,17 @@ class Ontology:
         )
 
     def validate(self) -> None:
+        """Reject what no index file can hold. Every kind is checked before
+        any value, under the names a load reports."""
+        check_kind(self.ontology_id, int, "ontology.ontology_id")
+        check_kind(self.name, str, "ontology.name")
+        check_kind(self.relevance_limit, float, "ontology.relevance_limit")
+        for term in self.terms:
+            check_kind(term.term, str, "ontology term.term")
+            check_kind(term.weight, float, "ontology term.weight")
+            check_kind(term.term_relevance_limit, float, "ontology term.term_relevance_limit")
+            for syn in term.synonyms:
+                check_kind(syn, str, "ontology synonym")
         if self.ontology_id < 1:
             raise ValidationError(f"ontology_id must be >= 1, got {self.ontology_id}")
         if not self.terms:
@@ -230,11 +241,7 @@ class Ontology:
             )
         seen_terms: set[str] = set()
         syn_owner: dict[str, str] = {}
-        for i, term in enumerate(self.terms):
-            if term.bit_position != i:
-                raise ValidationError(
-                    f"term {term.term!r} has bit_position {term.bit_position}, expected {i}"
-                )
+        for term in self.terms:
             if not term.term or term.term != normalize_phrase(term.term):
                 raise ValidationError(f"term {term.term!r} is not a normalized phrase")
             if term.term in seen_terms:
@@ -259,7 +266,7 @@ class Ontology:
                         f"synonym {syn!r} of {term.term!r} is not distinct"
                     )
                 local.add(syn)
-                if syn in syn_owner and syn_owner[syn] != term.term:
+                if syn in syn_owner:
                     raise ValidationError(
                         f"synonym {syn!r} is shared by {syn_owner[syn]!r} and {term.term!r}"
                     )
@@ -276,25 +283,31 @@ class Ontology:
                     "weight": t.weight,
                     "synonyms": list(t.synonyms),
                     "term_relevance_limit": t.term_relevance_limit,
-                    "bit_position": t.bit_position,
+                    "bit_position": i,
                 }
-                for t in self.terms
+                for i, t in enumerate(self.terms)
             ],
         }
 
     @staticmethod
     def from_json_obj(obj: object) -> "Ontology":
+        """Read an index file's ontology object. Only keys and containers are
+        checked here, and each term's stored ``bit_position`` against its
+        index; the constructor checks every value."""
         raw_terms, ontology_id, name, relevance_limit = json_fields(
-            obj, "ontology", terms=list, ontology_id=int, name=str, relevance_limit=float
+            obj, "ontology", terms=list, ontology_id=object, name=object, relevance_limit=object
         )
         terms = []
-        for raw in raw_terms:
+        for i, raw in enumerate(raw_terms):
             term, weight, synonyms, term_limit, bit_position = json_fields(
-                raw, "ontology term", term=str, weight=float, synonyms=list,
-                term_relevance_limit=float, bit_position=int,
+                raw, "ontology term", term=object, weight=object, synonyms=list,
+                term_relevance_limit=object, bit_position=int,
             )
-            synonyms = tuple(check_kind(syn, str, "ontology synonym") for syn in synonyms)
-            terms.append(OntologyTerm(term, weight, synonyms, term_limit, bit_position))
+            if bit_position != i:
+                raise ValidationError(
+                    f"term {term!r} has bit_position {bit_position}, expected {i}"
+                )
+            terms.append(OntologyTerm(term, weight, tuple(synonyms), term_limit))
         return Ontology(ontology_id, name, tuple(terms), relevance_limit)
 
 
@@ -325,11 +338,12 @@ def load_limits(path: str | Path) -> LimitsConfig:
 
     Recognized keys: ``relevance_limit``, ``term_relevance_limit.default``
     and ``term_relevance_limit.<term>``. Unknown term overrides are kept;
-    they only apply to ontologies that actually contain the term.
+    they only apply to ontologies that actually contain the term. Each
+    key may be set once; two overrides whose terms normalize alike are one
+    key.
     """
     path = Path(path)
-    relevance_limit = 0.0
-    default_term_limit = 0.0
+    limits: dict[str, float] = {}
     term_limits: dict[str, float] = {}
     for line_no, row in _iter_rows(path):
         if "=" not in row:
@@ -342,18 +356,22 @@ def load_limits(path: str | Path) -> LimitsConfig:
             raise ParseError(path, line_no, f"value {raw_value.strip()!r} is not a number") from None
         if not 0 <= value < math.inf:
             raise ValidationError(f"{path}:{line_no}: limit {value} must be in [0, inf)")
-        if key == "relevance_limit":
-            relevance_limit = value
-        elif key == "term_relevance_limit.default":
-            default_term_limit = value
+        if key in ("relevance_limit", "term_relevance_limit.default"):
+            table, name = limits, key
         elif key.startswith("term_relevance_limit."):
-            term = normalize_phrase(key[len("term_relevance_limit.") :])
-            if not term:
+            table, name = term_limits, normalize_phrase(key[len("term_relevance_limit.") :])
+            if not name:
                 raise ParseError(path, line_no, "empty term in term_relevance_limit override")
-            term_limits[term] = value
         else:
             raise ParseError(path, line_no, f"unknown key {key!r}")
-    return LimitsConfig(relevance_limit, default_term_limit, term_limits)
+        if name in table:
+            raise ValidationError(f"{path}:{line_no}: duplicate limit for {name!r}")
+        table[name] = value
+    return LimitsConfig(
+        limits.get("relevance_limit", 0.0),
+        limits.get("term_relevance_limit.default", 0.0),
+        term_limits,
+    )
 
 
 def load_weight_table(path: str | Path) -> list[tuple[str, float]]:
@@ -426,10 +444,10 @@ def load_ontology(
 ) -> Ontology:
     """Assemble an ontology from its weight table, syntable and limits.
 
-    Weight-table order defines bit positions. Terms missing from the
-    syntable get an empty synonym list; syntable terms missing from the
-    weight table are rejected. ``limits`` comes from :func:`load_limits`
-    or is made directly.
+    A term's bit position is its index among the weight table's rows. Terms
+    missing from the syntable get an empty synonym list; syntable terms
+    missing from the weight table are rejected. ``limits`` comes from
+    :func:`load_limits` or is made directly.
     """
     weights = load_weight_table(weight_table_path)
     syntable = load_syntable(syntable_path, {term for term, _ in weights})
@@ -439,9 +457,8 @@ def load_ontology(
             weight=weight,
             synonyms=syntable.get(term, ()),
             term_relevance_limit=limits.term_limit(term),
-            bit_position=position,
         )
-        for position, (term, weight) in enumerate(weights)
+        for term, weight in weights
     )
     if name is None:
         name = Path(weight_table_path).stem

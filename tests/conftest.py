@@ -20,7 +20,7 @@ from ibagsearch.bundled import default_ontologies
 
 
 def make_corpus(records: list[tuple[str, list[str], str]], seeds: list[str] | None = None) -> Corpus:
-    docs = {url: CorpusDoc(url=url, out_links=tuple(links), text=text) for url, links, text in records}
+    docs = {url: CorpusDoc(out_links=tuple(links), text=text) for url, links, text in records}
     if seeds is None:
         seeds = [records[0][0]]
     return Corpus(docs=docs, seeds=tuple(seeds))
@@ -186,9 +186,8 @@ def flat_ontology(
                 term=word,
                 weight=weight,
                 term_relevance_limit=term_limit,
-                bit_position=i,
             )
-            for i, word in enumerate(words)
+            for word in words
         ),
         relevance_limit=relevance_limit,
     )

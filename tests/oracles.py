@@ -58,10 +58,10 @@ def oracle_mask_positions(
 ) -> list[int]:
     tokens = oracle_tokens(search_string)
     positions = []
-    for term in ontology.terms:
+    for position, term in enumerate(ontology.terms):
         phrases = (term.term, *term.synonyms) if use_synonyms else (term.term,)
         if any(oracle_count(tokens, phrase) for phrase in phrases):
-            positions.append(term.bit_position)
+            positions.append(position)
     return positions
 
 

@@ -139,9 +139,9 @@ class TestPatternStore:
         with pytest.raises(ValidationError, match="patterns for ontology 1 already present"):
             gen_ibag_bit_patterns(ibag, [bundled_onts[0], bundled_onts[0]])
 
-    def test_oversized_pattern_rejected(self):
+    def test_oversized_pattern_rejected(self, bundled_onts):
         with pytest.raises(ValidationError, match="fit"):
-            PatternStore().add_ontology(1, 5, [0xFF])  # 8 bits do not fit t=5
+            PatternStore().add_ontology(bundled_onts[0], [0xFF])  # 8 bits do not fit t=5
 
 
 class TestFindPredicted:

@@ -684,8 +684,8 @@ class TestValidation:
             ontology_id=1,
             name="mixed",
             terms=(
-                OntologyTerm("alpha", 1.0, term_relevance_limit=0.5, bit_position=0),
-                OntologyTerm("beta", 0.0, bit_position=1),
+                OntologyTerm("alpha", 1.0, term_relevance_limit=0.5),
+                OntologyTerm("beta", 0.0),
             ),
             relevance_limit=0.5,
         )

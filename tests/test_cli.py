@@ -148,6 +148,9 @@ class TestBuild:
             ),
             pytest.param("limits.cfg", "# limits\nrelevance_limit 1.0\n", 2, id="limits-no-equals"),
             pytest.param(
+                "limits.cfg", "relevance_limit=1\nrelevance_limit=2\n", 2, id="limits-repeated-key"
+            ),
+            pytest.param(
                 "limits.cfg", "# limits\nterm_relevance_limit.!!=1.0\n", 2, id="limits-empty-term"
             ),
             pytest.param("cricket-weights.tsv", "# w\n!!\t0.5\n", 2, id="weights-empty-term"),

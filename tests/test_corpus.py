@@ -26,8 +26,8 @@ def write_jsonl(path, records):
 def records(corpus):
     """The corpus's documents as the records of a corpus file."""
     return [
-        {"url": doc.url, "links": list(doc.out_links), "text": doc.text}
-        for doc in corpus.docs.values()
+        {"url": url, "links": list(doc.out_links), "text": doc.text}
+        for url, doc in corpus.docs.items()
     ]
 
 
@@ -96,13 +96,13 @@ class TestLoadCorpus:
         corpus = load_corpus(path, [seed, "http://a.example/"])
         mentions: dict[str, list[str]] = {url: [] for url in corpus.docs}
         for key, doc in corpus.docs.items():
-            mentions[key] += [key, doc.url]
+            mentions[key].append(key)
             for link in doc.out_links:
                 mentions[link].append(link)
         for seed in corpus.seeds:
             mentions[seed].append(seed)
         assert {url: len(named) for url, named in mentions.items()} == {
-            "http://a.example/": 4, "http://b.example/": 6, "http://c.example/": 2
+            "http://a.example/": 3, "http://b.example/": 5, "http://c.example/": 1
         }
         for url, named in mentions.items():
             assert all(other is named[0] for other in named), url
@@ -112,8 +112,8 @@ class TestLoadCorpus:
         write_jsonl(path, [{"url": "a", "links": ["b"], "text": "x"}])
         doc = load_corpus(path).docs["a"]
         assert not hasattr(doc, "__dict__")
-        assert (doc.url, doc.out_links, doc.text) == ("a", ("b",), "x")
-        assert doc == CorpusDoc(url="a", out_links=("b",), text="x")
+        assert (doc.out_links, doc.text) == (("b",), "x")
+        assert doc == CorpusDoc(out_links=("b",), text="x")
 
     def test_url_that_is_not_unicode_rejected(self, tmp_path):
         """A lone surrogate, which JSON can escape but UTF-8 cannot encode,

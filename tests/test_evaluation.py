@@ -42,8 +42,8 @@ TOPIC_AND_FILLER = Ontology(
     ontology_id=1,
     name="topic-and-filler",
     terms=(
-        OntologyTerm(term="topic", weight=0.5, bit_position=0),
-        OntologyTerm(term="filler", weight=1.0, bit_position=1),
+        OntologyTerm(term="topic", weight=0.5),
+        OntologyTerm(term="filler", weight=1.0),
     ),
     relevance_limit=0.0,
 )

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import json
 import math
 import random
+import re
 
 import pytest
 
 from ibagsearch import (
+    IndexBundle,
     Ontology,
     OntologyTerm,
     ParseError,
@@ -17,7 +20,7 @@ from ibagsearch import (
     normalize_text,
     page_relevance,
 )
-from conftest import single_term_ontology
+from conftest import flat_ontology, make_corpus, sealed, single_term_ontology
 from oracles import oracle_count, oracle_mask_positions, oracle_term_value, oracle_tokens
 
 
@@ -102,7 +105,7 @@ class TestCountOccurrences:
             names = list(dict.fromkeys(phrase() for _ in range(rng.randint(1, 4))))
             owner: dict[str, str] = {}
             terms = []
-            for position, name in enumerate(names):
+            for name in names:
                 synonyms: list[str] = []
                 for _ in range(rng.randint(0, 2)):
                     syn = rng.choice(names) if rng.random() < 0.3 else phrase()
@@ -114,7 +117,6 @@ class TestCountOccurrences:
                         term=name,
                         weight=rng.choice([0.1, 0.3, 0.7, 1.0]),
                         synonyms=tuple(synonyms),
-                        bit_position=position,
                     )
                 )
             ontology = Ontology(
@@ -155,8 +157,14 @@ class TestLoadOntology:
         assert cricket.terms[0].synonyms == ()
 
     def test_bit_positions_follow_row_order(self, cricket):
-        assert [t.bit_position for t in cricket.terms] == [0, 1, 2, 3, 4]
-        assert cricket.t == 5
+        """The i-th row of the weight table sets mask bit i, bit 0 the most
+        significant, with and without synonyms."""
+        rows = ["cricket", "wicket keeper", "umpire", "bat", "match"]
+        assert cricket.t == len(rows)
+        for i, term in enumerate(rows):
+            for use_synonyms in (True, False):
+                mask = gen_mask_bit_pattern(term, cricket, use_synonyms)
+                assert mask.bits == 1 << cricket.t - 1 - i
 
     def test_limits_applied(self, cricket):
         assert cricket.relevance_limit == 1.0
@@ -240,16 +248,94 @@ class TestLimits:
         with pytest.raises(ParseError):
             load_limits(path)
 
+    @pytest.mark.parametrize(
+        "text, name",
+        [
+            ("relevance_limit=1\nrelevance_limit=2\n", "relevance_limit"),
+            (
+                "term_relevance_limit.default=0\nterm_relevance_limit.default=0\n",
+                "term_relevance_limit.default",
+            ),
+            (
+                "term_relevance_limit.Wicket  Keeper=0.5\n"
+                "term_relevance_limit.wicket keeper=0.7\n",
+                "wicket keeper",
+            ),
+        ],
+        ids=["page-limit", "default-term-limit", "term-limit"],
+    )
+    def test_key_set_twice_rejected(self, tmp_path, text, name):
+        """A key set twice is rejected at its second line, not read as the
+        last value; term overrides are one key when their terms normalize
+        alike."""
+        path = tmp_path / "limits.cfg"
+        path.write_text("# limits\n" + text, encoding="utf-8")
+        message = f"{path}:3: duplicate limit for {name!r}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            load_limits(path)
+
+    def test_a_term_named_default_is_its_own_key(self, tmp_path):
+        path = tmp_path / "limits.cfg"
+        path.write_text(
+            "term_relevance_limit.default=0.25\nterm_relevance_limit.Default=0.5\n",
+            encoding="utf-8",
+        )
+        limits = load_limits(path)
+        assert (limits.default_term_limit, limits.term_limits) == (0.25, {"default": 0.5})
+
 
 class TestOntologyValidation:
-    def test_wrong_bit_position_rejected(self):
-        with pytest.raises(ValidationError, match="bit_position"):
-            Ontology(
-                ontology_id=1,
-                name="x",
-                terms=(OntologyTerm(term="a", weight=0.5, bit_position=1),),
-                relevance_limit=0.0,
-            )
+    def test_wrong_bit_position_rejected(self, tmp_path):
+        """A term's bit position is its index; an index file stores it as a
+        check. A stored position that is wrong, swapped with another term's
+        or ``true`` fails a load under a fresh digest."""
+        ontology = flat_ontology(["alpha", "beta", "gamma"])
+        corpus = make_corpus([("a", ["b"], "alpha beta"), ("b", [], "gamma")])
+        saved = tmp_path / "saved.json"
+        IndexBundle.build(corpus, [ontology]).save(saved)
+        path = tmp_path / "index.json"
+        for positions, message in [
+            ({1: 2}, "term 'beta' has bit_position 2, expected 1"),
+            ({0: 1, 1: 0}, "term 'alpha' has bit_position 1, expected 0"),
+            ({1: True}, "ontology term.bit_position must be an integer, got True"),
+        ]:
+            obj = json.loads(saved.read_bytes())
+            for i, position in positions.items():
+                obj["ontologies"][0]["terms"][i]["bit_position"] = position
+            path.write_bytes(sealed(obj))
+            with pytest.raises(ValidationError, match=f"^{re.escape(f'{path}: {message}')}$"):
+                IndexBundle.load(path)
+
+    @pytest.mark.parametrize(
+        "fields, term_fields, message",
+        [
+            ({"ontology_id": True}, {}, "ontology.ontology_id must be an integer, got True"),
+            ({"ontology_id": 1.0}, {}, "ontology.ontology_id must be an integer, got 1.0"),
+            ({"name": 5}, {}, "ontology.name must be a string, got 5"),
+            (
+                {"relevance_limit": False}, {},
+                "ontology.relevance_limit must be a number, got False",
+            ),
+            ({}, {"term": 5}, "ontology term.term must be a string, got 5"),
+            ({}, {"weight": True}, "ontology term.weight must be a number, got True"),
+            (
+                {}, {"term_relevance_limit": "0"},
+                "ontology term.term_relevance_limit must be a number, got '0'",
+            ),
+            ({}, {"synonyms": (5,)}, "ontology synonym must be a string, got 5"),
+        ],
+        ids=[
+            "id-true", "id-float", "name-int", "limit-false", "term-int", "weight-true",
+            "term-limit-str", "synonym-int",
+        ],
+    )
+    def test_kind_no_index_file_holds_rejected(self, fields, term_fields, message):
+        """The constructor rejects a value of a kind that a load would
+        reject, with the load's message, so no saved index fails to load."""
+        term = OntologyTerm(**{"term": "a", "weight": 0.5, **term_fields})
+        fields = {"ontology_id": 1, "name": "x", "terms": (term,), "relevance_limit": 0.0, **fields}
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            Ontology(**fields)
 
     def test_weight_above_one_rejected(self):
         with pytest.raises(ValidationError, match="outside"):

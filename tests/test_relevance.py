@@ -25,7 +25,7 @@ def cricket_terms(cricket):
 
 def term_value(ontology: Ontology, term: OntologyTerm, tokens: list[str]) -> float:
     """The term's entry in the page's term vector."""
-    return page_relevance(ontology, tokens).term_vector[term.bit_position]
+    return page_relevance(ontology, tokens).term_vector[ontology.terms.index(term)]
 
 
 class TestTermRelevanceValue:
@@ -84,9 +84,9 @@ class TestPageRelevance:
     def test_vector_indexed_by_bit_position(self, cricket):
         tokens = normalize_text("bat bat umpire")
         result = page_relevance(cricket, tokens)
-        for term in cricket.terms:
+        for position, term in enumerate(cricket.terms):
             expected = oracle_term_value(term, tokens)
-            assert result.term_vector[term.bit_position] == expected
+            assert result.term_vector[position] == expected
         assert result.term_vector[3] == pytest.approx(0.4)  # bat, weight 0.2, twice
         assert result.term_vector[2] == pytest.approx(0.4)  # umpire, weight 0.4, once
 
@@ -115,8 +115,8 @@ class TestPageRelevance:
             ontology_id=1,
             name="base",
             terms=(
-                OntologyTerm(term="alpha", weight=0.5, bit_position=0),
-                OntologyTerm(term="beta", weight=0.25, synonyms=("gamma",), bit_position=1),
+                OntologyTerm(term="alpha", weight=0.5),
+                OntologyTerm(term="beta", weight=0.25, synonyms=("gamma",)),
             ),
             relevance_limit=0.5,
         )
@@ -129,7 +129,6 @@ class TestPageRelevance:
                     term=t.term,
                     weight=t.weight * scale,
                     synonyms=t.synonyms,
-                    bit_position=t.bit_position,
                 )
                 for t in base.terms
             ),
@@ -165,7 +164,7 @@ def overlapping_ontologies(rng: random.Random) -> list[Ontology]:
         names = list(dict.fromkeys(pick() for _ in range(rng.randint(1, 4))))
         owner: dict[str, str] = {}
         terms = []
-        for position, name in enumerate(names):
+        for name in names:
             synonyms: list[str] = []
             for _ in range(rng.randint(0, 2)):
                 syn = pick()
@@ -177,7 +176,6 @@ def overlapping_ontologies(rng: random.Random) -> list[Ontology]:
                     term=name,
                     weight=rng.choice([0.1, 0.3, 0.7, 1.0]),
                     synonyms=tuple(synonyms),
-                    bit_position=position,
                 )
             )
         ontologies.append(
