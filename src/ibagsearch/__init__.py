@@ -33,7 +33,6 @@ _HOMES = {
         "HRDirectionResult",
         "QueryRun",
         "evaluate_index",
-        "harvest_rate",
         "hr_direction_experiment",
         "run_benchmark",
         "traversal_cost_check",

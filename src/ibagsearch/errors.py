@@ -26,12 +26,14 @@ class ValidationError(IbagSearchError):
 
 
 _KIND_NAMES = {
-    str: "a string", int: "an integer", float: "a number", list: "a list", dict: "an object"
+    str: "a string", int: "an integer", float: "a number", list: "a list", dict: "an object",
+    tuple: "a tuple",
 }
 
 
 def check_kind(value: Any, kind: type, where: str) -> Any:
-    """Return ``value`` if it is a JSON value of ``kind``, else raise.
+    """Return ``value`` if it is a JSON value of ``kind``, or a tuple where
+    ``kind`` is ``tuple``, else raise.
 
     ``float`` accepts any JSON number except NaN; a bool is never a number.
     """

@@ -1,11 +1,16 @@
-"""Harvest-rate accuracy measurement, benchmark harness, and traversal-cost checks."""
+"""Harvest-rate accuracy measurement, benchmark harness, and traversal-cost checks.
+
+:func:`compare_modes` is the one scoring path: ``query --mode both``,
+``bench``, ``eval`` and the harvest-rate direction experiment all score
+through it. An independent reference rule, ``oracle_harvest``, lives in
+``tests/oracles.py``.
+"""
 from __future__ import annotations
 
 import json
 import logging
 import random
 import statistics
-import time
 from dataclasses import asdict, dataclass
 from operator import attrgetter
 from pathlib import Path
@@ -14,7 +19,7 @@ from typing import Iterable, Sequence
 from .bitmask import BitPattern, PatternStore, gen_mask_bit_pattern
 from .bundle import IndexBundle
 from .corpus import synth_corpus
-from .ibag import IBAG, IBAGNode, build_ibag, select_columns
+from .ibag import IBAG, build_ibag, select_columns
 from .ontology import Ontology, OntologyTerm
 from .rpag import RPaG
 from .search import (
@@ -29,7 +34,6 @@ from .search import (
 log = logging.getLogger(__name__)
 
 CSV_HEADER = "size,mode,avg_count,avg_elapsed_us,avg_visited,hr_mean"
-_BIT_OP_ITERATIONS = 200_000
 
 
 @dataclass(frozen=True)
@@ -45,25 +49,6 @@ class HarvestReport:
     t_rel_sr: float | None
     t_rel_sw: float | None
     hr: float | None
-
-
-def harvest_rate(
-    query: Query,
-    result_pages: Sequence[IBAGNode],
-    selected_pages: Sequence[IBAGNode],
-    ibag: IBAG,
-    use_synonyms: bool = True,
-) -> HarvestReport:
-    """Score pages by their stored relevance on the query's detected terms.
-
-    No re-tokenization happens here: a page's score sums the indexed term
-    relevance values at the mask's set positions.
-    """
-    ontology = ibag.ontology_by_id(query.ontology_id)
-    mask = gen_mask_bit_pattern(query.search_string, ontology, use_synonyms=use_synonyms)
-    vectors = [node.relevance[mask.ontology_id].term_vector for node in result_pages]
-    selected = [node.relevance[mask.ontology_id].term_vector for node in selected_pages]
-    return _harvest_report(mask, vectors, selected)
 
 
 def _harvest_report(
@@ -190,7 +175,6 @@ class BenchReport:
     rng_seed: int
     rows: list[BenchRow]
     queries: list[QueryDiagnostics]
-    bit_op_seconds: float
 
     @classmethod
     def from_runs(
@@ -206,7 +190,7 @@ class BenchReport:
             )
             for run in runs
         ]
-        return cls(rng_seed, rows, queries, bit_op_seconds=measure_bit_op_seconds())
+        return cls(rng_seed, rows, queries)
 
     def to_json_obj(self) -> dict:
         return asdict(self)
@@ -255,19 +239,6 @@ def aggregate_runs(size: int, runs: Sequence[QueryRun]) -> list[BenchRow]:
             )
         )
     return rows
-
-
-def measure_bit_op_seconds() -> float:
-    """Rough per-operation cost of one 64-bit XOR (loop overhead included)."""
-    a = (1 << 64) - 1
-    b = a >> 1
-    start = time.perf_counter()
-    x = 0
-    for _ in range(_BIT_OP_ITERATIONS):
-        x = a ^ b
-    elapsed = time.perf_counter() - start
-    del x
-    return elapsed / _BIT_OP_ITERATIONS
 
 
 def run_benchmark(

@@ -220,15 +220,20 @@ class Ontology:
         )
 
     def validate(self) -> None:
-        """Reject what no index file can hold. Every kind is checked before
-        any value, under the names a load reports."""
+        """Reject what no index file can hold, and containers other than
+        tuples, so an ontology is hashable and equal to its reload. Every
+        kind is checked before any value, under the names a load reports."""
         check_kind(self.ontology_id, int, "ontology.ontology_id")
         check_kind(self.name, str, "ontology.name")
         check_kind(self.relevance_limit, float, "ontology.relevance_limit")
+        check_kind(self.terms, tuple, "ontology.terms")
         for term in self.terms:
+            if not isinstance(term, OntologyTerm):
+                raise ValidationError(f"ontology term must be an OntologyTerm, got {term!r:.40}")
             check_kind(term.term, str, "ontology term.term")
             check_kind(term.weight, float, "ontology term.weight")
             check_kind(term.term_relevance_limit, float, "ontology term.term_relevance_limit")
+            check_kind(term.synonyms, tuple, "ontology term.synonyms")
             for syn in term.synonyms:
                 check_kind(syn, str, "ontology synonym")
         if self.ontology_id < 1:

@@ -64,6 +64,8 @@ class Query:
         for name, value in (("ontology_id", self.ontology_id), ("result_limit", self.result_limit)):
             if type(value) is not int:  # a float would slice wrongly, a bool is not a count
                 raise ValueError(f"{name} must be an int, got {value!r}")
+        if not isinstance(self.relevance_range, tuple) or len(self.relevance_range) != 2:
+            raise ValueError(f"relevance_range must be a 2-tuple, got {self.relevance_range!r}")
         lo, hi = self.relevance_range
         for bound in (lo, hi):
             if not isinstance(bound, Real) or isinstance(bound, bool):

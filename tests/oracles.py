@@ -7,9 +7,10 @@ reconstructed by sorting.
 """
 from __future__ import annotations
 
+import math
 import re
 
-from ibagsearch import IBAG, Ontology, OntologyTerm
+from ibagsearch import IBAG, HarvestReport, Ontology, OntologyTerm
 
 _TAG = re.compile(r"<[^>]*>")
 
@@ -63,6 +64,30 @@ def oracle_mask_positions(
         if any(oracle_count(tokens, phrase) for phrase in phrases):
             positions.append(position)
     return positions
+
+
+def oracle_harvest(
+    ontology: Ontology,
+    search_string: str,
+    result_nodes: list,
+    selected_nodes: list,
+    use_synonyms: bool = True,
+) -> HarvestReport:
+    """Mean search-term relevance of the result pages and of the selected
+    pages, read from each node's term vector at the query's term positions,
+    and their ratio where both are defined and the selection mean is
+    positive."""
+    positions = oracle_mask_positions(ontology, search_string, use_synonyms)
+
+    def mean(nodes: list) -> float | None:
+        if not nodes:
+            return None
+        vectors = [node.term_vectors[ontology.ontology_id] for node in nodes]
+        return math.fsum(sum(vector[p] for p in positions) for vector in vectors) / len(nodes)
+
+    t_rel_sr, t_rel_sw = mean(result_nodes), mean(selected_nodes)
+    hr = t_rel_sr / t_rel_sw if t_rel_sr is not None and t_rel_sw else None
+    return HarvestReport(t_rel_sr=t_rel_sr, t_rel_sw=t_rel_sw, hr=hr)
 
 
 def oracle_traversal_order(ibag: IBAG) -> list:

@@ -463,7 +463,6 @@ class TestBench:
         first = json.loads((tmp_path / "one" / "report.json").read_text())
         second = json.loads((tmp_path / "two" / "report.json").read_text())
         for obj in (first, second):
-            obj.pop("bit_op_seconds")
             for row in obj["rows"]:
                 row.pop("avg_elapsed_us")
         assert first == second

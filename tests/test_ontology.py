@@ -12,6 +12,7 @@ from ibagsearch import (
     Ontology,
     OntologyTerm,
     ParseError,
+    Query,
     ValidationError,
     gen_mask_bit_pattern,
     load_limits,
@@ -406,6 +407,47 @@ FUZZ_PIECES = [
     "\t", "\n", "\x00", "\x1f", "\x7f", "\x85", "\xa0", "İ", "ß", "é", "\u212a", "ǅ",
     "Cricket", "WICKET", "2011", "\ud800", "\udfff",
 ]
+
+
+def ontology_of(terms=None, **term_fields) -> Ontology:
+    """Ontology 1 over ``terms``, or over one term ``a`` with ``term_fields``."""
+    if terms is None:
+        terms = (OntologyTerm(**{"term": "a", "weight": 0.5, **term_fields}),)
+    return Ontology(ontology_id=1, name="x", terms=terms, relevance_limit=0.0)
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: ontology_of(synonyms="bc"), ValidationError,
+         "ontology term.synonyms must be a tuple, got 'bc'"),
+        (lambda: ontology_of(synonyms=["b"]), ValidationError,
+         "ontology term.synonyms must be a tuple, got ['b']"),
+        (lambda: ontology_of([OntologyTerm("a", 0.5)]), ValidationError,
+         "ontology.terms must be a tuple, got [OntologyTerm("),
+        (lambda: ontology_of("ab"), ValidationError, "ontology.terms must be a tuple, got 'ab'"),
+        (lambda: ontology_of(("a",)), ValidationError,
+         "ontology term must be an OntologyTerm, got 'a'"),
+        (lambda: Query("x", 1, relevance_range=[0, math.inf]), ValueError,
+         "relevance_range must be a 2-tuple, got [0, inf]"),
+        (lambda: Query("x", 1, relevance_range=(0, 1, 2)), ValueError,
+         "relevance_range must be a 2-tuple, got (0, 1, 2)"),
+        (lambda: Query("x", 1, relevance_range=(0,)), ValueError,
+         "relevance_range must be a 2-tuple, got (0,)"),
+        (lambda: Query("x", 1, relevance_range="0:1"), ValueError,
+         "relevance_range must be a 2-tuple, got '0:1'"),
+    ],
+    ids=[
+        "synonyms-str", "synonyms-list", "terms-list", "terms-str", "term-str",
+        "range-list", "range-3-tuple", "range-1-tuple", "range-str",
+    ],
+)
+def test_hand_made_container_of_another_kind_rejected(build, error, message):
+    """A constructor takes a sequence field only as a tuple, so the value is
+    hashable and equal to its reload, and a str is never read per character.
+    The one-line message names the field."""
+    with pytest.raises(error, match=f"^{re.escape(message)}"):
+        build()
 
 
 class TestTokenizerFuzz:
