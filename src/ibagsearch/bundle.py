@@ -37,13 +37,12 @@ fault when one fails:
   fails; the digest last;
 - ``RPaG.from_json_obj`` checks each row of counts and scores it once
   through ``relevance_from_counts``, as a crawl does, for the pages that
-  use it to share; then the row indexes and the pages' urls and parents.
-  The decoded columns become the graph's;
+  use it to share; then the row indexes and the pages' urls, parents and
+  support. The decoded columns become the graph's;
 - ``build_ibag`` shares the graph's urls and score tables with the index,
   derives each page's parent, level and mean, reading each row once, and
-  the ``IBAG`` constructor, its layout step, checks the facts the graph
-  does not hold and lays the index out, leaving the chains for their
-  first read;
+  the ``IBAG`` constructor, its layout step, checks that each mean is
+  finite and lays the index out, leaving the chains for their first read;
 - ``gen_ibag_bit_patterns`` derives the bits once per row of scores, and
   they must equal the stored ones, each stored length an int; each
   distinct pattern is rendered in hex once for that comparison.

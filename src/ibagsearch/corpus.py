@@ -7,17 +7,25 @@ makes no reference cycles. It keeps one string per distinct url: the
 the same object, so a url mentioned by many links costs one string, and a
 crawl's bookkeeping and a graph's urls share them. A document is a named
 tuple, with no per-instance ``__dict__``; its url is its ``docs`` key.
+
+The :class:`Corpus` constructor, where a crawl's urls enter, checks each
+kind a crawl reads and each url an index file must hold, so neither a
+crawl nor its graph checks them again; it then holds a read-only copy
+of ``docs``, so no url enters later.
 """
 from __future__ import annotations
 
 import json
 import random
 from dataclasses import dataclass
+from itertools import chain, compress
+from operator import attrgetter, not_
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Sequence
 
 from .collector import collector_paused
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, valid_utf8_flags
 from .ontology import Ontology
 
 
@@ -26,17 +34,45 @@ class CorpusDoc(NamedTuple):
     text: str
 
 
+_out_links, _text = attrgetter("out_links"), attrgetter("text")
+
+
 @dataclass(frozen=True)
 class Corpus:
     """Documents keyed by url, in file order, plus the crawl seed urls."""
 
-    docs: dict[str, CorpusDoc]
+    docs: Mapping[str, CorpusDoc]  # given as a dict, held as a read-only copy
     seeds: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        for seed in self.seeds:
-            if seed not in self.docs:
+        """Reject what no crawl or index file can take, kinds first, each in
+        one C-level pass; a list or a str is never taken for a tuple. Then
+        hold a read-only copy of ``docs``, so no url added later skips these."""
+        docs, seeds = self.docs, self.seeds
+        for where, kind, values in (
+            ("corpus.docs", dict, lambda: (docs,)),
+            ("corpus.seeds", tuple, lambda: (seeds,)),
+            ("corpus url", str, lambda: docs),
+            ("corpus doc", CorpusDoc, lambda: docs.values()),
+            ("corpus doc.out_links", tuple, lambda: map(_out_links, docs.values())),
+            ("corpus link", str, lambda: chain.from_iterable(map(_out_links, docs.values()))),
+            ("corpus doc.text", str, lambda: map(_text, docs.values())),
+            ("corpus seed", str, lambda: seeds),
+        ):
+            if not set(map(type, values())) <= {kind}:
+                bad = next(value for value in values() if type(value) is not kind)
+                raise ValidationError(f"{where} must be a {kind.__name__}, got {bad!r:.40}")
+        if "" in docs:
+            raise ValidationError("corpus url must be non-empty")
+        bad = next(compress(docs, map(not_, valid_utf8_flags(docs))), None)
+        if bad is not None:
+            raise ValidationError(f"corpus url must be valid UTF-8, got {bad!r:.40}")
+        if not seeds:
+            raise ValidationError("corpus has no seeds")
+        for seed in seeds:
+            if seed not in docs:
                 raise ValidationError(f"seed {seed!r} is not in the corpus")
+        object.__setattr__(self, "docs", MappingProxyType(dict(docs)))
 
     def __len__(self) -> int:
         return len(self.docs)

@@ -1,6 +1,6 @@
-"""Exception types shared across the package, the kind checks that turn
-malformed decoded JSON into a ValidationError, and the checker of a table
-of node facts, with the first-occurrence rule two of its facts use."""
+"""Exception types shared across the package, the kind and UTF-8 checks
+that turn malformed decoded JSON into a ValidationError, and the checker
+of a table of node facts, with the first-occurrence rule two facts use."""
 from __future__ import annotations
 
 from itertools import compress, count, islice
@@ -60,6 +60,17 @@ def json_fields(obj: Any, where: str, **kinds: type) -> list[Any]:
         unknown = next(key for key in obj if key not in kinds)
         raise ValidationError(f"{where} has unknown key {unknown!r}")
     return values
+
+
+def valid_utf8_flags(texts: Sequence[str]) -> Iterable[bool]:
+    """Whether each of ``texts`` encodes as UTF-8 (a lone surrogate does
+    not), lazily; none, all holding, when one encode of them all joined
+    succeeds. A text that is no str fails it too: read only below that."""
+    try:
+        "".join(texts).encode()
+    except (TypeError, UnicodeEncodeError):
+        return (text.encode(errors="replace").decode() == text for text in texts)
+    return ()
 
 
 class Fact(NamedTuple):

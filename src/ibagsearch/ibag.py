@@ -32,10 +32,11 @@ the reference that the tests compare it with.
 
 The one way to an index is :func:`build_ibag`, from a graph that a crawl
 or a load made. It derives the parents, levels and means from the graph's
-checked columns, reading each score row once, and re-checks nothing it
-derived; the :class:`IBAG` constructor, the one layout step, checks
-:data:`LAYOUT_FACTS` and lays the index out. :meth:`IBAG.validate` lays
-the index's columns out again and compares, chains included.
+checked columns, reading each score row once, and re-checks nothing the
+graph holds (``rpag.GRAPH_FACTS``); the :class:`IBAG` constructor, the
+one layout step, checks the mean it derives (:data:`LAYOUT_FACTS`) and
+lays the index out. :meth:`IBAG.validate` lays the index's columns out
+again and compares, chains included.
 """
 from __future__ import annotations
 
@@ -44,13 +45,13 @@ from array import array
 from bisect import bisect_left, bisect_right
 from functools import cached_property
 from itertools import compress, count, repeat
-from operator import add, attrgetter, lt, neg, truediv
+from operator import add, lt, neg, truediv
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple
 
-from .errors import Fact, ValidationError, check_facts, first_occurrences
+from .errors import Fact, ValidationError, check_facts
 from .ontology import Ontology
-from .relevance import GraphScores, PageRelevance, ScoreTable
+from .relevance import GraphScores, PageRelevance
 
 if TYPE_CHECKING:
     from .rpag import RPaG
@@ -112,17 +113,11 @@ class IBAG:
     the supporter columns. The columns are the index's only state; the
     nodes are read-only values made from them on first read and kept."""
 
-    def __init__(
-        self,
-        node_columns: IndexColumns,
-        ontologies: tuple[Ontology, ...],
-        supports: dict[int, list[bool]],
-    ) -> None:
+    def __init__(self, node_columns: IndexColumns, ontologies: tuple[Ontology, ...]) -> None:
         """The one layout step: check :data:`LAYOUT_FACTS`, sort the levels
-        and fill the supporter columns. ``supports`` maps each ontology id
-        to its support flags."""
+        and fill the supporter columns from the scores' support flags."""
         means = node_columns.mean_rel_val
-        check_facts(LAYOUT_FACTS, _LayoutColumns(node_columns.url, means, supports))
+        check_facts(LAYOUT_FACTS, node_columns)
 
         # a level lists its nodes by ascending p_id, and a sort, reversed or
         # not, is stable, so ties keep that order
@@ -142,7 +137,7 @@ class IBAG:
                     list(compress(level, map(supported.__getitem__, level))) for level in levels
                 )
             ]
-            for ont_id, supported in supports.items()
+            for ont_id, supported in node_columns.scores.supports.items()
         }
         self._by_id = {ont.ontology_id: ont for ont in ontologies}
 
@@ -219,9 +214,12 @@ class IBAG:
         ValidationError when the level table, the level heads, the chain
         links or the supporter columns differ from what the columns give.
         The index itself is left unchanged, though its chains are threaded
-        if nothing has read them yet."""
-        supports = _support_flags(self.ontologies, self.node_columns.scores)
-        fresh = IBAG(self.node_columns, self.ontologies, supports)
+        if nothing has read them yet. It lays out from a fresh view of the
+        score tables, so an edit in place shows. The url facts and the
+        support fact are the graph's: ``RPaG.validate``, which
+        ``IndexBundle.validate`` runs, checks them, and this does not."""
+        columns = self.node_columns
+        fresh = IBAG(columns._replace(scores=GraphScores(columns.scores.tables)), self.ontologies)
         if self.levels != fresh.levels:
             raise ValidationError("level table differs from the sorted levels the columns give")
         heads, links = self._chains
@@ -233,56 +231,26 @@ class IBAG:
             raise ValidationError("supporter columns differ from the sorted levels")
 
 
-class _LayoutColumns(NamedTuple):
-    """The columns :data:`LAYOUT_FACTS` read, by p_id: the urls, the means
-    and ``supports``, each ontology id's support flags."""
-
-    urls: Sequence
-    means: Sequence[float]
-    supports: Mapping[int, list[bool]]
+def _mean_message(nodes: IndexColumns, p_id: int) -> str:
+    return f"node {p_id} mean relevance {nodes.mean_rel_val[p_id]} not in (0, inf)"
 
 
-def _new_urls(nodes: _LayoutColumns) -> Iterable[bool]:
-    """Whether each url, a str by now, is unlike every earlier one: its own
-    first index. When a set of the urls is as long as they are, each is."""
-    if len(set(nodes.urls)) == len(nodes.urls):
-        return ()
-    return first_occurrences(nodes.urls)
-
-
-def _url_message(nodes: _LayoutColumns, p_id: int) -> str:
-    return f"node {p_id} url {nodes.urls[p_id]!r} missing or duplicated"
-
-
-def _mean_message(nodes: _LayoutColumns, p_id: int) -> str:
-    return f"node {p_id} mean relevance {nodes.means[p_id]} not in (0, inf)"
-
-
-# The facts of every index's nodes, which the layout checks: a non-empty
-# url unlike every earlier one, support for some ontology, a finite mean.
+# The fact of every index's nodes, which the layout checks: a finite mean.
 # A supported node's mean averages values above limits >= 0, so it is
-# above 0; an unsupported node's is 0.0, and the support fact names it.
-LAYOUT_FACTS = (
-    Fact(attrgetter("urls"), _url_message),
-    Fact(_new_urls, _url_message),
-    Fact(
-        lambda nodes: map(any, zip(repeat(False, len(nodes.urls)), *nodes.supports.values())),
-        lambda nodes, i: f"node {i} supports no ontology",
-    ),
-    Fact(lambda nodes: map(lt, nodes.means, repeat(math.inf)), _mean_message),
-)
+# above 0; the graph's facts reject a node that supports nothing.
+LAYOUT_FACTS = (Fact(lambda nodes: map(lt, nodes.mean_rel_val, repeat(math.inf)), _mean_message),)
 
 
 def build_ibag(rpag: RPaG) -> IBAG:
     """Derive the leveled index from a relevance page graph.
 
     The single parent is the node's first listed parent. The mean relevance
-    value averages the page's relevance over the ontologies it supports
-    (0.0 for none), a float sum over a count; a sum past the largest float
-    is ``inf``. The layout rejects both. Each step is a pass
-    over one of the graph's columns; a score's value and support are read
-    once per row of its table, then mapped to the nodes through
-    ``of_node``. The index shares the graph's urls and score tables.
+    value averages the page's relevance over the ontologies it supports, a
+    float sum over a count; a sum past the largest float is ``inf``, which
+    the layout rejects. Each step is a pass over one of the graph's
+    columns; a score's value and support are read once per row of its
+    table, then mapped to the nodes through ``of_node``. The index shares
+    the graph's urls and score tables.
     """
     urls, parent_lists, scores = rpag.columns
     pp_ids = list(map(next, map(iter, parent_lists), repeat(None)))
@@ -290,34 +258,19 @@ def build_ibag(rpag: RPaG) -> IBAG:
     append = levels.append
     for pp_id in pp_ids:  # a parent comes before its child
         append(0 if pp_id is None else levels[pp_id] + 1)
-    supports = _support_flags(rpag.ontologies, scores)
     # in ontology order, not dict order, so the float sum is fixed
-    tables = [scores.tables[ont.ontology_id] for ont in rpag.ontologies]
-    means = _means(tables, list(supports.values()))
-    columns = IndexColumns(urls, pp_ids, levels, means, scores)
-    return IBAG(columns, rpag.ontologies, supports)
+    ids = [ont.ontology_id for ont in rpag.ontologies]
+    values = [scores.tables[ont_id].field("relevance_value") for ont_id in ids]
+    means = _means(values, [scores.supports[ont_id] for ont_id in ids])
+    return IBAG(IndexColumns(urls, pp_ids, levels, means, scores), rpag.ontologies)
 
 
-def _per_node(table: ScoreTable, field: str) -> list:
-    """One field of each node's score, read once per row."""
-    return list(map(list(map(attrgetter(field), table.rows)).__getitem__, table.of_node))
-
-
-def _support_flags(ontologies: Sequence[Ontology], scores: GraphScores) -> dict[int, list[bool]]:
-    """Per ontology id, each node's support flag, read from its scores."""
-    return {
-        ont.ontology_id: _per_node(scores.tables[ont.ontology_id], "supported")
-        for ont in ontologies
-    }
-
-
-def _means(tables: list[ScoreTable], supported: list[list[bool]]) -> list[float]:
+def _means(values: list[list[float]], supported: list[list[bool]]) -> list[float]:
     """Each node's mean: its supported values' float sum, added column by
     column in ontology order, over their count (0.0 for none); ``inf`` when
     the sum passes the largest float. A score holds 0.0 where unsupported,
     and adding 0.0 leaves a float as it is, so every value adds up to the
     supported sum."""
-    values = [_per_node(table, "relevance_value") for table in tables]
     sums, counts = values[0], supported[0]
     for column, flags in zip(values[1:], supported[1:]):
         sums = list(map(add, sums, column))

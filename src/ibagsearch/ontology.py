@@ -236,6 +236,10 @@ class Ontology:
             check_kind(term.synonyms, tuple, "ontology term.synonyms")
             for syn in term.synonyms:
                 check_kind(syn, str, "ontology synonym")
+        try:
+            self.name.encode()
+        except UnicodeEncodeError:
+            raise ValidationError(f"ontology.name must be valid UTF-8, got {self.name!r:.40}") from None
         if self.ontology_id < 1:
             raise ValidationError(f"ontology_id must be >= 1, got {self.ontology_id}")
         if not self.terms:

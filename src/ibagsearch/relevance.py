@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import repeat
-from operator import mul
+from operator import attrgetter, mul
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
@@ -100,12 +100,16 @@ class ScoreTable(NamedTuple):
         """Each page's score, by p_id."""
         return list(map(self.rows.__getitem__, self.of_node))
 
+    def field(self, name: str) -> list:
+        """One field of each page's score, by p_id, read once per row."""
+        return list(map(list(map(attrgetter(name), self.rows)).__getitem__, self.of_node))
+
 
 class GraphScores:
-    """The score tables of one graph's pages, by ontology id, and each
-    page's ``relevance``, a read-only mapping of ontology id to score, made
-    on first read and then kept: the graph's nodes and its index's nodes
-    hold the same mapping."""
+    """The score tables of one graph's pages, by ontology id, and views of
+    them made on first read and then kept: each page's ``relevance``, a
+    read-only mapping of ontology id to score, which the graph's nodes and
+    its index's nodes hold alike, and the support flags."""
 
     def __init__(self, tables: dict[int, ScoreTable]) -> None:
         self.tables = tables  # one per ontology, at least one
@@ -116,3 +120,8 @@ class GraphScores:
         ids = list(self.tables)
         rels = zip(*(table.per_node() for table in self.tables.values()))
         return list(map(MappingProxyType, map(dict, map(zip, repeat(ids), rels))))
+
+    @cached_property
+    def supports(self) -> dict[int, list[bool]]:
+        """Per ontology id, each page's support flag, by p_id."""
+        return {ont_id: table.field("supported") for ont_id, table in self.tables.items()}

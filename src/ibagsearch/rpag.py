@@ -28,14 +28,14 @@ Loading a saved graph (:meth:`RPaG.from_json_obj`) checks the ontologies
 as a crawl does, then each ontology's rows of counts (:data:`ROW_FACTS`),
 scores each row once through ``relevance_from_counts``, checks that the
 row indexes use every row, first in row order, so an accepted graph saves
-back to the same bytes, then checks the pages' urls and parents
+back to the same bytes, then checks each page's url, parents and support
 (:data:`GRAPH_FACTS`, read from the graph's own columns). A graph made
 by hand is the same object, the ``rpag`` section of an index file, and
-enters the same way. Each fact is written once, as lazy flags, one per
-node or row, and a message (``errors.Fact``): a node's parents are one
-check of its parent list, a row's counts one check of the row. The
-index's own facts are checked by the ``IBAG`` constructor, the layout
-``build_ibag`` ends in.
+enters the same way; a crawl holds these facts by construction, so a
+build does not check them. Each fact is written once, as lazy flags, one
+per node or row, and a message (``errors.Fact``): a node's parents are
+one check of its parent list, a row's counts one check of the row. The
+``IBAG`` constructor, the layout ``build_ibag`` ends in, checks the mean.
 """
 from __future__ import annotations
 
@@ -43,11 +43,13 @@ import logging
 from collections import deque
 from functools import cached_property
 from itertools import count, repeat
-from operator import ge, lt
-from typing import Mapping, NamedTuple, Sequence
+from operator import attrgetter, ge, lt
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .corpus import Corpus
-from .errors import Fact, ValidationError, check_facts, first_occurrences, json_fields
+from .errors import (
+    Fact, ValidationError, check_facts, first_occurrences, json_fields, valid_utf8_flags
+)
 from .ibag import IBAG, build_ibag
 from .ontology import Ontology, PhraseTable, normalize_text
 from .relevance import (
@@ -102,11 +104,13 @@ class RPaG:
         return len(self.columns.urls)
 
     def validate(self) -> IBAG:
-        """Check the urls and parents (:data:`GRAPH_FACTS`) and return the
-        index :func:`build_ibag` lays out, which checks the index's facts.
-        Build and load do not call this."""
-        check_facts(GRAPH_FACTS, self.columns)
-        return build_ibag(self)
+        """Check :data:`GRAPH_FACTS` and return the index :func:`build_ibag`
+        lays out, both from fresh views of the score tables, so an edit in
+        place shows. Build and load do not call this."""
+        columns = self.columns
+        graph = RPaG(self.ontologies, columns._replace(scores=GraphScores(columns.scores.tables)))
+        check_facts(GRAPH_FACTS, graph.columns)
+        return build_ibag(graph)
 
     def json_columns(self) -> dict:
         """The index file's ``rpag`` object: only the inputs, in columns,
@@ -190,12 +194,34 @@ def _parent_message(graph: GraphColumns, p_id: int) -> str:
     return f"node {p_id} parent {twice} is listed twice"
 
 
-# The facts of each node of a graph, in the order a failure is named.
+def _new_urls(graph: GraphColumns) -> Iterable[bool]:
+    """Whether each url, a str by now, is unlike every earlier one: its own
+    first index. When a set of the urls is as long as they are, each is."""
+    try:
+        if len(set(graph.urls)) == len(graph.urls):
+            return ()
+    except TypeError:  # an unhashable url, which the str fact names first
+        pass
+    return first_occurrences(graph.urls)
+
+
+def _url_message(graph: GraphColumns, p_id: int) -> str:
+    return f"node {p_id} url {graph.urls[p_id]!r} missing or duplicated"
+
+
+# The facts of each node of a graph, in the order a failure is named: every
+# page fact that a graph from outside can break, and a crawl never does.
 GRAPH_FACTS = (
     Fact(
         lambda graph: map(str.__instancecheck__, graph.urls),
         lambda graph, i: f"graph url {i} must be a string, got {graph.urls[i]!r:.40}",
     ),
+    Fact(attrgetter("urls"), _url_message),
+    Fact(
+        lambda graph: valid_utf8_flags(graph.urls),
+        lambda graph, i: f"graph url {i} must be valid UTF-8, got {graph.urls[i]!r:.40}",
+    ),
+    Fact(_new_urls, _url_message),
     Fact(
         lambda graph: map(list.__instancecheck__, graph.pp_ids),
         lambda graph, i: f"graph pp_ids {i} must be a list, got {graph.pp_ids[i]!r:.40}",
@@ -205,6 +231,10 @@ GRAPH_FACTS = (
         lambda graph, i: f"node {i} has more than {MAX_PARENTS} parents",
     ),
     Fact(lambda graph: map(_parents_hold, graph.pp_ids, count()), _parent_message),
+    Fact(
+        lambda graph: map(any, zip(*graph.scores.supports.values())),  # one per ontology
+        lambda graph, i: f"node {i} supports no ontology",
+    ),
 )
 
 
@@ -272,8 +302,6 @@ def build_rpag(corpus: Corpus, ontologies: Sequence[Ontology]) -> RPaG:
     numbered at its first use by a kept page.
     """
     ontologies = _checked_ontologies(ontologies)
-    if not corpus.seeds:
-        raise ValidationError("corpus has no seeds")
 
     # each url waiting in the queue has an entry here, its parents so far;
     # a crawl pops it, so a url not crawled yet is one that has an entry

@@ -364,6 +364,12 @@ def _int_url_of_node_1(graph: dict) -> None:
     graph["urls"][1] = 5
 
 
+def _list_url_of_node_2(graph: dict) -> None:
+    """A url no set can hold: the url facts after the str fact read only
+    the urls below it."""
+    graph["urls"][2] = ["a"]
+
+
 def _no_ontologies(obj: dict) -> None:
     """No ontologies, and so no pages, counts or patterns."""
     obj["ontologies"] = []
@@ -453,8 +459,12 @@ class TestValidation:
         [
             ({"urls": {3: ""}, "pp_ids": {1: [0] * 5}}, "node 1 has more than 4 parents"),
             ({"urls": {3: 5}, "pp_ids": {1: [0] * 5}}, "node 1 has more than 4 parents"),
+            (
+                {"urls": {3: "doc-00000"}, "pp_ids": {5: [0] * 5}},
+                "node 3 url 'doc-00000' missing or duplicated",
+            ),
         ],
-        ids=["empty-url-after", "int-url-after"],
+        ids=["empty-url-after", "int-url-after", "duplicate-url-before"],
     )
     def test_first_bad_node_named(self, bundle, tmp_path, faults, message):
         """Two faults in different nodes: the columns are checked one at a
@@ -467,9 +477,9 @@ class TestValidation:
         path.write_bytes(sealed(obj))
         assert load_fault(path) == message
 
-    def test_first_bad_node_named_by_the_layout(self, bundle, tmp_path):
+    def test_first_bad_node_named_by_the_graph_facts(self, bundle, tmp_path):
         """Node 3 repeats node 0's url and node 1 supports no ontology: both
-        are facts the layout checks, and the message names node 1."""
+        are graph facts, and the message names node 1."""
         path = tmp_path / "index.json"
         obj = saved_obj(bundle, path)
         urls = obj["rpag"]["urls"]
@@ -497,6 +507,7 @@ class TestValidation:
             (_empty_url_of_node_1, "^node 1 url '' missing or duplicated$"),
             (_url_of_node_0_repeated, "^node 2 url 'a' missing or duplicated$"),
             (_int_url_of_node_1, "^graph url 1 must be a string, got 5$"),
+            (_list_url_of_node_2, r"^graph url 2 must be a string, got \['a'\]$"),
         ],
     )
     def test_malformed_columns_rejected(self, tmp_path, tamper, message):
@@ -547,6 +558,7 @@ class TestValidation:
             ({"pp_ids": {2: [1, 3]}}, "node 2 parent 3 " + _NOT_EARLIER),
             ({"pp_ids": {3: [0, 0]}}, "node 3 parent 0 is listed twice"),
             ({"pp_ids": {3: [1, 0, 1]}}, "node 3 parent 1 is listed twice"),
+            ({"pp_ids": {3: [0, 1, 1]}}, "node 3 parent 1 is listed twice"),
             ({"pp_ids": {3: [0, 0, 3]}}, "node 3 parent 3 " + _NOT_EARLIER),
             ({"pp_ids": {2: [3], 3: [True]}}, "node 2 parent 3 " + _NOT_EARLIER),
             ({"rows": {1: "1,0,1"}}, "graph counts 1 row 1 " + _NOT_COUNTS),
@@ -558,7 +570,8 @@ class TestValidation:
         ],
         ids=[
             "bool-parent", "string-parent", "negative-parent", "own-p_id-parent", "later-parent",
-            "repeated-parent", "parent-repeated-later", "own-p_id-parent-after-repeated-parent",
+            "repeated-parent", "parent-repeated-later", "second-parent-repeated",
+            "own-p_id-parent-after-repeated-parent",
             "later-parent-before-bool-parent", "row-not-a-list", "short-row", "bool-count",
             "float-count", "negative-count", "negative-count-before-row-not-a-list",
         ],
@@ -859,6 +872,16 @@ class TestBundleValidate:
         re-derivation from the graph can tell."""
         fresh.ibag.node_columns.mean_rel_val[0] *= 1.0 + 1e-9
         with pytest.raises(ValidationError, match="index nodes"):
+            fresh.validate()
+
+    @pytest.mark.parametrize("url", ["", "doc-00000"], ids=["empty", "duplicate"])
+    def test_url_edited_in_the_index_columns_rejected(self, fresh, url):
+        """The index shares its url column with the graph, and the url facts
+        are the graph's: ``IBAG.validate`` checks what the layout derives,
+        and ``IndexBundle.validate`` names the edit through ``RPaG.validate``."""
+        assert fresh.ibag.node_columns.url is fresh.rpag.columns.urls
+        fresh.ibag.node_columns.url[1] = url
+        with pytest.raises(ValidationError, match=f"^node 1 url '{url}' missing or duplicated$"):
             fresh.validate()
 
 

@@ -308,6 +308,8 @@ class TestQuery:
             "unknown_counts_key",
             "repeated_key",
             "float_length",
+            "surrogate_url",
+            "surrogate_name",
         ],
     )
     def test_malformed_index_is_one_line_error(self, built_index, capsys, tamper):
@@ -348,12 +350,19 @@ class TestQuery:
             members[tamper[len("unknown_") : -len("_key")]]["extra"] = 0
         elif tamper == "float_length":
             obj["patterns"]["t_by_ontology"]["1"] = float(obj["patterns"]["t_by_ontology"]["1"])
+        elif tamper == "surrogate_url":
+            obj["rpag"]["urls"][0] = "doc-LONE"  # written below as a lone surrogate's escape
+        elif tamper == "surrogate_name":
+            obj["ontologies"][0]["name"] = "LONE"
         if tamper == "top_level_list":
             built_index.write_text(json.dumps([obj]), encoding="utf-8")
         elif tamper == "repeated_key":
             name = json.dumps(obj["ontologies"][0]["name"]).encode()
             twice = b'"name":"other","name":' + name
             built_index.write_bytes(resealed(sealed(obj).replace(b'"name":' + name, twice)))
+        elif tamper.startswith("surrogate_"):
+            # JSON can escape a lone surrogate, which no UTF-8 encoder writes
+            built_index.write_bytes(resealed(sealed(obj).replace(b"LONE", b"\\ud800")))
         else:
             # under a fresh digest, so the check for the edited fact rejects it
             built_index.write_bytes(sealed(obj))
@@ -375,6 +384,10 @@ class TestQuery:
             "unknown_counts_key": "graph counts 1 has unknown key 'extra'",
             "repeated_key": "not a valid index file: repeated key 'name'",
             "float_length": "index.patterns.t_by_ontology.1 must be an integer, got 5.0",
+            "sum_overflows": "node 0 mean relevance inf not in (0, inf)",
+            "int_sum_too_large_for_float": "node 0 mean relevance inf not in (0, inf)",
+            "surrogate_url": "graph url 0 must be valid UTF-8, got 'doc-\\ud800'",
+            "surrogate_name": "ontology.name must be valid UTF-8, got '\\ud800'",
         }
         assert rules.get(tamper, "") in err
 

@@ -178,7 +178,7 @@ class TestIbagInvariants:
         ibag = build_ibag(build_rpag(corpus, bundled_onts))
         level = next(level for level in ibag.levels if len(level) >= 2)
         level[0], level[1] = level[1], level[0]
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="level table"):
             ibag.validate()
 
     def test_load_rejects_broken_chain(self, bundled_onts):

@@ -8,6 +8,8 @@ import re
 import pytest
 
 from ibagsearch import (
+    Corpus,
+    CorpusDoc,
     IndexBundle,
     Ontology,
     OntologyTerm,
@@ -448,6 +450,67 @@ def test_hand_made_container_of_another_kind_rejected(build, error, message):
     The one-line message names the field."""
     with pytest.raises(error, match=f"^{re.escape(message)}"):
         build()
+
+
+def corpus_of(docs=None, seeds=("u",)) -> Corpus:
+    """A corpus of ``docs``, by default one document ``u``, crawled from
+    ``seeds``."""
+    return Corpus({"u": CorpusDoc((), "x")} if docs is None else docs, seeds)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: corpus_of({"u": CorpusDoc("uv", "x"), "v": CorpusDoc((), "y")}),
+         "corpus doc.out_links must be a tuple, got 'uv'"),
+        (lambda: corpus_of({"u": CorpusDoc(["u"], "x")}),
+         "corpus doc.out_links must be a tuple, got ['u']"),
+        (lambda: corpus_of({"u": CorpusDoc((["a"],), "x")}),
+         "corpus link must be a str, got ['a']"),
+        (lambda: corpus_of({"u": CorpusDoc((), 5)}), "corpus doc.text must be a str, got 5"),
+        (lambda: corpus_of({"u": ((), "x")}), "corpus doc must be a CorpusDoc, got ((), 'x')"),
+        (lambda: corpus_of([("u", CorpusDoc((), "x"))]),
+         "corpus.docs must be a dict, got [('u', CorpusDoc("),
+        (lambda: corpus_of({5: CorpusDoc((), "x")}, (5,)), "corpus url must be a str, got 5"),
+        (lambda: corpus_of(seeds=["u"]), "corpus.seeds must be a tuple, got ['u']"),
+        (lambda: corpus_of(seeds="u"), "corpus.seeds must be a tuple, got 'u'"),
+        (lambda: corpus_of(seeds=(5,)), "corpus seed must be a str, got 5"),
+        (lambda: corpus_of({"": CorpusDoc((), "x")}, ("",)), "corpus url must be non-empty"),
+        (lambda: corpus_of({"u\ud800": CorpusDoc((), "x")}, ("u\ud800",)),
+         "corpus url must be valid UTF-8, got 'u\\ud800'"),
+        (lambda: corpus_of(seeds=()), "corpus has no seeds"),
+        (lambda: Ontology(1, "a\ud800", (OntologyTerm("a", 0.5),), 0.0),
+         "ontology.name must be valid UTF-8, got 'a\\ud800'"),
+    ],
+    ids=[
+        "links-str", "links-list", "link-list", "text-int", "doc-tuple", "docs-list", "url-int",
+        "seeds-list", "seeds-str", "seed-int", "url-empty", "url-surrogate", "no-seeds",
+        "name-surrogate",
+    ],
+)
+def test_hand_made_input_no_index_can_hold_rejected(build, message):
+    """``Corpus``, where a crawl's urls enter, and ``Ontology`` reject what
+    no crawl or index file can take, as a load of the same input would:
+    a str is not read per character, a url that a save cannot write or a
+    load would reject never enters a graph, and a value of another kind
+    fails here, not in the crawl. The one-line message names the field."""
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}"):
+        build()
+
+
+def test_url_added_after_construction_never_enters_a_graph(tmp_path, bundled_onts):
+    """``Corpus`` holds a read-only copy of its documents, so neither its
+    own mapping nor the dict it was made from lets an empty url past its
+    checks: the build keeps the one checked page and its index loads."""
+    docs = {"a": CorpusDoc(("",), "cricket cricket wicket")}
+    corpus = Corpus(docs, ("a",))
+    with pytest.raises(TypeError):
+        corpus.docs[""] = CorpusDoc((), "cricket cricket wicket")
+    docs[""] = CorpusDoc((), "cricket cricket wicket")
+    bundle = IndexBundle.build(corpus, bundled_onts)
+    assert bundle.rpag.columns.urls == ["a"]
+    bundle.save(tmp_path / "index.json")
+    assert IndexBundle.load(tmp_path / "index.json").rpag.columns.urls == ["a"]
 
 
 class TestTokenizerFuzz:

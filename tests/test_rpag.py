@@ -229,6 +229,14 @@ class TestValidate:
         with pytest.raises(ValidationError, match=message):
             graph.validate()
 
+    def test_support_edited_after_a_layout_rejected(self, graph):
+        """A layout reads the support flags once and keeps them with the
+        scores; validate reads the edited tables again."""
+        build_ibag(graph)
+        _supports_nothing(graph)
+        with pytest.raises(ValidationError, match="^node 0 supports no ontology$"):
+            graph.validate()
+
 
 def _with(p_id: int, **changes):
     """A graph's nodes, node ``p_id`` with its fields replaced."""
