@@ -1,6 +1,7 @@
-"""Exception types shared across the package, the kind and UTF-8 checks
-that turn malformed decoded JSON into a ValidationError, and the checker
-of a table of node facts, with the first-occurrence rule two facts use."""
+"""Exception types shared across the package, the int check of a caller's
+count or id, the kind and UTF-8 checks that turn malformed decoded JSON
+into a ValidationError, and the checker of a table of node facts, with the
+first-occurrence rule two facts use."""
 from __future__ import annotations
 
 from itertools import compress, count, islice
@@ -23,6 +24,13 @@ class ParseError(IbagSearchError):
 
 class ValidationError(IbagSearchError):
     """Input data violated a structural constraint."""
+
+
+def check_int(value: Any, name: str) -> None:
+    """Raise ValueError unless ``value``'s type is exactly int: a float
+    would slice or count wrongly, and a bool is not a count."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
 
 
 _KIND_NAMES = {

@@ -19,6 +19,7 @@ from typing import Iterable, Sequence
 from .bitmask import BitPattern, PatternStore, gen_mask_bit_pattern
 from .bundle import IndexBundle
 from .corpus import synth_corpus
+from .errors import check_int
 from .ibag import IBAG, build_ibag, select_columns
 from .ontology import Ontology, OntologyTerm
 from .rpag import RPaG
@@ -136,6 +137,7 @@ def evaluate_index(
     repeats: int = 5,
 ) -> list[QueryRun]:
     """Run every query in both modes; elapsed is the median of ``repeats`` runs."""
+    check_int(repeats, "repeats")
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
 
@@ -250,9 +252,12 @@ def run_benchmark(
     repeats: int = 5,
 ) -> BenchReport:
     """Build a synthetic index at each size and measure every query, both modes."""
+    check_int(repeats, "repeats")
     sizes = list(corpus_sizes)
     if not sizes:
         raise ValueError("corpus_sizes must not be empty")
+    for i, size in enumerate(sizes):
+        check_int(size, f"corpus_sizes[{i}]")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("corpus sizes must be strictly ascending")
     queries = list(query_set)
@@ -283,6 +288,8 @@ def traversal_cost_check(m_levels: int, pages_per_level: int) -> float:
     and counts nodes touched until the page is reached. With L pages per
     level the mean is (L + 1) / 2 regardless of the level count.
     """
+    check_int(m_levels, "m_levels")
+    check_int(pages_per_level, "pages_per_level")
     if m_levels < 1:
         raise ValueError(f"m_levels must be >= 1, got {m_levels}")
     if pages_per_level < 1:
@@ -357,6 +364,7 @@ def hr_direction_experiment(
     selection covers every supporting page. The pairs count as
     :func:`hr_direction_counts` counts them.
     """
+    check_int(n_pairs, "n_pairs")
     if n_pairs < 0:
         raise ValueError(f"n_pairs must be >= 0, got {n_pairs}")
     if not ks:

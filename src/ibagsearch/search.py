@@ -7,7 +7,8 @@ that. The after-masking filter keeps a page when its pattern shares a set
 bit with a nonzero mask, which is what the paper's XOR test
 (:func:`mask_match`) decides. The chain walk :func:`select_by_range` and
 the XOR filter :func:`find_predicted_webpage_list` are the reference the
-tests compare these paths with.
+tests compare these paths with. A query's answer is a
+:class:`SearchOutcome` named tuple.
 """
 from __future__ import annotations
 
@@ -16,8 +17,10 @@ import time
 from dataclasses import dataclass
 from itertools import islice
 from numbers import Real
+from typing import NamedTuple
 
 from .bitmask import PatternStore, gen_mask_bit_pattern
+from .errors import check_int
 from .ibag import IBAG, RangeSlices, select_columns
 
 # the reference paths, not called here: the benchmark's traced run wraps them
@@ -61,9 +64,8 @@ class Query:
     def __post_init__(self) -> None:
         if not isinstance(self.search_string, str):
             raise ValueError(f"search_string must be a str, got {self.search_string!r}")
-        for name, value in (("ontology_id", self.ontology_id), ("result_limit", self.result_limit)):
-            if type(value) is not int:  # a float would slice wrongly, a bool is not a count
-                raise ValueError(f"{name} must be an int, got {value!r}")
+        check_int(self.ontology_id, "ontology_id")
+        check_int(self.result_limit, "result_limit")
         if not isinstance(self.relevance_range, tuple) or len(self.relevance_range) != 2:
             raise ValueError(f"relevance_range must be a 2-tuple, got {self.relevance_range!r}")
         lo, hi = self.relevance_range
@@ -78,10 +80,12 @@ class Query:
             raise ValueError(f"result_limit must be >= 1, got {self.result_limit}")
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     """One query's answer. ``elapsed`` runs from the query's first step,
-    the mask in after-masking mode, until its ``results`` are built."""
+    the mask in after-masking mode, until its ``results`` are built. A
+    named tuple: every search call builds one, for under a third of a
+    frozen dataclass's cost.
+    """
 
     mode: str
     results: tuple[tuple[str, float], ...]
@@ -139,13 +143,7 @@ def search_before_masking(query: Query, ibag: IBAG) -> SearchOutcome:
     slices, selected, visited = select_columns(ibag, query.relevance_range, query.ontology_id)
     results = _results(ibag, first_pages(slices, query.result_limit))
     elapsed = time.perf_counter() - start
-    return SearchOutcome(
-        mode=BEFORE_MASKING,
-        results=results,
-        selected_count=selected,
-        visited_count=visited,
-        elapsed=elapsed,
-    )
+    return SearchOutcome(BEFORE_MASKING, results, selected, visited, elapsed)
 
 
 def search_after_masking(
@@ -164,10 +162,4 @@ def search_after_masking(
         ibag, first_matching_pages(slices, page_bits, mask.bits, query.result_limit)
     )
     elapsed = time.perf_counter() - start
-    return SearchOutcome(
-        mode=AFTER_MASKING,
-        results=results,
-        selected_count=selected,
-        visited_count=visited,
-        elapsed=elapsed,
-    )
+    return SearchOutcome(AFTER_MASKING, results, selected, visited, elapsed)

@@ -215,6 +215,11 @@ class TestSynthCorpus:
         with pytest.raises(ValueError):
             synth_corpus(1, 0, bundled_onts)
 
+    @pytest.mark.parametrize("n_docs", [True, 10.5, "10"])
+    def test_rejects_a_count_that_is_not_an_int(self, n_docs, bundled_onts):
+        with pytest.raises(ValueError, match=f"n_docs must be an int, got {n_docs!r}"):
+            synth_corpus(1, n_docs, bundled_onts)
+
     def test_scores_match_independent_recomputation(self, bundled_onts):
         corpus = synth_corpus(1, 1000, bundled_onts)
         nonzero = 0

@@ -137,6 +137,15 @@ class TestTraversalCost:
         with pytest.raises(ValueError):
             traversal_cost_check(5, 0)
 
+    @pytest.mark.parametrize(
+        "args, name",
+        [((2.5, 3), "m_levels"), ((True, 3), "m_levels"), ((3, 2.5), "pages_per_level"),
+         ((3, True), "pages_per_level")],
+    )
+    def test_rejects_counts_that_are_not_ints(self, args, name):
+        with pytest.raises(ValueError, match=f"{name} must be an int"):
+            traversal_cost_check(*args)
+
     def test_closed_form_over_full_sweep(self):
         for m in range(1, 11):
             for pages in range(1, 101):
@@ -177,6 +186,28 @@ class TestBenchmark:
             run_benchmark([], queries, 1)
         with pytest.raises(ValueError, match="query set"):
             run_benchmark([50], [], 1)
+
+    @pytest.mark.parametrize(
+        "sizes, message",
+        [([10.5], r"corpus_sizes\[0\] must be an int, got 10.5"),
+         (["10"], r"corpus_sizes\[0\] must be an int, got '10'"),
+         ([True], r"corpus_sizes\[0\] must be an int, got True"),
+         ([10, 20.0], r"corpus_sizes\[1\] must be an int, got 20.0")],
+    )
+    def test_rejects_sizes_that_are_not_ints(self, queries, sizes, message):
+        with pytest.raises(ValueError, match=message):
+            run_benchmark(sizes, queries, 1)
+
+    @pytest.mark.parametrize("repeats", [2.5, True])
+    def test_rejects_repeats_that_are_not_an_int_before_any_build(
+        self, queries, repeats, monkeypatch
+    ):
+        def no_build(*args):
+            raise AssertionError("built a corpus before checking repeats")
+
+        monkeypatch.setattr("ibagsearch.evaluation.synth_corpus", no_build)
+        with pytest.raises(ValueError, match=f"repeats must be an int, got {repeats!r}"):
+            run_benchmark([20], queries, 1, repeats=repeats)
 
     def test_single_size_report(self, queries):
         report = run_benchmark([60], queries, 5, repeats=1)
@@ -228,6 +259,9 @@ class TestBenchmark:
         patterns = gen_ibag_bit_patterns(ibag, bundled_onts)
         with pytest.raises(ValueError):
             evaluate_index(ibag, patterns, [Query("cricket", 1)], repeats=0)
+        for repeats in (2.5, True):
+            with pytest.raises(ValueError, match=f"repeats must be an int, got {repeats!r}"):
+                evaluate_index(ibag, patterns, [Query("cricket", 1)], repeats=repeats)
 
     def test_aggregate_handles_all_undefined_hr(self, bundled_onts):
         corpus = synth_corpus(2, 40, bundled_onts)
@@ -248,8 +282,13 @@ class TestHRDirection:
 
     @pytest.mark.parametrize(
         "kwargs, message",
-        [({"n_pairs": -3}, "n_pairs must be >= 0"), ({"n_pairs": 2, "ks": ()}, "ks must name")],
-        ids=["negative-pairs", "no-ks"],
+        [
+            ({"n_pairs": -3}, "n_pairs must be >= 0"),
+            ({"n_pairs": 2, "ks": ()}, "ks must name"),
+            ({"n_pairs": 2.5}, "n_pairs must be an int, got 2.5"),
+            ({"n_pairs": True}, "n_pairs must be an int, got True"),
+        ],
+        ids=["negative-pairs", "no-ks", "float-pairs", "bool-pairs"],
     )
     def test_bad_arguments_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match=message):

@@ -1,8 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -193,6 +193,20 @@ class TestAfterMasking:
                 assert len(after.results) <= min(k, after.selected_count)
 
 
+def test_both_modes_answer_with_a_named_tuple(engine):
+    """An outcome is a named tuple, built without a dataclass's costs; a
+    revert to the frozen dataclass fails here."""
+    ibag, patterns = engine
+    query = Query("cricket", 1, result_limit=5)
+    outcomes = (search_before_masking(query, ibag), search_after_masking(query, ibag, patterns))
+    assert [type(outcome) for outcome in outcomes] == [SearchOutcome, SearchOutcome]
+    assert [outcome.mode for outcome in outcomes] == [BEFORE_MASKING, AFTER_MASKING]
+    assert SearchOutcome._fields == (
+        "mode", "results", "selected_count", "visited_count", "elapsed",
+    )
+    assert not dataclasses.is_dataclass(SearchOutcome)
+
+
 def reference_outcomes(query, ibag, patterns, use_synonyms):
     """Both modes answered through the chain walk and the XOR filter."""
     ontology = ibag.ontology_by_id(query.ontology_id)
@@ -280,7 +294,7 @@ def test_column_selection_matches_the_chain_walk(bundled_onts):
                                 search_before_masking(query, ibag),
                                 search_after_masking(query, ibag, patterns, use_synonyms),
                             ]
-                            fast = [replace(outcome, elapsed=0.0) for outcome in fast]
+                            fast = [outcome._replace(elapsed=0.0) for outcome in fast]
                             assert fast == reference_outcomes(query, ibag, patterns, use_synonyms), (
                                 seed, ont_id, lo, hi, k, search, use_synonyms,
                             )

@@ -6,14 +6,15 @@ Usage, from the repository root::
     python tools/criterion5_pairs.py --parent REV [--runs 20]
 
 REV is checked out, detached, into a temporary ``git worktree``, which is
-removed on exit; the working tree is never edited. Each run is one new
-Python process making the call that acceptance criterion 5 judges,
-``run_benchmark([100, 200, 300, 400, 500], default_queries(),
-rng_seed=42)``, with the side's ``src`` on ``PYTHONPATH``. Runs alternate
-between the sides, one process at a time, and each pair swaps which side
-goes first. For each side the script prints, per size, the quartiles of
-``avg_elapsed_us`` after masking over before masking, and how often each
-size had the run's worst ratio. Criterion 5 passes while every ratio is at
+removed on exit; the working tree is never edited (:func:`side_trees`).
+Runs alternate between the sides, one process at a time, and each pair
+swaps which side goes first (:func:`alternating`); ``tools/bench_pairs.py``
+shares both. Each run is one new Python process making the call that
+acceptance criterion 5 judges, ``run_benchmark([100, 200, 300, 400, 500],
+default_queries(), rng_seed=42)``, with the side's ``src`` on
+``PYTHONPATH``. For each side the script prints, per size, the quartiles
+of ``avg_elapsed_us`` after masking over before masking, and how often
+each size had the run's worst ratio. Criterion 5 passes while every ratio is at
 most 2. Standard library only.
 """
 from __future__ import annotations
@@ -25,10 +26,13 @@ import subprocess
 import sys
 import tempfile
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 from statistics import quantiles
+from typing import Iterable, Iterator, TypeVar
 
 ROOT = Path(__file__).resolve().parent.parent
+K = TypeVar("K")
 SIZES = (100, 200, 300, 400, 500)
 CHILD = f"""
 import json
@@ -67,6 +71,34 @@ def summary(runs_by_side: dict[str, list[dict[int, float]]]) -> list[str]:
     return lines
 
 
+@contextmanager
+def side_trees(parent_rev: str) -> Iterator[dict[str, Path]]:
+    """The tree of each side: ``parent_rev`` checked out, detached, into a
+    temporary ``git worktree`` that is removed on exit, and the working
+    tree, which is only read."""
+
+    def git(*command: str) -> None:
+        subprocess.run(["git", *command], cwd=ROOT, check=True, stdout=subprocess.DEVNULL)
+
+    with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
+        parent = Path(tmp) / "parent"
+        git("worktree", "add", "--detach", str(parent), parent_rev)
+        try:
+            yield {"parent": parent, "change": ROOT}
+        finally:
+            git("worktree", "remove", "--force", str(parent))
+
+
+def alternating(keys: Iterable[K], trees: dict[str, Path]) -> Iterator[tuple[K, str, Path, bool]]:
+    """``(key, side, tree, ran_first)`` for each side of each key in turn:
+    the pairs alternate which side goes first, so a slow spell of the
+    machine falls on both sides alike."""
+    for i, key in enumerate(keys):
+        order = list(trees) if i % 2 == 0 else list(reversed(trees))
+        for side in order:
+            yield key, side, trees[side], side == order[0]
+
+
 def run_once(tree: Path) -> dict[int, float]:
     """One fresh-process run of the criterion-5 call against ``tree``."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
@@ -85,22 +117,12 @@ def main(argv: list[str] | None = None) -> int:
     if args.runs < 2:
         parser.error("--runs must be at least 2")
 
-    def git(*command: str) -> None:
-        subprocess.run(["git", *command], cwd=ROOT, check=True, stdout=subprocess.DEVNULL)
-
-    with tempfile.TemporaryDirectory(prefix="criterion5-") as tmp:
-        parent = Path(tmp) / "parent"
-        git("worktree", "add", "--detach", str(parent), args.parent)
-        try:
-            trees = {"parent": parent, "change": ROOT}
-            runs_by_side: dict[str, list[dict[int, float]]] = {side: [] for side in trees}
-            for i in range(args.runs):
-                order = list(trees) if i % 2 == 0 else list(reversed(trees))
-                for side in order:
-                    runs_by_side[side].append(run_once(trees[side]))
+    runs_by_side: dict[str, list[dict[int, float]]] = {"parent": [], "change": []}
+    with side_trees(args.parent) as trees:
+        for i, side, tree, ran_first in alternating(range(args.runs), trees):
+            runs_by_side[side].append(run_once(tree))
+            if not ran_first:
                 print(f"pair {i + 1} of {args.runs} done", file=sys.stderr)
-        finally:
-            git("worktree", "remove", "--force", str(parent))
     print("\n".join(summary(runs_by_side)))
     return 0
 
