@@ -16,11 +16,11 @@ mask.
 
 A page's pattern depends only on its term vector, and a build or a load
 holds each distinct ``PageRelevance`` of an ontology once, as one row of
-the index's score table. :func:`gen_ibag_bit_patterns` therefore derives
-the bits once per row and maps them to the pages through the table's
-``of_node`` row indexes, one C-level ``map`` per ontology;
-:meth:`PatternStore.add_ontology` checks a whole column of
-patterns with one ``min`` and one ``max``, and
+the index's score table. :func:`gen_ibag_bit_patterns`, the one maker of a
+:class:`PatternStore`, therefore derives the bits once per row and maps
+them to the pages through the table's ``of_node`` row indexes, one C-level
+``map`` per ontology. It takes only the index's own ontologies, so each
+column's width is its ontology's ``t`` and no pattern can exceed it.
 :meth:`PatternStore.to_json_obj` renders each distinct pattern of an
 ontology in hex once. :func:`gen_webpage_bit_pattern` is the per-page
 reference.
@@ -67,13 +67,8 @@ class BitPattern(NamedTuple):
 
     def position_bits(self) -> tuple[int, ...]:
         """Single-bit masks for every set position, ascending position."""
-        found = []
-        bit = 1 << self.length
-        while bit > 1:
-            bit >>= 1
-            if self.bits & bit:
-                found.append(bit)
-        return tuple(found)
+        msb = 1 << (self.length - 1)
+        return tuple(msb >> p for p in self.positions())
 
     def to_string(self) -> str:
         return format(self.bits, f"0{self.length}b")
@@ -146,24 +141,13 @@ def gen_mask_bit_pattern(
 class PatternStore:
     """Precomputed bit patterns: per ontology id, one column indexed by p_id.
 
-    Patterns are generated once per index build; lookups during query
-    filtering are list indexing, since p_ids are dense.
+    Made whole by :func:`gen_ibag_bit_patterns`, once per index build or
+    load; lookups during query filtering are list indexing, p_ids being dense.
     """
 
-    def __init__(self) -> None:
-        self._bits: dict[int, list[int]] = {}
-        self._lengths: dict[int, int] = {}
-
-    def add_ontology(self, ontology: Ontology, bits_by_p_id: Iterable[int]) -> None:
-        ontology_id, length = ontology.ontology_id, ontology.t
-        if ontology_id in self._bits:
-            raise ValidationError(f"patterns for ontology {ontology_id} already present")
-        bits_by_p_id = list(bits_by_p_id)
-        if bits_by_p_id and not 0 <= min(bits_by_p_id) <= max(bits_by_p_id) < (1 << length):
-            bad = next(bits for bits in bits_by_p_id if not 0 <= bits < (1 << length))
-            raise ValidationError(f"pattern {bad:#x} does not fit {length} bits")
-        self._bits[ontology_id] = bits_by_p_id
-        self._lengths[ontology_id] = length
+    def __init__(self, ontologies: tuple[Ontology, ...], bits: dict[int, list[int]]) -> None:
+        self._ontologies = ontologies
+        self._bits = bits
 
     def bits_for_ontology(self, ontology_id: int) -> list[int]:
         """The whole per-page bits column, indexed by p_id."""
@@ -176,11 +160,11 @@ class PatternStore:
         """Lengths and hex patterns per ontology; each distinct pattern of an
         ontology is rendered once and its string shared."""
         patterns = {}
-        for k, column in self._bits.items():
-            hexes = {bits: _to_hex(bits, self._lengths[k]) for bits in set(column)}
-            patterns[str(k)] = list(map(hexes.__getitem__, column))
+        for ontology, column in zip(self._ontologies, self._bits.values()):
+            hexes = {bits: _to_hex(bits, ontology.t) for bits in set(column)}
+            patterns[str(ontology.ontology_id)] = list(map(hexes.__getitem__, column))
         return {
-            "t_by_ontology": {str(k): self._lengths[k] for k in self._bits},
+            "t_by_ontology": {str(ont.ontology_id): ont.t for ont in self._ontologies},
             "patterns": patterns,
         }
 
@@ -188,16 +172,22 @@ class PatternStore:
 def gen_ibag_bit_patterns(ibag: IBAG, ontologies: Sequence[Ontology]) -> PatternStore:
     """One-time pattern generation: one pattern per (page, ontology) pair.
 
-    The bits are derived once per row of the index's score table, each
-    distinct score once, and mapped to the pages through ``of_node``.
+    ``ontologies`` must equal the index's own, ``ibag.ontologies``, in
+    order, else ValidationError. The bits are derived once per row of the
+    index's score table, each distinct score once, and mapped to the pages
+    through ``of_node``.
     """
-    store = PatternStore()
+    own = ibag.ontologies
+    if tuple(ontologies) != own:
+        ids, own_ids = ([ont.ontology_id for ont in onts] for onts in (ontologies, own))
+        raise ValidationError(f"pattern ontologies (ids {ids}) differ from the index's {own_ids}")
     tables = ibag.node_columns.scores.tables
-    for ontology in ontologies:
+    bits = {}
+    for ontology in own:
         rows, of_node = tables[ontology.ontology_id]
         row_bits = [_page_bits(rel.term_vector, ontology) for rel in rows]
-        store.add_ontology(ontology, map(row_bits.__getitem__, of_node))
-    return store
+        bits[ontology.ontology_id] = list(map(row_bits.__getitem__, of_node))
+    return PatternStore(own, bits)
 
 
 def find_predicted_webpage_list(

@@ -124,6 +124,17 @@ def _digest(pieces: list[bytes]) -> str:
     return digest.hexdigest()
 
 
+def write_atomically(path: Path, data: bytes) -> None:
+    """Write ``data`` through a temp file in ``path``'s directory and rename
+    it over ``path``, so a failed write leaves any previous file intact."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # already gone after a successful rename
+
+
 def _object(pairs: list[tuple[str, object]]) -> dict:
     """``json.loads``'s object hook: a key given twice is rejected, where
     the parser would keep only its last value."""
@@ -237,18 +248,11 @@ class IndexBundle:
         return b"".join([_DIGEST_OPEN, _digest(pieces).encode(), b'",', *pieces])
 
     def save(self, path: str | Path) -> None:
-        """Serialize with the collector paused, then write through a temp
-        file in the same directory and rename it over ``path``, so a failed
-        write leaves any previous index intact."""
+        """Serialize with the collector paused, then :func:`write_atomically`."""
         path = Path(path)
         with collector_paused():
             data = self.canonical_bytes()
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        try:
-            tmp.write_bytes(data)
-            os.replace(tmp, path)
-        finally:
-            tmp.unlink(missing_ok=True)  # already gone after a successful rename
+        write_atomically(path, data)
         log.debug("saved index bundle to %s", path)
 
     @staticmethod

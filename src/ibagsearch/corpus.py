@@ -25,7 +25,7 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
 from .collector import collector_paused
-from .errors import ParseError, ValidationError, check_int, valid_utf8_flags
+from .errors import ParseError, ValidationError, check_count, valid_utf8_flags
 from .ontology import Ontology
 
 
@@ -139,9 +139,7 @@ def synth_corpus(rng_seed: int, n_docs: int, ontologies: Sequence[Ontology]) -> 
     each later document receives an in-link from an earlier one. Extra
     links are sprinkled on top, so the graph may also contain cycles.
     """
-    check_int(n_docs, "n_docs")
-    if n_docs < 1:
-        raise ValueError(f"n_docs must be >= 1, got {n_docs}")
+    check_count(n_docs, "n_docs")
     rng = random.Random(rng_seed)
     pools = [[phrase for term in ont.terms for phrase in term.phrases()] for ont in ontologies]
 

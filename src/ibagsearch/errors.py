@@ -33,6 +33,13 @@ def check_int(value: Any, name: str) -> None:
         raise ValueError(f"{name} must be an int, got {value!r}")
 
 
+def check_count(value: Any, name: str) -> None:
+    """Raise ValueError unless ``value`` is an int (:func:`check_int`) of at least 1."""
+    check_int(value, name)
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 _KIND_NAMES = {
     str: "a string", int: "an integer", float: "a number", list: "a list", dict: "an object",
     tuple: "a tuple",

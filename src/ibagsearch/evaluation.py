@@ -17,9 +17,9 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .bitmask import BitPattern, PatternStore, gen_mask_bit_pattern
-from .bundle import IndexBundle
+from .bundle import IndexBundle, write_atomically
 from .corpus import synth_corpus
-from .errors import check_int
+from .errors import check_count, check_int
 from .ibag import IBAG, build_ibag, select_columns
 from .ontology import Ontology, OntologyTerm
 from .rpag import RPaG
@@ -137,9 +137,7 @@ def evaluate_index(
     repeats: int = 5,
 ) -> list[QueryRun]:
     """Run every query in both modes; elapsed is the median of ``repeats`` runs."""
-    check_int(repeats, "repeats")
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
+    check_count(repeats, "repeats")
 
     def run_one(query: Query) -> QueryRun:
         modes = compare_modes(query, ibag, patterns)
@@ -208,15 +206,14 @@ class BenchReport:
         return "\n".join(lines) + "\n"
 
     def write(self, out_dir: str | Path) -> tuple[Path, Path]:
+        """Write ``report.json`` and ``report.csv`` into ``out_dir``, each atomically."""
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         json_path = out_dir / "report.json"
         csv_path = out_dir / "report.csv"
-        json_path.write_text(
-            json.dumps(self.to_json_obj(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        csv_path.write_text(self.csv_text(), encoding="utf-8")
+        report = json.dumps(self.to_json_obj(), indent=2, sort_keys=True) + "\n"
+        write_atomically(json_path, report.encode())
+        write_atomically(csv_path, self.csv_text().encode())
         return json_path, csv_path
 
 
@@ -252,7 +249,7 @@ def run_benchmark(
     repeats: int = 5,
 ) -> BenchReport:
     """Build a synthetic index at each size and measure every query, both modes."""
-    check_int(repeats, "repeats")
+    check_count(repeats, "repeats")
     sizes = list(corpus_sizes)
     if not sizes:
         raise ValueError("corpus_sizes must not be empty")
@@ -288,12 +285,8 @@ def traversal_cost_check(m_levels: int, pages_per_level: int) -> float:
     and counts nodes touched until the page is reached. With L pages per
     level the mean is (L + 1) / 2 regardless of the level count.
     """
-    check_int(m_levels, "m_levels")
-    check_int(pages_per_level, "pages_per_level")
-    if m_levels < 1:
-        raise ValueError(f"m_levels must be >= 1, got {m_levels}")
-    if pages_per_level < 1:
-        raise ValueError(f"pages_per_level must be >= 1, got {pages_per_level}")
+    check_count(m_levels, "m_levels")
+    check_count(pages_per_level, "pages_per_level")
     probe = Ontology(
         ontology_id=1,
         name="probe",
@@ -369,6 +362,8 @@ def hr_direction_experiment(
         raise ValueError(f"n_pairs must be >= 0, got {n_pairs}")
     if not ks:
         raise ValueError("ks must name at least one result limit")
+    for i, k in enumerate(ks):
+        check_count(k, f"ks[{i}]")
     if ontologies is None:
         from .bundled import default_ontologies
 

@@ -42,6 +42,8 @@ def test_summary_gives_quartiles_ratio_spread_and_wins_in_the_better_direction()
     assert p50["change"] == {"q1": 9.25, "median": 11.0, "q3": 13.5}
     assert p50["median_change_over_parent"] == pytest.approx(11.0 / 11.5)
     assert p50["parent_quartile_spread"] == 2.5
+    # change - parent by seed: -1, 0, -1, +1
+    assert p50["pair_change"] == {"q1": -1.0, "median": -0.5, "q3": 0.75}
     assert p50["change_better_pairs"] == 2  # seeds 1 and 3; the tie at seed 2 counts for neither
     assert got["queries_per_s"]["change_better_pairs"] == 2  # seeds 2 and 4
 

@@ -1,12 +1,12 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from ibagsearch import (
     BitPattern,
-    PatternStore,
     ValidationError,
     build_ibag,
     build_rpag,
@@ -136,12 +136,33 @@ class TestPatternStore:
 
     def test_ontology_listed_twice_rejected(self, built, bundled_onts):
         ibag, _ = built
-        with pytest.raises(ValidationError, match="patterns for ontology 1 already present"):
+        listed_twice = r"pattern ontologies \(ids \[1, 1\]\) differ from the index's \[1, 2, 3\]"
+        with pytest.raises(ValidationError, match=listed_twice):
             gen_ibag_bit_patterns(ibag, [bundled_onts[0], bundled_onts[0]])
 
-    def test_oversized_pattern_rejected(self, bundled_onts):
-        with pytest.raises(ValidationError, match="fit"):
-            PatternStore().add_ontology(bundled_onts[0], [0xFF])  # 8 bits do not fit t=5
+    @pytest.mark.parametrize(
+        "others",
+        [
+            lambda onts: [
+                replace(
+                    onts[0],
+                    terms=tuple(
+                        replace(term, term_relevance_limit=term.term_relevance_limit + 1.0)
+                        for term in onts[0].terms
+                    ),
+                ),
+                *onts[1:],
+            ],
+            lambda onts: [*onts, replace(onts[0], ontology_id=9)],
+            lambda onts: onts[:2],
+            lambda onts: onts[::-1],
+        ],
+        ids=["same-id-other-limits", "unknown-id", "subset", "other-order"],
+    )
+    def test_ontologies_other_than_the_index_own_rejected(self, built, bundled_onts, others):
+        ibag, _ = built
+        with pytest.raises(ValidationError, match=r"pattern ontologies \(ids .*\) differ"):
+            gen_ibag_bit_patterns(ibag, others(bundled_onts))
 
 
 class TestFindPredicted:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import statistics
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +28,7 @@ from ibagsearch import (
 from ibagsearch.bundled import default_queries, load_query_file
 from ibagsearch.evaluation import (
     CSV_HEADER,
+    BenchReport,
     HarvestReport,
     ModeComparison,
     _harvest_report,
@@ -198,15 +200,19 @@ class TestBenchmark:
         with pytest.raises(ValueError, match=message):
             run_benchmark(sizes, queries, 1)
 
-    @pytest.mark.parametrize("repeats", [2.5, True])
+    @pytest.mark.parametrize(
+        "repeats, rule",
+        [pytest.param(2.5, "an int", id="2.5"), pytest.param(True, "an int", id="True"),
+         pytest.param(0, ">= 1", id="0"), pytest.param(-2, ">= 1", id="-2")],
+    )
     def test_rejects_repeats_that_are_not_an_int_before_any_build(
-        self, queries, repeats, monkeypatch
+        self, queries, repeats, rule, monkeypatch
     ):
         def no_build(*args):
             raise AssertionError("built a corpus before checking repeats")
 
         monkeypatch.setattr("ibagsearch.evaluation.synth_corpus", no_build)
-        with pytest.raises(ValueError, match=f"repeats must be an int, got {repeats!r}"):
+        with pytest.raises(ValueError, match=f"repeats must be {rule}, got {repeats!r}"):
             run_benchmark([20], queries, 1, repeats=repeats)
 
     def test_single_size_report(self, queries):
@@ -246,6 +252,29 @@ class TestBenchmark:
         report = run_benchmark([40], queries, 3, repeats=1)
         json_path, csv_path = report.write(tmp_path / "out")
         assert json_path.exists() and csv_path.exists()
+
+    @pytest.mark.parametrize("failing", ["report.json", "report.csv"])
+    def test_failed_write_keeps_previous_file(self, queries, tmp_path, monkeypatch, failing):
+        run_benchmark([40], queries, 3, repeats=1).write(tmp_path)
+        previous = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        real_write_bytes = Path.write_bytes
+
+        def write_half_then_fail(self: Path, data: bytes) -> int:
+            if not self.name.startswith(f".{failing}."):
+                return real_write_bytes(self, data)
+            with open(self, "wb") as fh:
+                fh.write(data[: len(data) // 2])
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(Path, "write_bytes", write_half_then_fail)
+        with pytest.raises(OSError, match="no space"):
+            BenchReport(4, [], []).write(tmp_path)
+        monkeypatch.undo()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.csv", "report.json"]
+        assert (tmp_path / failing).read_bytes() == previous[failing]
+        if failing == "report.csv":  # the json was written whole before the csv failed
+            written = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+            assert written["rng_seed"] == 4
 
     def test_report_json_holds_exactly_its_three_keys(self, queries, tmp_path):
         json_path, _ = run_benchmark([40], queries, 3, repeats=1).write(tmp_path)
@@ -287,10 +316,18 @@ class TestHRDirection:
             ({"n_pairs": 2, "ks": ()}, "ks must name"),
             ({"n_pairs": 2.5}, "n_pairs must be an int, got 2.5"),
             ({"n_pairs": True}, "n_pairs must be an int, got True"),
+            ({"n_pairs": 2, "ks": (0,)}, r"ks\[0\] must be >= 1, got 0"),
+            ({"n_pairs": 2, "ks": (2.5,)}, r"ks\[0\] must be an int, got 2.5"),
+            ({"n_pairs": 2, "ks": (20, -1)}, r"ks\[1\] must be >= 1, got -1"),
         ],
-        ids=["negative-pairs", "no-ks", "float-pairs", "bool-pairs"],
+        ids=["negative-pairs", "no-ks", "float-pairs", "bool-pairs", "zero-k", "float-k",
+             "negative-second-k"],
     )
-    def test_bad_arguments_rejected(self, kwargs, message):
+    def test_bad_arguments_rejected(self, kwargs, message, monkeypatch):
+        def no_build(*args):
+            raise AssertionError("built a corpus before checking the arguments")
+
+        monkeypatch.setattr("ibagsearch.evaluation.synth_corpus", no_build)
         with pytest.raises(ValueError, match=message):
             hr_direction_experiment(**kwargs)
 

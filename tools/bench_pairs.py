@@ -14,9 +14,10 @@ goes first (the loop of ``tools/criterion5_pairs.py``). The output file
 holds every run (workload, seed, side, ``ran_first`` and the run's result
 line) and, per workload and metric of ``BENCHMARK.json``'s ``end_to_end``
 list, each side's quartiles, ``median_change_over_parent``,
-``parent_quartile_spread`` and ``change_better_pairs``: the seeds where the
-change beat the parent in the metric's better direction, a tie counting
-for neither side. The script exits 1 if any run failed, ended without a
+``parent_quartile_spread``, ``pair_change``, the quartiles of change minus
+parent seed by seed, so that a seed's workload is not counted as noise,
+and ``change_better_pairs``: the seeds where the change beat the parent in
+the metric's better direction, a tie counting for neither side. The script exits 1 if any run failed, ended without a
 JSON result line, was incorrect or had a failed operation. Standard
 library only.
 """
@@ -72,6 +73,7 @@ def summary(runs: list[dict], better: dict[str, str]) -> dict[str, dict[str, dic
             else:
                 wins = sum(c > p for p, c in zip(sides["parent"], sides["change"]))
             q1, _, q3 = quantiles(sides["parent"], n=4)
+            differences = [c - p for p, c in zip(sides["parent"], sides["change"])]
             out[workload][metric] = {
                 "better": direction,
                 "pairs": len(pairs),
@@ -79,6 +81,7 @@ def summary(runs: list[dict], better: dict[str, str]) -> dict[str, dict[str, dic
                    for side in SIDES},
                 "median_change_over_parent": median(sides["change"]) / median(sides["parent"]),
                 "parent_quartile_spread": q3 - q1,
+                "pair_change": dict(zip(("q1", "median", "q3"), quantiles(differences, n=4))),
                 "change_better_pairs": wins,
             }
     return out
