@@ -124,15 +124,19 @@ def _digest(pieces: list[bytes]) -> str:
     return digest.hexdigest()
 
 
-def write_atomically(path: Path, data: bytes) -> None:
-    """Write ``data`` through a temp file in ``path``'s directory and rename
-    it over ``path``, so a failed write leaves any previous file intact."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+def write_atomically(*files: tuple[Path, bytes]) -> None:
+    """Write each (path, data) through a temp file in the path's directory,
+    then rename every temp file over its path, so a failed write leaves
+    every previous file intact and the files come from one call."""
+    tmps = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path, _ in files]
     try:
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
+        for tmp, (_, data) in zip(tmps, files):
+            tmp.write_bytes(data)
+        for tmp, (path, _) in zip(tmps, files):
+            os.replace(tmp, path)
     finally:
-        tmp.unlink(missing_ok=True)  # already gone after a successful rename
+        for tmp in tmps:
+            tmp.unlink(missing_ok=True)  # already gone after a successful rename
 
 
 def _object(pairs: list[tuple[str, object]]) -> dict:
@@ -252,7 +256,7 @@ class IndexBundle:
         path = Path(path)
         with collector_paused():
             data = self.canonical_bytes()
-        write_atomically(path, data)
+        write_atomically((path, data))
         log.debug("saved index bundle to %s", path)
 
     @staticmethod

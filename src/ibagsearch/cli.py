@@ -11,6 +11,7 @@ import gc
 import logging
 import os
 import sys
+from dataclasses import replace
 from typing import TYPE_CHECKING, Sequence
 
 from .bundle import IndexBundle
@@ -196,26 +197,23 @@ def _run_query(bundle: IndexBundle, query: Query, mode: str, use_synonyms: bool)
 def cmd_query(args: argparse.Namespace) -> int:
     if not args.repl and args.search is None:
         raise ValueError("either --search or --repl is required")
+    # the query's own arguments are checked before the load, its ontology
+    # id right after it, and both before a line of stdin is read
+    query = Query(args.search or "", args.ontology, args.range, args.limit)
     bundle = _load_for_process(args.index)
+    bundle.ibag.ontology_by_id(args.ontology)
     use_synonyms = not args.no_mask_synonyms
-
-    def make_query(search_string: str) -> Query:
-        return Query(
-            search_string=search_string,
-            ontology_id=args.ontology,
-            relevance_range=args.range,
-            result_limit=args.limit,
-        )
-
     if args.repl:
         for line in sys.stdin:
             search_string = line.strip()
             if not search_string:
                 continue
-            _run_query(bundle, make_query(search_string), args.mode, use_synonyms)
+            _run_query(
+                bundle, replace(query, search_string=search_string), args.mode, use_synonyms
+            )
             sys.stdout.flush()
         return 0
-    _run_query(bundle, make_query(args.search), args.mode, use_synonyms)
+    _run_query(bundle, query, args.mode, use_synonyms)
     return 0
 
 

@@ -26,6 +26,16 @@ class ValidationError(IbagSearchError):
     """Input data violated a structural constraint."""
 
 
+class TermError(ValidationError):
+    """An ontology term's name, weight or synonyms are at fault: ``index``
+    is the term's position, and ``synonyms`` whether its synonyms are."""
+
+    def __init__(self, message: str, index: int, synonyms: bool = False) -> None:
+        super().__init__(message)
+        self.index = index
+        self.synonyms = synonyms
+
+
 def check_int(value: Any, name: str) -> None:
     """Raise ValueError unless ``value``'s type is exactly int: a float
     would slice or count wrongly, and a bool is not a count."""

@@ -22,7 +22,7 @@ from .corpus import synth_corpus
 from .errors import check_count, check_int
 from .ibag import IBAG, build_ibag, select_columns
 from .ontology import Ontology, OntologyTerm
-from .rpag import RPaG
+from .rpag import RPaG, _checked_ontologies
 from .search import (
     AFTER_MASKING,
     BEFORE_MASKING,
@@ -206,14 +206,14 @@ class BenchReport:
         return "\n".join(lines) + "\n"
 
     def write(self, out_dir: str | Path) -> tuple[Path, Path]:
-        """Write ``report.json`` and ``report.csv`` into ``out_dir``, each atomically."""
+        """Write ``report.json`` and ``report.csv`` into ``out_dir`` in one
+        :func:`write_atomically`: a failed write keeps both previous files."""
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         json_path = out_dir / "report.json"
         csv_path = out_dir / "report.csv"
         report = json.dumps(self.to_json_obj(), indent=2, sort_keys=True) + "\n"
-        write_atomically(json_path, report.encode())
-        write_atomically(csv_path, self.csv_text().encode())
+        write_atomically((json_path, report.encode()), (csv_path, self.csv_text().encode()))
         return json_path, csv_path
 
 
@@ -264,7 +264,7 @@ def run_benchmark(
         from .bundled import default_ontologies
 
         ontologies = default_ontologies()
-    ontologies = tuple(ontologies)
+    ontologies = _checked_ontologies(ontologies)
 
     rows: list[BenchRow] = []
     for size in sizes:
@@ -368,7 +368,7 @@ def hr_direction_experiment(
         from .bundled import default_ontologies
 
         ontologies = default_ontologies()
-    ontologies = tuple(ontologies)
+    ontologies = _checked_ontologies(ontologies)
     master = random.Random(rng_seed)
     comparisons = []
     for i in range(n_pairs):

@@ -5,6 +5,11 @@ carry synonyms and a per-term relevance cutoff; its index in the list is
 its bit position in page and query bit patterns, and an index file keeps
 that position only as a check.
 
+The :class:`Ontology` constructor is the one check of every term, weight
+and synonym; the file readers check only their files' syntax, and
+:func:`load_ontology` gives a term's fault (:class:`~.errors.TermError`)
+the file and line that hold its value.
+
 :func:`normalize_text` lowercases a text and strips its tags, then splits
 its UTF-8 bytes through a 256-byte table that turns every byte outside
 ``[0-9a-z]`` into a space.
@@ -36,7 +41,7 @@ from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .errors import ParseError, ValidationError, check_kind, json_fields
+from .errors import ParseError, TermError, ValidationError, check_kind, json_fields
 
 _TAG_RE = re.compile(r"<[^>]*>")
 # maps every byte outside [0-9a-z] to a space. Every byte of a non-ASCII
@@ -248,38 +253,34 @@ class Ontology:
             raise ValidationError(
                 f"relevance_limit must be in [0, inf), got {self.relevance_limit}"
             )
+        # every name and weight before any synonym, so that a load names a
+        # weight-table fault before a syntable one
         seen_terms: set[str] = set()
-        syn_owner: dict[str, str] = {}
-        for term in self.terms:
+        for i, term in enumerate(self.terms):
             if not term.term or term.term != normalize_phrase(term.term):
-                raise ValidationError(f"term {term.term!r} is not a normalized phrase")
+                raise TermError(f"term {term.term!r} is not a normalized phrase", i)
             if term.term in seen_terms:
-                raise ValidationError(f"duplicate term {term.term!r}")
+                raise TermError(f"duplicate term {term.term!r}", i)
             seen_terms.add(term.term)
             if not 0.0 <= term.weight <= 1.0:
-                raise ValidationError(
-                    f"term {term.term!r} weight {term.weight} outside [0, 1]"
-                )
+                raise TermError(f"term {term.term!r} weight {term.weight} outside [0, 1]", i)
             if not 0 <= term.term_relevance_limit < math.inf:
                 raise ValidationError(
                     f"term {term.term!r} term_relevance_limit must be in [0, inf)"
                 )
-            local: set[str] = {term.term}
+        syn_owner: dict[str, str] = {}
+        for i, term in enumerate(self.terms):
             for syn in term.synonyms:
                 if not syn or syn != normalize_phrase(syn):
-                    raise ValidationError(
-                        f"synonym {syn!r} of {term.term!r} is not a normalized phrase"
-                    )
-                if syn in local:
-                    raise ValidationError(
-                        f"synonym {syn!r} of {term.term!r} is not distinct"
-                    )
-                local.add(syn)
-                if syn in syn_owner:
-                    raise ValidationError(
-                        f"synonym {syn!r} is shared by {syn_owner[syn]!r} and {term.term!r}"
-                    )
-                syn_owner[syn] = term.term
+                    fault = f"synonym {syn!r} of {term.term!r} is not a normalized phrase"
+                elif syn == term.term or syn_owner.get(syn) == term.term:
+                    fault = f"synonym {syn!r} of {term.term!r} is not distinct"
+                elif syn in syn_owner:
+                    fault = f"synonym {syn!r} is shared by {syn_owner[syn]!r} and {term.term!r}"
+                else:
+                    syn_owner[syn] = term.term
+                    continue
+                raise TermError(fault, i, synonyms=True)
 
     def to_json_obj(self) -> dict:
         return {
@@ -332,9 +333,9 @@ class LimitsConfig:
         return self.term_limits.get(term, self.default_term_limit)
 
 
-def _iter_rows(path: Path) -> Iterator[tuple[int, str]]:
+def _iter_rows(path: str | Path) -> Iterator[tuple[int, str]]:
     """Yield (line_no, stripped line), skipping blanks and '#' comments."""
-    with path.open("r", encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             stripped = line.rstrip("\n").rstrip("\r")
             if not stripped.strip() or stripped.lstrip().startswith("#"):
@@ -383,63 +384,38 @@ def load_limits(path: str | Path) -> LimitsConfig:
     )
 
 
-def load_weight_table(path: str | Path) -> list[tuple[str, float]]:
-    """Parse term/weight rows, preserving row order."""
-    path = Path(path)
-    rows: list[tuple[str, float]] = []
-    seen: set[str] = set()
+def load_weight_table(path: str | Path) -> list[tuple[int, str, float]]:
+    """Parse term/weight rows, in row order, as (line_no, normalized term,
+    weight). Only each row's syntax is checked here; the :class:`Ontology`
+    checks the terms and weights."""
+    rows: list[tuple[int, str, float]] = []
     for line_no, row in _iter_rows(path):
         parts = row.split("\t")
         if len(parts) != 2:
             raise ParseError(path, line_no, f"expected 'term<TAB>weight', got {row!r}")
-        term = normalize_phrase(parts[0])
-        if not term:
-            raise ParseError(path, line_no, "empty term")
         try:
-            weight = float(parts[1].strip())
+            weight = float(parts[1])
         except ValueError:
-            raise ParseError(path, line_no, f"weight {parts[1].strip()!r} is not a number") from None
-        if not 0.0 <= weight <= 1.0:
-            raise ValidationError(f"{path}:{line_no}: weight {weight} outside [0, 1]")
-        if term in seen:
-            raise ValidationError(f"{path}:{line_no}: duplicate term {term!r}")
-        seen.add(term)
-        rows.append((term, weight))
+            weight = math.nan
+        if weight != weight:  # a NaN is no number either
+            raise ParseError(path, line_no, f"weight {parts[1].strip()!r} is not a number")
+        rows.append((line_no, normalize_phrase(parts[0]), weight))
     return rows
 
 
-def load_syntable(path: str | Path, known_terms: set[str]) -> dict[str, tuple[str, ...]]:
-    """Parse term/synonym rows; every row's term must be a known term."""
-    path = Path(path)
-    table: dict[str, tuple[str, ...]] = {}
-    owner: dict[str, str] = {}
+def load_syntable(path: str | Path) -> dict[str, tuple[int, tuple[str, ...]]]:
+    """Parse term/synonym rows, one row per term, as term -> (line_no,
+    normalized synonyms), in row order. Only the rows' syntax is checked
+    here; the :class:`Ontology` checks the synonyms."""
+    table: dict[str, tuple[int, tuple[str, ...]]] = {}
     for line_no, row in _iter_rows(path):
         parts = row.split("\t")
         if len(parts) != 2:
             raise ParseError(path, line_no, f"expected 'term<TAB>syn1,syn2,...', got {row!r}")
         term = normalize_phrase(parts[0])
-        if term not in known_terms:
-            raise ValidationError(
-                f"{path}:{line_no}: term {term!r} is not in the weight table"
-            )
         if term in table:
             raise ValidationError(f"{path}:{line_no}: duplicate row for term {term!r}")
-        synonyms: list[str] = []
-        for raw_syn in parts[1].split(","):
-            syn = normalize_phrase(raw_syn)
-            if not syn:
-                raise ParseError(path, line_no, f"empty synonym in {parts[1]!r}")
-            if syn == term or syn in synonyms:
-                raise ValidationError(
-                    f"{path}:{line_no}: synonym {syn!r} of {term!r} is not distinct"
-                )
-            if syn in owner:
-                raise ValidationError(
-                    f"{path}:{line_no}: synonym {syn!r} already belongs to {owner[syn]!r}"
-                )
-            owner[syn] = term
-            synonyms.append(syn)
-        table[term] = tuple(synonyms)
+        table[term] = line_no, tuple(map(normalize_phrase, parts[1].split(",")))
     return table
 
 
@@ -454,26 +430,33 @@ def load_ontology(
     """Assemble an ontology from its weight table, syntable and limits.
 
     A term's bit position is its index among the weight table's rows. Terms
-    missing from the syntable get an empty synonym list; syntable terms
-    missing from the weight table are rejected. ``limits`` comes from
-    :func:`load_limits` or is made directly.
+    missing from the syntable get an empty synonym list. ``limits`` comes
+    from :func:`load_limits` or is made directly. The readers check only
+    each file's syntax. The :class:`Ontology` checks every term, weight and
+    synonym, and its fault is raised as ``path:line: <its message>``: the
+    weight table's row of the term, or for a synonym the term's syntable
+    row. Last, a syntable term missing from the weight table is rejected.
     """
     weights = load_weight_table(weight_table_path)
-    syntable = load_syntable(syntable_path, {term for term, _ in weights})
+    syntable = load_syntable(syntable_path)
     terms = tuple(
-        OntologyTerm(
-            term=term,
-            weight=weight,
-            synonyms=syntable.get(term, ()),
-            term_relevance_limit=limits.term_limit(term),
-        )
-        for term, weight in weights
+        OntologyTerm(term, weight, syntable.get(term, (None, ()))[1], limits.term_limit(term))
+        for _, term, weight in weights
     )
     if name is None:
         name = Path(weight_table_path).stem
-    return Ontology(
-        ontology_id=ontology_id,
-        name=name,
-        terms=terms,
-        relevance_limit=limits.relevance_limit,
-    )
+    try:
+        ontology = Ontology(ontology_id, name, terms, limits.relevance_limit)
+    except TermError as exc:
+        if exc.synonyms:
+            path, line_no = syntable_path, syntable[terms[exc.index].term][0]
+        else:
+            path, line_no = weight_table_path, weights[exc.index][0]
+        raise ValidationError(f"{path}:{line_no}: {exc}") from None
+    known = {term.term for term in terms}
+    for term, (line_no, _) in syntable.items():
+        if term not in known:
+            raise ValidationError(
+                f"{syntable_path}:{line_no}: term {term!r} is not in the weight table"
+            )
+    return ontology

@@ -4,13 +4,16 @@ import gc
 import hashlib
 import io
 import json
+import math
 
 import pytest
 
-from ibagsearch import IndexBundle, synth_corpus
+from ibagsearch import IndexBundle, Ontology, OntologyTerm, ValidationError, synth_corpus
 from ibagsearch.bundled import default_ontologies
 from ibagsearch.cli import main
 from conftest import (
+    CRICKET_SYNTABLE,
+    CRICKET_WEIGHTS,
     int_sum_too_large_for_float,
     node_counts,
     overflow_two_set_entries,
@@ -214,6 +217,75 @@ class TestBuild:
         err = capsys.readouterr().err
         where = f"{bad}:" if line_no is None else f"{bad}:{line_no}:"
         assert err.count("\n") == 1 and err.startswith(f"error: {where} ")
+
+    # rows 2-6 of CRICKET_WEIGHTS are cricket, wicket keeper, umpire, bat
+    # and match; rows 1-2 of CRICKET_SYNTABLE are match and umpire
+    @pytest.mark.parametrize(
+        "weights_text, syntable_text, bad, line_no, expected",
+        [
+            pytest.param(CRICKET_WEIGHTS + "\t0.5\n", None, "weights", 7, (("", 0.5),),
+                         id="empty-term"),
+            pytest.param(CRICKET_WEIGHTS + "!!\t0.5\n", None, "weights", 7, (("", 0.5),),
+                         id="punctuation-term"),
+            pytest.param(CRICKET_WEIGHTS + "Cricket\t0.5\n", None, "weights", 7,
+                         (("cricket", 0.9), ("cricket", 0.5)), id="duplicate-term"),
+            pytest.param(CRICKET_WEIGHTS + "bad\t1.5\n", None, "weights", 7, (("bad", 1.5),),
+                         id="weight-1.5"),
+            pytest.param(CRICKET_WEIGHTS + "bad\t-0.1\n", None, "weights", 7, (("bad", -0.1),),
+                         id="weight--0.1"),
+            pytest.param(CRICKET_WEIGHTS + "bad\tinf\n", None, "weights", 7,
+                         (("bad", math.inf),), id="weight-inf"),
+            pytest.param(CRICKET_WEIGHTS + "bad\tnan\n", None, "weights", 7,
+                         "weight 'nan' is not a number", id="weight-nan"),
+            pytest.param(CRICKET_WEIGHTS + "bad\t abc\n", None, "weights", 7,
+                         "weight 'abc' is not a number", id="weight-abc"),
+            pytest.param(None, "match\tgame,,fixture\n", "syntable", 1,
+                         (("match", 0.1, ("game", "", "fixture")),), id="empty-synonym"),
+            pytest.param(None, "# s\nmatch\tgame,Match\n", "syntable", 2,
+                         (("match", 0.1, ("game", "match")),), id="synonym-is-the-term"),
+            pytest.param(None, "match\tgame,GAME\n", "syntable", 1,
+                         (("match", 0.1, ("game", "game")),), id="repeated-synonym"),
+            # the ontology reaches umpire's row before match's: weight-table order
+            pytest.param(None, "match\tgame\numpire\tgame\n", "syntable", 1,
+                         (("umpire", 0.4, ("game",)), ("match", 0.1, ("game",))),
+                         id="shared-synonym"),
+            pytest.param(None, "match\tgame\nStump\tstick\n", "syntable", 2,
+                         "term 'stump' is not in the weight table", id="unknown-syntable-term"),
+            pytest.param(None, "match\tgame\nmatch\tfixture\n", "syntable", 2,
+                         "duplicate row for term 'match'", id="duplicate-syntable-row"),
+            pytest.param(CRICKET_WEIGHTS + "bad\t1.5\n", "stump\tstick\n", "weights", 7,
+                         (("bad", 1.5),), id="weight-before-unknown-syntable-term"),
+            pytest.param(CRICKET_WEIGHTS + "bad\t1.5\n", "match\tgame\numpire\tgame\n",
+                         "weights", 7, (("bad", 1.5),), id="weight-before-shared-synonym"),
+        ],
+    )
+    def test_bad_ontology_file_names_its_line(
+        self, tmp_path, cricket_files, capsys,
+        weights_text, syntable_text, bad, line_no, expected,
+    ):
+        """A fault in a weight table or syntable fails the build with one
+        stderr line, ``error: <file>:<line>: <message>``, and writes no
+        index. A term, weight or synonym fault carries the message that an
+        Ontology made directly from such terms raises, and a weight-table
+        fault is named before a syntable one."""
+        weights, syntable, limits = cricket_files
+        weights.write_text(weights_text or CRICKET_WEIGHTS, encoding="utf-8")
+        syntable.write_text(syntable_text or CRICKET_SYNTABLE, encoding="utf-8")
+        corpus_path = tmp_path / "c.jsonl"
+        write_corpus(corpus_path, [("a", [], "cricket")])
+        out = tmp_path / "i.json"
+        code = main(
+            ["build", str(corpus_path), "--ontology", f"{weights}:{syntable}",
+             "--limits", str(limits), "--out", str(out)]
+        )
+        assert code == 1
+        assert not out.exists()
+        if not isinstance(expected, str):
+            with pytest.raises(ValidationError) as direct:
+                Ontology(1, "direct", tuple(OntologyTerm(*row) for row in expected), 0.0)
+            expected = str(direct.value)
+        path = weights if bad == "weights" else syntable
+        assert capsys.readouterr().err == f"error: {path}:{line_no}: {expected}\n"
 
     def test_empty_seed_list_is_one_line_error(self, tmp_path, cricket_files, capsys):
         weights, syntable, limits = cricket_files
@@ -443,6 +515,36 @@ class TestQuery:
     def test_missing_index_is_io_error(self, tmp_path, capsys):
         code = main(["query", str(tmp_path / "nope.json"), "--search", "x"])
         assert code == 2
+
+    @staticmethod
+    def unread_stdin(monkeypatch) -> None:
+        class Unread(io.StringIO):
+            def __iter__(self):
+                raise AssertionError("read stdin before checking the arguments")
+
+        monkeypatch.setattr("sys.stdin", Unread("cricket\n"))
+
+    def test_bad_limit_is_rejected_before_the_load(self, tmp_path, capsys):
+        """A bad ``--limit`` is a usage error even where the index is missing."""
+        code = main(["query", str(tmp_path / "nope.json"), "--search", "x", "--limit", "0"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: result_limit must be >= 1, got 0\n"
+
+    def test_repl_rejects_a_bad_limit_before_reading_stdin(
+        self, built_index, capsys, monkeypatch
+    ):
+        self.unread_stdin(monkeypatch)
+        code = main(["query", str(built_index), "--repl", "--limit", "0"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: result_limit must be >= 1, got 0\n"
+
+    def test_repl_rejects_an_unknown_ontology_before_reading_stdin(
+        self, built_index, capsys, monkeypatch
+    ):
+        self.unread_stdin(monkeypatch)
+        code = main(["query", str(built_index), "--repl", "--ontology", "9"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: unknown ontology id 9\n"
 
     def test_repl_reads_stdin(self, built_index, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("wicket keeper\n\numpire\n"))

@@ -12,6 +12,7 @@ from ibagsearch import (
     Ontology,
     OntologyTerm,
     Query,
+    ValidationError,
     build_ibag,
     build_rpag,
     evaluate_index,
@@ -215,6 +216,18 @@ class TestBenchmark:
         with pytest.raises(ValueError, match=f"repeats must be {rule}, got {repeats!r}"):
             run_benchmark([20], queries, 1, repeats=repeats)
 
+    @staticmethod
+    def no_build(*args):
+        raise AssertionError("built a corpus before checking the ontologies")
+
+    def test_rejects_bad_ontologies_before_any_build(self, queries, monkeypatch):
+        monkeypatch.setattr("ibagsearch.evaluation.synth_corpus", self.no_build)
+        with pytest.raises(ValidationError, match="at least one ontology is required"):
+            run_benchmark([50], queries, 1, ontologies=())
+        twice = (flat_ontology(["alpha"]), flat_ontology(["beta"]))
+        with pytest.raises(ValidationError, match="ontology ids must be unique"):
+            run_benchmark([50], queries, 1, ontologies=twice)
+
     def test_single_size_report(self, queries):
         report = run_benchmark([60], queries, 5, repeats=1)
         assert {row.mode for row in report.rows} == {"before_masking", "after_masking"}
@@ -271,10 +284,8 @@ class TestBenchmark:
             BenchReport(4, [], []).write(tmp_path)
         monkeypatch.undo()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["report.csv", "report.json"]
-        assert (tmp_path / failing).read_bytes() == previous[failing]
-        if failing == "report.csv":  # the json was written whole before the csv failed
-            written = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
-            assert written["rng_seed"] == 4
+        # neither file is replaced until both are written whole
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == previous
 
     def test_report_json_holds_exactly_its_three_keys(self, queries, tmp_path):
         json_path, _ = run_benchmark([40], queries, 3, repeats=1).write(tmp_path)
@@ -330,6 +341,14 @@ class TestHRDirection:
         monkeypatch.setattr("ibagsearch.evaluation.synth_corpus", no_build)
         with pytest.raises(ValueError, match=message):
             hr_direction_experiment(**kwargs)
+
+    def test_bad_ontologies_rejected_before_any_build(self, monkeypatch):
+        monkeypatch.setattr("ibagsearch.evaluation.synth_corpus", TestBenchmark.no_build)
+        with pytest.raises(ValidationError, match="at least one ontology is required"):
+            hr_direction_experiment(n_pairs=3, ontologies=())
+        twice = (flat_ontology(["alpha"]), flat_ontology(["beta"]))
+        with pytest.raises(ValidationError, match="ontology ids must be unique"):
+            hr_direction_experiment(n_pairs=3, ontologies=twice)
 
     def test_ratio_none_when_no_valid_pairs(self):
         result = hr_direction_experiment(n_pairs=0)

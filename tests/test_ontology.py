@@ -180,6 +180,18 @@ class TestLoadOntology:
         with pytest.raises(ValidationError, match="1.5"):
             load_ontology(bad, syntable, load_limits(limits))
 
+    def test_weights_zero_and_one_are_in_range(self, tmp_path, cricket_files):
+        _, syntable, limits = cricket_files
+        weights = tmp_path / "w.tsv"
+        weights.write_text("cricket\t0\nmatch\t1\numpire\t0.4\n", encoding="utf-8")
+        ontology = load_ontology(weights, syntable, load_limits(limits))
+        assert ontology.weights == (0.0, 1.0, 0.4)
+
+    def test_id_and_name_default_to_one_and_the_weight_table(self, cricket_files):
+        weights, syntable, limits = cricket_files
+        ontology = load_ontology(weights, syntable, load_limits(limits))
+        assert (ontology.ontology_id, ontology.name) == (1, "cricket-weights")
+
     def test_malformed_row_reports_line_number(self, tmp_path, cricket_files):
         _, syntable, limits = cricket_files
         bad = tmp_path / "bad.tsv"
@@ -205,7 +217,7 @@ class TestLoadOntology:
         weights, _, limits = cricket_files
         bad = tmp_path / "syn.tsv"
         bad.write_text("match\tgame\numpire\tgame\n", encoding="utf-8")
-        with pytest.raises(ValidationError, match="already belongs"):
+        with pytest.raises(ValidationError, match="is shared by"):
             load_ontology(weights, bad, load_limits(limits))
 
     def test_comments_and_blank_lines_ignored(self, tmp_path, cricket_files):
