@@ -45,13 +45,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _range_arg(text: str) -> tuple[float, float]:
-    try:
-        return parse_relevance_range(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
 def _configure_logging() -> None:
     level_name = os.environ.get("IBAG_SEARCH_LOG", "").strip().lower()
     level = {"debug": logging.DEBUG, "info": logging.INFO}.get(level_name, logging.WARNING)
@@ -82,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_query.add_argument("index", help="index file written by build")
     p_query.add_argument("--search", default=None, help="search string")
     p_query.add_argument(
-        "--range", type=_range_arg, default=Query.relevance_range, metavar="LO:HI",
+        "--range", default=None, metavar="LO:HI",
         help="mean relevance range (default 0:inf)",
     )
     p_query.add_argument("--ontology", type=int, default=1, help="ontology id (default 1)")
@@ -199,7 +192,8 @@ def cmd_query(args: argparse.Namespace) -> int:
         raise ValueError("either --search or --repl is required")
     # the query's own arguments are checked before the load, its ontology
     # id right after it, and both before a line of stdin is read
-    query = Query(args.search or "", args.ontology, args.range, args.limit)
+    bounds = Query.relevance_range if args.range is None else parse_relevance_range(args.range)
+    query = Query(args.search or "", args.ontology, bounds, args.limit)
     bundle = _load_for_process(args.index)
     bundle.ibag.ontology_by_id(args.ontology)
     use_synonyms = not args.no_mask_synonyms

@@ -95,9 +95,7 @@ def compare_modes(
     """
     ontology = ibag.ontology_by_id(query.ontology_id)
     mask = gen_mask_bit_pattern(query.search_string, ontology, use_synonyms=use_synonyms)
-    slices, selected_count, visited = select_columns(
-        ibag, query.relevance_range, query.ontology_id
-    )
+    slices, selected_count, visited = select_columns(ibag, query)
     selected = [p for p_ids, start, stop in slices for p in p_ids[start:stop]]
     before = selected[: query.result_limit]
     page_bits = patterns.bits_for_ontology(query.ontology_id)
@@ -265,6 +263,10 @@ def run_benchmark(
 
         ontologies = default_ontologies()
     ontologies = _checked_ontologies(ontologies)
+    known = {ont.ontology_id for ont in ontologies}
+    for query in queries:
+        if query.ontology_id not in known:
+            raise ValueError(f"unknown ontology id {query.ontology_id}")
 
     rows: list[BenchRow] = []
     for size in sizes:

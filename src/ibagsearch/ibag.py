@@ -24,9 +24,10 @@ holds its graph node's ``relevance`` mapping, the same one, and its
 Queries do not walk the chains. Per ontology and level, the index also
 keeps two parallel columns over that level's supporters in level order:
 their p_ids and their negated means (ascending). :func:`select_columns`
-finds a relevance range in each column by bisection and counts the pages
-selected and the nodes the chain walk would visit by index arithmetic, so
-a query pays for the pages it returns, not for every supporter.
+finds a checked ``search.Query``'s range in each column by bisection and
+counts the pages selected and the nodes the chain walk would visit by
+index arithmetic, so a query pays for the pages it returns, not for every
+supporter.
 :func:`select_by_range` and :meth:`IBAG.iter_chain`, the chain walk, are
 the reference that the tests compare it with.
 
@@ -55,6 +56,7 @@ from .relevance import GraphScores, PageRelevance
 
 if TYPE_CHECKING:
     from .rpag import RPaG
+    from .search import Query
 
 
 class IBAGNode(NamedTuple):
@@ -308,13 +310,10 @@ def select_by_range(
     return selected, visited
 
 
-def select_columns(
-    ibag: IBAG,
-    relevance_range: tuple[float, float],
-    ontology_id: int,
-) -> tuple[RangeSlices, int, int]:
-    """The selection of :func:`select_by_range`, found in the supporter
-    columns by bisection instead of a walk.
+def select_columns(ibag: IBAG, query: Query) -> tuple[RangeSlices, int, int]:
+    """The selection of :func:`select_by_range` for a ``search.Query``,
+    whose range is ordered and not NaN, found in the supporter columns by
+    bisection instead of a walk.
 
     Returns one ``(p_ids, start, stop)`` per level that selects anything,
     whose ``p_ids[start:stop]`` in level order make up the selection in
@@ -322,13 +321,11 @@ def select_columns(
     chain walk visits: every supporter with mean >= ``lo``, plus one per
     level that also has a supporter below ``lo``, where the walk stops.
     """
-    lo, hi = relevance_range
-    if not lo <= hi:  # NaN bounds too
-        raise ValueError(f"invalid relevance range [{lo}, {hi}]")
+    lo, hi = query.relevance_range
     try:
-        columns = ibag.columns[ontology_id]
+        columns = ibag.columns[query.ontology_id]
     except KeyError:
-        raise ValueError(f"unknown ontology id {ontology_id}") from None
+        raise ValueError(f"unknown ontology id {query.ontology_id}") from None
     neg_lo, neg_hi = -lo, -hi
     slices: RangeSlices = []
     selected = visited = 0

@@ -8,7 +8,8 @@ bit with a nonzero mask, which is what the paper's XOR test
 (:func:`mask_match`) decides. The chain walk :func:`select_by_range` and
 the XOR filter :func:`find_predicted_webpage_list` are the reference the
 tests compare these paths with. A query's answer is a
-:class:`SearchOutcome` named tuple.
+:class:`SearchOutcome` named tuple. :class:`Query` is the one check of a
+query's range and limit, and :func:`select_columns` takes it checked.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from numbers import Real
 from typing import NamedTuple
 
 from .bitmask import PatternStore, gen_mask_bit_pattern
-from .errors import check_int
+from .errors import check_count, check_int
 from .ibag import IBAG, RangeSlices, select_columns
 
 # the reference paths, not called here: the benchmark's traced run wraps them
@@ -33,19 +34,14 @@ AFTER_MASKING = "after_masking"
 
 
 def parse_relevance_range(text: str) -> tuple[float, float]:
-    """Parse a ``lo:hi`` range; ``inf`` is accepted as the upper bound."""
+    """Parse the ``lo:hi`` syntax, two floats (``inf`` too); :class:`Query` checks them."""
     parts = text.split(":")
     if len(parts) != 2:
         raise ValueError(f"range {text!r} must look like lo:hi")
     try:
-        lo, hi = float(parts[0]), float(parts[1])
+        return float(parts[0]), float(parts[1])
     except ValueError:
         raise ValueError(f"range {text!r} has non-numeric bounds") from None
-    if math.isnan(lo) or math.isnan(hi):
-        raise ValueError(f"range {text!r} has NaN bounds")
-    if lo > hi:
-        raise ValueError(f"range {text!r} has lo > hi")
-    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -65,7 +61,7 @@ class Query:
         if not isinstance(self.search_string, str):
             raise ValueError(f"search_string must be a str, got {self.search_string!r}")
         check_int(self.ontology_id, "ontology_id")
-        check_int(self.result_limit, "result_limit")
+        check_count(self.result_limit, "result_limit")
         if not isinstance(self.relevance_range, tuple) or len(self.relevance_range) != 2:
             raise ValueError(f"relevance_range must be a 2-tuple, got {self.relevance_range!r}")
         lo, hi = self.relevance_range
@@ -76,8 +72,6 @@ class Query:
             raise ValueError(f"relevance range [{lo}, {hi}] has NaN bounds")
         if lo > hi:
             raise ValueError(f"invalid relevance range [{lo}, {hi}]")
-        if self.result_limit < 1:
-            raise ValueError(f"result_limit must be >= 1, got {self.result_limit}")
 
 
 class SearchOutcome(NamedTuple):
@@ -140,7 +134,7 @@ def _results(ibag: IBAG, chosen: list[int]) -> tuple[tuple[str, float], ...]:
 def search_before_masking(query: Query, ibag: IBAG) -> SearchOutcome:
     """Baseline: the first ``result_limit`` range-selected pages, unfiltered."""
     start = time.perf_counter()
-    slices, selected, visited = select_columns(ibag, query.relevance_range, query.ontology_id)
+    slices, selected, visited = select_columns(ibag, query)
     results = _results(ibag, first_pages(slices, query.result_limit))
     elapsed = time.perf_counter() - start
     return SearchOutcome(BEFORE_MASKING, results, selected, visited, elapsed)
@@ -156,7 +150,7 @@ def search_after_masking(
     ontology = ibag.ontology_by_id(query.ontology_id)
     start = time.perf_counter()
     mask = gen_mask_bit_pattern(query.search_string, ontology, use_synonyms)
-    slices, selected, visited = select_columns(ibag, query.relevance_range, query.ontology_id)
+    slices, selected, visited = select_columns(ibag, query)
     page_bits = patterns.bits_for_ontology(query.ontology_id)
     results = _results(
         ibag, first_matching_pages(slices, page_bits, mask.bits, query.result_limit)

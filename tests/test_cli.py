@@ -156,23 +156,6 @@ class TestBuild:
             pytest.param(
                 "limits.cfg", "# limits\nterm_relevance_limit.!!=1.0\n", 2, id="limits-empty-term"
             ),
-            pytest.param("cricket-weights.tsv", "# w\n!!\t0.5\n", 2, id="weights-empty-term"),
-            pytest.param(
-                "cricket-weights.tsv", "# w\ncricket\theavy\n", 2, id="weights-not-a-number"
-            ),
-            pytest.param("cricket-syntable.tsv", "# s\nmatch\n", 2, id="syntable-one-column"),
-            pytest.param(
-                "cricket-syntable.tsv", "match\tgame\nmatch\tfixture\n", 2,
-                id="syntable-duplicate-row",
-            ),
-            pytest.param(
-                "cricket-syntable.tsv", "# s\nmatch\tgame,,fixture\n", 2,
-                id="syntable-empty-synonym",
-            ),
-            pytest.param(
-                "cricket-syntable.tsv", "# s\nmatch\tgame,match\n", 2,
-                id="syntable-synonym-is-the-term",
-            ),
             pytest.param("c.jsonl", "\n[]\n", 2, id="corpus-not-an-object"),
             pytest.param("c.jsonl", '\n{"links": [], "text": ""}\n', 2, id="corpus-no-url"),
             pytest.param(
@@ -183,6 +166,8 @@ class TestBuild:
             pytest.param("queries.tsv", "# q\ncricket\t0:1\t5\tx\n", 2, id="queries-four-columns"),
             pytest.param("queries.tsv", "# q\n \t0:1\n", 2, id="queries-empty-search"),
             pytest.param("queries.tsv", "# q\ncricket\tlow:high\n", 2, id="queries-bad-range"),
+            pytest.param("queries.tsv", "# q\ncricket\t2:1\n", 2, id="queries-inverted-range"),
+            pytest.param("queries.tsv", "# q\ncricket\tnan:1\n", 2, id="queries-nan-range"),
             pytest.param("queries.tsv", "# q\ncricket\t0:1\tfive\n", 2, id="queries-bad-limit"),
             pytest.param("queries.tsv", "# q\ncricket\t0:1\t0\n", 2, id="queries-zero-limit"),
         ],
@@ -253,6 +238,9 @@ class TestBuild:
                          "term 'stump' is not in the weight table", id="unknown-syntable-term"),
             pytest.param(None, "match\tgame\nmatch\tfixture\n", "syntable", 2,
                          "duplicate row for term 'match'", id="duplicate-syntable-row"),
+            pytest.param(None, "# s\nmatch\n", "syntable", 2,
+                         "expected 'term<TAB>syn1,syn2,...', got 'match'",
+                         id="syntable-one-column"),
             pytest.param(CRICKET_WEIGHTS + "bad\t1.5\n", "stump\tstick\n", "weights", 7,
                          (("bad", 1.5),), id="weight-before-unknown-syntable-term"),
             pytest.param(CRICKET_WEIGHTS + "bad\t1.5\n", "match\tgame\numpire\tgame\n",
@@ -349,10 +337,18 @@ class TestQuery:
         assert code == 1
         assert "result_limit" in capsys.readouterr().err
 
-    def test_malformed_range_is_usage_error(self, built_index, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["query", str(built_index), "--search", "x", "--range", "nonsense"])
-        assert excinfo.value.code == 1
+    def test_malformed_range_is_usage_error(self, tmp_path, capsys):
+        """Every bad ``--range`` is exit 1 and one stderr line, before the
+        index is read: a read of the missing index would be exit 2."""
+        expected = {
+            "nonsense": "range 'nonsense' must look like lo:hi",
+            "1": "range '1' must look like lo:hi",
+            "2:1": "invalid relevance range [2.0, 1.0]",
+            "nan:1": "relevance range [nan, 1.0] has NaN bounds",
+        }
+        for text, message in expected.items():
+            code = main(["query", str(tmp_path / "nope.json"), "--search", "x", "--range", text])
+            assert (code, capsys.readouterr().err) == (1, f"error: {message}\n"), text
 
     def test_search_or_repl_required(self, built_index, capsys):
         code = main(["query", str(built_index)])

