@@ -1,6 +1,7 @@
 """Command-line interface: build an index, query it, benchmark and evaluate.
 
-Exit codes: 0 success, 1 validation or usage error, 2 I/O error. The
+Exit codes: 0 success, 1 validation or usage error, 2 I/O error. Every
+fault, a malformed option included, is one stderr line. The
 ``IBAG_SEARCH_LOG`` environment variable (``debug`` or ``info``) controls
 log verbosity.
 """
@@ -17,7 +18,7 @@ from typing import TYPE_CHECKING, Sequence
 from .bundle import IndexBundle
 from .collector import collector_paused
 from .corpus import load_corpus
-from .errors import IbagSearchError
+from .errors import IbagSearchError, check_count
 from .ontology import load_limits, load_ontology
 from .search import (
     BEFORE_MASKING,
@@ -38,11 +39,11 @@ log = logging.getLogger(__name__)
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on usage errors; remap to the validation exit code."""
+    """Raise argparse's usage faults, so that ``main`` reports them as it
+    does every other fault: one ``error:`` line and exit code 1."""
 
     def error(self, message: str) -> None:  # type: ignore[override]
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        raise ValueError(message)
 
 
 def _configure_logging() -> None:
@@ -73,7 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_query = sub.add_parser("query", help="query a built index")
     p_query.add_argument("index", help="index file written by build")
-    p_query.add_argument("--search", default=None, help="search string")
+    p_query_input = p_query.add_mutually_exclusive_group(required=True)
+    p_query_input.add_argument("--search", default=None, help="search string")
     p_query.add_argument(
         "--range", default=None, metavar="LO:HI",
         help="mean relevance range (default 0:inf)",
@@ -90,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-mask-synonyms", action="store_true",
         help="mask only literal term occurrences in the search string",
     )
-    p_query.add_argument(
+    p_query_input.add_argument(
         "--repl", action="store_true",
         help="read search strings from stdin, one per line, until end of input",
     )
@@ -188,8 +190,6 @@ def _run_query(bundle: IndexBundle, query: Query, mode: str, use_synonyms: bool)
 
 
 def cmd_query(args: argparse.Namespace) -> int:
-    if not args.repl and args.search is None:
-        raise ValueError("either --search or --repl is required")
     # the query's own arguments are checked before the load, its ontology
     # id right after it, and both before a line of stdin is read
     bounds = Query.relevance_range if args.range is None else parse_relevance_range(args.range)
@@ -197,17 +197,10 @@ def cmd_query(args: argparse.Namespace) -> int:
     bundle = _load_for_process(args.index)
     bundle.ibag.ontology_by_id(args.ontology)
     use_synonyms = not args.no_mask_synonyms
-    if args.repl:
-        for line in sys.stdin:
-            search_string = line.strip()
-            if not search_string:
-                continue
-            _run_query(
-                bundle, replace(query, search_string=search_string), args.mode, use_synonyms
-            )
-            sys.stdout.flush()
-        return 0
-    _run_query(bundle, query, args.mode, use_synonyms)
+    searches = filter(None, map(str.strip, sys.stdin)) if args.repl else [query.search_string]
+    for search_string in searches:
+        _run_query(bundle, replace(query, search_string=search_string), args.mode, use_synonyms)
+        sys.stdout.flush()
     return 0
 
 
@@ -238,8 +231,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     from . import bundled
     from .evaluation import BenchReport, aggregate_runs, evaluate_index, hr_direction_counts
 
-    bundle = _load_for_process(args.index)
+    # the arguments are checked before the load, as ``query`` checks its own
+    check_count(args.repeats, "repeats")
     queries = bundled.load_query_file(args.queries, default_ontology_id=args.ontology)
+    bundle = _load_for_process(args.index)
     runs = evaluate_index(bundle.ibag, bundle.patterns, queries, repeats=args.repeats)
     report = BenchReport.from_runs(0, aggregate_runs(len(bundle.ibag), runs), runs)
     print(report.csv_text(), end="")
@@ -254,8 +249,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     _configure_logging()
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except (IbagSearchError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -160,19 +160,11 @@ class BenchRow:
     hr_mean: float | None
 
 
-@dataclass(frozen=True)
-class QueryDiagnostics:
-    search_string: str
-    ontology_id: int
-    result_limit: int
-    term_count: int
-
-
 @dataclass
 class BenchReport:
     rng_seed: int
     rows: list[BenchRow]
-    queries: list[QueryDiagnostics]
+    queries: list[dict]
 
     @classmethod
     def from_runs(
@@ -180,12 +172,12 @@ class BenchReport:
     ) -> "BenchReport":
         """A report over ``rows``, with one diagnostics entry per query run."""
         queries = [
-            QueryDiagnostics(
-                search_string=run.query.search_string,
-                ontology_id=run.query.ontology_id,
-                result_limit=run.query.result_limit,
-                term_count=run.modes.term_count,
-            )
+            {
+                "search_string": run.query.search_string,
+                "ontology_id": run.query.ontology_id,
+                "result_limit": run.query.result_limit,
+                "term_count": run.modes.term_count,
+            }
             for run in runs
         ]
         return cls(rng_seed, rows, queries)

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import math
+import re
 
 import pytest
 
@@ -354,6 +355,19 @@ class TestQuery:
         code = main(["query", str(built_index)])
         assert code == 1
 
+    def test_repl_prints_what_search_prints(self, built_index, capsys, monkeypatch):
+        """A ``--repl`` line is answered as ``--search`` answers the same
+        string; a blank line is skipped."""
+
+        def output(*args: str) -> str:
+            assert main(["query", str(built_index), "--mode", "both", *args]) == 0
+            return re.sub(r"elapsed_us=\S+", "elapsed_us=", capsys.readouterr().out)
+
+        searched = output("--search", "wicket keeper")
+        monkeypatch.setattr("sys.stdin", io.StringIO("wicket keeper\n\n"))
+        assert output("--repl") == searched
+        assert "== harvest ==" in searched
+
     @pytest.mark.parametrize(
         "tamper",
         [
@@ -627,6 +641,23 @@ class TestEval:
         assert "hr direction" in out
         assert (tmp_path / "evalout" / "report.csv").exists()
 
+    def test_bad_repeats_is_rejected_before_the_load(self, tmp_path, capsys):
+        """A read of the missing index would be exit 2."""
+        queries = tmp_path / "queries.tsv"
+        queries.write_text("cricket\n", encoding="utf-8")
+        code = main(["eval", "--index", str(tmp_path / "nope.json"), "--queries", str(queries),
+                     "--repeats", "0"])
+        assert (code, capsys.readouterr().err) == (1, "error: repeats must be >= 1, got 0\n")
+
+    def test_bad_query_line_is_rejected_before_the_load(self, tmp_path, capsys):
+        queries = tmp_path / "queries.tsv"
+        queries.write_text("cricket\numpire\t2:1\n", encoding="utf-8")
+        code = main(["eval", "--index", str(tmp_path / "nope.json"), "--queries", str(queries)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {queries}:2: ")
+        assert err.count("\n") == 1
+
 
 class TestCollectorFreeze:
     """``query`` and ``eval`` own their process and keep the index to its
@@ -671,15 +702,52 @@ class TestCollectorFreeze:
 
 
 class TestParser:
-    def test_no_command_is_usage_error(self):
-        with pytest.raises(SystemExit) as excinfo:
-            main([])
-        assert excinfo.value.code == 1
+    @staticmethod
+    def one_error_line(capsys) -> str:
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        return captured.err
 
-    def test_unknown_command_is_usage_error(self):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["frobnicate"])
-        assert excinfo.value.code == 1
+    def test_no_command_is_usage_error(self, capsys):
+        assert main([]) == 1
+        self.one_error_line(capsys)
+
+    def test_unknown_command_is_usage_error(self, capsys):
+        assert main(["frobnicate"]) == 1
+        self.one_error_line(capsys)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["query", "idx", "--search", "x", "--limit", "x"],
+             "argument --limit: invalid int value: 'x'"),
+            (["query", "idx", "--search", "x", "--ontology", "x"],
+             "argument --ontology: invalid int value: 'x'"),
+            (["query", "idx", "--search", "x", "--mode", "sideways"],
+             "argument --mode: invalid choice: 'sideways'"),
+            (["query", "idx", "--search", "x", "--range", "-1:2"],
+             "argument --range: expected one argument"),
+            (["query", "idx", "--search", "x", "--frob"], "unrecognized arguments: --frob"),
+            (["query", "idx"], "one of the arguments --search --repl is required"),
+            (["query", "idx", "--search", "x", "--repl"],
+             "argument --repl: not allowed with argument --search"),
+            (["build", "c.jsonl"], "the following arguments are required: --ontology"),
+            (["bench", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+            (["eval", "--repeats", "x"], "argument --repeats: invalid int value: 'x'"),
+        ],
+        ids=[
+            "limit-not-int", "ontology-not-int", "unknown-mode", "range-starts-with-dash",
+            "unknown-option", "neither-search-nor-repl", "search-and-repl",
+            "build-options-missing", "seed-not-int", "repeats-not-int",
+        ],
+    )
+    def test_argparse_fault_is_one_line(self, capsys, args, message):
+        """A fault that argparse finds is reported as every other fault is:
+        exit 1, nothing on stdout and one stderr line, with no usage block."""
+        assert main(args) == 1
+        assert self.one_error_line(capsys).startswith(f"error: {message}")
 
     def test_module_entry_point(self, tmp_path):
         import os
