@@ -48,7 +48,7 @@ fault when one fails:
   distinct pattern is rendered in hex once for that comparison.
 
 At debug level a load logs one ``key=value`` event with the time of each
-of these steps (:meth:`IndexBundle.load`).
+of these steps (:meth:`IndexBundle.load`), and a save one with its size.
 
 A load never calls ``gc.freeze()``: a freeze holds for the whole process.
 The ``query`` and ``eval`` commands, which own their process, freeze the
@@ -77,7 +77,7 @@ from .rpag import RPaG, build_rpag
 
 log = logging.getLogger(__name__)
 
-FORMAT_VERSION = "3"
+FORMAT_VERSION = "4"
 # a saved file begins with its digest member: '{"digest":"<64 hex>",'
 _DIGEST_OPEN = b'{"digest":"'
 _BODY_START = len(_DIGEST_OPEN) + 64 + len(b'",')
@@ -257,7 +257,7 @@ class IndexBundle:
         with collector_paused():
             data = self.canonical_bytes()
         write_atomically((path, data))
-        log.debug("saved index bundle to %s", path)
+        log.debug("event=save bytes=%d path=%s", len(data), path)
 
     @staticmethod
     def load(path: str | Path) -> "IndexBundle":

@@ -266,7 +266,7 @@ def run_benchmark(
         bundle = IndexBundle.build(corpus, ontologies)
         runs = evaluate_index(bundle.ibag, bundle.patterns, queries, repeats=repeats)
         rows.extend(aggregate_runs(size, runs))
-        log.info("benchmarked size %d: %d index pages", size, len(bundle.ibag))
+        log.info("event=bench size=%d nodes=%d", size, len(bundle.ibag))
     # a run's term count depends only on its query, so every size gives the same diagnostics
     return BenchReport.from_runs(rng_seed, rows, runs)
 
@@ -347,9 +347,10 @@ def hr_direction_experiment(
 ) -> HRDirectionResult:
     """Seeded (corpus, query) pairs comparing harvest rates of both modes.
 
-    Each pair uses the full [min, max] mean-relevance range, so the
-    selection covers every supporting page. The pairs count as
-    :func:`hr_direction_counts` counts them.
+    Each pair uses :class:`Query`'s default range, which selects every
+    supporting page, as the index's [min, max] mean range would. The pairs
+    count as :func:`hr_direction_counts` counts them: an index with no
+    supporting page gives no defined rate, so its pair does not count.
     """
     check_int(n_pairs, "n_pairs")
     if n_pairs < 0:
@@ -377,15 +378,7 @@ def hr_direction_experiment(
 
         corpus = synth_corpus(corpus_seed, n_docs, ontologies)
         bundle = IndexBundle.build(corpus, ontologies)
-        bounds = bundle.ibag.mean_value_bounds()
-        if bounds is None:
-            continue
-        query = Query(
-            search_string=search_string,
-            ontology_id=ontology.ontology_id,
-            relevance_range=bounds,
-            result_limit=k,
-        )
+        query = Query(search_string, ontology.ontology_id, result_limit=k)
         comparisons.append(compare_modes(query, bundle.ibag, bundle.patterns))
     valid, after_ge_before = hr_direction_counts(comparisons)
     return HRDirectionResult(

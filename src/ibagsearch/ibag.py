@@ -260,7 +260,7 @@ def build_ibag(rpag: RPaG) -> IBAG:
     append = levels.append
     for pp_id in pp_ids:  # a parent comes before its child
         append(0 if pp_id is None else levels[pp_id] + 1)
-    # in ontology order, not dict order, so the float sum is fixed
+    # in ontology order, which is ascending id order, so the float sum is fixed
     ids = [ont.ontology_id for ont in rpag.ontologies]
     values = [scores.tables[ont_id].field("relevance_value") for ont_id in ids]
     means = _means(values, [scores.supports[ont_id] for ont_id in ids])

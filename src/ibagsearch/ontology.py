@@ -2,8 +2,8 @@
 
 An ontology is an ordered list of weighted domain terms. Each term may
 carry synonyms and a per-term relevance cutoff; its index in the list is
-its bit position in page and query bit patterns, and an index file keeps
-that position only as a check.
+its bit position in page and query bit patterns, and an index file lists
+the terms in that order.
 
 The :class:`Ontology` constructor is the one check of every term, weight
 and synonym; the file readers check only their files' syntax, and
@@ -293,30 +293,24 @@ class Ontology:
                     "weight": t.weight,
                     "synonyms": list(t.synonyms),
                     "term_relevance_limit": t.term_relevance_limit,
-                    "bit_position": i,
                 }
-                for i, t in enumerate(self.terms)
+                for t in self.terms
             ],
         }
 
     @staticmethod
     def from_json_obj(obj: object) -> "Ontology":
         """Read an index file's ontology object. Only keys and containers are
-        checked here, and each term's stored ``bit_position`` against its
-        index; the constructor checks every value."""
+        checked here; the constructor checks every value."""
         raw_terms, ontology_id, name, relevance_limit = json_fields(
             obj, "ontology", terms=list, ontology_id=object, name=object, relevance_limit=object
         )
         terms = []
-        for i, raw in enumerate(raw_terms):
-            term, weight, synonyms, term_limit, bit_position = json_fields(
+        for raw in raw_terms:
+            term, weight, synonyms, term_limit = json_fields(
                 raw, "ontology term", term=object, weight=object, synonyms=list,
-                term_relevance_limit=object, bit_position=int,
+                term_relevance_limit=object,
             )
-            if bit_position != i:
-                raise ValidationError(
-                    f"term {term!r} has bit_position {bit_position}, expected {i}"
-                )
             terms.append(OntologyTerm(term, weight, tuple(synonyms), term_limit))
         return Ontology(ontology_id, name, tuple(terms), relevance_limit)
 

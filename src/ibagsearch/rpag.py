@@ -280,14 +280,15 @@ ROW_FACTS = (
 
 
 def _checked_ontologies(ontologies: Sequence[Ontology]) -> tuple[Ontology, ...]:
-    """The ontologies as a tuple: at least one, their ids unique. A crawl
-    and a load both check them here."""
+    """The ontologies as a tuple: at least one, their ids strictly
+    ascending, so a set of ontologies has one order and every sum over them
+    one result. A crawl, a load and the harness all check them here."""
     ontologies = tuple(ontologies)
     if not ontologies:
         raise ValidationError("at least one ontology is required")
     ids = [ont.ontology_id for ont in ontologies]
-    if len(set(ids)) != len(ids):
-        raise ValidationError("ontology ids must be unique")
+    if any(b <= a for a, b in zip(ids, ids[1:])):
+        raise ValidationError(f"ontology ids must be unique and ascending, got {ids}")
     return ontologies
 
 
@@ -357,6 +358,6 @@ def build_rpag(corpus: Corpus, ontologies: Sequence[Ontology]) -> RPaG:
                 if len(link_parents) < MAX_PARENTS and p_id not in link_parents:
                     link_parents.append(p_id)
 
-    log.debug("built relevance graph: %d nodes from %d documents", len(urls), len(corpus))
+    log.debug("event=crawl docs=%d nodes=%d", len(corpus), len(urls))
     scores = {ont.ontology_id: table for ont, (table, _) in zip(ontologies, tables)}
     return RPaG(ontologies, GraphColumns(urls, pp_ids, GraphScores(scores)))

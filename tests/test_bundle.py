@@ -34,6 +34,7 @@ from ibagsearch import (
 from ibagsearch import bundle as bundle_module
 from ibagsearch.bitmask import _to_hex, gen_webpage_bit_pattern
 from ibagsearch.bundled import default_queries
+from ibagsearch.evaluation import run_benchmark
 from ibagsearch.ontology import normalize_text
 from ibagsearch.relevance import page_relevance, relevance_from_counts
 from conftest import (
@@ -94,7 +95,10 @@ class TestRoundTrip:
     def test_file_holds_only_inputs_and_patterns(self, bundle, tmp_path):
         obj = saved_obj(bundle, tmp_path / "index.json")
         assert set(obj) == {"digest", "format_version", "ontologies", "rpag", "patterns"}
-        assert obj["format_version"] == "3"
+        assert obj["format_version"] == "4"
+        for ontology in obj["ontologies"]:
+            for term in ontology["terms"]:
+                assert set(term) == {"term", "weight", "synonyms", "term_relevance_limit"}
         graph = obj["rpag"]
         assert set(graph) == {"urls", "pp_ids", "counts"}
         assert len(graph["urls"]) == len(graph["pp_ids"]) == len(bundle.rpag)
@@ -106,7 +110,7 @@ class TestRoundTrip:
             assert len(table["rows"]) == len({tuple(row) for row in table["rows"]})
             assert len(table["rows"]) < len(bundle.rpag)
         assert (tmp_path / "index.json").read_bytes().startswith(
-            b'{"digest":"' + obj["digest"].encode() + b'","format_version":"3",'
+            b'{"digest":"' + obj["digest"].encode() + b'","format_version":"4",'
         )
 
     @pytest.mark.parametrize("seed", [3, 29])
@@ -608,13 +612,14 @@ class TestValidation:
         "edit, message",
         [
             (_no_ontologies, "at least one ontology is required"),
-            (_ontology_twice, "ontology ids must be unique"),
+            (_ontology_twice, "ontology ids must be unique and ascending, got [1, 1]"),
         ],
         ids=["no-ontologies", "ontology-twice"],
     )
     def test_ontology_list_rejected_as_a_build_rejects_it(self, tmp_path, edit, message):
-        """A load checks the ontologies as a crawl does: at least one, each
-        id once. The file is otherwise whole, under a fresh digest."""
+        """A load checks the ontologies as a crawl does: at least one, their
+        ids unique and ascending. The file is otherwise whole, under a fresh
+        digest."""
         ontology = single_term_ontology("topic")
         corpus = make_corpus([("a", ["b"], "topic"), ("b", [], "topic topic")])
         obj = saved_obj(IndexBundle.build(corpus, [ontology]), tmp_path / "built.json")
@@ -622,7 +627,7 @@ class TestValidation:
         path = tmp_path / "index.json"
         path.write_bytes(sealed(obj))
         assert load_fault(path) == message
-        with pytest.raises(ValidationError, match=f"^{message}$"):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             build_rpag(corpus, [Ontology.from_json_obj(raw) for raw in obj["ontologies"]])
 
     @pytest.mark.parametrize(
@@ -1247,6 +1252,24 @@ class TestColumnLayout:
         assert int(fields["nodes"]) == len(loaded.ibag) == len(bundle.rpag)
         tables = loaded.ibag.node_columns.scores.tables
         assert fields["rows"] == ",".join(f"{k}:{len(t.rows)}" for k, t in tables.items())
+
+    def test_every_log_line_is_a_key_value_event(self, bundled_onts, tmp_path, caplog):
+        """A build, a save, a load and a one-size benchmark each log
+        ``event=<name>`` followed by ``key=value`` fields, nothing else."""
+        path = tmp_path / "index.json"
+        with caplog.at_level(logging.DEBUG, logger="ibagsearch"):
+            built = IndexBundle.build(synth_corpus(5, 40, bundled_onts), bundled_onts)
+            built.save(path)
+            IndexBundle.load(path)
+            run_benchmark([40], [Query("cricket", 1)], 1, ontologies=bundled_onts, repeats=1)
+        messages = [r.getMessage() for r in caplog.records if r.name.startswith("ibagsearch")]
+        assert all(re.fullmatch(r"event=[a-z]+( [a-z_]+=\S+)*", m) for m in messages), messages
+        events = [m.split()[0] for m in messages]
+        assert events == ["event=crawl", "event=save", "event=load", "event=crawl", "event=bench"]
+        assert messages[0] == f"event=crawl docs=40 nodes={len(built.ibag)}"
+        assert messages[1] == f"event=save bytes={path.stat().st_size} path={path}"
+        bench_nodes = messages[3].split()[-1]
+        assert messages[4] == f"event=bench size=40 {bench_nodes}"
 
 
 def row_counts(rpag: RPaG) -> dict[int, int]:

@@ -508,17 +508,20 @@ class TestQuery:
             assert section.startswith("".join(f"{page}\t1.800000\n" for page in pages[:20]))
             assert "# results=20 selected=25 " in section
 
-    def test_format_2_index_names_version_and_rebuild(self, built_index, capsys):
-        """An index written before format 3 fails with one line that says
+    @pytest.mark.parametrize("version", ["2", "3"])
+    def test_older_format_index_names_version_and_rebuild(self, built_index, capsys, version):
+        """An index written before format 4 fails with one line that says
         how to get a readable one."""
         obj = json.loads(built_index.read_text(encoding="utf-8"))
         del obj["digest"]
-        obj["format_version"] = "2"
+        obj["format_version"] = version
         built_index.write_text(json.dumps(obj), encoding="utf-8")
         code = main(["query", str(built_index), "--search", "cricket"])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {built_index}: unsupported index format version '2'")
+        assert err.startswith(
+            f"error: {built_index}: unsupported index format version '{version}'"
+        )
         assert "rebuild the index with `ibag-search build`" in err
         assert err.count("\n") == 1
 
