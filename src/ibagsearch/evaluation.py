@@ -16,7 +16,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .bitmask import BitPattern, PatternStore, gen_mask_bit_pattern
+from .bitmask import PatternStore, gen_mask_bit_pattern
 from .bundle import IndexBundle, write_atomically
 from .corpus import synth_corpus
 from .errors import check_count, check_int
@@ -52,25 +52,6 @@ class HarvestReport:
     hr: float | None
 
 
-def _harvest_report(
-    mask: BitPattern,
-    result_vectors: Sequence[Sequence[float]],
-    selected_vectors: Sequence[Sequence[float]],
-) -> HarvestReport:
-    """The report from the term vectors of the result and selected pages."""
-    positions = mask.positions()
-
-    def score(vector: Sequence[float]) -> float:
-        return sum(vector[p] for p in positions)
-
-    t_rel_sw = statistics.fmean(map(score, selected_vectors)) if selected_vectors else None
-    t_rel_sr = statistics.fmean(map(score, result_vectors)) if result_vectors else None
-    hr = None
-    if t_rel_sr is not None and t_rel_sw is not None and t_rel_sw > 0:
-        hr = t_rel_sr / t_rel_sw
-    return HarvestReport(t_rel_sr=t_rel_sr, t_rel_sw=t_rel_sw, hr=hr)
-
-
 @dataclass(frozen=True)
 class ModeComparison:
     """One query answered in both modes, with each result list's harvest report."""
@@ -95,25 +76,35 @@ def compare_modes(
     """
     ontology = ibag.ontology_by_id(query.ontology_id)
     mask = gen_mask_bit_pattern(query.search_string, ontology, use_synonyms=use_synonyms)
+    positions = mask.positions()
     slices, selected_count, visited = select_columns(ibag, query)
     selected = [p for p_ids, start, stop in slices for p in p_ids[start:stop]]
-    before = selected[: query.result_limit]
     page_bits = patterns.bits_for_ontology(query.ontology_id)
     after = first_matching_pages(slices, page_bits, mask.bits, query.result_limit)
     rows, of_node = ibag.node_columns.scores.tables[query.ontology_id]
 
-    def vectors(p_ids: list[int]) -> list[tuple[float, ...]]:
-        return [rows[of_node[p]].term_vector for p in p_ids]
+    def score(p_id: int) -> float:
+        vector = rows[of_node[p_id]].term_vector
+        return sum(vector[p] for p in positions)
 
-    selected_vectors = vectors(selected)
+    # both result lists are drawn from the selection, so each page is scored once
+    scores = dict(zip(selected, map(score, selected)))
+    t_rel_sw = statistics.fmean(scores.values()) if scores else None
+
+    def report(result: list[int]) -> HarvestReport:
+        t_rel_sr = statistics.fmean(map(scores.__getitem__, result)) if result else None
+        hr = t_rel_sr / t_rel_sw if t_rel_sr is not None and t_rel_sw > 0 else None
+        return HarvestReport(t_rel_sr=t_rel_sr, t_rel_sw=t_rel_sw, hr=hr)
+
+    before = selected[: query.result_limit]
     return ModeComparison(
-        term_count=len(mask.positions()),
+        term_count=len(positions),
         selected_count=selected_count,
         visited_count=visited,
         before_count=len(before),
         after_count=len(after),
-        before=_harvest_report(mask, vectors(before), selected_vectors),
-        after=_harvest_report(mask, vectors(after), selected_vectors),
+        before=report(before),
+        after=report(after),
     )
 
 
@@ -244,7 +235,7 @@ def run_benchmark(
     if not sizes:
         raise ValueError("corpus_sizes must not be empty")
     for i, size in enumerate(sizes):
-        check_int(size, f"corpus_sizes[{i}]")
+        check_count(size, f"corpus_sizes[{i}]")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("corpus sizes must be strictly ascending")
     queries = list(query_set)

@@ -82,10 +82,15 @@ def page_relevance(
     """Score a tokenized page against every term of the ontology.
 
     ``counts``, when given, are the occurrences of each term in ``tokens``,
-    indexed by bit position, as the ontology's phrase table counts them.
+    indexed by bit position, as the ontology's phrase table counts them:
+    one per term. ``tokens`` is a sequence of words, never a string.
     """
+    if isinstance(tokens, str):
+        raise ValueError("tokens must be a sequence of words, not a string")
     if counts is None:
         counts = ontology.phrase_table.count(tokens if isinstance(tokens, list) else list(tokens))
+    elif len(counts) != ontology.t:
+        raise ValueError(f"counts must have {ontology.t} entries, one per term, got {len(counts)}")
     return relevance_from_counts(ontology, counts)
 
 

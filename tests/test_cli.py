@@ -625,6 +625,12 @@ class TestBench:
         code = main(["bench", "--sizes", "abc", "--out", str(tmp_path / "o")])
         assert code == 1
 
+    def test_size_below_one_is_named_as_a_corpus_size(self, tmp_path, capsys):
+        code = main(["bench", "--sizes", "0,100", "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert (code, err) == (1, "error: corpus_sizes[0] must be >= 1, got 0\n")
+        assert not (tmp_path / "o").exists()
+
 
 class TestEval:
     def test_eval_reports_hr_direction(self, tmp_path, capsys):

@@ -32,7 +32,6 @@ from ibagsearch.evaluation import (
     BenchReport,
     HarvestReport,
     ModeComparison,
-    _harvest_report,
     aggregate_runs,
     compare_modes,
     hr_direction_counts,
@@ -51,21 +50,33 @@ TOPIC_AND_FILLER = Ontology(
     ),
     relevance_limit=0.0,
 )
+# the same, but a page's "topic" bit is set only above 0.5: two occurrences
+TOPIC_OVER_LIMIT = Ontology(
+    ontology_id=1,
+    name="topic-over-limit",
+    terms=(
+        OntologyTerm(term="topic", weight=0.5, term_relevance_limit=0.5),
+        OntologyTerm(term="filler", weight=1.0),
+    ),
+    relevance_limit=0.0,
+)
 
 
-def flat_index(scores: list[float]) -> IBAG:
+def flat_index(scores: list[float], ontology: Ontology = TOPIC_AND_FILLER) -> IBAG:
     """Single-level index whose page i scores ``scores[i]`` on "topic" (a
     multiple of 0.5) and has mean ``len(scores) - i + scores[i]``, highest
     first, through its "filler" count."""
     counts = [{1: [int(2 * score), len(scores) - i]} for i, score in enumerate(scores)]
-    return build_ibag(graph_from_counts(counts, (TOPIC_AND_FILLER,)))
+    return build_ibag(graph_from_counts(counts, (ontology,)))
 
 
 class TestHarvestRate:
     @staticmethod
-    def modes(scores: list[float], query: Query) -> ModeComparison:
-        ibag = flat_index(scores)
-        return compare_modes(query, ibag, gen_ibag_bit_patterns(ibag, (TOPIC_AND_FILLER,)))
+    def modes(
+        scores: list[float], query: Query, ontology: Ontology = TOPIC_AND_FILLER
+    ) -> ModeComparison:
+        ibag = flat_index(scores, ontology)
+        return compare_modes(query, ibag, gen_ibag_bit_patterns(ibag, (ontology,)))
 
     def test_result_equal_to_selection_gives_exactly_one(self):
         modes = self.modes([1.0, 2.0, 0.5], Query("topic", 1))
@@ -81,13 +92,14 @@ class TestHarvestRate:
             assert report.hr == 2.0
 
     def test_empty_result_set_means_absent_hr(self):
-        # no query on this index gives it: a selected page that scores on the
-        # query's terms is above their limit, 0, so it passes the mask
-        mask = gen_mask_bit_pattern("topic", TOPIC_AND_FILLER)
-        report = _harvest_report(mask, [], [(1.0, 2.0), (2.0, 1.0)])
+        # each page scores 0.5 on "topic", not above its limit, so every
+        # selected page scores on the query's term and none passes the mask
+        modes = self.modes([0.5, 0.5, 0.5], Query("topic", 1), TOPIC_OVER_LIMIT)
+        assert (modes.selected_count, modes.after_count) == (3, 0)
+        report = modes.after
         assert report.t_rel_sr is None
         assert report.hr is None
-        assert report.t_rel_sw == 1.5
+        assert report.t_rel_sw == 0.5
 
     def test_empty_selection_means_absent_everything(self):
         modes = self.modes([1.0], Query("topic", 1, relevance_range=(100.0, math.inf)))
@@ -195,9 +207,12 @@ class TestBenchmark:
         [([10.5], r"corpus_sizes\[0\] must be an int, got 10.5"),
          (["10"], r"corpus_sizes\[0\] must be an int, got '10'"),
          ([True], r"corpus_sizes\[0\] must be an int, got True"),
-         ([10, 20.0], r"corpus_sizes\[1\] must be an int, got 20.0")],
+         ([10, 20.0], r"corpus_sizes\[1\] must be an int, got 20.0"),
+         ([0], r"corpus_sizes\[0\] must be >= 1, got 0"),
+         ([-5], r"corpus_sizes\[0\] must be >= 1, got -5")],
     )
-    def test_rejects_sizes_that_are_not_ints(self, queries, sizes, message):
+    def test_rejects_sizes_that_are_not_ints(self, queries, sizes, message, monkeypatch):
+        monkeypatch.setattr("ibagsearch.evaluation.synth_corpus", self.no_build)
         with pytest.raises(ValueError, match=message):
             run_benchmark(sizes, queries, 1)
 
@@ -218,7 +233,7 @@ class TestBenchmark:
 
     @staticmethod
     def no_build(*args):
-        raise AssertionError("built a corpus before checking the ontologies")
+        raise AssertionError("built a corpus before checking the inputs")
 
     def test_rejects_bad_ontologies_before_any_build(self, queries, monkeypatch):
         monkeypatch.setattr("ibagsearch.evaluation.synth_corpus", self.no_build)

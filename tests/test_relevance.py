@@ -67,6 +67,18 @@ class TestPageRelevance:
         assert result.relevance_value == 2.0 * 0  # zeroed: 2.0 is not > 2.0
         assert result.supported is False
 
+    @pytest.mark.parametrize("counts", [[], [1, 2], [1, 0, 0, 0, 0, 0]])
+    def test_counts_not_one_per_term_are_rejected(self, cricket, counts):
+        # unchecked, [1, 2] would be scored as a supported 2-term page
+        message = f"^counts must have 5 entries, one per term, got {len(counts)}$"
+        with pytest.raises(ValueError, match=message):
+            page_relevance(cricket, [], counts)
+
+    def test_a_string_of_tokens_is_rejected(self, cricket):
+        # iterated, it would be scored letter by letter
+        with pytest.raises(ValueError, match="^tokens must be a sequence of words, not a string$"):
+            page_relevance(cricket, "cricket cricket")
+
     def test_page_value_is_sum_of_term_values(self, cricket):
         rng = random.Random(3)
         words = ["cricket", "wicket", "keeper", "umpire", "bat", "match", "judge", "noise"]

@@ -5,10 +5,11 @@ Usage, from the repository root::
 
     python tools/bench_pairs.py --parent REV --seeds A-B --out BENCH_<n>.json
 
-REV is checked out into a temporary ``git worktree``, removed on exit, and
-each seed of each workload that ``BENCHMARK.json`` lists runs ``python3
-perfbench/run.py --workload W --seed S --seconds N --trace 0``, N being
-its ``run_seconds``, once in each tree: the tree's own,
+REV is extracted with ``git archive`` into a temporary directory, removed
+on exit (nothing is written under ``.git``), and each seed of each
+workload that ``BENCHMARK.json`` lists runs ``python3 perfbench/run.py
+--workload W --seed S --seconds N --trace 0``, N being its
+``run_seconds``, once in each tree: the tree's own,
 unchanged perfbench, one process at a time, each pair swapping which side
 goes first (the loop of ``tools/criterion5_pairs.py``). The output file
 holds every run (workload, seed, side, ``ran_first`` and the run's result

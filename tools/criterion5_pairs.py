@@ -5,8 +5,9 @@ Usage, from the repository root::
 
     python tools/criterion5_pairs.py --parent REV [--runs 20]
 
-REV is checked out, detached, into a temporary ``git worktree``, which is
-removed on exit; the working tree is never edited (:func:`side_trees`).
+REV is extracted with ``git archive`` into a temporary directory, which is
+removed on exit; neither the working tree nor ``.git`` is written
+(:func:`side_trees`).
 Runs alternate between the sides, one process at a time, and each pair
 swaps which side goes first (:func:`alternating`); ``tools/bench_pairs.py``
 shares both. Each run is one new Python process making the call that
@@ -20,10 +21,12 @@ most 2. Standard library only.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import subprocess
 import sys
+import tarfile
 import tempfile
 from collections import Counter
 from contextlib import contextmanager
@@ -73,20 +76,18 @@ def summary(runs_by_side: dict[str, list[dict[int, float]]]) -> list[str]:
 
 @contextmanager
 def side_trees(parent_rev: str) -> Iterator[dict[str, Path]]:
-    """The tree of each side: ``parent_rev`` checked out, detached, into a
-    temporary ``git worktree`` that is removed on exit, and the working
-    tree, which is only read."""
-
-    def git(*command: str) -> None:
-        subprocess.run(["git", *command], cwd=ROOT, check=True, stdout=subprocess.DEVNULL)
-
+    """The tree of each side: ``parent_rev``'s files, from ``git archive``,
+    in a temporary directory that is removed on exit, and the working tree,
+    which is only read. Nothing is written under ``.git``, so a killed run
+    leaves at most the temporary directory behind."""
+    archive = subprocess.run(
+        ["git", "archive", parent_rev], cwd=ROOT, check=True, capture_output=True
+    ).stdout
     with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
         parent = Path(tmp) / "parent"
-        git("worktree", "add", "--detach", str(parent), parent_rev)
-        try:
-            yield {"parent": parent, "change": ROOT}
-        finally:
-            git("worktree", "remove", "--force", str(parent))
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(parent)
+        yield {"parent": parent, "change": ROOT}
 
 
 def alternating(keys: Iterable[K], trees: dict[str, Path]) -> Iterator[tuple[K, str, Path, bool]]:
